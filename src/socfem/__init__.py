@@ -9,7 +9,7 @@ README for the CLI and the experiment harness.
 from .errors import InvalidStateError, NumericalError
 from .grid import Mesh, TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_grid
 from .fem import FemSystem, assemble, euler_solve, l2_project, load_vector, norms
-from .paths import BrownianEnsemble, mc_mean, sample, strong_error_norm
+from .paths import BrownianEnsemble, sample
 from .spde import (
     PathEnsembleTrajectory,
     ProblemSpec,
@@ -89,13 +89,11 @@ __all__ = [
     "make_interval_mesh",
     "make_rectangle_mesh",
     "make_time_grid",
-    "mc_mean",
     "mtilde_solve",
     "norms",
     "orders_from_reports",
     "qtilde_solve",
     "sample",
     "select_multiplier",
-    "strong_error_norm",
     "verify_manufactured",
 ]

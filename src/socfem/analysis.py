@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import InvalidStateError, NumericalError
 from .fem import FemSystem, assemble
 from .grid import TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_grid
 from .optimizer import OptimizerConfig, constraint_integral, gp_iterate
@@ -258,27 +258,30 @@ def convergence_study(
     """
     if delta_mode not in ("discrete", "problem"):
         raise ValueError(f"delta_mode must be 'discrete' or 'problem', got {delta_mode!r}")
-    reports = []
-    for res in resolutions:
-        system, grid = setup(problem, res)
-        ensemble = sample(paths, grid, seed)
-        spec = problem.spec
-        if delta_mode == "discrete":
-            spec = replace(spec, delta=discrete_constraint_level(problem, system, grid))
-        config = OptimizerConfig(rho=rho, eps0=eps0, max_iter=max_iter)
-        result = gp_iterate(
-            spec,
-            system,
-            grid,
-            config,
-            estimator=estimator,
-            ensemble=ensemble if estimator == "monte-carlo" else None,
-        )
-        bundle = SolutionBundle(
-            control=result.control, adjoint_mean=result.adjoint_mean, mu=result.mu
-        )
-        reports.append(compute_errors(problem, bundle, ensemble, system, grid))
-    return reports
+    config = OptimizerConfig(rho=rho, eps0=eps0, max_iter=max_iter)
+    return [
+        _error_report(problem, res, paths, seed, config, estimator, delta_mode)
+        for res in resolutions
+    ]
+
+
+def _error_report(problem, res, paths, seed, config, estimator, delta_mode) -> ErrorReport:
+    """One convergence cell; its system and factorizations die on return."""
+    system, grid = setup(problem, res)
+    ensemble = sample(paths, grid, seed)
+    spec = problem.spec
+    if delta_mode == "discrete":
+        spec = replace(spec, delta=discrete_constraint_level(problem, system, grid))
+    result = gp_iterate(
+        spec,
+        system,
+        grid,
+        config,
+        estimator=estimator,
+        ensemble=ensemble if estimator == "monte-carlo" else None,
+    )
+    bundle = SolutionBundle(control=result.control, adjoint_mean=result.adjoint_mean, mu=result.mu)
+    return compute_errors(problem, bundle, ensemble, system, grid)
 
 
 ORDER_QUANTITIES = (
@@ -326,35 +329,42 @@ def constraint_table(
 ) -> list[TableCell]:
     """Converged constraint integrals over a (delta, resolution) table.
 
-    Every cell's post-projection integral must satisfy the constraint up
-    to 1e-8; a violation raises, since it would mean the projection is
-    broken rather than inaccurate.
+    Cells run deltas outer, resolutions inner.  Every cell's
+    post-projection integral must satisfy the constraint up to 1e-8; a
+    violation raises, since it would mean the projection is broken rather
+    than inaccurate.  Failures name the cell they happened in.
     """
+    config = OptimizerConfig(rho=rho, eps0=eps0, max_iter=max_iter)
     cells = []
     for delta in deltas:
-        spec = replace(problem.spec, delta=float(delta))
         for res in resolutions:
-            system, grid = setup(problem, res)
-            ensemble = sample(paths, grid, seed) if estimator == "monte-carlo" else None
-            config = OptimizerConfig(rho=rho, eps0=eps0, max_iter=max_iter)
-            result = gp_iterate(
-                spec, system, grid, config, estimator=estimator, ensemble=ensemble
-            )
-            integral = result.records[-1].constraint_integral
-            if not integral <= delta + 1e-8:
-                raise InvalidStateError(
-                    f"projection failed feasibility: integral {integral!r} > "
-                    f"delta {delta!r} + 1e-8 at cells={res.cells}, steps={res.steps}"
-                )
-            cells.append(
-                TableCell(
-                    delta=float(delta),
-                    h=system.mesh.h,
-                    tau=grid.tau,
-                    integral=integral,
-                    mu=result.mu,
-                    iterations=result.iterations,
-                    converged=result.converged,
-                )
-            )
+            try:
+                cell = _table_cell(problem, float(delta), res, estimator, paths, seed, config)
+            except (NumericalError, InvalidStateError) as exc:
+                raise type(exc)(
+                    f"cell delta={delta} cells={res.cells} steps={res.steps}: {exc}"
+                ) from exc
+            cells.append(cell)
     return cells
+
+
+def _table_cell(problem, delta, res, estimator, paths, seed, config) -> TableCell:
+    """One table cell; its system, factorizations and GP workspace die on return."""
+    spec = replace(problem.spec, delta=delta)
+    system, grid = setup(problem, res)
+    ensemble = sample(paths, grid, seed) if estimator == "monte-carlo" else None
+    result = gp_iterate(spec, system, grid, config, estimator=estimator, ensemble=ensemble)
+    integral = result.records[-1].constraint_integral
+    if not integral <= delta + 1e-8:
+        raise InvalidStateError(
+            f"projection failed feasibility: integral {integral!r} > delta {delta!r} + 1e-8"
+        )
+    return TableCell(
+        delta=delta,
+        h=system.mesh.h,
+        tau=grid.tau,
+        integral=integral,
+        mu=result.mu,
+        iterations=result.iterations,
+        converged=result.converged,
+    )

@@ -14,18 +14,15 @@ follows the --rule (tau=h, tau=h/sqrt2, tau=h^2, tau=h^2/2, tau=h^4)
 applied to the element diameter, or an explicit --tau list.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  A
-fixed seed makes every output byte-identical across reruns.  The
-SOCFEM_THREADS environment variable (or --threads) sets how many table /
-convergence cells run concurrently.
+fixed seed makes every output byte-identical across reruns.  Cells run one
+after another: deltas outer, resolutions inner.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -71,7 +68,6 @@ class RunConfig:
     max_iter: int
     estimator: str
     output_dir: Path
-    threads: int
     samples: int
     beta: float | None
     exact_mu: float | None
@@ -169,13 +165,6 @@ def resolutions_for(cfg: RunConfig, problem) -> list[Resolution]:
     return out
 
 
-def _map_cells(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n")
 
@@ -230,21 +219,19 @@ def run_solve(cfg: RunConfig) -> int:
 def run_convergence(cfg: RunConfig) -> int:
     problem = build_problem(cfg)
     resolutions = resolutions_for(cfg, problem)
-
-    def cell(res_):
-        return convergence_study(
-            problem,
-            [res_],
-            paths=cfg.paths,
-            seed=cfg.seed,
-            rho=cfg.rho,
-            eps0=cfg.eps0,
-            max_iter=cfg.max_iter,
-            estimator=cfg.estimator,
-            delta_mode=cfg.delta_mode,
-        )[0]
-
-    reports = _map_cells(cell, resolutions, cfg.threads)
+    if len(resolutions) < 2:
+        raise ConfigError("convergence needs at least two --h values to fit orders")
+    reports = convergence_study(
+        problem,
+        resolutions,
+        paths=cfg.paths,
+        seed=cfg.seed,
+        rho=cfg.rho,
+        eps0=cfg.eps0,
+        max_iter=cfg.max_iter,
+        estimator=cfg.estimator,
+        delta_mode=cfg.delta_mode,
+    )
 
     lines = [ERRORS_HEADER]
     for r in reports:
@@ -276,27 +263,17 @@ def run_constraint_table(cfg: RunConfig) -> int:
     if not cfg.deltas:
         raise ConfigError("constraint-table needs --delta values")
 
-    def cell(pair):
-        delta, res_ = pair
-        try:
-            return constraint_table(
-                problem,
-                [delta],
-                [res_],
-                estimator=cfg.estimator,
-                paths=cfg.paths,
-                seed=cfg.seed,
-                rho=cfg.rho,
-                eps0=cfg.eps0,
-                max_iter=cfg.max_iter,
-            )[0]
-        except (NumericalError, InvalidStateError) as exc:
-            raise type(exc)(
-                f"cell delta={delta} cells={res_.cells} steps={res_.steps}: {exc}"
-            ) from exc
-
-    pairs = [(d, r) for d in cfg.deltas for r in resolutions]
-    cells = _map_cells(cell, pairs, cfg.threads)
+    cells = constraint_table(
+        problem,
+        cfg.deltas,
+        resolutions,
+        estimator=cfg.estimator,
+        paths=cfg.paths,
+        seed=cfg.seed,
+        rho=cfg.rho,
+        eps0=cfg.eps0,
+        max_iter=cfg.max_iter,
+    )
 
     long_lines = [TABLE_LONG_HEADER]
     for c in cells:
@@ -309,8 +286,8 @@ def run_constraint_table(cfg: RunConfig) -> int:
     headers = ["delta"] + [f"h={p}" for p in cfg.pitches]
     wide = [",".join(headers)]
     per_delta = {d: [] for d in cfg.deltas}
-    for c, (d, _) in zip(cells, pairs):
-        per_delta[d].append(format_sci(c.integral))
+    for c in cells:
+        per_delta[c.delta].append(format_sci(c.integral))
     for d in cfg.deltas:
         wide.append(",".join([repr(d)] + per_delta[d]))
     _write_lines(cfg.output_dir / "table.csv", wide)
@@ -357,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iter", type=int, default=None)
         p.add_argument("--estimator", type=str, default=None, choices=["mean-field", "monte-carlo"])
         p.add_argument("--output-dir", type=str, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--samples", type=int, default=None, help="verify sample count")
         p.add_argument("--beta", type=float, default=None)
         p.add_argument("--exact-mu", type=float, default=None)
@@ -384,7 +360,6 @@ _DEFAULTS = {
     "max_iter": 500,
     "estimator": "mean-field",
     "output_dir": ".",
-    "threads": None,
     "samples": 1000,
     "beta": None,
     "exact_mu": None,
@@ -395,7 +370,7 @@ _DEFAULTS = {
 }
 
 _FLOAT_KEYS = {"rho", "eps0", "beta", "exact_mu", "gamma", "lam"}
-_INT_KEYS = {"paths", "seed", "max_iter", "threads", "samples"}
+_INT_KEYS = {"paths", "seed", "max_iter", "samples"}
 
 
 def _read_config_file(path: str) -> dict:
@@ -428,9 +403,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if flag_value is not None:
             merged[key] = flag_value
 
-    threads = merged["threads"]
-    if threads is None:
-        threads = int(os.environ.get("SOCFEM_THREADS", "1"))
     output_dir = Path(merged["output_dir"])
     output_dir.mkdir(parents=True, exist_ok=True)
 
@@ -455,7 +427,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         max_iter=int(merged["max_iter"]),
         estimator=str(merged["estimator"]),
         output_dir=output_dir,
-        threads=int(threads),
         samples=int(merged["samples"]),
         beta=merged["beta"],
         exact_mu=merged["exact_mu"],

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import InvalidStateError, NumericalError
 from .fem import FemSystem, load_from_values
 from .grid import TimeGrid
 from .paths import BLOCK, BrownianEnsemble
@@ -246,15 +246,14 @@ class GradientProjection:
             )
             u_next, x_next, mu = self.project(u_half)
             step_error = self.step_norm(u_next.values - u.values)
-            records.append(
-                IterationRecord(
-                    iteration=i,
-                    mu=mu,
-                    step_error=step_error,
-                    constraint_integral=constraint_integral(x_next, self.system, self.grid),
-                    cost=self.cost(x_next, u_next),
+            integral = constraint_integral(x_next, self.system, self.grid)
+            cost = self.cost(x_next, u_next)
+            if not np.all(np.isfinite([mu, step_error, integral, cost])):
+                raise NumericalError(
+                    f"gradient projection diverged at iteration {i}: mu={mu!r} "
+                    f"step_error={step_error!r} integral={integral!r} cost={cost!r}"
                 )
-            )
+            records.append(IterationRecord(i, mu, step_error, integral, cost))
             u, x = u_next, x_next
             if keep_history:
                 history.append(u.values.copy())
@@ -285,7 +284,8 @@ def gp_iterate(
     """Run the gradient projection loop; see ``GradientProjection``.
 
     Non-convergence within ``max_iter`` is reported through the result's
-    ``converged`` flag, not raised.
+    ``converged`` flag, not raised; a non-finite iterate (a divergent step
+    size) raises ``NumericalError``.
     """
     loop = GradientProjection(
         spec, system, grid, rho=config.rho, estimator=estimator, ensemble=ensemble

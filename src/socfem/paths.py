@@ -1,10 +1,10 @@
-"""Reproducible Brownian increment ensembles and Monte Carlo reductions.
+"""Reproducible Brownian increment ensembles.
 
 Every path draws from its own substream, seeded by (master seed, path
 index).  Path p is therefore bit-identical no matter how many paths are
-requested or how work is scheduled across workers.  Reductions use a fixed
-order (sequential inside blocks of ``BLOCK`` paths, blocks merged in
-order), so estimates never depend on the worker count.
+requested.  Consumers that stream paths work in blocks of ``BLOCK`` paths
+and merge the block results in path order, so estimates never depend on
+how an ensemble is split.
 """
 
 from __future__ import annotations
@@ -39,16 +39,6 @@ class BrownianEnsemble:
         """W_{t_n} for every path, n = 0..N."""
         return self.brownian[:, level]
 
-    def antithetic(self) -> "BrownianEnsemble":
-        """Ensemble with all increments negated (for variance checks)."""
-        return BrownianEnsemble(
-            paths=self.paths,
-            steps=self.steps,
-            tau=self.tau,
-            seed=self.seed,
-            increments=-self.increments,
-        )
-
     def subset(self, start: int, stop: int) -> "BrownianEnsemble":
         """Paths start..stop-1 as their own ensemble (same substreams)."""
         return BrownianEnsemble(
@@ -78,53 +68,3 @@ def sample(P: int, grid: TimeGrid, seed: int) -> BrownianEnsemble:
         inc[p] = rng.normal(0.0, scale, grid.N)
     inc.flags.writeable = False
     return BrownianEnsemble(paths=P, steps=grid.N, tau=grid.tau, seed=seed, increments=inc)
-
-
-def mc_mean(values: np.ndarray) -> np.ndarray | float:
-    """Arithmetic mean over the path axis (axis 0), pairwise-summed."""
-    values = np.asarray(values)
-    if values.shape[0] == 0:
-        raise ValueError("mc_mean of an empty ensemble")
-    out = np.mean(values, axis=0)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def block_mean(total_paths: int):
-    """Streaming mean accumulator with the documented fixed merge order.
-
-    Returns (update, finish): feed path-blocks in path order through
-    ``update(block)``; ``finish()`` yields the mean over all paths.
-    """
-    state = {"sum": None, "count": 0}
-
-    def update(block: np.ndarray) -> None:
-        block = np.asarray(block, dtype=float)
-        s = block.sum(axis=0)
-        state["sum"] = s if state["sum"] is None else state["sum"] + s
-        state["count"] += block.shape[0]
-
-    def finish() -> np.ndarray:
-        if state["count"] != total_paths:
-            raise ValueError(f"saw {state['count']} paths, expected {total_paths}")
-        return state["sum"] / total_paths
-
-    return update, finish
-
-
-def strong_error_norm(errors, system) -> float:
-    """sqrt of the max-over-time, mean-over-path squared L2 error.
-
-    ``errors`` holds per-path, per-level interior nodal error fields with
-    shape (paths, levels, n_interior); a ``PathEnsembleTrajectory`` is
-    accepted as well.
-    """
-    values = getattr(errors, "values", errors)
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 3 or values.shape[2] != system.n:
-        raise ValueError(
-            f"expected errors of shape (paths, levels, {system.n}), got {values.shape}"
-        )
-    p, levels, n = values.shape
-    me = (system.mass @ values.reshape(-1, n).T).T.reshape(p, levels, n)
-    sq = np.einsum("pln,pln->pl", values, me)
-    return float(np.sqrt(np.max(np.mean(sq, axis=0))))

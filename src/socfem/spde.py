@@ -41,8 +41,8 @@ class ProblemSpec:
 
     Space-dependent callables receive points of shape (m, dim) and return
     values of shape (m,).  ``forcing`` and ``target`` additionally take the
-    Brownian value w, which may be an array of shape (paths, 1) that
-    broadcasts against the point axis.  ``mean_forcing`` / ``mean_target``
+    Brownian value w, an array of shape (paths, 1) in path sweeps; their
+    result must broadcast to (paths, m).  ``mean_forcing`` / ``mean_target``
     are the expectations of ``forcing`` / ``target`` over W_t; for data
     that is affine in w they are the w=0 slices.
     """
@@ -116,23 +116,18 @@ def _check_alignment(grid: TimeGrid, control: Trajectory, ensemble: BrownianEnse
 def eval_pathwise(func, t: float, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Evaluate f(t, x, w) for every path, shape (paths, n_points).
 
-    Tries a single broadcast call with w of shape (paths, 1); closures that
-    do not broadcast are evaluated per path.
+    One call with w of shape (paths, 1); the result must broadcast to
+    (paths, n_points), so w-independent closures may return (n_points,).
     """
-    m = pts.shape[0]
-    p = w.shape[0]
+    shape = (w.shape[0], pts.shape[0])
+    vals = np.asarray(func(t, pts, w[:, None]), dtype=float)
     try:
-        vals = np.asarray(func(t, pts, w[:, None]), dtype=float)
-        if vals.shape == (p, m):
-            return vals
-        if vals.shape in ((m,), (), (1,)):  # w-independent closure
-            return np.broadcast_to(np.broadcast_to(vals, (m,)), (p, m))
-    except Exception:
-        pass
-    out = np.empty((p, m))
-    for i in range(p):
-        out[i] = np.broadcast_to(np.asarray(func(t, pts, float(w[i])), dtype=float), (m,))
-    return out
+        return np.broadcast_to(vals, shape)
+    except ValueError:
+        raise ValueError(
+            f"closure returned shape {vals.shape}, which does not broadcast to "
+            f"(paths, points) = {shape}"
+        ) from None
 
 
 def initial_state(spec: ProblemSpec, system: FemSystem) -> np.ndarray:

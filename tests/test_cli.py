@@ -54,6 +54,14 @@ class TestSolveCommand:
         assert fields[0] == "t,x0,control,state_mean,adjoint_mean"
         assert len(fields) == 1 + 9 * 7  # (N+1) levels x interior nodes
 
+    def test_divergent_step_size_is_numerical_failure(self, tmp_path):
+        argv = [
+            "solve", "--problem", "example1", "--h", "1/10", "--rule", "tau=h",
+            "--rho", "5", "--output-dir", str(tmp_path),
+        ]
+        assert main(argv) == 3
+        assert not (tmp_path / "iterations.csv").exists()
+
     def test_slack_delta_keeps_mu_zero(self, tmp_path):
         argv = [
             "solve", "--problem", "example1", "--h", "1/8", "--rule", "tau=h",
@@ -81,6 +89,18 @@ class TestConvergenceCommand:
         orders = json.loads((tmp_path / "orders.json").read_text())
         assert orders["scale"] == "tau"
         assert "strong_l2_state" in orders["fits"]
+
+    def test_single_resolution_is_config_error(self, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("convergence solved before rejecting its config")
+
+        monkeypatch.setattr("socfem.cli.convergence_study", no_solve)
+        argv = [
+            "convergence", "--problem", "example1", "--h", "1/8",
+            "--rule", "tau=h", "--paths", "20", "--output-dir", str(tmp_path),
+        ]
+        assert main(argv) == 2
+        assert not (tmp_path / "errors.csv").exists()
 
     def test_rule_h2_fits_against_h(self, tmp_path):
         argv = [
@@ -142,8 +162,9 @@ class TestConfigHandling:
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("wibble = 3\n")
-        assert main(["solve", "--config", str(cfg)]) == 2
+        for line in ("wibble = 3", "threads = 2"):
+            cfg.write_text(line + "\n")
+            assert main(["solve", "--config", str(cfg)]) == 2
 
     def test_bad_fraction_exit_code(self, tmp_path):
         argv = ["solve", "--h", "1//9", "--output-dir", str(tmp_path)]
@@ -162,6 +183,7 @@ class TestConfigHandling:
 
     def test_unknown_flag(self):
         assert main(["solve", "--wibble", "3"]) == 2
+        assert main(["solve", "--threads", "2"]) == 2
 
     def test_2d_defaults_runs(self, tmp_path):
         argv = [

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from socfem import (
+    NumericalError,
     assemble,
     euler_solve,
     l2_project,
@@ -10,7 +14,7 @@ from socfem import (
     make_rectangle_mesh,
     norms,
 )
-from socfem.fem import load_from_values
+from socfem.fem import EulerSolver, load_from_values
 
 
 @pytest.fixture
@@ -160,6 +164,16 @@ class TestEulerSolve:
     def test_invalid_tau(self, sys_half):
         with pytest.raises(ValueError):
             euler_solve(sys_half, 0.0, np.array([1.0]))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_rhs_fails_residual_guard(self, sys_half, value):
+        with pytest.raises(NumericalError):
+            euler_solve(sys_half, 0.5, np.array([value]))
+
+    def test_singular_operator_fails_factorization(self):
+        zero = sp.csr_matrix((2, 2))
+        with pytest.raises(NumericalError):
+            EulerSolver(SimpleNamespace(mass=zero, stiffness=zero), 0.5)
 
 
 class TestNorms:

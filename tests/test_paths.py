@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from socfem import assemble, make_interval_mesh, make_time_grid, mc_mean, sample, strong_error_norm
-from socfem.paths import block_mean
+from socfem import make_time_grid, sample
 
 
 class TestSample:
@@ -40,76 +39,7 @@ class TestSample:
         assert np.array_equal(sub.increments, ens.increments[3:7])
         assert np.array_equal(sub.brownian, ens.brownian[3:7])
 
-    def test_antithetic_negates(self):
-        grid = make_time_grid(1.0, 6)
-        ens = sample(4, grid, seed=2)
-        assert np.array_equal(ens.antithetic().increments, -ens.increments)
-
     @pytest.mark.parametrize("P,seed", [(0, 1), (3, -4)])
     def test_invalid_arguments(self, P, seed):
         with pytest.raises(ValueError):
             sample(P, make_time_grid(1.0, 4), seed)
-
-
-class TestMcMean:
-    def test_identical_paths(self):
-        assert mc_mean(np.full((7, 3), 2.5)) == pytest.approx([2.5, 2.5, 2.5], abs=0)
-
-    def test_plus_minus_one(self):
-        assert mc_mean(np.array([1.0, -1.0])) == 0.0
-
-    def test_clt_bound(self):
-        rng = np.random.default_rng(42)
-        vals = rng.normal(size=10**5)
-        assert abs(mc_mean(vals)) <= 4 / np.sqrt(10**5)
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            mc_mean(np.zeros((0, 3)))
-
-
-class TestBlockMean:
-    def test_block_split_invariance(self):
-        rng = np.random.default_rng(8)
-        data = rng.normal(size=(103, 6))
-        reference = data.mean(axis=0)
-        for block in (1, 7, 50, 103):
-            update, finish = block_mean(103)
-            for start in range(0, 103, block):
-                update(data[start : start + block])
-            assert finish() == pytest.approx(reference, abs=1e-12)
-
-    def test_count_mismatch(self):
-        update, finish = block_mean(5)
-        update(np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            finish()
-
-
-class TestStrongErrorNorm:
-    @pytest.fixture
-    def system(self):
-        return assemble(make_interval_mesh(0, 1, 2))
-
-    def test_zero(self, system):
-        assert strong_error_norm(np.zeros((4, 3, 1)), system) == 0.0
-
-    def test_single_field(self, system):
-        e = np.ones((1, 1, 1))
-        assert strong_error_norm(e, system) == pytest.approx(np.sqrt(1 / 3), rel=1e-14)
-
-    def test_homogeneity(self, system):
-        rng = np.random.default_rng(1)
-        e = rng.normal(size=(5, 4, 1))
-        assert strong_error_norm(2 * e, system) == pytest.approx(
-            2 * strong_error_norm(e, system), rel=1e-13
-        )
-
-    def test_max_over_time(self, system):
-        e = np.zeros((2, 3, 1))
-        e[:, 1, 0] = 2.0  # both paths, middle level
-        assert strong_error_norm(e, system) == pytest.approx(2 * np.sqrt(1 / 3), rel=1e-14)
-
-    def test_shape_mismatch(self, system):
-        with pytest.raises(ValueError):
-            strong_error_norm(np.zeros((4, 3, 2)), system)

@@ -19,7 +19,7 @@ from socfem import (
     sample,
 )
 from socfem.paths import BrownianEnsemble
-from socfem.spde import backward_adjoint_from_loads
+from socfem.spde import backward_adjoint_from_loads, eval_pathwise
 
 
 def zero_space(x):
@@ -127,7 +127,11 @@ class TestForward:
         ens = sample(16, grid, seed=1)
         u = Trajectory.zeros(grid, system.n)
         fwd = forward_paths(prob.spec, system, grid, u, ens).values
-        bwd = forward_paths(prob.spec, system, grid, u, ens.antithetic()).values
+        mirror = BrownianEnsemble(
+            paths=ens.paths, steps=ens.steps, tau=ens.tau, seed=ens.seed,
+            increments=-ens.increments,
+        )
+        bwd = forward_paths(prob.spec, system, grid, u, mirror).values
         mean = forward_mean(prob.spec, system, grid, u)
         averaged = 0.5 * (fwd + bwd)
         for p in range(16):
@@ -164,6 +168,14 @@ class TestForward:
             forward_paths(
                 make_spec(), sys_half, grid, Trajectory.zeros(grid, 1), zero_ensemble(2, other)
             )
+
+
+class TestEvalPathwise:
+    def test_non_broadcasting_closure_names_its_shape(self):
+        pts = np.zeros((4, 1))
+        bad = lambda t, p, w: np.zeros((w.shape[0], p.shape[0] + 1))
+        with pytest.raises(ValueError, match=r"\(3, 5\)"):
+            eval_pathwise(bad, 0.0, pts, np.zeros(3))
 
 
 class TestBackwardAdjoint:
