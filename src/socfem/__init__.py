@@ -4,7 +4,15 @@ P1 finite elements and implicit Euler discretize the controlled stochastic
 heat equation; a gradient projection loop enforces the space-time integral
 constraint on the expected state through a scalar multiplier.  See the
 README for the CLI and the experiment harness.
+
+Importing socfem sets the OpenBLAS pools bundled with numpy and scipy to
+one thread, process-wide, unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
+is set (see ``socfem._blas``).
 """
+
+from . import _blas
+
+_blas.pin_threads()
 
 from .errors import InvalidStateError, NumericalError
 from .grid import Mesh, TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_grid

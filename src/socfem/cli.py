@@ -35,7 +35,7 @@ from .analysis import (
     setup,
 )
 from .errors import InvalidStateError, NumericalError
-from .optimizer import OptimizerConfig, gp_iterate
+from .optimizer import OptimizerConfig, contraction_certificate, gp_iterate
 from .paths import sample
 from .problems import BY_NAME, example1, example2, verify_manufactured
 
@@ -169,6 +169,21 @@ def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _check_rho(cfg: RunConfig, problem) -> None:
+    """Reject a non-positive --rho; warn when a given one has no certificate."""
+    if cfg.rho is None:
+        return
+    if not cfg.rho > 0.0:
+        raise ConfigError(f"--rho must be positive, got {cfg.rho!r}")
+    spec = problem.spec
+    if contraction_certificate(spec.alpha, spec.T, cfg.rho) is None:
+        print(
+            f"warning: rho={cfg.rho!r} has no contraction certificate "
+            f"(alpha={spec.alpha!r}, T={spec.T!r})",
+            file=sys.stderr,
+        )
+
+
 def run_solve(cfg: RunConfig) -> int:
     problem = build_problem(cfg)
     if cfg.deltas:
@@ -176,6 +191,7 @@ def run_solve(cfg: RunConfig) -> int:
             raise ConfigError("solve takes a single --delta value")
         problem = replace(problem, spec=replace(problem.spec, delta=cfg.deltas[0]))
     (res,) = resolutions_for(cfg, problem)
+    _check_rho(cfg, problem)
 
     system, grid = setup(problem, res)
     ensemble = sample(cfg.paths, grid, cfg.seed) if cfg.estimator == "monte-carlo" else None
@@ -221,6 +237,7 @@ def run_convergence(cfg: RunConfig) -> int:
     resolutions = resolutions_for(cfg, problem)
     if len(resolutions) < 2:
         raise ConfigError("convergence needs at least two --h values to fit orders")
+    _check_rho(cfg, problem)
     reports = convergence_study(
         problem,
         resolutions,
@@ -262,6 +279,7 @@ def run_constraint_table(cfg: RunConfig) -> int:
     resolutions = resolutions_for(cfg, problem)
     if not cfg.deltas:
         raise ConfigError("constraint-table needs --delta values")
+    _check_rho(cfg, problem)
 
     cells = constraint_table(
         problem,

@@ -32,26 +32,21 @@ _GAUSS3_X = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 _GAUSS3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
-class EulerSolver:
-    """Reusable solver for (M + tau*gamma*A) x = rhs on interior nodes.
+class _CheckedLU:
+    """Sparse LU of an SPD operator whose every solve is residual-checked.
 
-    Factorizes the SPD operator once with sparse LU; a failed factorization
-    or a solve whose relative residual is not below 1e-10 (including a
-    non-finite one) raises ``NumericalError``.
+    A failed factorization, or a solve whose relative residual is not below
+    1e-10 (including a non-finite one), raises ``NumericalError`` naming
+    ``what``.
     """
 
-    def __init__(self, system: "FemSystem", tau: float, gamma: float = 1.0):
-        if not tau > 0.0:
-            raise ValueError(f"tau must be positive, got {tau}")
-        if not gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
-        self.tau = float(tau)
-        self.gamma = float(gamma)
-        self._op = (system.mass + tau * gamma * system.stiffness).tocsc()
+    def __init__(self, op: sp.spmatrix, what: str):
+        self._what = what
+        self._op = op.tocsc()
         try:
             self._lu = spla.splu(self._op)
         except RuntimeError as exc:
-            raise NumericalError(f"implicit-Euler operator factorization failed: {exc}")
+            raise NumericalError(f"{what} factorization failed: {exc}")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side (n,) or a batch (n, k)."""
@@ -65,10 +60,31 @@ class EulerSolver:
         scale = np.linalg.norm(rhs)
         if not res <= _RESIDUAL_RTOL * scale:
             raise NumericalError(
-                f"implicit-Euler solve residual {res:.3e} exceeds "
+                f"{self._what} solve residual {res:.3e} exceeds "
                 f"{_RESIDUAL_RTOL:.1e} * |rhs| = {_RESIDUAL_RTOL * scale:.3e}"
             )
         return x
+
+
+class EulerSolver:
+    """Reusable solver for (M + tau*gamma*A) x = rhs on interior nodes.
+
+    Factorizes the SPD operator once through ``_CheckedLU``, so a failed
+    factorization or a residual breach raises ``NumericalError``.
+    """
+
+    def __init__(self, system: "FemSystem", tau: float, gamma: float = 1.0):
+        if not tau > 0.0:
+            raise ValueError(f"tau must be positive, got {tau}")
+        if not gamma > 0.0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
+        self.tau = float(tau)
+        self.gamma = float(gamma)
+        self._lu = _CheckedLU(system.mass + tau * gamma * system.stiffness, "implicit-Euler")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for one right-hand side (n,) or a batch (n, k)."""
+        return self._lu.solve(rhs)
 
 
 class FemSystem:
@@ -121,14 +137,11 @@ class FemSystem:
         return solver
 
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve M x = rhs (used by the L2 projection)."""
+        """Solve M x = rhs (used by the L2 projection), residual-checked."""
         with self._lock:
             if self._mass_lu is None:
-                try:
-                    self._mass_lu = spla.splu(self.mass.tocsc())
-                except RuntimeError as exc:
-                    raise NumericalError(f"mass matrix factorization failed: {exc}")
-        return self._mass_lu.solve(np.asarray(rhs, dtype=float))
+                self._mass_lu = _CheckedLU(self.mass, "mass")
+        return self._mass_lu.solve(rhs)
 
 
 def assemble(mesh: Mesh) -> FemSystem:

@@ -54,13 +54,21 @@ class TestSolveCommand:
         assert fields[0] == "t,x0,control,state_mean,adjoint_mean"
         assert len(fields) == 1 + 9 * 7  # (N+1) levels x interior nodes
 
-    def test_divergent_step_size_is_numerical_failure(self, tmp_path):
-        argv = [
+    def test_divergent_step_size_is_numerical_failure(self, tmp_path, capsys):
+        base = [
             "solve", "--problem", "example1", "--h", "1/10", "--rule", "tau=h",
-            "--rho", "5", "--output-dir", str(tmp_path),
+            "--output-dir", str(tmp_path),
         ]
-        assert main(argv) == 3
+        assert main(base + ["--rho", "5"]) == 3
         assert not (tmp_path / "iterations.csv").exists()
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "rho=" in line]
+        assert warnings == [
+            "warning: rho=5.0 has no contraction certificate (alpha=1.0, T=1.0)"
+        ]
+        # the default 0.9/(alpha + e^T) is always certified
+        assert main(base) == 0
+        assert "certificate" not in capsys.readouterr().err
+        assert main(base + ["--rho", "0"]) == 2
 
     def test_slack_delta_keeps_mu_zero(self, tmp_path):
         argv = [

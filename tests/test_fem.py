@@ -169,6 +169,8 @@ class TestEulerSolve:
     def test_non_finite_rhs_fails_residual_guard(self, sys_half, value):
         with pytest.raises(NumericalError):
             euler_solve(sys_half, 0.5, np.array([value]))
+        with pytest.raises(NumericalError, match="mass solve residual"):
+            sys_half.mass_solve(np.full(sys_half.n, value))
 
     def test_singular_operator_fails_factorization(self):
         zero = sp.csr_matrix((2, 2))
