@@ -10,6 +10,7 @@ report r^2 so flat or noisy fits are detectable.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import InvalidStateError, NumericalError
 from .fem import FemSystem, assemble
 from .grid import TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_grid
-from .optimizer import OptimizerConfig, constraint_integral, gp_iterate
+from .optimizer import GradientProjection, OptimizerConfig, constraint_integral, gp_iterate
 from .paths import BLOCK, BrownianEnsemble, sample
 from .problems import ManufacturedProblem
 from .spde import PathEnsembleTrajectory, Trajectory, forward_mean, iter_forward_paths
@@ -329,31 +330,56 @@ def constraint_table(
 ) -> list[TableCell]:
     """Converged constraint integrals over a (delta, resolution) table.
 
-    Cells run deltas outer, resolutions inner.  Every cell's
-    post-projection integral must satisfy the constraint up to 1e-8; a
-    violation raises, since it would mean the projection is broken rather
-    than inaccurate.  Failures name the cell they happened in.
+    Each resolution builds one workspace (system, time grid, ensemble and
+    ``GradientProjection``), and every delta runs on it, since none of it
+    depends on delta.  Cells are returned deltas outer, resolutions inner,
+    but computed resolutions outer, so the first failing cell reported is
+    the first in that order.  Every cell's post-projection integral must
+    satisfy the constraint up to 1e-8; a violation raises, since it would
+    mean the projection is broken rather than inaccurate.  Failures name
+    the cell they happened in.
     """
     config = OptimizerConfig(rho=rho, eps0=eps0, max_iter=max_iter)
+    by_resolution = [
+        _resolution_cells(problem, deltas, res, estimator, paths, seed, config)
+        for res in resolutions
+    ]
+    return [cells[i] for i in range(len(deltas)) for cells in by_resolution]
+
+
+@contextmanager
+def _cell_context(delta, res: Resolution):
+    """Prefix a numerical failure with the table cell it happened in."""
+    try:
+        yield
+    except (NumericalError, InvalidStateError) as exc:
+        raise type(exc)(
+            f"cell delta={delta} cells={res.cells} steps={res.steps}: {exc}"
+        ) from exc
+
+
+def _resolution_cells(problem, deltas, res, estimator, paths, seed, config) -> list[TableCell]:
+    """All deltas at one resolution; the shared workspace dies on return.
+
+    A failure while building the workspace is reported against the first
+    delta, the first cell that needs it.
+    """
+    with _cell_context(deltas[0], res):
+        system, grid = setup(problem, res)
+        ensemble = sample(paths, grid, seed) if estimator == "monte-carlo" else None
+        loop = GradientProjection(
+            problem.spec, system, grid, rho=config.rho, estimator=estimator, ensemble=ensemble
+        )
     cells = []
     for delta in deltas:
-        for res in resolutions:
-            try:
-                cell = _table_cell(problem, float(delta), res, estimator, paths, seed, config)
-            except (NumericalError, InvalidStateError) as exc:
-                raise type(exc)(
-                    f"cell delta={delta} cells={res.cells} steps={res.steps}: {exc}"
-                ) from exc
-            cells.append(cell)
+        with _cell_context(delta, res):
+            cells.append(_table_cell(loop, float(delta), config))
     return cells
 
 
-def _table_cell(problem, delta, res, estimator, paths, seed, config) -> TableCell:
-    """One table cell; its system, factorizations and GP workspace die on return."""
-    spec = replace(problem.spec, delta=delta)
-    system, grid = setup(problem, res)
-    ensemble = sample(paths, grid, seed) if estimator == "monte-carlo" else None
-    result = gp_iterate(spec, system, grid, config, estimator=estimator, ensemble=ensemble)
+def _table_cell(loop: GradientProjection, delta: float, config: OptimizerConfig) -> TableCell:
+    """One table cell on a shared workspace; its GP result dies on return."""
+    result = loop.run(config, delta)
     integral = result.records[-1].constraint_integral
     if not integral <= delta + 1e-8:
         raise InvalidStateError(
@@ -361,8 +387,8 @@ def _table_cell(problem, delta, res, estimator, paths, seed, config) -> TableCel
         )
     return TableCell(
         delta=delta,
-        h=system.mesh.h,
-        tau=grid.tau,
+        h=loop.system.mesh.h,
+        tau=loop.grid.tau,
         integral=integral,
         mu=result.mu,
         iterations=result.iterations,

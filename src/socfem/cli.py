@@ -279,6 +279,12 @@ def run_constraint_table(cfg: RunConfig) -> int:
     resolutions = resolutions_for(cfg, problem)
     if not cfg.deltas:
         raise ConfigError("constraint-table needs --delta values")
+    repeated = sorted({d for d in cfg.deltas if cfg.deltas.count(d) > 1})
+    if repeated:
+        raise ConfigError(
+            f"constraint-table --delta repeats {', '.join(map(repr, repeated))}; "
+            "each level is one table row"
+        )
     _check_rho(cfg, problem)
 
     cells = constraint_table(

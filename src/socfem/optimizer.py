@@ -129,7 +129,10 @@ class GradientProjection:
 
     The control-independent pieces (auxiliary fields, data response, target
     loads) are computed once; ``run`` then iterates, and ``project`` exposes
-    the projection alone for property tests and reuse.
+    the projection alone for property tests and reuse.  None of them depends
+    on the constraint level: delta is an argument of ``project`` and
+    ``run``, not workspace state, and the workspace never reads
+    ``spec.delta``, so one workspace serves every delta.
     """
 
     def __init__(
@@ -163,8 +166,7 @@ class GradientProjection:
             self.base, self.target_loads = self._monte_carlo_base(ensemble)
 
         self.target_proj = np.zeros_like(self.target_loads)
-        for n in range(1, grid.N + 1):
-            self.target_proj[n] = system.mass_solve(self.target_loads[n])
+        self.target_proj[1:] = system.mass_solve(self.target_loads[1:].T).T
 
     def _monte_carlo_base(self, ensemble: BrownianEnsemble):
         """Path-averaged zero-control state and target loads, one sweep."""
@@ -216,8 +218,10 @@ class GradientProjection:
         d = diff_levels[: self.grid.N]
         return float(np.sqrt(self.grid.tau * np.einsum("ln,ln->", d, (mass @ d.T).T)))
 
-    def project(self, control: Trajectory) -> tuple[Trajectory, Trajectory, float]:
-        """Project a control onto the feasible set.
+    def project(
+        self, control: Trajectory, delta: float
+    ) -> tuple[Trajectory, Trajectory, float]:
+        """Project a control onto the feasible set of constraint level delta.
 
         Solves the mean state, selects the multiplier and subtracts
         rho*mu times the auxiliary backward field.  Returns the projected
@@ -225,12 +229,14 @@ class GradientProjection:
         """
         x = self.state_mean(control)
         integral = constraint_integral(x, self.system, self.grid)
-        mu = select_multiplier(integral, self.spec.delta, self.rho, self.qtilde_integral)
+        mu = select_multiplier(integral, delta, self.rho, self.qtilde_integral)
         u_proj = Trajectory(control.values - self.rho * mu * self.mtilde.values, self.grid)
         x_proj = Trajectory(x.values - self.rho * mu * self.qtilde.values, self.grid)
         return u_proj, x_proj, mu
 
-    def run(self, config: OptimizerConfig, keep_history: bool = False) -> GpResult:
+    def run(
+        self, config: OptimizerConfig, delta: float, keep_history: bool = False
+    ) -> GpResult:
         rho, alpha = self.rho, self.spec.alpha
         u = config.u0.copy() if config.u0 is not None else Trajectory.zeros(self.grid, self.system.n)
         x = self.state_mean(u)
@@ -244,7 +250,7 @@ class GradientProjection:
             u_half = Trajectory(
                 u.values - rho * (alpha * u.values + y_tilde.values), self.grid
             )
-            u_next, x_next, mu = self.project(u_half)
+            u_next, x_next, mu = self.project(u_half, delta)
             step_error = self.step_norm(u_next.values - u.values)
             integral = constraint_integral(x_next, self.system, self.grid)
             cost = self.cost(x_next, u_next)
@@ -290,4 +296,4 @@ def gp_iterate(
     loop = GradientProjection(
         spec, system, grid, rho=config.rho, estimator=estimator, ensemble=ensemble
     )
-    return loop.run(config, keep_history=keep_history)
+    return loop.run(config, spec.delta, keep_history=keep_history)

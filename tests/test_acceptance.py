@@ -182,8 +182,8 @@ def test_criterion_6_projection_properties():
     for _ in range(100):
         v = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
         p = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
-        pv, _, _ = loop.project(v)
-        pp, _, _ = loop.project(p)
+        pv, _, _ = loop.project(v, prob.spec.delta)
+        pp, _, _ = loop.project(p, prob.spec.delta)
         slack = loop.step_norm(pv.values - pp.values) - loop.step_norm(v.values - p.values)
         worst_slack = max(worst_slack, slack)
         if slack > 1e-9:
@@ -229,7 +229,9 @@ def test_criterion_7_contraction():
     prob = example1()
     system, grid = setup(prob, Resolution(40, 40))
     loop = GradientProjection(prob.spec, system, grid, rho=0.2)
-    result = loop.run(OptimizerConfig(rho=0.2, eps0=1e-12, max_iter=300), keep_history=True)
+    result = loop.run(
+        OptimizerConfig(rho=0.2, eps0=1e-12, max_iter=300), prob.spec.delta, keep_history=True
+    )
     ustar = result.control.values
     dists = [loop.step_norm(h - ustar) for h in result.control_history]
     worst = 0.0

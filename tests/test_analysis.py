@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from socfem import (
+    GradientProjection,
+    NumericalError,
+    OptimizerConfig,
     Resolution,
     SolutionBundle,
     Trajectory,
@@ -12,6 +17,7 @@ from socfem import (
     discrete_constraint_level,
     example1,
     fit_order,
+    gp_iterate,
     make_interval_mesh,
     sample,
 )
@@ -211,3 +217,60 @@ class TestConstraintTable:
             assert abs(cell.integral - cell.delta) <= 1e-8
             assert cell.integral <= cell.delta + 1e-8
             assert cell.mu > 0.0
+
+
+class TestSharedWorkspace:
+    """One workspace per resolution serves every delta of a table."""
+
+    RESOLUTIONS = [Resolution(8, 8), Resolution(12, 12)]
+    DELTAS = [0.2, 10.0, -0.1]
+
+    @pytest.mark.parametrize("estimator", ["mean-field", "monte-carlo"])
+    def test_cells_equal_standalone_runs(self, estimator):
+        prob = example1()
+        cells = constraint_table(
+            prob, self.DELTAS, self.RESOLUTIONS, estimator=estimator, paths=64, seed=3
+        )
+        # deltas outer, resolutions inner
+        assert [(c.delta, c.tau) for c in cells] == [
+            (d, 1 / r.steps) for d in self.DELTAS for r in self.RESOLUTIONS
+        ]
+        cells = iter(cells)
+        for delta in self.DELTAS:
+            for res in self.RESOLUTIONS:
+                system, grid = setup(prob, res)
+                ensemble = sample(64, grid, 3) if estimator == "monte-carlo" else None
+                alone = gp_iterate(
+                    replace(prob.spec, delta=delta), system, grid, OptimizerConfig(),
+                    estimator=estimator, ensemble=ensemble,
+                )
+                cell = next(cells)
+                assert cell.mu == alone.mu
+                assert cell.integral == alone.records[-1].constraint_integral
+                assert cell.iterations == alone.iterations
+                assert cell.converged == alone.converged
+
+    def test_one_setup_per_resolution(self, monkeypatch):
+        calls = {"gp": 0, "sample": 0}
+        init = GradientProjection.__init__
+
+        def counted_init(self, *args, **kwargs):
+            calls["gp"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_sample(*args, **kwargs):
+            calls["sample"] += 1
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(GradientProjection, "__init__", counted_init)
+        monkeypatch.setattr("socfem.analysis.sample", counted_sample)
+        cells = constraint_table(
+            example1(), self.DELTAS, self.RESOLUTIONS, estimator="monte-carlo", paths=32
+        )
+        assert len(cells) == 6
+        assert calls == {"gp": 2, "sample": 2}
+
+    def test_failure_names_the_cell(self):
+        with pytest.raises(NumericalError) as info:
+            constraint_table(example1(), [0.2, -0.1], [Resolution(10, 10)], rho=5.0)
+        assert str(info.value).startswith("cell delta=0.2 cells=10 steps=10: ")

@@ -146,6 +146,22 @@ class TestConstraintTableCommand:
         ]
         assert main(argv) == 2
 
+    def test_repeated_delta_is_config_error(self, tmp_path, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("constraint-table solved before rejecting its config")
+
+        monkeypatch.setattr("socfem.cli.constraint_table", no_solve)
+        argv = [
+            "constraint-table", "--problem", "example1", "--h", "1/10",
+            "--delta", "0.2,0.2", "--output-dir", str(tmp_path),
+        ]
+        assert main(argv) == 2
+        assert "repeats 0.2" in capsys.readouterr().err
+        assert not (tmp_path / "table.csv").exists()
+        # the same level written two ways is still one level
+        argv[argv.index("0.2,0.2")] = "1/5,0.2"
+        assert main(argv) == 2
+
 
 class TestVerifyCommand:
     def test_report(self, tmp_path, capsys):

@@ -83,7 +83,7 @@ class TestProjection:
         loop = GradientProjection(prob.spec, system, grid)
         rng = np.random.default_rng(1)
         control = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
-        u_proj, x_proj, mu = loop.project(control)
+        u_proj, x_proj, mu = loop.project(control, prob.spec.delta)
         if mu > 0.0:
             integral = constraint_integral(x_proj, system, grid)
             assert abs(integral - prob.spec.delta) <= 1e-8
@@ -93,7 +93,7 @@ class TestProjection:
         prob, system, grid = coarse
         loop = GradientProjection(prob.spec, system, grid)
         control = Trajectory(np.full((grid.N + 1, system.n), -5.0), grid)
-        u_proj, _, mu = loop.project(control)
+        u_proj, _, mu = loop.project(control, prob.spec.delta)
         assert mu == 0.0
         assert np.array_equal(u_proj.values, control.values)
 
@@ -104,8 +104,8 @@ class TestProjection:
         for _ in range(20):
             v = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
             p = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
-            pv, _, _ = loop.project(v)
-            pp, _, _ = loop.project(p)
+            pv, _, _ = loop.project(v, prob.spec.delta)
+            pp, _, _ = loop.project(p, prob.spec.delta)
             lhs = loop.step_norm(pv.values - pp.values)
             rhs = loop.step_norm(v.values - p.values)
             assert lhs <= rhs + 1e-9
