@@ -14,14 +14,17 @@ follows the --rule (tau=h, tau=h/sqrt2, tau=h^2, tau=h^2/2, tau=h^4)
 applied to the element diameter, or an explicit --tau list.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  A
-fixed seed makes every output byte-identical across reruns.  Cells run one
-after another: deltas outer, resolutions inner.
+fixed seed makes every output byte-identical across reruns.  Table cells run
+one after another, resolutions outer, and are reported deltas outer.  Each
+output file is written to a sibling temp file and renamed into place, so it
+is either complete or absent.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -165,8 +168,23 @@ def resolutions_for(cfg: RunConfig, problem) -> list[Resolution]:
     return out
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a sibling temp file and rename it onto ``path``.
+
+    The output is then either complete or absent: a failed write or rename
+    removes the temp file and re-raises.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_lines(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _check_rho(cfg: RunConfig, problem) -> None:
@@ -268,7 +286,7 @@ def run_convergence(cfg: RunConfig) -> int:
             for name, fit in fits.items()
         },
     }
-    (cfg.output_dir / "orders.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_atomic(cfg.output_dir / "orders.json", json.dumps(payload, indent=2) + "\n")
     for name, fit in fits.items():
         print(f"{name}: slope={fit.slope:.4f} r2={fit.r_squared:.4f}")
     return 0
@@ -326,7 +344,7 @@ def run_verify(cfg: RunConfig) -> int:
     report = verify_manufactured(problem, samples=cfg.samples, seed=cfg.seed)
     text = json.dumps(report.as_dict(), indent=2)
     print(text)
-    (cfg.output_dir / "verify.json").write_text(text + "\n")
+    _write_atomic(cfg.output_dir / "verify.json", text + "\n")
     return 0
 
 

@@ -8,56 +8,59 @@ integration of P1 products; load vectors use a fixed degree-2-exact
 quadrature (3-point Gauss per segment in 1D, edge midpoints per triangle in
 2D), which keeps quadrature error below the h^2 discretization error.
 
-A ``FemSystem`` is immutable after assembly.  Factorizations of (M + tau*A)
-are cached per (tau, gamma) pair and may be used concurrently; creation is
-guarded by a lock.
+A ``FemSystem`` is immutable after assembly.  Banded Cholesky factors of
+(M + tau*gamma*A) are cached per (tau, gamma); the mass factor on first use.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import get_lapack_funcs
 
 from .errors import NumericalError
 from .grid import Mesh, element_volumes
 
 _RESIDUAL_RTOL = 1e-10
+_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 # 3-point Gauss-Legendre on [-1, 1]
 _GAUSS3_X = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 _GAUSS3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
-class _CheckedLU:
-    """Sparse LU of an SPD operator whose every solve is residual-checked.
+class _CheckedCholesky:
+    """Banded Cholesky (lower band) of an SPD operator, residual-checked per solve.
 
-    A failed factorization, or a solve whose relative residual is not below
-    1e-10 (including a non-finite one), raises ``NumericalError`` naming
-    ``what``.
+    The bandwidth is the largest ``row - col`` of a stored entry: 1 in 1D
+    and ``cells`` in 2D under the mesh's interior numbering.  A failed
+    factorization (the operator is not SPD), a non-finite right-hand side or
+    a relative residual not below 1e-10 raises ``NumericalError`` naming ``what``.
     """
 
     def __init__(self, op: sp.spmatrix, what: str):
         self._what = what
-        self._op = op.tocsc()
-        try:
-            self._lu = spla.splu(self._op)
-        except RuntimeError as exc:
-            raise NumericalError(f"{what} factorization failed: {exc}")
+        self._op = op.tocsr()
+        lower = sp.tril(self._op, format="coo")
+        kd = int(np.max(lower.row - lower.col, initial=0))
+        band = np.zeros((kd + 1, self._op.shape[0]))
+        band[lower.row - lower.col, lower.col] = lower.data
+        self._factor, info = _PBTRF(band, lower=1)
+        if info != 0:
+            raise NumericalError(f"{what} factorization failed: pbtrf info={info}, not SPD")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side (n,) or a batch (n, k)."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self._op.shape[0]:
-            raise ValueError(
-                f"rhs length {rhs.shape[0]} does not match system size {self._op.shape[0]}"
-            )
-        x = self._lu.solve(rhs)
-        res = np.linalg.norm(self._op @ x - rhs)
+            raise ValueError(f"rhs length {rhs.shape[0]} != system size {self._op.shape[0]}")
         scale = np.linalg.norm(rhs)
+        if not np.isfinite(scale):
+            raise NumericalError(f"{self._what} solve residual undefined: |rhs| = {scale}")
+        x, _ = _PBTRS(self._factor, rhs, lower=1)
+        res = np.linalg.norm(self._op @ x - rhs)
         if not res <= _RESIDUAL_RTOL * scale:
             raise NumericalError(
                 f"{self._what} solve residual {res:.3e} exceeds "
@@ -69,8 +72,8 @@ class _CheckedLU:
 class EulerSolver:
     """Reusable solver for (M + tau*gamma*A) x = rhs on interior nodes.
 
-    Factorizes the SPD operator once through ``_CheckedLU``, so a failed
-    factorization or a residual breach raises ``NumericalError``.
+    Factorizes the SPD operator once through ``_CheckedCholesky``, so a
+    failed factorization or a residual breach raises ``NumericalError``.
     """
 
     def __init__(self, system: "FemSystem", tau: float, gamma: float = 1.0):
@@ -78,13 +81,12 @@ class EulerSolver:
             raise ValueError(f"tau must be positive, got {tau}")
         if not gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {gamma}")
-        self.tau = float(tau)
-        self.gamma = float(gamma)
-        self._lu = _CheckedLU(system.mass + tau * gamma * system.stiffness, "implicit-Euler")
+        op = system.mass + tau * gamma * system.stiffness
+        self._chol = _CheckedCholesky(op, "implicit-Euler")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side (n,) or a batch (n, k)."""
-        return self._lu.solve(rhs)
+        return self._chol.solve(rhs)
 
 
 class FemSystem:
@@ -117,9 +119,8 @@ class FemSystem:
         self.quad_weights = quad_weights
         self.load_matrix = load_matrix
         self.grad_ops = grad_ops
-        self._lock = threading.Lock()
         self._euler_cache: dict[tuple[float, float], EulerSolver] = {}
-        self._mass_lu = None
+        self._mass_chol = None
         self.ones_load = np.asarray(load_matrix.sum(axis=1)).ravel()
 
     @property
@@ -129,19 +130,16 @@ class FemSystem:
     def euler_solver(self, tau: float, gamma: float = 1.0) -> EulerSolver:
         """Cached factorization of (M + tau*gamma*A)."""
         key = (float(tau), float(gamma))
-        with self._lock:
-            solver = self._euler_cache.get(key)
-            if solver is None:
-                solver = EulerSolver(self, tau, gamma)
-                self._euler_cache[key] = solver
+        solver = self._euler_cache.get(key)
+        if solver is None:
+            solver = self._euler_cache[key] = EulerSolver(self, tau, gamma)
         return solver
 
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs (used by the L2 projection), residual-checked."""
-        with self._lock:
-            if self._mass_lu is None:
-                self._mass_lu = _CheckedLU(self.mass, "mass")
-        return self._mass_lu.solve(rhs)
+        if self._mass_chol is None:
+            self._mass_chol = _CheckedCholesky(self.mass, "mass")
+        return self._mass_chol.solve(rhs)
 
 
 def assemble(mesh: Mesh) -> FemSystem:

@@ -1,5 +1,7 @@
 import json
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -170,9 +172,34 @@ class TestVerifyCommand:
             "--output-dir", str(tmp_path),
         ]
         assert main(argv) == 0
-        payload = json.loads((tmp_path / "verify.json").read_text())
+        printed = capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["verify.json"]  # no temp file left
+        assert (tmp_path / "verify.json").read_text() == printed
+        payload = json.loads(printed)
         assert payload["state_residual"] <= 1e-8
         assert payload["adjoint_mean_residual"] <= 1e-8
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("step", ["write", "replace"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, step):
+        real_write_text = Path.write_text
+
+        def half_write(self, text, *args, **kwargs):
+            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        def failed_replace(src, dst):
+            raise OSError("rename failed")
+
+        if step == "write":
+            monkeypatch.setattr(Path, "write_text", half_write)
+        else:
+            monkeypatch.setattr(os, "replace", failed_replace)
+        with pytest.raises(OSError):
+            main(["verify", "--problem", "example1", "--samples", "20",
+                  "--output-dir", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigHandling:

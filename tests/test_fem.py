@@ -14,7 +14,7 @@ from socfem import (
     make_rectangle_mesh,
     norms,
 )
-from socfem.fem import EulerSolver, load_from_values
+from socfem.fem import EulerSolver, _CheckedCholesky, load_from_values
 
 
 @pytest.fixture
@@ -165,6 +165,7 @@ class TestEulerSolve:
         with pytest.raises(ValueError):
             euler_solve(sys_half, 0.0, np.array([1.0]))
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_rhs_fails_residual_guard(self, sys_half, value):
         with pytest.raises(NumericalError):
@@ -176,6 +177,44 @@ class TestEulerSolve:
         zero = sp.csr_matrix((2, 2))
         with pytest.raises(NumericalError):
             EulerSolver(SimpleNamespace(mass=zero, stiffness=zero), 0.5)
+
+    def test_indefinite_operator_fails_factorization(self):
+        indefinite = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        zero = sp.csr_matrix((2, 2))
+        with pytest.raises(NumericalError, match="implicit-Euler factorization failed"):
+            EulerSolver(SimpleNamespace(mass=indefinite, stiffness=zero), 0.5)
+
+
+def _bandwidth(chol) -> int:
+    return chol._factor.shape[0] - 1  # the factor keeps the band's kd + 1 rows
+
+
+class TestBandedCholesky:
+    def test_bandwidth_interval(self):
+        system = assemble(make_interval_mesh(0, 1, 9))
+        assert _bandwidth(_CheckedCholesky(system.mass, "mass")) == 1
+        assert _bandwidth(system.euler_solver(0.1)._chol) == 1
+
+    @pytest.mark.parametrize("cells", [3, 6, 8])
+    def test_bandwidth_rectangle(self, cells):
+        system = assemble(make_rectangle_mesh((0, 0), (1, 1), cells, cells))
+        assert _bandwidth(_CheckedCholesky(system.mass, "mass")) == cells
+        assert _bandwidth(system.euler_solver(0.1)._chol) == cells
+
+    def test_2d_solve_matches_dense(self):
+        system = assemble(make_rectangle_mesh((0, 0), (1, 1), 8, 8))
+        rhs = np.random.default_rng(5).normal(size=system.n)
+        dense = (system.mass + 0.05 * system.stiffness).toarray()
+        oracle = np.linalg.solve(dense, rhs)
+        x = euler_solve(system, 0.05, rhs)
+        assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_2d_matrix_rhs_equals_columns(self):
+        system = assemble(make_rectangle_mesh((0, 0), (1, 1), 8, 8))
+        block = np.random.default_rng(6).normal(size=(system.n, 4))
+        batched = euler_solve(system, 0.05, block)
+        for j in range(4):
+            assert np.array_equal(batched[:, j], euler_solve(system, 0.05, block[:, j]))
 
 
 class TestNorms:
