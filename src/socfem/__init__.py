@@ -23,7 +23,6 @@ from .spde import (
     ProblemSpec,
     Trajectory,
     ZEstimate,
-    backward_mean_adjoint,
     forward_mean,
     forward_paths,
     lsmc_z_estimate,
@@ -77,7 +76,6 @@ __all__ = [
     "Trajectory",
     "ZEstimate",
     "assemble",
-    "backward_mean_adjoint",
     "compute_errors",
     "constraint_integral",
     "constraint_table",

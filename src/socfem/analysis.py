@@ -21,7 +21,7 @@ from .grid import TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_g
 from .optimizer import GradientProjection, OptimizerConfig, constraint_integral, gp_iterate
 from .paths import BLOCK, BrownianEnsemble, sample
 from .problems import ManufacturedProblem
-from .spde import PathEnsembleTrajectory, Trajectory, forward_mean, iter_forward_paths
+from .spde import Trajectory, forward_mean, iter_forward_paths
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,13 @@ class OrderFit:
 class SolutionBundle:
     """Converged fields passed to ``compute_errors``.
 
-    ``states`` may be omitted, in which case the per-path states are
-    re-simulated from ``control`` in blocks while errors accumulate.
+    The per-path states are re-simulated from ``control`` in blocks while
+    errors accumulate.
     """
 
     control: Trajectory
     adjoint_mean: Trajectory
     mu: float
-    states: PathEnsembleTrajectory | None = None
 
 
 def mesh_for(problem: ManufacturedProblem, cells: int):
@@ -155,17 +154,12 @@ def compute_errors(
     # per-path state errors, streamed in blocks with fixed merge order
     l2_sum = np.zeros(grid.N + 1)
     h1_sum = np.zeros(grid.N + 1)
-    if bundle.states is not None:
-        _accumulate_state_errors(
-            problem, system, grid, bundle.states.values, ensemble, l2_sum, h1_sum
-        )
-    else:
-        for start in range(0, ensemble.paths, BLOCK):
-            sub = ensemble.subset(start, min(start + BLOCK, ensemble.paths))
-            block = np.empty((sub.paths, grid.N + 1, system.n))
-            for n, x in iter_forward_paths(problem.spec, system, grid, bundle.control, sub):
-                block[:, n, :] = x.T
-            _accumulate_state_errors(problem, system, grid, block, sub, l2_sum, h1_sum)
+    for start in range(0, ensemble.paths, BLOCK):
+        sub = ensemble.subset(start, min(start + BLOCK, ensemble.paths))
+        block = np.empty((sub.paths, grid.N + 1, system.n))
+        for n, x in iter_forward_paths(problem.spec, system, grid, bundle.control, sub):
+            block[:, n, :] = x.T
+        _accumulate_state_errors(problem, system, grid, block, sub, l2_sum, h1_sum)
     l2_sum /= ensemble.paths
     h1_sum /= ensemble.paths
 

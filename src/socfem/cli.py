@@ -233,8 +233,9 @@ def run_solve(cfg: RunConfig) -> int:
         for j in range(system.n):
             xy = ",".join(repr(float(c)) for c in coords[j])
             lines.append(
-                f"{t!r},{xy},{result.control.values[n, j]!r},"
-                f"{result.state_mean.values[n, j]!r},{result.adjoint_mean.values[n, j]!r}"
+                f"{t!r},{xy},{float(result.control.values[n, j])!r},"
+                f"{float(result.state_mean.values[n, j])!r},"
+                f"{float(result.adjoint_mean.values[n, j])!r}"
             )
     _write_lines(cfg.output_dir / "final_fields.csv", lines)
 

@@ -1,17 +1,28 @@
 """Time-stepping solvers for the controlled stochastic heat equation.
 
-All solvers share one implicit-Euler scheme on interior P1 coefficients:
+Every sweep runs one of two implicit-Euler kernels on interior P1
+coefficients, both with the factorized SPD operator M + tau*gamma*A.
 
-    (M + tau*gamma*A) x^{n+1} = M x^n + tau*load(f(t_n)) + tau*M u^n
-                                + dW_{n+1} * load(sigma(t_n))
+The forward kernel (``_forward``) steps an (n, k) column block:
+
+    (M + tau*gamma*A) x^{n+1} = M x^n + tau*M u^n + (extra terms of level n)
+
+tau*M u^n is read from one table M U^T over the whole trajectory.  The
+path sweep then adds tau*load(f(t_n, W_n)) and dW_{n+1} * load(sigma(t_n));
+the mean sweep adds tau*load(fbar(t_n)); the control response adds none.
+
+The backward kernel (``_backward``) starts from y^N = 0:
+
+    (M + tau*gamma*A) y^n = M y^{n+1} + tau*source[n+1]
+
+with source M xbar - load(xbar_d) + mu*load(1) for the mean adjoint and
+load(1) for Mtilde.
 
 Controls, forcing and the noise coefficient are evaluated at the left time
 point; states and tracking targets at the right one.  Because the noise is
 additive with zero-mean increments and the scheme is linear, expectations
-of state and adjoint satisfy the noise-free recursions exactly; the
-``*_mean`` solvers run those recursions with user-supplied mean
-coefficients.  The backward solvers for the mean adjoint and the auxiliary
-constraint systems reuse the same factorized operator.
+of state and adjoint satisfy the noise-free recursions exactly; the mean
+sweeps run those recursions with user-supplied mean coefficients.
 
 Conditional expectations of the martingale part (the Z process) are
 estimated across simulated paths by least-squares regression on the basis
@@ -20,13 +31,13 @@ estimated across simulated paths by least-squares regression on the basis
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import NumericalError
-from .fem import FemSystem, load_from_values, load_vector
+from .fem import FemSystem, l2_project, load_from_values, load_vector
 from .grid import TimeGrid
 from .paths import BrownianEnsemble
 
@@ -97,20 +108,10 @@ class PathEnsembleTrajectory:
     values: np.ndarray
     grid: TimeGrid
 
-    @property
-    def paths(self) -> int:
-        return self.values.shape[0]
 
-    def mean(self) -> Trajectory:
-        return Trajectory(np.mean(self.values, axis=0), self.grid)
-
-
-def _check_alignment(grid: TimeGrid, control: Trajectory, ensemble: BrownianEnsemble | None):
-    if control.grid.N != grid.N or abs(control.grid.tau - grid.tau) > 1e-12 * grid.tau:
-        raise ValueError("control trajectory is not aligned with the time grid")
-    if ensemble is not None:
-        if ensemble.steps != grid.N or abs(ensemble.tau - grid.tau) > 1e-12 * grid.tau:
-            raise ValueError("ensemble is not aligned with the time grid")
+def _check_alignment(grid: TimeGrid, steps: int, tau: float, what: str):
+    if steps != grid.N or abs(tau - grid.tau) > 1e-12 * grid.tau:
+        raise ValueError(f"{what} is not aligned with the time grid")
 
 
 def eval_pathwise(func, t: float, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -130,9 +131,62 @@ def eval_pathwise(func, t: float, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def initial_state(spec: ProblemSpec, system: FemSystem) -> np.ndarray:
-    """L2 projection of the initial datum onto the interior P1 space."""
-    return system.mass_solve(load_vector(system, spec.x0))
+def _mass_rows(system: FemSystem, levels: np.ndarray) -> np.ndarray:
+    """M applied to every row of an (L, n) level table, one sparse-dense product.
+
+    Row l equals ``system.mass @ levels[l]`` bit for bit.  Both transposes
+    are copied to C order: scipy multiplies an F-ordered block several
+    times slower, and the sweeps read the result row by row.
+    """
+    return np.ascontiguousarray((system.mass @ np.ascontiguousarray(levels.T)).T)
+
+
+def _forward(
+    system: FemSystem, grid: TimeGrid, gamma: float, x: np.ndarray, control: Trajectory,
+    extra_terms: Callable[[int], Iterable[np.ndarray]] = lambda n: (),
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Forward implicit-Euler kernel over an (n, k) column block.
+
+    Yields (level, x), level 0 being ``x`` itself; yielded arrays are owned
+    by the sweep.  Step n adds, in this order, tau*M u^n and each term of
+    ``extra_terms(n)`` to M x^n, then solves with (M + tau*gamma*A).
+    """
+    _check_alignment(grid, control.grid.N, control.grid.tau, "control trajectory")
+    solver = system.euler_solver(grid.tau, gamma)
+    mass = system.mass
+    control_loads = grid.tau * _mass_rows(system, control.values[: grid.N])
+    yield 0, x
+    for n in range(grid.N):
+        # M x and tau*M u stay separate terms: M(x + tau*u) rounds differently
+        rhs = mass @ x
+        rhs += control_loads[n][:, None]
+        for term in extra_terms(n):
+            rhs += term
+        x = solver.solve(rhs)
+        yield n + 1, x
+
+
+def _backward(system: FemSystem, grid: TimeGrid, gamma: float, source: np.ndarray) -> Trajectory:
+    """Backward implicit-Euler kernel with zero terminal value.
+
+    ``source`` is an (N+1, n) table; step n solves
+    (M + tau*gamma*A) y^n = M y^{n+1} + tau*source[n+1].
+    """
+    solver = system.euler_solver(grid.tau, gamma)
+    mass = system.mass
+    out = np.zeros((grid.N + 1, system.n))
+    y = np.zeros(system.n)
+    for n in range(grid.N - 1, -1, -1):
+        y = solver.solve(mass @ y + grid.tau * source[n + 1])
+        out[n] = y
+    return Trajectory(out, grid)
+
+
+def _single_column(sweep: Iterator[tuple[int, np.ndarray]], grid: TimeGrid, n: int) -> Trajectory:
+    out = np.empty((grid.N + 1, n))
+    for level, x in sweep:
+        out[level] = x[:, 0]
+    return Trajectory(out, grid)
 
 
 def iter_forward_paths(
@@ -144,28 +198,24 @@ def iter_forward_paths(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Advance all paths together, yielding (level, states (n_interior, paths)).
 
-    Level 0 is the projected initial state.  Yielded arrays are owned by
-    the sweep; consumers must copy what they keep.
+    Level 0 is the projected initial state.  Step n adds the forcing loads
+    of every path, then the noise columns.  Yielded arrays are owned by the
+    sweep; consumers must copy what they keep.
     """
-    _check_alignment(grid, control, ensemble)
-    tau = grid.tau
-    solver = system.euler_solver(tau, spec.gamma)
-    mass = system.mass
+    _check_alignment(grid, ensemble.steps, ensemble.tau, "ensemble")
     qpts = system.quad_points
 
-    x = np.tile(initial_state(spec, system)[:, None], (1, ensemble.paths))
-    yield 0, x
-    for n in range(grid.N):
+    def path_terms(n: int):
         t = float(grid.times[n])
-        w = ensemble.brownian_at(n)
-        f_loads = load_from_values(system, eval_pathwise(spec.forcing, t, qpts, w))
-        sigma_load = load_vector(system, lambda p, _t=t: spec.sigma(_t, p))
-        rhs = mass @ x
-        rhs += tau * (mass @ control.values[n])[:, None]
-        rhs += tau * f_loads.T
-        rhs += sigma_load[:, None] * ensemble.increments[:, n][None, :]
-        x = solver.solve(rhs)
-        yield n + 1, x
+        f_loads = load_from_values(
+            system, eval_pathwise(spec.forcing, t, qpts, ensemble.brownian_at(n))
+        )
+        yield grid.tau * f_loads.T
+        sigma_load = load_vector(system, lambda p: spec.sigma(t, p))
+        yield sigma_load[:, None] * ensemble.increments[:, n][None, :]
+
+    x = np.tile(l2_project(system, spec.x0)[:, None], (1, ensemble.paths))
+    yield from _forward(system, grid, spec.gamma, x, control, path_terms)
 
 
 def forward_paths(
@@ -185,23 +235,16 @@ def forward_paths(
 def forward_mean(
     spec: ProblemSpec, system: FemSystem, grid: TimeGrid, control: Trajectory
 ) -> Trajectory:
-    """Mean state trajectory: the noise-free scheme driven by mean forcing.
-
-    Runs the path sweep on a single all-zero-increment path so the solver
-    calls match ``forward_paths`` on a degenerate ensemble bit for bit.
-    """
+    """Mean state trajectory: the noise-free scheme driven by mean forcing."""
     if spec.mean_forcing is None:
         raise ValueError("ProblemSpec.mean_forcing is required for mean-field solves")
-    mean_spec = replace(
-        spec, forcing=lambda t, pts, w: np.broadcast_to(spec.mean_forcing(t, pts), pts.shape[:1])
-    )
-    zero = BrownianEnsemble(
-        paths=1, steps=grid.N, tau=grid.tau, seed=0, increments=np.zeros((1, grid.N))
-    )
-    out = np.empty((grid.N + 1, system.n))
-    for n, x in iter_forward_paths(mean_spec, system, grid, control, zero):
-        out[n] = x[:, 0]
-    return Trajectory(out, grid)
+    forcing = grid.tau * np.stack([
+        load_vector(system, lambda p, _t=float(t): spec.mean_forcing(_t, p))
+        for t in grid.times[: grid.N]
+    ])
+    x = l2_project(system, spec.x0)[:, None]
+    sweep = _forward(system, grid, spec.gamma, x, control, lambda n: (forcing[n][:, None],))
+    return _single_column(sweep, grid, system.n)
 
 
 def control_response(
@@ -212,16 +255,8 @@ def control_response(
     By linearity the full mean state is ``base + control_response``, which
     the optimizer exploits to avoid re-simulating path ensembles.
     """
-    _check_alignment(grid, control, None)
-    tau = grid.tau
-    solver = system.euler_solver(tau, gamma)
-    mass = system.mass
-    out = np.zeros((grid.N + 1, system.n))
-    x = np.zeros(system.n)
-    for n in range(grid.N):
-        x = solver.solve(mass @ x + tau * (mass @ control.values[n]))
-        out[n + 1] = x
-    return Trajectory(out, grid)
+    sweep = _forward(system, grid, gamma, np.zeros((system.n, 1)), control)
+    return _single_column(sweep, grid, system.n)
 
 
 def mean_target_loads(spec: ProblemSpec, system: FemSystem, grid: TimeGrid) -> np.ndarray:
@@ -236,49 +271,19 @@ def mean_target_loads(spec: ProblemSpec, system: FemSystem, grid: TimeGrid) -> n
 
 
 def backward_adjoint_from_loads(
-    system: FemSystem,
-    grid: TimeGrid,
-    gamma: float,
-    x_levels: np.ndarray,
-    target_loads: np.ndarray,
-    mu: float,
+    system: FemSystem, grid: TimeGrid, gamma: float,
+    x_levels: np.ndarray, target_loads: np.ndarray, mu: float,
 ) -> Trajectory:
-    """Backward mean adjoint with a precomputed target-load table."""
-    tau = grid.tau
-    solver = system.euler_solver(tau, gamma)
-    mass = system.mass
-    ones = system.ones_load
-    out = np.zeros((grid.N + 1, system.n))
-    y = np.zeros(system.n)
-    for n in range(grid.N - 1, -1, -1):
-        rhs = mass @ y + tau * (mass @ x_levels[n + 1] - target_loads[n + 1] + mu * ones)
-        y = solver.solve(rhs)
-        out[n] = y
-    return Trajectory(out, grid)
+    """Mean adjoint driven by the tracking misfit and the multiplier.
 
-
-def backward_mean_adjoint(
-    spec: ProblemSpec,
-    system: FemSystem,
-    grid: TimeGrid,
-    x_mean: Trajectory,
-    mu: float = 0.0,
-) -> Trajectory:
-    """Mean adjoint trajectory driven by the tracking misfit and multiplier.
-
-    Terminal value zero; step n solves
-
-        (M + tau*gamma*A) y^n = M y^{n+1}
-                                + tau*(M xbar^{n+1} - load(xbar_d(t_{n+1})) + mu*load(1)).
-
-    For deterministic controls this is the exact expectation of the
-    conditional-expectation recursion, since the noise enters linearly.
+    Terminal value zero; the source at level n is
+    M xbar^n - load(xbar_d(t_n)) + mu*load(1), with the target loads
+    precomputed (see ``mean_target_loads``).  For deterministic controls
+    this is the exact expectation of the conditional-expectation
+    recursion, since the noise enters linearly.
     """
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    _check_alignment(grid, x_mean, None)
-    loads = mean_target_loads(spec, system, grid)
-    return backward_adjoint_from_loads(system, grid, spec.gamma, x_mean.values, loads, mu)
+    source = _mass_rows(system, x_levels) - target_loads + mu * system.ones_load
+    return _backward(system, grid, gamma, source)
 
 
 def mtilde_solve(system: FemSystem, grid: TimeGrid, gamma: float = 1.0) -> Trajectory:
@@ -287,16 +292,8 @@ def mtilde_solve(system: FemSystem, grid: TimeGrid, gamma: float = 1.0) -> Traje
     Adding mu times this field to the constraint-free adjoint gives the
     full adjoint; it is also the direction of the projection step.
     """
-    tau = grid.tau
-    solver = system.euler_solver(tau, gamma)
-    mass = system.mass
-    src = tau * system.ones_load
-    out = np.zeros((grid.N + 1, system.n))
-    m = np.zeros(system.n)
-    for n in range(grid.N - 1, -1, -1):
-        m = solver.solve(mass @ m + src)
-        out[n] = m
-    return Trajectory(out, grid)
+    source = np.broadcast_to(system.ones_load, (grid.N + 1, system.n))
+    return _backward(system, grid, gamma, source)
 
 
 def qtilde_solve(

@@ -96,22 +96,17 @@ def small_run():
 
 
 class TestComputeErrors:
-    def test_self_comparison_floor(self, small_run):
+    def test_self_comparison_floor(self, small_run, monkeypatch):
         prob, system, grid, ens, control, adjoint = small_run
         pts = system.mesh.interior_nodes
-        states = np.empty((ens.paths, grid.N + 1, system.n))
-        for n in range(grid.N + 1):
-            states[:, n, :] = prob.exact_x(
-                float(grid.times[n]), pts, ens.brownian_at(n)[:, None]
-            )
-        from socfem import PathEnsembleTrajectory
 
-        bundle = SolutionBundle(
-            control=control,
-            adjoint_mean=adjoint,
-            mu=prob.exact_mu,
-            states=PathEnsembleTrajectory(states, grid),
-        )
+        def exact_paths(spec, system, grid, control, sub):
+            for n in range(grid.N + 1):
+                yield n, prob.exact_x(float(grid.times[n]), pts, sub.brownian_at(n)[:, None]).T
+
+        # the streamed path sweep is fed the exact per-path states
+        monkeypatch.setattr("socfem.analysis.iter_forward_paths", exact_paths)
+        bundle = SolutionBundle(control=control, adjoint_mean=adjoint, mu=prob.exact_mu)
         rep = compute_errors(prob, bundle, ens, system, grid)
         assert rep.strong_l2_state <= 1e-12
         assert rep.strong_l2_adjoint <= 1e-12
@@ -146,13 +141,22 @@ class TestComputeErrors:
         prob, system, grid, ens, control, adjoint = small_run
         from socfem import forward_paths
 
-        states = forward_paths(prob.spec, system, grid, control, ens)
-        bundle_mat = SolutionBundle(control, adjoint, prob.exact_mu, states=states)
-        bundle_stream = SolutionBundle(control, adjoint, prob.exact_mu)
-        r1 = compute_errors(prob, bundle_mat, ens, system, grid)
-        r2 = compute_errors(prob, bundle_stream, ens, system, grid)
-        assert r1.strong_l2_state == pytest.approx(r2.strong_l2_state, rel=1e-12)
-        assert r1.h1_state == pytest.approx(r2.h1_state, rel=1e-12)
+        states = forward_paths(prob.spec, system, grid, control, ens).values
+        pts = system.mesh.interior_nodes
+        l2_sq = np.zeros(grid.N + 1)
+        h1_sq = np.zeros(grid.N + 1)
+        for n in range(grid.N + 1):
+            t, w = float(grid.times[n]), ens.brownian_at(n)[:, None]
+            e = states[:, n, :] - prob.exact_x(t, pts, w)
+            l2_sq[n] = np.einsum("pn,pn->", e, (system.mass @ e.T).T) / ens.paths
+            h1_sq[n] = h1_error_sq(
+                system, states[:, n, :], lambda p: prob.exact_x(t, p, w)
+            ).sum() / ens.paths
+        rep = compute_errors(
+            prob, SolutionBundle(control, adjoint, prob.exact_mu), ens, system, grid
+        )
+        assert rep.strong_l2_state == pytest.approx(np.sqrt(l2_sq.max()), rel=1e-12)
+        assert rep.h1_state == pytest.approx(np.sqrt(grid.tau * h1_sq[1:].sum()), rel=1e-12)
 
     def test_seed_stability_within_factor_two(self):
         prob = example1()

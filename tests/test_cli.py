@@ -202,6 +202,84 @@ class TestAtomicOutputs:
         assert list(tmp_path.iterdir()) == []
 
 
+REFERENCE = Path(__file__).parent / "reference"
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+class TestCsvValues:
+    def test_every_value_cell_parses_as_a_number(self, tmp_path):
+        runs = [
+            ["solve", "--problem", "example1", "--h", "1/8", "--rule", "tau=h", "--eps0", "1e-5"],
+            ["solve", "--problem", "example2", "--h", "1/4", "--eps0", "1e-4"],
+            ["convergence", "--problem", "example1", "--h", "1/8,1/10", "--rule", "tau=h",
+             "--paths", "30"],
+            ["constraint-table", "--problem", "example1", "--h", "1/8,1/10", "--rule", "tau=h",
+             "--delta", "10,0.2"],
+        ]
+        written = []
+        for i, argv in enumerate(runs):
+            out = tmp_path / str(i)
+            assert main(argv + ["--output-dir", str(out)]) == 0
+            written += sorted(out.glob("*.csv"))
+        assert {p.name for p in written} == {
+            "iterations.csv", "final_fields.csv", "errors.csv", "table.csv", "table_long.csv"
+        }
+        bad = []
+        for path in written:
+            for row in path.read_text().splitlines()[1:]:
+                for cell in row.split(","):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        bad.append((path.name, cell))
+        assert bad == []
+
+
+class TestReferenceOutputs:
+    """Outputs that must stay within 1e-12 relative of the recorded reference.
+
+    The ill-conditioned columns (a multiplier formed from a near-cancelling
+    integral, the difference of nearly equal iterates, a log-log fit over
+    close mesh sizes) show a change in summation order first.
+    """
+
+    def test_2d_solve_iterations(self, tmp_path):
+        argv = [
+            "solve", "--problem", "example2", "--h", "1/20", "--rule", "tau=h/sqrt2",
+            "--output-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        got = (tmp_path / "iterations.csv").read_text().splitlines()
+        want = (REFERENCE / "solve_example2_h1-20_iterations.csv").read_text().splitlines()
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        for g, w in zip(got[1:], want[1:]):
+            (g_iter, *g_vals), (w_iter, *w_vals) = g.split(","), w.split(",")
+            assert g_iter == w_iter
+            assert len(g_vals) == len(w_vals)
+            assert all(_close(float(a), float(b)) for a, b in zip(g_vals, w_vals)), (g, w)
+
+    def test_convergence_orders(self, tmp_path):
+        argv = [
+            "convergence", "--problem", "example1", "--rule", "tau=h", "--h", "1/40,1/45",
+            "--paths", "400", "--seed", "7", "--output-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        got = json.loads((tmp_path / "orders.json").read_text())
+        want = json.loads(
+            (REFERENCE / "convergence_example1_h1-40_1-45_orders.json").read_text()
+        )
+        assert got["scale"] == want["scale"]
+        assert got["fits"].keys() == want["fits"].keys()
+        for quantity, fit in want["fits"].items():
+            assert got["fits"][quantity].keys() == fit.keys()
+            for key, value in fit.items():
+                assert _close(got["fits"][quantity][key], value), (quantity, key)
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"

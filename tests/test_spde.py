@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from socfem import (
     ProblemSpec,
     Trajectory,
     assemble,
-    backward_mean_adjoint,
     example1,
     forward_mean,
     forward_paths,
@@ -19,7 +19,14 @@ from socfem import (
     sample,
 )
 from socfem.paths import BrownianEnsemble
-from socfem.spde import backward_adjoint_from_loads, eval_pathwise
+from socfem.spde import (
+    _backward,
+    _forward,
+    _mass_rows,
+    backward_adjoint_from_loads,
+    eval_pathwise,
+    mean_target_loads,
+)
 
 
 def zero_space(x):
@@ -184,7 +191,8 @@ class TestBackwardAdjoint:
         g = lambda t, p: np.sin(np.pi * p[..., 0]) * (1 + t)
         spec = make_spec(target=lambda t, p, w: g(t, p) + 0.0 * np.asarray(w))
         proj = np.stack([l2_project(sys_half, lambda p, _t=t: g(_t, p)) for t in grid.times])
-        y = backward_mean_adjoint(spec, sys_half, grid, Trajectory(proj, grid), mu=0.0)
+        loads = mean_target_loads(spec, sys_half, grid)
+        y = backward_adjoint_from_loads(sys_half, grid, spec.gamma, proj, loads, 0.0)
         assert np.abs(y.values).max() <= 1e-12
 
     def test_one_step_oracle(self, sys_half):
@@ -199,18 +207,12 @@ class TestBackwardAdjoint:
         system = assemble(make_interval_mesh(0, 1, 8))
         grid = make_time_grid(1.0, 6)
         x = Trajectory(np.linspace(0, 1, (grid.N + 1) * system.n).reshape(grid.N + 1, -1), grid)
-        y0 = backward_mean_adjoint(prob.spec, system, grid, x, mu=0.0)
-        y1 = backward_mean_adjoint(prob.spec, system, grid, x, mu=1.3)
-        y2 = backward_mean_adjoint(prob.spec, system, grid, x, mu=2.9)
+        loads = mean_target_loads(prob.spec, system, grid)
+        y0 = backward_adjoint_from_loads(system, grid, prob.spec.gamma, x.values, loads, 0.0)
+        y1 = backward_adjoint_from_loads(system, grid, prob.spec.gamma, x.values, loads, 1.3)
+        y2 = backward_adjoint_from_loads(system, grid, prob.spec.gamma, x.values, loads, 2.9)
         unit = (y1.values - y0.values) / 1.3
         assert np.abs((y2.values - y0.values) - 2.9 * unit).max() <= 1e-10
-
-    def test_negative_mu_rejected(self, sys_half):
-        prob = example1()
-        grid = make_time_grid(1.0, 2)
-        x = Trajectory.zeros(grid, 1)
-        with pytest.raises(ValueError):
-            backward_mean_adjoint(prob.spec, sys_half, grid, x, mu=-0.5)
 
     def test_example1_adjoint_error_halves_with_resolution(self):
         prob = example1()
@@ -223,7 +225,10 @@ class TestBackwardAdjoint:
                 np.stack([prob.exact_u(t, pts) for t in grid.times]), grid
             )
             x = forward_mean(prob.spec, system, grid, u)
-            y = backward_mean_adjoint(prob.spec, system, grid, x, mu=prob.exact_mu)
+            loads = mean_target_loads(prob.spec, system, grid)
+            y = backward_adjoint_from_loads(
+                system, grid, prob.spec.gamma, x.values, loads, prob.exact_mu
+            )
             err = max(
                 np.abs(y.values[n] - prob.exact_y(float(grid.times[n]), pts)).max()
                 for n in range(grid.N + 1)
@@ -286,6 +291,58 @@ class TestAuxiliarySystems:
         )
         rhs = grid.tau * (q.values[1:] @ system.ones_load).sum()
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
+
+
+KERNEL_SYSTEM = assemble(make_interval_mesh(0, 1, 8))
+KERNEL_GRID = make_time_grid(1.0, 6)
+coefficients = st.one_of(st.just(0.0), st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _forward_levels(x0, u):
+    """Every level of the forward kernel, shape (N+1, n, k)."""
+    sweep = _forward(KERNEL_SYSTEM, KERNEL_GRID, 1.0, x0, Trajectory(u, KERNEL_GRID))
+    return np.stack([x.copy() for _, x in sweep])
+
+
+def _is_combination(lhs, a, k1, b, k2):
+    """lhs == a*k1 + b*k2 to 1e-12 relative to the size of the two terms."""
+    scale = np.abs(a * k1).max() + np.abs(b * k2).max()
+    return np.abs(lhs - (a * k1 + b * k2)).max() <= 1e-12 * scale
+
+
+class TestKernels:
+    @given(a=coefficients, b=coefficients, s1=seeds, s2=seeds)
+    def test_forward_linear_in_initial_state_and_control(self, a, b, s1, s2):
+        n, levels = KERNEL_SYSTEM.n, KERNEL_GRID.N + 1
+        rng1, rng2 = np.random.default_rng(s1), np.random.default_rng(s2)
+        x1, u1 = rng1.normal(size=(n, 3)), rng1.normal(size=(levels, n))
+        x2, u2 = rng2.normal(size=(n, 3)), rng2.normal(size=(levels, n))
+        lhs = _forward_levels(a * x1 + b * x2, a * u1 + b * u2)
+        assert _is_combination(lhs, a, _forward_levels(x1, u1), b, _forward_levels(x2, u2))
+
+    @given(a=coefficients, b=coefficients, s1=seeds, s2=seeds)
+    def test_backward_linear_in_source(self, a, b, s1, s2):
+        shape = (KERNEL_GRID.N + 1, KERNEL_SYSTEM.n)
+        src1 = np.random.default_rng(s1).normal(size=shape)
+        src2 = np.random.default_rng(s2).normal(size=shape)
+
+        def sweep(src):
+            return _backward(KERNEL_SYSTEM, KERNEL_GRID, 1.0, src).values
+
+        assert _is_combination(sweep(a * src1 + b * src2), a, sweep(src1), b, sweep(src2))
+
+    @pytest.mark.parametrize(
+        "mesh", [make_interval_mesh(0, 1, 40), make_rectangle_mesh((0, 0), (1, 1), 60, 60)]
+    )
+    def test_whole_trajectory_mass_product_matches_per_step(self, mesh):
+        system = assemble(mesh)
+        levels = np.random.default_rng(3).normal(size=(9, system.n))
+        per_step = np.stack([system.mass @ row for row in levels])
+        assert np.array_equal(_mass_rows(system, levels), per_step)
+        # a one-column block steps exactly like a vector
+        solver = system.euler_solver(0.01)
+        assert np.array_equal(solver.solve(levels[0][:, None])[:, 0], solver.solve(levels[0]))
 
 
 class TestLsmcZ:
