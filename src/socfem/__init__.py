@@ -16,9 +16,10 @@ _blas.pin_threads()
 
 from .errors import InvalidStateError, NumericalError
 from .grid import Mesh, TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_grid
-from .fem import FemSystem, assemble, euler_solve, l2_project, load_vector, norms
+from .fem import FemSystem, assemble, l2_project, load_vector
 from .paths import BrownianEnsemble, sample
 from .spde import (
+    AffineInW,
     PathEnsembleTrajectory,
     ProblemSpec,
     Trajectory,
@@ -55,6 +56,7 @@ from .analysis import (
 )
 
 __all__ = [
+    "AffineInW",
     "BrownianEnsemble",
     "ErrorReport",
     "FemSystem",
@@ -82,7 +84,6 @@ __all__ = [
     "contraction_certificate",
     "convergence_study",
     "discrete_constraint_level",
-    "euler_solve",
     "example1",
     "example2",
     "fit_order",
@@ -96,7 +97,6 @@ __all__ = [
     "make_rectangle_mesh",
     "make_time_grid",
     "mtilde_solve",
-    "norms",
     "orders_from_reports",
     "qtilde_solve",
     "sample",

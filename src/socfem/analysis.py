@@ -2,8 +2,10 @@
 
 Exact solutions enter L2 errors by nodal interpolation and H1 errors by
 element quadrature against the exact field (see ``h1_error_sq``).  Strong
-state errors evaluate the exact field at each path's own discrete Brownian
-values, so the measured error is scheme error, not Brownian-path error.
+state errors evaluate the exact field x0 + W x1 at each path's own discrete
+Brownian values, so the measured error is scheme error, not Brownian-path
+error; the gradients of x0 and x1 are taken once per level and combined
+per path.
 Order fits are least-squares slopes of log(error) against log(scale) and
 report r^2 so flat or noisy fits are detectable.
 """
@@ -22,6 +24,9 @@ from .optimizer import GradientProjection, OptimizerConfig, constraint_integral,
 from .paths import BLOCK, BrownianEnsemble, sample
 from .problems import ManufacturedProblem
 from .spde import Trajectory, forward_mean, iter_forward_paths
+
+
+_FD_STEP = 1e-4  # central-difference step of the exact gradients in H1 errors
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,7 @@ def _interior_values(system: FemSystem, fn, t: float) -> np.ndarray:
     return np.asarray(fn(t, system.mesh.interior_nodes), dtype=float)
 
 
-def h1_error_sq(system: FemSystem, nodal: np.ndarray, exact_eval, fd_step: float = 1e-4):
+def h1_error_sq(system: FemSystem, nodal: np.ndarray, exact_eval, fd_step: float = _FD_STEP):
     """Squared H1 seminorm of (exact - P1 field) by element quadrature.
 
     ``nodal`` is a batch (..., n_interior) of coefficient vectors;
@@ -102,22 +107,30 @@ def h1_error_sq(system: FemSystem, nodal: np.ndarray, exact_eval, fd_step: float
     its interpolant matters here: on uniform meshes the gradient error
     against the interpolant superconverges and would hide the true rate.
     """
+    return _h1_gap_sq(system, nodal, _fd_gradients(system, exact_eval, fd_step))
+
+
+def _fd_gradients(system: FemSystem, exact_eval, fd_step: float = _FD_STEP) -> list:
+    """Central-difference gradient of ``exact_eval`` at the quadrature points,
+    one array (..., n_quad) per axis."""
+    qp = system.quad_points
+    return [
+        (np.asarray(exact_eval(qp + s), dtype=float) - np.asarray(exact_eval(qp - s), dtype=float))
+        / (2.0 * fd_step)
+        for s in fd_step * np.eye(system.mesh.dim)
+    ]
+
+
+def _h1_gap_sq(system: FemSystem, nodal: np.ndarray, exact_grads: list) -> np.ndarray:
+    """Squared H1 seminorm of (exact - P1 field) from exact gradients at the
+    quadrature points (see ``_fd_gradients``)."""
     nodal = np.asarray(nodal, dtype=float)
-    mesh = system.mesh
-    ne = mesh.elements.shape[0]
+    ne = system.mesh.elements.shape[0]
     qwts = system.quad_weights.reshape(ne, -1)
     batch = nodal.shape[:-1]
     total = np.zeros(batch)
-    for d in range(mesh.dim):
-        plus = system.quad_points.copy()
-        plus[:, d] += fd_step
-        minus = system.quad_points.copy()
-        minus[:, d] -= fd_step
-        g_exact = (
-            np.asarray(exact_eval(plus), dtype=float)
-            - np.asarray(exact_eval(minus), dtype=float)
-        ) / (2.0 * fd_step)
-        g_fe = nodal @ system.grad_ops[d].T
+    for g_exact, grad_op in zip(exact_grads, system.grad_ops):
+        g_fe = nodal @ grad_op.T
         diff = g_exact.reshape(batch + (ne, qwts.shape[1])) - g_fe[..., None]
         total += np.einsum("...eq,eq->...", diff**2, qwts)
     return total
@@ -131,8 +144,6 @@ def compute_errors(
     grid: TimeGrid,
 ) -> ErrorReport:
     """Errors of a solution bundle against the problem's exact fields."""
-    if problem.exact_x is None or problem.exact_u is None:
-        raise ValueError("compute_errors needs a manufactured problem with exact fields")
     mass = system.mass
 
     # deterministic control / adjoint errors; L2 against the nodal
@@ -178,19 +189,24 @@ def compute_errors(
 
 
 def _accumulate_state_errors(problem, system, grid, states, ensemble, l2_sum, h1_sum):
+    """Add each level's path-summed squared L2 and H1 state errors.
+
+    Path p is measured against x0 + W_n^p x1; the gradients of x0 and x1 are
+    taken once per level and combined as G0 + W ⊗ G1.
+    """
     pts = system.mesh.interior_nodes
     mass = system.mass
+    x = problem.exact_x
     for n in range(grid.N + 1):
         t = float(grid.times[n])
-        w = ensemble.brownian_at(n)
-        exact = np.asarray(problem.exact_x(t, pts, w[:, None]), dtype=float)
-        e = states[:, n, :] - exact
+        w = ensemble.brownian_at(n)[:, None]
+        e = states[:, n, :] - (x.mean(t, pts) + w * x.slope(t, pts))
         l2_sum[n] += np.einsum("pn,pn->", e, (mass @ e.T).T)
-        h1_sum[n] += h1_error_sq(
-            system,
-            states[:, n, :],
-            lambda p, _t=t, _w=w: problem.exact_x(_t, p, _w[:, None]),
-        ).sum()
+        grads = zip(
+            _fd_gradients(system, lambda p: x.mean(t, p)),
+            _fd_gradients(system, lambda p: x.slope(t, p)),
+        )
+        h1_sum[n] += _h1_gap_sq(system, states[:, n, :], [g0 + w * g1 for g0, g1 in grads]).sum()
 
 
 def fit_order(points) -> OrderFit:

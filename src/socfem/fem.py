@@ -299,20 +299,3 @@ def l2_project(system: FemSystem, g: Callable[[np.ndarray], np.ndarray]) -> np.n
     for every basis index j up to solver accuracy.
     """
     return system.mass_solve(load_vector(system, g))
-
-
-def euler_solve(
-    system: FemSystem, tau: float, rhs: np.ndarray, gamma: float = 1.0
-) -> np.ndarray:
-    """One implicit-Euler solve (M + tau*gamma*A) x = rhs."""
-    return system.euler_solver(tau, gamma).solve(rhs)
-
-
-def norms(system: FemSystem, x: np.ndarray) -> tuple[float, float]:
-    """Return (L2 norm, H1 seminorm) of an interior nodal field."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (system.n,):
-        raise ValueError(f"field shape {x.shape} does not match system size {system.n}")
-    l2 = float(np.sqrt(x @ (system.mass @ x)))
-    h1 = float(np.sqrt(max(x @ (system.stiffness @ x), 0.0)))
-    return l2, h1

@@ -10,8 +10,11 @@ control untouched (multiplier zero).
 Expectations are evaluated either in closed form (``mean-field``, exact
 for additive noise and deterministic controls) or as path averages over a
 fixed Brownian ensemble (``monte-carlo``).  Both reduce to the same affine
-iteration: the state responses to data and control separate, so the path
-ensemble is simulated once up front, not once per iteration.
+iteration: the state responses to data and control separate, so the data
+response is computed once up front, not once per iteration.  The scheme is
+linear and the data affine in W, so the path average is itself one mean
+sweep driven by the ensemble's mean Brownian values and increments; the
+mean-field estimator is the case where both means are zero.
 """
 
 from __future__ import annotations
@@ -22,17 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NumericalError
-from .fem import FemSystem, load_from_values
+from .fem import FemSystem
 from .grid import TimeGrid
-from .paths import BLOCK, BrownianEnsemble
+from .paths import BrownianEnsemble
 from .spde import (
     ProblemSpec,
     Trajectory,
     backward_adjoint_from_loads,
     control_response,
-    eval_pathwise,
     forward_mean,
-    iter_forward_paths,
     mean_target_loads,
     mtilde_solve,
     qtilde_solve,
@@ -158,37 +159,12 @@ class GradientProjection:
         self.qtilde = qtilde_solve(system, grid, self.mtilde, spec.gamma)
         self.qtilde_integral = constraint_integral(self.qtilde, system, grid)
 
-        if estimator == "mean-field":
-            zero = Trajectory.zeros(grid, system.n)
-            self.base = forward_mean(spec, system, grid, zero)
-            self.target_loads = mean_target_loads(spec, system, grid)
-        else:
-            self.base, self.target_loads = self._monte_carlo_base(ensemble)
-
+        means_of = ensemble if estimator == "monte-carlo" else None
+        zero = Trajectory.zeros(grid, system.n)
+        self.base = forward_mean(spec, system, grid, zero, means_of)
+        self.target_loads = mean_target_loads(spec, system, grid, means_of)
         self.target_proj = np.zeros_like(self.target_loads)
         self.target_proj[1:] = system.mass_solve(self.target_loads[1:].T).T
-
-    def _monte_carlo_base(self, ensemble: BrownianEnsemble):
-        """Path-averaged zero-control state and target loads, one sweep."""
-        spec, system, grid = self.spec, self.system, self.grid
-        zero = Trajectory.zeros(grid, system.n)
-        qpts = system.quad_points
-        state_sum = np.zeros((grid.N + 1, system.n))
-        tload_sum = np.zeros((grid.N + 1, system.n))
-        for start in range(0, ensemble.paths, BLOCK):
-            sub = ensemble.subset(start, min(start + BLOCK, ensemble.paths))
-            for lev, x in iter_forward_paths(spec, system, grid, zero, sub):
-                state_sum[lev] += x.sum(axis=1)
-                if lev >= 1:
-                    t = float(grid.times[lev])
-                    vals = eval_pathwise(spec.target, t, qpts, sub.brownian_at(lev))
-                    tload_sum[lev] += load_from_values(system, vals).sum(axis=0)
-        return (
-            Trajectory(state_sum / ensemble.paths, grid),
-            tload_sum / ensemble.paths,
-        )
-
-    # -- estimator-independent pieces -------------------------------------
 
     def state_mean(self, control: Trajectory) -> Trajectory:
         resp = control_response(self.system, self.grid, control, self.spec.gamma)

@@ -4,7 +4,8 @@ Both problems are designed so that the expected optimality system holds
 exactly: the mean state solves the mean forward equation, the (mean)
 adjoint equals -alpha times the control, and the constraint level delta is
 the space-time integral of the exact mean state.  All Brownian dependence
-is affine, so the mean coefficients are the w=0 slices.
+is affine, so the forcing, the target and the exact state are written as
+``AffineInW`` pairs (w=0 slice, w-slope); the w=0 slices are the means.
 
 The 1D problem's tracking target contains one ambiguous term that can be
 read with or without the noise amplitude multiplying the Brownian value.
@@ -17,11 +18,11 @@ selection is recorded rather than silent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spde import ProblemSpec
+from .spde import AffineInW, ProblemSpec
 
 PI = math.pi
 
@@ -33,7 +34,7 @@ class ManufacturedProblem:
     name: str
     spec: ProblemSpec
     exact_u: callable  # (t, pts) -> values
-    exact_x: callable  # (t, pts, w) -> values
+    exact_x: AffineInW
     exact_y: callable  # (t, pts) -> values, equal to -alpha * exact_u
     exact_mu: float
     beta: float
@@ -46,16 +47,6 @@ class ManufacturedProblem:
     @property
     def dim(self) -> int:
         return len(self.domain)
-
-    def with_target_reading(self, reading: str) -> "ManufacturedProblem":
-        """Same problem with the target switched to another reading."""
-        if reading not in self.xd_variants:
-            raise ValueError(f"unknown target reading {reading!r}")
-        return replace(
-            self,
-            xd_reading=reading,
-            spec=replace(self.spec, target=self.xd_variants[reading]),
-        )
 
 
 def example1(beta: float = 0.1, mu: float = 1.0, xd_reading: str = "auto") -> ManufacturedProblem:
@@ -76,9 +67,6 @@ def example1(beta: float = 0.1, mu: float = 1.0, xd_reading: str = "auto") -> Ma
     def exact_u(t, pts):
         return t * (T - t) * g(pts)
 
-    def exact_x(t, pts, w):
-        return (t + beta * np.asarray(w)) * g(pts)
-
     def exact_y(t, pts):
         return -alpha * exact_u(t, pts)
 
@@ -88,19 +76,20 @@ def example1(beta: float = 0.1, mu: float = 1.0, xd_reading: str = "auto") -> Ma
     def sigma(t, pts):
         return beta * g(pts)
 
-    def forcing(t, pts, w):
-        return g(pts) * (1.0 + t * (t - T) + PI**2 * (t + beta * np.asarray(w)))
+    # X = (t + beta w) g
+    exact_x = AffineInW(mean=lambda t, pts: t * g(pts), slope=lambda t, pts: beta * g(pts))
+    # f = g (1 + t(t - T) + pi^2 (t + beta w))
+    forcing = AffineInW(
+        mean=lambda t, pts: g(pts) * (1.0 + t * (t - T) + PI**2 * t),
+        slope=lambda t, pts: g(pts) * (PI**2 * beta),
+    )
 
     def make_target(c):
-        def target(t, pts, w):
-            w = np.asarray(w)
-            return (
-                g(pts)
-                * ((t - T) + 2.0 * (t + c * w) - PI**2 * (t - T) * (t + beta * w))
-                + mu
-            )
-
-        return target
+        # X_d = g ((t - T) + 2 (t + c w) - pi^2 (t - T)(t + beta w)) + mu
+        return AffineInW(
+            mean=lambda t, pts: g(pts) * ((t - T) + 2.0 * t - PI**2 * (t - T) * t) + mu,
+            slope=lambda t, pts: g(pts) * (2.0 * c - PI**2 * (t - T) * beta),
+        )
 
     variants = {"beta_w": make_target(beta), "plain_w": make_target(1.0)}
     if xd_reading == "auto":
@@ -118,8 +107,6 @@ def example1(beta: float = 0.1, mu: float = 1.0, xd_reading: str = "auto") -> Ma
         forcing=forcing,
         target=target,
         gamma=1.0,
-        mean_forcing=lambda t, pts: forcing(t, pts, 0.0),
-        mean_target=lambda t, pts: target(t, pts, 0.0),
     )
     return ManufacturedProblem(
         name="example1",
@@ -150,14 +137,12 @@ def example2(
     def g(pts):
         return np.sin(PI * pts[..., 0]) * np.sin(PI * pts[..., 1])
 
-    def amp(t, w):
-        return 1.0 + lam * t + beta * np.asarray(w)
+    # the state amplitude a = 1 + lam t + beta w is affine in w; a0 is its mean
+    def a0(t):
+        return 1.0 + lam * t
 
     def exact_u(t, pts):
         return (T - t) * (1.0 + lam * t) * (1.0 + t) ** 2 * g(pts)
-
-    def exact_x(t, pts, w):
-        return amp(t, w) * (1.0 + t) ** 2 * g(pts)
 
     def exact_y(t, pts):
         return -alpha * exact_u(t, pts)
@@ -168,30 +153,29 @@ def example2(
     def sigma(t, pts):
         return beta * (1.0 + t) ** 2 * g(pts)
 
-    def forcing(t, pts, w):
-        a = amp(t, w)
-        return (
-            (1.0 + t) ** 2
-            * g(pts)
-            * (
-                2.0 * gamma * PI**2 * a
-                + (t - T) * (1.0 + lam * t)
-                + 2.0 * a / (1.0 + t)
-                + lam
-            )
-        )
+    # X = a (1 + t)^2 g
+    exact_x = AffineInW(
+        mean=lambda t, pts: a0(t) * (1.0 + t) ** 2 * g(pts),
+        slope=lambda t, pts: beta * (1.0 + t) ** 2 * g(pts),
+    )
+    # f = (1 + t)^2 g (2 gamma pi^2 a + (t - T)(1 + lam t) + 2 a / (1 + t) + lam)
+    forcing = AffineInW(
+        mean=lambda t, pts: (1.0 + t) ** 2 * g(pts) * (
+            2.0 * gamma * PI**2 * a0(t) + (t - T) * (1.0 + lam * t) + 2.0 * a0(t) / (1.0 + t) + lam
+        ),
+        slope=lambda t, pts: (1.0 + t) ** 2 * g(pts) * (
+            2.0 * gamma * PI**2 * beta + 2.0 * beta / (1.0 + t)
+        ),
+    )
 
-    def target(t, pts, w):
-        a = amp(t, w)
-        return (
-            (1.0 + t) ** 2
-            * g(pts)
-            * (
-                a * (2.0 * gamma * PI**2 * (T - t) + 2.0 + 2.0 * (t - T) / (1.0 + t))
-                + lam * (t - T)
-            )
-            + mu
-        )
+    # X_d = (1 + t)^2 g (a c + lam (t - T)) + mu, c = 2 gamma pi^2 (T - t) + 2 + 2 (t - T)/(1 + t)
+    def c(t):
+        return 2.0 * gamma * PI**2 * (T - t) + 2.0 + 2.0 * (t - T) / (1.0 + t)
+
+    target = AffineInW(
+        mean=lambda t, pts: (1.0 + t) ** 2 * g(pts) * (a0(t) * c(t) + lam * (t - T)) + mu,
+        slope=lambda t, pts: (1.0 + t) ** 2 * g(pts) * (beta * c(t)),
+    )
 
     spec = ProblemSpec(
         alpha=alpha,
@@ -202,8 +186,6 @@ def example2(
         forcing=forcing,
         target=target,
         gamma=gamma,
-        mean_forcing=lambda t, pts: forcing(t, pts, 0.0),
-        mean_target=lambda t, pts: target(t, pts, 0.0),
     )
     return ManufacturedProblem(
         name="example2",
@@ -291,18 +273,19 @@ def verify_manufactured(
     opt_res = 0.0
     for t, x, w in zip(ts, xs, ws):
         pt = x.reshape(1, -1)
-        dxdt = _ddt(lambda s: problem.exact_x(s, pt, w), t)
-        lap_x = _laplacian(lambda p: problem.exact_x(t, p, w), pt)
-        f = spec.forcing(t, pt, w)
+        state = _at_w(problem.exact_x, w)
+        dxdt = _ddt(lambda s: state(s, pt), t)
+        lap_x = _laplacian(lambda p: state(t, p), pt)
+        f = _at_w(spec.forcing, w)(t, pt)
         u = problem.exact_u(t, pt)
         state_res = max(state_res, float(abs(dxdt - spec.gamma * lap_x - f - u)[0]))
 
-        slope = 0.5 * (problem.exact_x(t, pt, 1.0) - problem.exact_x(t, pt, -1.0))
+        slope = problem.exact_x.slope(t, pt)
         noise_res = max(noise_res, float(abs(slope - spec.sigma(t, pt))[0]))
 
         dydt = _ddt(lambda s: problem.exact_y(s, pt), t)
         lap_y = _laplacian(lambda p: problem.exact_y(t, p), pt)
-        source = problem.exact_x(t, pt, 0.0) - spec.mean_target(t, pt) + problem.exact_mu
+        source = problem.exact_x.mean(t, pt) - spec.target.mean(t, pt) + problem.exact_mu
         adj_res = max(adj_res, float(abs(dydt + spec.gamma * lap_y + source)[0]))
 
         opt_res = max(
@@ -328,7 +311,12 @@ def verify_manufactured(
     )
 
 
-def _select_reading(exact_x, variants: dict, dim: int) -> str:
+def _at_w(datum: AffineInW, w: float):
+    """The datum at one Brownian value, as a (t, pts) callable."""
+    return lambda t, pts: datum.mean(t, pts) + w * datum.slope(t, pts)
+
+
+def _select_reading(exact_x: AffineInW, variants: dict, dim: int) -> str:
     """Pick the target reading with the smallest pathwise fluctuation gap."""
     ts = np.linspace(0.05, 0.95, 7)
     xs = np.linspace(0.1, 0.9, 5).reshape(-1, 1)
@@ -341,19 +329,16 @@ def _select_reading(exact_x, variants: dict, dim: int) -> str:
     return min(scores, key=scores.get)
 
 
-def _target_w_mismatch(exact_x, target, ts, xs, grid: bool = False) -> float:
+def _target_w_mismatch(
+    exact_x: AffineInW, target: AffineInW, ts, xs, grid: bool = False
+) -> float:
     """Max |w-slope of (X - X_d)| over samples: the source fluctuation that a
     deterministic adjoint cannot absorb."""
-    worst = 0.0
-    if grid:
-        pairs = [(t, x.reshape(1, -1)) for t in ts for x in xs]
-    else:
-        pairs = [(t, x.reshape(1, -1)) for t, x in zip(ts, xs)]
-    for t, pt in pairs:
-        d_plus = exact_x(t, pt, 1.0) - target(t, pt, 1.0)
-        d_minus = exact_x(t, pt, -1.0) - target(t, pt, -1.0)
-        worst = max(worst, float(abs(0.5 * (d_plus - d_minus))[0]))
-    return worst
+    pairs = [(t, x) for t in ts for x in xs] if grid else zip(ts, xs)
+    return max(
+        (float(abs(exact_x.slope(t, x[None]) - target.slope(t, x[None]))[0]) for t, x in pairs),
+        default=0.0,
+    )
 
 
 def _mean_state_integral(problem: ManufacturedProblem, order: int = 48) -> float:
@@ -379,7 +364,7 @@ def _mean_state_integral(problem: ManufacturedProblem, order: int = 48) -> float
 
     total = 0.0
     for t, wt in zip(t_nodes, t_weights):
-        total += wt * float(wts @ problem.exact_x(t, pts, 0.0))
+        total += wt * float(wts @ problem.exact_x.mean(t, pts))
     return total
 
 

@@ -8,8 +8,8 @@ The forward kernel (``_forward``) steps an (n, k) column block:
     (M + tau*gamma*A) x^{n+1} = M x^n + tau*M u^n + (extra terms of level n)
 
 tau*M u^n is read from one table M U^T over the whole trajectory.  The
-path sweep then adds tau*load(f(t_n, W_n)) and dW_{n+1} * load(sigma(t_n));
-the mean sweep adds tau*load(fbar(t_n)); the control response adds none.
+data terms of column j are tau*(load(f0(t_n)) + W_n^j load(f1(t_n))), then
+dW_{n+1}^j load(sigma(t_n)); the control response adds none.
 
 The backward kernel (``_backward``) starts from y^N = 0:
 
@@ -18,11 +18,13 @@ The backward kernel (``_backward``) starts from y^N = 0:
 with source M xbar - load(xbar_d) + mu*load(1) for the mean adjoint and
 load(1) for Mtilde.
 
-Controls, forcing and the noise coefficient are evaluated at the left time
-point; states and tracking targets at the right one.  Because the noise is
-additive with zero-mean increments and the scheme is linear, expectations
-of state and adjoint satisfy the noise-free recursions exactly; the mean
-sweeps run those recursions with user-supplied mean coefficients.
+Problem data depend on the Brownian value only through ``AffineInW``
+pairs f = f0 + W f1.  Controls, forcing and the noise coefficient are
+evaluated at the left time point; states and tracking targets at the
+right one.  The scheme is linear, so the average of the path states over
+an ensemble is one single-column sweep driven by the ensemble's mean
+Brownian values and increments.  With the exact means, both zero, that
+sweep is driven by f0 alone and gives the exact expectation.
 
 Conditional expectations of the martingale part (the Z process) are
 estimated across simulated paths by least-squares regression on the basis
@@ -37,13 +39,23 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import NumericalError
-from .fem import FemSystem, l2_project, load_from_values, load_vector
+from .fem import FemSystem, l2_project, load_vector
 from .grid import TimeGrid
 from .paths import BrownianEnsemble
 
 SpaceFn = Callable[[np.ndarray], np.ndarray]
 SpaceTimeFn = Callable[[float, np.ndarray], np.ndarray]
-NoisyFn = Callable[[float, np.ndarray, float], np.ndarray]
+
+
+@dataclass(frozen=True)
+class AffineInW:
+    """A datum ``mean(t, pts) + w * slope(t, pts)`` affine in the Brownian value w.
+
+    ``mean`` is the w=0 slice, the expectation since E[W_t] = 0.
+    """
+
+    mean: SpaceTimeFn
+    slope: SpaceTimeFn
 
 
 @dataclass(frozen=True)
@@ -51,11 +63,8 @@ class ProblemSpec:
     """Coefficient data for one control problem.
 
     Space-dependent callables receive points of shape (m, dim) and return
-    values of shape (m,).  ``forcing`` and ``target`` additionally take the
-    Brownian value w, an array of shape (paths, 1) in path sweeps; their
-    result must broadcast to (paths, m).  ``mean_forcing`` / ``mean_target``
-    are the expectations of ``forcing`` / ``target`` over W_t; for data
-    that is affine in w they are the w=0 slices.
+    values of shape (m,).  The forcing and the tracking target depend on
+    the Brownian value, affinely (see ``AffineInW``).
     """
 
     alpha: float
@@ -63,11 +72,9 @@ class ProblemSpec:
     T: float
     x0: SpaceFn
     sigma: SpaceTimeFn
-    forcing: NoisyFn
-    target: NoisyFn
+    forcing: AffineInW
+    target: AffineInW
     gamma: float = 1.0
-    mean_forcing: SpaceTimeFn | None = None
-    mean_target: SpaceTimeFn | None = None
 
     def __post_init__(self):
         if not self.alpha > 0.0:
@@ -114,21 +121,38 @@ def _check_alignment(grid: TimeGrid, steps: int, tau: float, what: str):
         raise ValueError(f"{what} is not aligned with the time grid")
 
 
-def eval_pathwise(func, t: float, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Evaluate f(t, x, w) for every path, shape (paths, n_points).
+def _load_at(system: FemSystem, fn: SpaceTimeFn, t: float) -> np.ndarray:
+    return load_vector(system, lambda p: fn(t, p))
 
-    One call with w of shape (paths, 1); the result must broadcast to
-    (paths, n_points), so w-independent closures may return (n_points,).
-    """
-    shape = (w.shape[0], pts.shape[0])
-    vals = np.asarray(func(t, pts, w[:, None]), dtype=float)
-    try:
-        return np.broadcast_to(vals, shape)
-    except ValueError:
-        raise ValueError(
-            f"closure returned shape {vals.shape}, which does not broadcast to "
-            f"(paths, points) = {shape}"
-        ) from None
+
+def _mean_brownian(grid: TimeGrid, ensemble: BrownianEnsemble | None):
+    """The ensemble's mean Brownian values (1, N+1) and increments (1, N); None, None
+    for the exact means, both zero."""
+    if ensemble is None:
+        return None, None
+    _check_alignment(grid, ensemble.steps, ensemble.tau, "ensemble")
+    return (
+        ensemble.brownian.mean(axis=0, keepdims=True),
+        ensemble.increments.mean(axis=0, keepdims=True),
+    )
+
+
+def _data_terms(spec: ProblemSpec, system: FemSystem, grid: TimeGrid, brownian, increments):
+    """Data terms of forward step n for columns j: tau*(load(f0) + W^j_n load(f1)),
+    then dW^j_{n+1} load(sigma), all at t_n, with W^j = ``brownian[j]`` and dW^j =
+    ``increments[j]``.  Both are None for zero means: only tau*load(f0) is built."""
+
+    def terms(n: int):
+        t = float(grid.times[n])
+        forcing = _load_at(system, spec.forcing.mean, t)[:, None]
+        if brownian is None:
+            yield grid.tau * forcing
+            return
+        slope = _load_at(system, spec.forcing.slope, t)[:, None]
+        yield grid.tau * (forcing + slope * brownian[:, n])
+        yield _load_at(system, spec.sigma, t)[:, None] * increments[:, n]
+
+    return terms
 
 
 def _mass_rows(system: FemSystem, levels: np.ndarray) -> np.ndarray:
@@ -203,19 +227,9 @@ def iter_forward_paths(
     sweep; consumers must copy what they keep.
     """
     _check_alignment(grid, ensemble.steps, ensemble.tau, "ensemble")
-    qpts = system.quad_points
-
-    def path_terms(n: int):
-        t = float(grid.times[n])
-        f_loads = load_from_values(
-            system, eval_pathwise(spec.forcing, t, qpts, ensemble.brownian_at(n))
-        )
-        yield grid.tau * f_loads.T
-        sigma_load = load_vector(system, lambda p: spec.sigma(t, p))
-        yield sigma_load[:, None] * ensemble.increments[:, n][None, :]
-
+    terms = _data_terms(spec, system, grid, ensemble.brownian, ensemble.increments)
     x = np.tile(l2_project(system, spec.x0)[:, None], (1, ensemble.paths))
-    yield from _forward(system, grid, spec.gamma, x, control, path_terms)
+    yield from _forward(system, grid, spec.gamma, x, control, terms)
 
 
 def forward_paths(
@@ -233,18 +247,21 @@ def forward_paths(
 
 
 def forward_mean(
-    spec: ProblemSpec, system: FemSystem, grid: TimeGrid, control: Trajectory
+    spec: ProblemSpec,
+    system: FemSystem,
+    grid: TimeGrid,
+    control: Trajectory,
+    ensemble: BrownianEnsemble | None = None,
 ) -> Trajectory:
-    """Mean state trajectory: the noise-free scheme driven by mean forcing."""
-    if spec.mean_forcing is None:
-        raise ValueError("ProblemSpec.mean_forcing is required for mean-field solves")
-    forcing = grid.tau * np.stack([
-        load_vector(system, lambda p, _t=float(t): spec.mean_forcing(_t, p))
-        for t in grid.times[: grid.N]
-    ])
+    """Mean state trajectory, one single-column sweep.
+
+    Without an ensemble, the exact expectation (driven by f0 alone); with one,
+    the path average of ``iter_forward_paths`` over it, which by linearity is
+    the sweep driven by the ensemble's mean Brownian values and increments.
+    """
+    terms = _data_terms(spec, system, grid, *_mean_brownian(grid, ensemble))
     x = l2_project(system, spec.x0)[:, None]
-    sweep = _forward(system, grid, spec.gamma, x, control, lambda n: (forcing[n][:, None],))
-    return _single_column(sweep, grid, system.n)
+    return _single_column(_forward(system, grid, spec.gamma, x, control, terms), grid, system.n)
 
 
 def control_response(
@@ -259,14 +276,21 @@ def control_response(
     return _single_column(sweep, grid, system.n)
 
 
-def mean_target_loads(spec: ProblemSpec, system: FemSystem, grid: TimeGrid) -> np.ndarray:
-    """Load vectors of the mean tracking target at levels 1..N (row 0 zero)."""
-    if spec.mean_target is None:
-        raise ValueError("ProblemSpec.mean_target is required for mean-field solves")
+def mean_target_loads(
+    spec: ProblemSpec,
+    system: FemSystem,
+    grid: TimeGrid,
+    ensemble: BrownianEnsemble | None = None,
+) -> np.ndarray:
+    """Load vectors of the mean tracking target at levels 1..N (row 0 zero):
+    load(xd0), plus Wbar_n load(xd1) for the mean Brownian values of an ensemble."""
+    w_bar, _ = _mean_brownian(grid, ensemble)
     loads = np.zeros((grid.N + 1, system.n))
     for n in range(1, grid.N + 1):
         t = float(grid.times[n])
-        loads[n] = load_vector(system, lambda p, _t=t: spec.mean_target(_t, p))
+        loads[n] = _load_at(system, spec.target.mean, t)
+        if w_bar is not None:
+            loads[n] += w_bar[0, n] * _load_at(system, spec.target.slope, t)
     return loads
 
 

@@ -10,6 +10,7 @@ import pytest
 from dataclasses import replace
 
 from socfem import (
+    AffineInW,
     OptimizerConfig,
     ProblemSpec,
     Resolution,
@@ -20,7 +21,6 @@ from socfem import (
     constraint_table,
     contraction_certificate,
     convergence_study,
-    euler_solve,
     example1,
     example2,
     fit_order,
@@ -54,7 +54,7 @@ def test_criterion_1_fem_oracles():
     expected_m = np.array([[1 / 6, 1 / 24, 0], [1 / 24, 1 / 6, 1 / 24], [0, 1 / 24, 1 / 6]])
     expected_a = np.array([[8.0, -4.0, 0.0], [-4.0, 8.0, -4.0], [0.0, -4.0, 8.0]])
     sys_half = assemble(make_interval_mesh(0, 1, 2))
-    x = euler_solve(sys_half, 0.5, np.array([1 / 3]))
+    x = sys_half.euler_solver(0.5).solve(np.array([1 / 3]))
 
     violations = []
     if np.abs(m - expected_m).max() > 1e-12:
@@ -70,14 +70,12 @@ def _heat_error(cells: int, steps: int) -> float:
     mesh = make_interval_mesh(0, 1, cells)
     system = assemble(mesh)
     grid = make_time_grid(1.0, steps)
-    zero = lambda t, p, w: np.zeros(p.shape[0])
+    zero = AffineInW(lambda t, p: np.zeros(p.shape[0]), lambda t, p: np.zeros(p.shape[0]))
     spec = ProblemSpec(
         alpha=1.0, delta=0.0, T=1.0,
         x0=lambda p: np.sin(np.pi * p[..., 0]),
         sigma=lambda t, p: np.zeros(p.shape[0]),
         forcing=zero, target=zero,
-        mean_forcing=lambda t, p: np.zeros(p.shape[0]),
-        mean_target=lambda t, p: np.zeros(p.shape[0]),
     )
     xbar = forward_mean(spec, system, grid, Trajectory.zeros(grid, system.n))
     pts = mesh.interior_nodes[:, 0]
@@ -289,9 +287,8 @@ def test_criterion_9_lsmc_oracle():
     states = forward_paths(spec, system, grid, result.control, ens)
     qp = system.quad_points
     w_next = ens.brownian_at(level + 1)
-    xd_proj = system.mass_solve(
-        (np.asarray(spec.target(t_next, qp, w_next[:, None])) @ system.load_matrix.T).T
-    ).T
+    xd_values = spec.target.mean(t_next, qp) + w_next[:, None] * spec.target.slope(t_next, qp)
+    xd_proj = system.mass_solve((xd_values @ system.load_matrix.T).T).T
     payoff = (
         result.adjoint_mean.values[level + 1][None, :] / tau
         + states.values[:, level + 1, :]
@@ -301,9 +298,7 @@ def test_criterion_9_lsmc_oracle():
 
     solver = system.euler_solver(tau, spec.gamma)
     sigma_load = load_vector(system, lambda p: spec.sigma(t_mid, p))
-    xd_slope = 0.5 * (
-        np.asarray(spec.target(t_next, qp, 1.0)) - np.asarray(spec.target(t_next, qp, -1.0))
-    )
+    xd_slope = spec.target.slope(t_next, qp)
     oracle = tau * (solver.solve(sigma_load) - system.mass_solve(system.load_matrix @ xd_slope))
 
     diff = z.const - oracle
@@ -339,15 +334,9 @@ def test_criterion_10_manufactured_verification():
             violations.append(f"{prob.name} drift residual {rep.drift_residual:.2e}")
 
     base = example1()
-    broken_forcing = lambda t, p, w: base.spec.forcing(t, p, w) + 1.0
-    broken = replace(
-        base,
-        spec=replace(
-            base.spec,
-            forcing=broken_forcing,
-            mean_forcing=lambda t, p: broken_forcing(t, p, 0.0),
-        ),
-    )
+    f = base.spec.forcing
+    broken_forcing = AffineInW(lambda t, p: f.mean(t, p) + 1.0, f.slope)
+    broken = replace(base, spec=replace(base.spec, forcing=broken_forcing))
     fault = verify_manufactured(broken, samples=200, seed=5)
     if not 0.5 <= fault.state_residual <= 1.5:
         violations.append(f"injected fault not detected ({fault.state_residual:.2e})")

@@ -17,11 +17,13 @@ from socfem import (
     discrete_constraint_level,
     example1,
     fit_order,
+    forward_paths,
     gp_iterate,
     make_interval_mesh,
     sample,
 )
-from socfem.analysis import h1_error_sq, orders_from_reports, setup
+from socfem.analysis import _accumulate_state_errors, h1_error_sq, orders_from_reports, setup
+from socfem.problems import BY_NAME
 
 
 class TestFitOrder:
@@ -102,7 +104,8 @@ class TestComputeErrors:
 
         def exact_paths(spec, system, grid, control, sub):
             for n in range(grid.N + 1):
-                yield n, prob.exact_x(float(grid.times[n]), pts, sub.brownian_at(n)[:, None]).T
+                t, w = float(grid.times[n]), sub.brownian_at(n)[:, None]
+                yield n, (prob.exact_x.mean(t, pts) + w * prob.exact_x.slope(t, pts)).T
 
         # the streamed path sweep is fed the exact per-path states
         monkeypatch.setattr("socfem.analysis.iter_forward_paths", exact_paths)
@@ -147,16 +150,41 @@ class TestComputeErrors:
         h1_sq = np.zeros(grid.N + 1)
         for n in range(grid.N + 1):
             t, w = float(grid.times[n]), ens.brownian_at(n)[:, None]
-            e = states[:, n, :] - prob.exact_x(t, pts, w)
+            exact_x = lambda p: prob.exact_x.mean(t, p) + w * prob.exact_x.slope(t, p)
+            e = states[:, n, :] - exact_x(pts)
             l2_sq[n] = np.einsum("pn,pn->", e, (system.mass @ e.T).T) / ens.paths
-            h1_sq[n] = h1_error_sq(
-                system, states[:, n, :], lambda p: prob.exact_x(t, p, w)
-            ).sum() / ens.paths
+            h1_sq[n] = h1_error_sq(system, states[:, n, :], exact_x).sum() / ens.paths
         rep = compute_errors(
             prob, SolutionBundle(control, adjoint, prob.exact_mu), ens, system, grid
         )
         assert rep.strong_l2_state == pytest.approx(np.sqrt(l2_sq.max()), rel=1e-12)
         assert rep.h1_state == pytest.approx(np.sqrt(grid.tau * h1_sq[1:].sum()), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "name,res", [("example1", Resolution(40, 40)), ("example2", Resolution(8, 8))]
+    )
+    def test_state_errors_match_per_path_fields(self, name, res):
+        prob = BY_NAME[name]()
+        system, grid = setup(prob, res)
+        ens = sample(32, grid, seed=9)
+        pts = system.mesh.interior_nodes
+        control = Trajectory(np.stack([prob.exact_u(t, pts) for t in grid.times]), grid)
+        states = forward_paths(prob.spec, system, grid, control, ens).values
+        l2_sq, h1_sq = np.zeros(grid.N + 1), np.zeros(grid.N + 1)
+        _accumulate_state_errors(prob, system, grid, states, ens, l2_sq, h1_sq)
+
+        # every path against its own full field x0 + w x1, evaluated point by point
+        l2_ref, h1_ref = np.zeros(grid.N + 1), np.zeros(grid.N + 1)
+        x = prob.exact_x
+        for n in range(grid.N + 1):
+            t = float(grid.times[n])
+            for p, w in enumerate(ens.brownian_at(n)):
+                field = lambda q: x.mean(t, q) + w * x.slope(t, q)
+                e = states[p, n] - field(pts)
+                l2_ref[n] += e @ (system.mass @ e)
+                h1_ref[n] += h1_error_sq(system, states[p, n], field)
+        for got, want in ((l2_sq, l2_ref), (h1_sq, h1_ref)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_seed_stability_within_factor_two(self):
         prob = example1()

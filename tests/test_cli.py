@@ -262,6 +262,24 @@ class TestReferenceOutputs:
             assert len(g_vals) == len(w_vals)
             assert all(_close(float(a), float(b)) for a, b in zip(g_vals, w_vals)), (g, w)
 
+    def test_monte_carlo_table(self, tmp_path):
+        argv = [
+            "constraint-table", "--problem", "example1", "--rule", "tau=h", "--h", "1/40,1/45",
+            "--delta", "0.2,-0.1", "--estimator", "monte-carlo", "--paths", "400", "--seed", "7",
+            "--output-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        got = (tmp_path / "table_long.csv").read_text().splitlines()
+        want = (
+            REFERENCE / "constraint_table_example1_mc_h1-40_1-45_table_long.csv"
+        ).read_text().splitlines()
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        exact = {"iterations", "converged"}
+        for g, w in zip(got[1:], want[1:]):
+            for column, a, b in zip(want[0].split(","), g.split(","), w.split(",")):
+                assert a == b if column in exact else _close(float(a), float(b)), (column, g, w)
+
     def test_convergence_orders(self, tmp_path):
         argv = [
             "convergence", "--problem", "example1", "--rule", "tau=h", "--h", "1/40,1/45",

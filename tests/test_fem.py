@@ -7,12 +7,10 @@ import scipy.sparse as sp
 from socfem import (
     NumericalError,
     assemble,
-    euler_solve,
     l2_project,
     load_vector,
     make_interval_mesh,
     make_rectangle_mesh,
-    norms,
 )
 from socfem.fem import EulerSolver, _CheckedCholesky, load_from_values
 
@@ -130,46 +128,47 @@ class TestLoadVector:
 
 class TestEulerSolve:
     def test_hand_oracle(self, sys_half):
-        x = euler_solve(sys_half, 0.5, np.array([1 / 3]))
+        x = sys_half.euler_solver(0.5).solve(np.array([1 / 3]))
         assert x == pytest.approx([1 / 7], abs=1e-12)
 
     def test_zero_rhs(self, sys_quarter):
-        assert np.abs(euler_solve(sys_quarter, 0.3, np.zeros(3))).max() == 0.0
+        assert np.abs(sys_quarter.euler_solver(0.3).solve(np.zeros(3))).max() == 0.0
 
     def test_factorization_cache_refreshes(self, sys_quarter):
         rhs = np.array([1.0, -2.0, 0.5])
-        x1 = euler_solve(sys_quarter, 0.1, rhs)
-        x2 = euler_solve(sys_quarter, 0.2, rhs)
+        x1 = sys_quarter.euler_solver(0.1).solve(rhs)
+        x2 = sys_quarter.euler_solver(0.2).solve(rhs)
         fresh = assemble(make_interval_mesh(0, 1, 4))
-        assert x1 == pytest.approx(euler_solve(fresh, 0.1, rhs), abs=0)
-        assert x2 == pytest.approx(euler_solve(fresh, 0.2, rhs), abs=0)
+        assert x1 == pytest.approx(fresh.euler_solver(0.1).solve(rhs), abs=0)
+        assert x2 == pytest.approx(fresh.euler_solver(0.2).solve(rhs), abs=0)
 
     def test_linearity(self, sys_quarter):
         rng = np.random.default_rng(3)
         r1, r2 = rng.normal(size=(2, 3))
         a, b = 1.7, -0.4
-        lhs = euler_solve(sys_quarter, 0.05, a * r1 + b * r2)
-        rhs = a * euler_solve(sys_quarter, 0.05, r1) + b * euler_solve(sys_quarter, 0.05, r2)
+        solver = sys_quarter.euler_solver(0.05)
+        lhs = solver.solve(a * r1 + b * r2)
+        rhs = a * solver.solve(r1) + b * solver.solve(r2)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
     def test_matrix_rhs(self, sys_quarter):
         rng = np.random.default_rng(4)
         block = rng.normal(size=(3, 5))
-        batched = euler_solve(sys_quarter, 0.2, block)
+        batched = sys_quarter.euler_solver(0.2).solve(block)
         for j in range(5):
             assert batched[:, j] == pytest.approx(
-                euler_solve(sys_quarter, 0.2, block[:, j]), abs=0
+                sys_quarter.euler_solver(0.2).solve(block[:, j]), abs=0
             )
 
     def test_invalid_tau(self, sys_half):
         with pytest.raises(ValueError):
-            euler_solve(sys_half, 0.0, np.array([1.0]))
+            sys_half.euler_solver(0.0).solve(np.array([1.0]))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_rhs_fails_residual_guard(self, sys_half, value):
         with pytest.raises(NumericalError):
-            euler_solve(sys_half, 0.5, np.array([value]))
+            sys_half.euler_solver(0.5).solve(np.array([value]))
         with pytest.raises(NumericalError, match="mass solve residual"):
             sys_half.mass_solve(np.full(sys_half.n, value))
 
@@ -206,32 +205,13 @@ class TestBandedCholesky:
         rhs = np.random.default_rng(5).normal(size=system.n)
         dense = (system.mass + 0.05 * system.stiffness).toarray()
         oracle = np.linalg.solve(dense, rhs)
-        x = euler_solve(system, 0.05, rhs)
+        x = system.euler_solver(0.05).solve(rhs)
         assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_2d_matrix_rhs_equals_columns(self):
         system = assemble(make_rectangle_mesh((0, 0), (1, 1), 8, 8))
         block = np.random.default_rng(6).normal(size=(system.n, 4))
-        batched = euler_solve(system, 0.05, block)
+        batched = system.euler_solver(0.05).solve(block)
         for j in range(4):
-            assert np.array_equal(batched[:, j], euler_solve(system, 0.05, block[:, j]))
+            assert np.array_equal(batched[:, j], system.euler_solver(0.05).solve(block[:, j]))
 
-
-class TestNorms:
-    def test_zero(self, sys_half):
-        assert norms(sys_half, np.zeros(1)) == (0.0, 0.0)
-
-    def test_hand_values(self, sys_half):
-        l2, h1 = norms(sys_half, np.array([1.0]))
-        assert l2 == pytest.approx(np.sqrt(1 / 3), rel=1e-14)
-        assert h1 == pytest.approx(2.0, rel=1e-14)
-
-    def test_homogeneity(self, sys_quarter):
-        x = np.array([0.3, -1.2, 0.7])
-        l2, h1 = norms(sys_quarter, x)
-        l22, h12 = norms(sys_quarter, 2 * x)
-        assert (l22, h12) == pytest.approx((2 * l2, 2 * h1), rel=1e-14)
-
-    def test_shape_mismatch(self, sys_quarter):
-        with pytest.raises(ValueError):
-            norms(sys_quarter, np.zeros(5))

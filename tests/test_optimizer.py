@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from socfem import (
     InvalidStateError,
@@ -9,6 +10,7 @@ from socfem import (
     constraint_integral,
     contraction_certificate,
     example1,
+    forward_paths,
     gp_iterate,
     make_interval_mesh,
     make_time_grid,
@@ -17,6 +19,7 @@ from socfem import (
 )
 from socfem.analysis import Resolution, setup
 from socfem.optimizer import GradientProjection
+from socfem.problems import BY_NAME
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +45,7 @@ class TestConstraintIntegral:
     def test_exact_state_means_near_delta(self, coarse):
         prob, system, grid = coarse
         pts = system.mesh.interior_nodes
-        vals = np.stack([prob.exact_x(t, pts, 0.0) for t in grid.times])
+        vals = np.stack([prob.exact_x.mean(t, pts) for t in grid.times])
         integral = constraint_integral(Trajectory(vals, grid), system, grid)
         # right-endpoint rule + interpolation leave an O(h + tau) gap
         assert abs(integral - prob.spec.delta) <= grid.tau + system.mesh.h**2
@@ -109,6 +112,59 @@ class TestProjection:
             lhs = loop.step_norm(pv.values - pp.values)
             rhs = loop.step_norm(v.values - p.values)
             assert lhs <= rhs + 1e-9
+
+
+PROPERTY_PROB = example1()
+PROPERTY_SYSTEM, PROPERTY_GRID = setup(PROPERTY_PROB, Resolution(12, 12))
+PROPERTY_LOOP = GradientProjection(PROPERTY_PROB.spec, PROPERTY_SYSTEM, PROPERTY_GRID)
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestProjectionProperties:
+    @given(s1=seeds, s2=seeds, scale=st.floats(0.1, 10.0), delta=st.floats(-2.0, 2.0))
+    def test_feasible_and_nonexpansive(self, s1, s2, scale, delta):
+        loop, system, grid = PROPERTY_LOOP, PROPERTY_SYSTEM, PROPERTY_GRID
+        shape = (grid.N + 1, system.n)
+        v = Trajectory(scale * np.random.default_rng(s1).normal(size=shape), grid)
+        p = Trajectory(scale * np.random.default_rng(s2).normal(size=shape), grid)
+        pv, xv, _ = loop.project(v, delta)
+        pp, xp, _ = loop.project(p, delta)
+        for x in (xv, xp):
+            assert constraint_integral(x, system, grid) <= delta + 1e-8
+        lhs = loop.step_norm(pv.values - pp.values)
+        rhs = loop.step_norm(v.values - p.values)
+        assert lhs <= rhs + 1e-9
+
+
+def _max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestMonteCarloWorkspace:
+    """The Monte Carlo workspace equals the path average it replaces."""
+
+    @pytest.mark.parametrize(
+        "name,res", [("example1", Resolution(40, 40)), ("example2", Resolution(8, 8))]
+    )
+    def test_base_and_target_loads_are_path_averages(self, name, res):
+        prob = BY_NAME[name]()
+        system, grid = setup(prob, res)
+        ens = sample(64, grid, seed=5)
+        loop = GradientProjection(
+            prob.spec, system, grid, estimator="monte-carlo", ensemble=ens
+        )
+        zero = Trajectory.zeros(grid, system.n)
+        states = forward_paths(prob.spec, system, grid, zero, ens).values
+        assert _max_rel(loop.base.values, states.mean(axis=0)) <= 1e-12
+
+        # every path's target values at the quadrature points, loaded and averaged
+        xd, qp = prob.spec.target, system.quad_points
+        loads = np.zeros_like(loop.target_loads)
+        for n in range(1, grid.N + 1):
+            t = float(grid.times[n])
+            values = xd.mean(t, qp) + ens.brownian_at(n)[:, None] * xd.slope(t, qp)
+            loads[n] = (values @ system.load_matrix.T).mean(axis=0)
+        assert _max_rel(loop.target_loads, loads) <= 1e-12
 
 
 class TestGpIterate:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from socfem import example1, example2, verify_manufactured
+from socfem import AffineInW, example1, example2, verify_manufactured
 
 
 @pytest.fixture(scope="module")
@@ -33,15 +33,16 @@ class TestExample1:
 
     def test_initial_state_zero(self, prob1):
         pts = sample_points(1)
-        assert np.abs(prob1.exact_x(0.0, pts, 0.0)).max() == 0.0
+        assert np.abs(prob1.exact_x.mean(0.0, pts)).max() == 0.0
         assert np.abs(prob1.spec.x0(pts)).max() == 0.0
 
     def test_affine_in_w(self, prob1):
         pts = sample_points(1)
         for t in (0.1, 0.5, 0.9):
-            plus = prob1.exact_x(t, pts, 1.0)
-            minus = prob1.exact_x(t, pts, -1.0)
-            mid = prob1.exact_x(t, pts, 0.0)
+            x = prob1.exact_x
+            plus = x.mean(t, pts) + x.slope(t, pts)
+            minus = x.mean(t, pts) - x.slope(t, pts)
+            mid = x.mean(t, pts)
             assert np.abs(plus + minus - 2 * mid).max() <= 1e-12
 
     def test_auto_reading_selection(self, prob1):
@@ -49,11 +50,11 @@ class TestExample1:
         assert set(prob1.xd_variants) == {"beta_w", "plain_w"}
 
     def test_readings_share_the_mean_problem(self, prob1):
-        other = prob1.with_target_reading("plain_w")
+        other = example1(xd_reading="plain_w")
         pts = sample_points(1)
         for t in (0.2, 0.6, 1.0):
-            assert prob1.spec.target(t, pts, 0.0) == pytest.approx(
-                other.spec.target(t, pts, 0.0), abs=1e-15
+            assert prob1.spec.target.mean(t, pts) == pytest.approx(
+                other.spec.target.mean(t, pts), abs=1e-15
             )
 
     def test_explicit_reading(self):
@@ -72,12 +73,12 @@ class TestExample2:
         pts = sample_points(2)
         expected = np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
         assert prob2.spec.x0(pts) == pytest.approx(expected, abs=1e-15)
-        assert prob2.exact_x(0.0, pts, 0.0) == pytest.approx(expected, abs=1e-15)
+        assert prob2.exact_x.mean(0.0, pts) == pytest.approx(expected, abs=1e-15)
 
     def test_lambda_zero_reduction(self):
         prob = example2(lam=0.0)
         pts = sample_points(2)
-        assert prob.exact_x(0.0, pts, 0.0) == pytest.approx(prob.spec.x0(pts), abs=1e-15)
+        assert prob.exact_x.mean(0.0, pts) == pytest.approx(prob.spec.x0(pts), abs=1e-15)
 
     def test_adjoint_is_minus_alpha_control(self, prob2):
         pts = sample_points(2)
@@ -89,9 +90,10 @@ class TestExample2:
     def test_affine_in_w(self, prob2):
         pts = sample_points(2)
         for t in (0.1, 0.5, 0.9):
-            plus = prob2.exact_x(t, pts, 1.0)
-            minus = prob2.exact_x(t, pts, -1.0)
-            mid = prob2.exact_x(t, pts, 0.0)
+            x = prob2.exact_x
+            plus = x.mean(t, pts) + x.slope(t, pts)
+            minus = x.mean(t, pts) - x.slope(t, pts)
+            mid = x.mean(t, pts)
             assert np.abs(plus + minus - 2 * mid).max() <= 1e-12
 
 
@@ -114,28 +116,16 @@ class TestVerify:
         assert rep.delta_error <= 1e-8
 
     def test_injected_forcing_fault_detected(self, prob1):
-        broken_forcing = lambda t, p, w: prob1.spec.forcing(t, p, w) + 1.0
-        broken = replace(
-            prob1,
-            spec=replace(
-                prob1.spec,
-                forcing=broken_forcing,
-                mean_forcing=lambda t, p: broken_forcing(t, p, 0.0),
-            ),
-        )
+        f = prob1.spec.forcing
+        broken_forcing = AffineInW(lambda t, p: f.mean(t, p) + 1.0, f.slope)
+        broken = replace(prob1, spec=replace(prob1.spec, forcing=broken_forcing))
         rep = verify_manufactured(broken, samples=100, seed=3)
         assert rep.state_residual == pytest.approx(1.0, abs=1e-6)
 
     def test_injected_target_fault_detected(self, prob1):
-        broken_target = lambda t, p, w: prob1.spec.target(t, p, w) + 0.5
-        broken = replace(
-            prob1,
-            spec=replace(
-                prob1.spec,
-                target=broken_target,
-                mean_target=lambda t, p: broken_target(t, p, 0.0),
-            ),
-        )
+        xd = prob1.spec.target
+        broken_target = AffineInW(lambda t, p: xd.mean(t, p) + 0.5, xd.slope)
+        broken = replace(prob1, spec=replace(prob1.spec, target=broken_target))
         rep = verify_manufactured(broken, samples=100, seed=3)
         assert rep.adjoint_mean_residual == pytest.approx(0.5, abs=1e-6)
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from socfem import (
+    AffineInW,
     ProblemSpec,
     Trajectory,
     assemble,
@@ -24,7 +25,6 @@ from socfem.spde import (
     _forward,
     _mass_rows,
     backward_adjoint_from_loads,
-    eval_pathwise,
     mean_target_loads,
 )
 
@@ -33,10 +33,15 @@ def zero_space(x):
     return np.zeros(x.shape[0])
 
 
-def make_spec(x0=zero_space, sigma=None, forcing=None, target=None, gamma=1.0):
-    sigma = sigma or (lambda t, p: np.zeros(p.shape[0]))
-    forcing = forcing or (lambda t, p, w: np.zeros(p.shape[0]) * (1.0 + 0.0 * np.asarray(w)))
-    target = target or (lambda t, p, w: np.zeros(p.shape[0]) * (1.0 + 0.0 * np.asarray(w)))
+def zero_space_time(t, p):
+    return np.zeros(p.shape[0])
+
+
+ZERO_DATA = AffineInW(zero_space_time, zero_space_time)
+
+
+def make_spec(x0=zero_space, sigma=None, forcing=ZERO_DATA, target=ZERO_DATA, gamma=1.0):
+    sigma = sigma or zero_space_time
     return ProblemSpec(
         alpha=1.0,
         delta=0.0,
@@ -46,8 +51,6 @@ def make_spec(x0=zero_space, sigma=None, forcing=None, target=None, gamma=1.0):
         forcing=forcing,
         target=target,
         gamma=gamma,
-        mean_forcing=lambda t, p: forcing(t, p, 0.0),
-        mean_target=lambda t, p: target(t, p, 0.0),
     )
 
 
@@ -96,8 +99,8 @@ class TestForward:
         u2 = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
 
         sigma = lambda t, p: np.sin(np.pi * p[..., 0]) * (1 + t)
-        f1 = lambda t, p, w: (p[..., 0] + t) * (1.0 + 0.0 * np.asarray(w))
-        f2 = lambda t, p, w: np.cos(p[..., 0]) + np.asarray(w) * p[..., 0]
+        f1 = AffineInW(lambda t, p: p[..., 0] + t, zero_space_time)
+        f2 = AffineInW(lambda t, p: np.cos(p[..., 0]), lambda t, p: p[..., 0])
         x01 = lambda p: p[..., 0] * (1 - p[..., 0])
         x02 = lambda p: np.sin(2 * np.pi * p[..., 0])
 
@@ -106,7 +109,10 @@ class TestForward:
         spec_sum = make_spec(
             x0=lambda p: x01(p) + x02(p),
             sigma=sigma,
-            forcing=lambda t, p, w: f1(t, p, w) + f2(t, p, w),
+            forcing=AffineInW(
+                lambda t, p: f1.mean(t, p) + f2.mean(t, p),
+                lambda t, p: f1.slope(t, p) + f2.slope(t, p),
+            ),
         )
         a = forward_paths(spec1, system, grid, u1, ens)
         b = forward_paths(spec2, system, grid, u2, ens)
@@ -144,17 +150,6 @@ class TestForward:
         for p in range(16):
             assert np.abs(averaged[p] - mean.values).max() <= 1e-12
 
-    def test_mean_requires_mean_forcing(self, sys_half):
-        spec = ProblemSpec(
-            alpha=1.0, delta=0.0, T=1.0, x0=zero_space,
-            sigma=lambda t, p: np.zeros(p.shape[0]),
-            forcing=lambda t, p, w: np.zeros(p.shape[0]),
-            target=lambda t, p, w: np.zeros(p.shape[0]),
-        )
-        grid = make_time_grid(1.0, 2)
-        with pytest.raises(ValueError):
-            forward_mean(spec, sys_half, grid, Trajectory.zeros(grid, 1))
-
     def test_zero_data_gives_zero(self, sys_half):
         grid = make_time_grid(1.0, 4)
         out = forward_mean(make_spec(), sys_half, grid, Trajectory.zeros(grid, 1))
@@ -175,21 +170,17 @@ class TestForward:
             forward_paths(
                 make_spec(), sys_half, grid, Trajectory.zeros(grid, 1), zero_ensemble(2, other)
             )
-
-
-class TestEvalPathwise:
-    def test_non_broadcasting_closure_names_its_shape(self):
-        pts = np.zeros((4, 1))
-        bad = lambda t, p, w: np.zeros((w.shape[0], p.shape[0] + 1))
-        with pytest.raises(ValueError, match=r"\(3, 5\)"):
-            eval_pathwise(bad, 0.0, pts, np.zeros(3))
+        with pytest.raises(ValueError):
+            forward_mean(
+                make_spec(), sys_half, grid, Trajectory.zeros(grid, 1), zero_ensemble(2, other)
+            )
 
 
 class TestBackwardAdjoint:
     def test_tracked_target_gives_zero(self, sys_half):
         grid = make_time_grid(1.0, 4)
         g = lambda t, p: np.sin(np.pi * p[..., 0]) * (1 + t)
-        spec = make_spec(target=lambda t, p, w: g(t, p) + 0.0 * np.asarray(w))
+        spec = make_spec(target=AffineInW(g, zero_space_time))
         proj = np.stack([l2_project(sys_half, lambda p, _t=t: g(_t, p)) for t in grid.times])
         loads = mean_target_loads(spec, sys_half, grid)
         y = backward_adjoint_from_loads(sys_half, grid, spec.gamma, proj, loads, 0.0)
@@ -284,6 +275,29 @@ class TestAuxiliarySystems:
     def test_duality_identity(self, mesh, gamma):
         system = assemble(mesh)
         grid = make_time_grid(1.0, 12)
+        m = mtilde_solve(system, grid, gamma)
+        q = qtilde_solve(system, grid, m, gamma)
+        lhs = grid.tau * sum(
+            m.values[n] @ (system.mass @ m.values[n]) for n in range(grid.N)
+        )
+        rhs = grid.tau * (q.values[1:] @ system.ones_load).sum()
+        assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
+
+
+    @given(
+        dim=st.sampled_from([1, 2]),
+        cells=st.integers(2, 16),
+        steps=st.integers(1, 20),
+        T=st.floats(0.1, 3.0),
+        gamma=st.floats(0.1, 2.0),
+    )
+    def test_duality_identity_on_random_grids(self, dim, cells, steps, T, gamma):
+        if dim == 1:
+            mesh = make_interval_mesh(0, 1, cells)
+        else:
+            mesh = make_rectangle_mesh((0, 0), (1, 1), cells, cells)
+        system = assemble(mesh)
+        grid = make_time_grid(T, steps)
         m = mtilde_solve(system, grid, gamma)
         q = qtilde_solve(system, grid, m, gamma)
         lhs = grid.tau * sum(
@@ -399,8 +413,8 @@ class TestProblemSpecValidation:
         kwargs = dict(
             alpha=1.0, delta=0.0, T=1.0, x0=zero_space,
             sigma=lambda t, p: np.zeros(p.shape[0]),
-            forcing=lambda t, p, w: np.zeros(p.shape[0]),
-            target=lambda t, p, w: np.zeros(p.shape[0]),
+            forcing=ZERO_DATA,
+            target=ZERO_DATA,
         )
         kwargs[field] = value
         with pytest.raises(ValueError):
