@@ -5,7 +5,8 @@ element quadrature against the exact field (see ``h1_error_sq``).  Strong
 state errors evaluate the exact field x0 + W x1 at each path's own discrete
 Brownian values, so the measured error is scheme error, not Brownian-path
 error; the gradients of x0 and x1 are taken once per level and combined
-per path.
+per path.  The path states are consumed level by level as the sweep yields
+them, so memory does not grow with the number of time steps.
 Order fits are least-squares slopes of log(error) against log(scale) and
 report r^2 so flat or noisy fits are detectable.
 """
@@ -130,7 +131,7 @@ def _h1_gap_sq(system: FemSystem, nodal: np.ndarray, exact_grads: list) -> np.nd
     batch = nodal.shape[:-1]
     total = np.zeros(batch)
     for g_exact, grad_op in zip(exact_grads, system.grad_ops):
-        g_fe = nodal @ grad_op.T
+        g_fe = (grad_op @ nodal.T).T
         diff = g_exact.reshape(batch + (ne, qwts.shape[1])) - g_fe[..., None]
         total += np.einsum("...eq,eq->...", diff**2, qwts)
     return total
@@ -144,7 +145,7 @@ def compute_errors(
     grid: TimeGrid,
 ) -> ErrorReport:
     """Errors of a solution bundle against the problem's exact fields."""
-    mass = system.mass
+    mass = system.mass_product
 
     # deterministic control / adjoint errors; L2 against the nodal
     # interpolant, H1 against the exact field itself
@@ -154,23 +155,25 @@ def compute_errors(
     for n in range(grid.N + 1):
         t = float(grid.times[n])
         ey = bundle.adjoint_mean.values[n] - _interior_values(system, problem.exact_y, t)
-        adj_sq[n] = ey @ (mass @ ey)
+        adj_sq[n] = ey @ mass(ey)
         adj_h1[n] = h1_error_sq(
             system, bundle.adjoint_mean.values[n], lambda p, _t=t: problem.exact_y(_t, p)
         )
         if n < grid.N:
             eu = bundle.control.values[n] - _interior_values(system, problem.exact_u, t)
-            ctrl_sq[n] = eu @ (mass @ eu)
+            ctrl_sq[n] = eu @ mass(eu)
 
-    # per-path state errors, streamed in blocks with fixed merge order
+    # per-path state errors, added level by level as each block's sweep
+    # yields them; blocks merge in path order
     l2_sum = np.zeros(grid.N + 1)
     h1_sum = np.zeros(grid.N + 1)
     for start in range(0, ensemble.paths, BLOCK):
         sub = ensemble.subset(start, min(start + BLOCK, ensemble.paths))
-        block = np.empty((sub.paths, grid.N + 1, system.n))
         for n, x in iter_forward_paths(problem.spec, system, grid, bundle.control, sub):
-            block[:, n, :] = x.T
-        _accumulate_state_errors(problem, system, grid, block, sub, l2_sum, h1_sum)
+            t, w = float(grid.times[n]), sub.brownian_at(n)
+            l2, h1 = _level_state_errors(problem, system, t, x.T, w)
+            l2_sum[n] += l2
+            h1_sum[n] += h1
     l2_sum /= ensemble.paths
     h1_sum /= ensemble.paths
 
@@ -188,25 +191,24 @@ def compute_errors(
     )
 
 
-def _accumulate_state_errors(problem, system, grid, states, ensemble, l2_sum, h1_sum):
-    """Add each level's path-summed squared L2 and H1 state errors.
+def _level_state_errors(problem, system, t: float, states: np.ndarray, w: np.ndarray):
+    """Path-summed squared L2 and H1 state errors at one time level.
 
-    Path p is measured against x0 + W_n^p x1; the gradients of x0 and x1 are
-    taken once per level and combined as G0 + W ⊗ G1.
+    ``states`` holds the per-path fields (paths, n_interior) at time t and
+    ``w`` the paths' Brownian values there.  Path p is measured against
+    x0 + w_p x1; the gradients of x0 and x1 are taken once and combined as
+    G0 + w ⊗ G1.
     """
     pts = system.mesh.interior_nodes
-    mass = system.mass
     x = problem.exact_x
-    for n in range(grid.N + 1):
-        t = float(grid.times[n])
-        w = ensemble.brownian_at(n)[:, None]
-        e = states[:, n, :] - (x.mean(t, pts) + w * x.slope(t, pts))
-        l2_sum[n] += np.einsum("pn,pn->", e, (mass @ e.T).T)
-        grads = zip(
-            _fd_gradients(system, lambda p: x.mean(t, p)),
-            _fd_gradients(system, lambda p: x.slope(t, p)),
-        )
-        h1_sum[n] += _h1_gap_sq(system, states[:, n, :], [g0 + w * g1 for g0, g1 in grads]).sum()
+    w = w[:, None]
+    e = states - (x.mean(t, pts) + w * x.slope(t, pts))
+    l2 = np.einsum("pn,pn->", e, system.mass_product(e.T).T)
+    grads = zip(
+        _fd_gradients(system, lambda p: x.mean(t, p)),
+        _fd_gradients(system, lambda p: x.slope(t, p)),
+    )
+    return l2, _h1_gap_sq(system, states, [g0 + w * g1 for g0, g1 in grads]).sum()
 
 
 def fit_order(points) -> OrderFit:

@@ -10,15 +10,23 @@ quadrature (3-point Gauss per segment in 1D, edge midpoints per triangle in
 
 A ``FemSystem`` is immutable after assembly.  Banded Cholesky factors of
 (M + tau*gamma*A) are cached per (tau, gamma); the mass factor on first use.
+
+The systems are small (n = 14..39 in 1D), so a time step costs Python
+overhead rather than arithmetic.  Products with M and the residual
+products of the solves therefore go through ``csr_product``, which calls
+the sparsetools kernel that ``A @ x`` itself ends in and skips scipy's
+generic dispatch; the sums, and so every output, are unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .errors import NumericalError
 from .grid import Mesh, element_volumes
@@ -31,21 +39,66 @@ _GAUSS3_X = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 _GAUSS3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
+def csr_product(op: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """``op @ x`` for float64 x of shape (n,), (n, 1) or (n, k), bit for bit.
+
+    Calls the kernel scipy's own ``op @ x`` routes to (``csr_matvec`` for
+    (n,) and (n, 1), ``csr_matvecs`` on the C-order copy of an (n, k)
+    block) with the CSR arrays bound once, so the sums are the same and
+    only the per-call dispatch is gone.
+    """
+    op = op.tocsr()
+    m, n = op.shape
+    indptr, indices, data = op.indptr, op.indices, op.data
+
+    def product(x: np.ndarray) -> np.ndarray:
+        if x.shape[0] != n or x.ndim > 2:
+            raise ValueError(f"operand shape {x.shape} does not match operator shape {(m, n)}")
+        if x.ndim == 1 or x.shape[1] == 1:
+            out = np.zeros(m)
+            csr_matvec(m, n, indptr, indices, data, x.ravel(), out)
+            return out if x.ndim == 1 else out.reshape(m, 1)
+        k = x.shape[1]
+        out = np.zeros((m, k))
+        csr_matvecs(m, n, k, indptr, indices, data, x.ravel(), out.ravel())
+        return out
+
+    return product
+
+
+def _column_norms(v: np.ndarray, batch: bool):
+    """2-norms of the columns of an (n, k) batch, or the 2-norm of a single
+    (n,) or (n, 1) column as a float.
+
+    A single column takes ``sqrt(v @ v)`` on ``v.ravel(order="K")``, the
+    formula ``np.linalg.norm`` evaluates, without its dispatch.
+    """
+    if batch:
+        return np.sqrt(np.einsum("ij,ij->j", v, v))
+    flat = v.ravel(order="K")
+    return math.sqrt(flat @ flat)
+
+
 class _CheckedCholesky:
     """Banded Cholesky (lower band) of an SPD operator, residual-checked per solve.
 
     The bandwidth is the largest ``row - col`` of a stored entry: 1 in 1D
     and ``cells`` in 2D under the mesh's interior numbering.  A failed
     factorization (the operator is not SPD), a non-finite right-hand side or
-    a relative residual not below 1e-10 raises ``NumericalError`` naming ``what``.
+    a column whose relative residual is not below 1e-10 raises
+    ``NumericalError`` naming ``what``.  Each column of a batch is checked
+    against its own right-hand side, so one bad column is not diluted by
+    the others.
     """
 
     def __init__(self, op: sp.spmatrix, what: str):
         self._what = what
-        self._op = op.tocsr()
-        lower = sp.tril(self._op, format="coo")
+        op = op.tocsr()
+        self._n = op.shape[0]
+        self._product = csr_product(op)
+        lower = sp.tril(op, format="coo")
         kd = int(np.max(lower.row - lower.col, initial=0))
-        band = np.zeros((kd + 1, self._op.shape[0]))
+        band = np.zeros((kd + 1, self._n))
         band[lower.row - lower.col, lower.col] = lower.data
         self._factor, info = _PBTRF(band, lower=1)
         if info != 0:
@@ -54,17 +107,21 @@ class _CheckedCholesky:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side (n,) or a batch (n, k)."""
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self._op.shape[0]:
-            raise ValueError(f"rhs length {rhs.shape[0]} != system size {self._op.shape[0]}")
-        scale = np.linalg.norm(rhs)
-        if not np.isfinite(scale):
-            raise NumericalError(f"{self._what} solve residual undefined: |rhs| = {scale}")
+        if rhs.shape[0] != self._n:
+            raise ValueError(f"rhs length {rhs.shape[0]} != system size {self._n}")
+        batch = rhs.ndim == 2 and rhs.shape[1] > 1
+        scale = _column_norms(rhs, batch)
+        if not (np.isfinite(scale).all() if batch else math.isfinite(scale)):
+            raise NumericalError(f"{self._what} solve residual undefined: |rhs| = {np.max(scale)}")
         x, _ = _PBTRS(self._factor, rhs, lower=1)
-        res = np.linalg.norm(self._op @ x - rhs)
-        if not res <= _RESIDUAL_RTOL * scale:
+        res = _column_norms(self._product(x) - rhs, batch)
+        ok = res <= _RESIDUAL_RTOL * scale
+        if not (ok.all() if batch else ok):
+            j = int(np.argmin(ok))
+            res_j, scale_j = np.ravel(res)[j], np.ravel(scale)[j]
             raise NumericalError(
-                f"{self._what} solve residual {res:.3e} exceeds "
-                f"{_RESIDUAL_RTOL:.1e} * |rhs| = {_RESIDUAL_RTOL * scale:.3e}"
+                f"{self._what} solve residual {res_j:.3e} exceeds "
+                f"{_RESIDUAL_RTOL:.1e} * |rhs| = {_RESIDUAL_RTOL * scale_j:.3e} in column {j}"
             )
         return x
 
@@ -109,6 +166,8 @@ class FemSystem:
     grad_ops : tuple of csr_matrix, shape (n_elements, n_interior)
         Per-dimension maps from interior nodal values to the (constant)
         P1 gradient on each element.
+    mass_product : callable
+        ``x -> mass @ x``, bit for bit, through ``csr_product``.
     """
 
     def __init__(self, mesh, mass, stiffness, quad_points, quad_weights, load_matrix, grad_ops):
@@ -119,6 +178,7 @@ class FemSystem:
         self.quad_weights = quad_weights
         self.load_matrix = load_matrix
         self.grad_ops = grad_ops
+        self.mass_product = csr_product(mass)
         self._euler_cache: dict[tuple[float, float], EulerSolver] = {}
         self._mass_chol = None
         self.ones_load = np.asarray(load_matrix.sum(axis=1)).ravel()

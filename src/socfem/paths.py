@@ -40,7 +40,12 @@ class BrownianEnsemble:
         return self.brownian[:, level]
 
     def subset(self, start: int, stop: int) -> "BrownianEnsemble":
-        """Paths start..stop-1 as their own ensemble (same substreams)."""
+        """Paths start..stop-1 as their own ensemble (same substreams).
+
+        The full range is the ensemble itself, whose prefix sums are reused.
+        """
+        if (start, stop) == (0, self.paths):
+            return self
         return BrownianEnsemble(
             paths=stop - start,
             steps=self.steps,

@@ -158,11 +158,10 @@ def _data_terms(spec: ProblemSpec, system: FemSystem, grid: TimeGrid, brownian, 
 def _mass_rows(system: FemSystem, levels: np.ndarray) -> np.ndarray:
     """M applied to every row of an (L, n) level table, one sparse-dense product.
 
-    Row l equals ``system.mass @ levels[l]`` bit for bit.  Both transposes
-    are copied to C order: scipy multiplies an F-ordered block several
-    times slower, and the sweeps read the result row by row.
+    Row l equals ``system.mass @ levels[l]`` bit for bit.  The result is
+    copied to C order because the sweeps read it row by row.
     """
-    return np.ascontiguousarray((system.mass @ np.ascontiguousarray(levels.T)).T)
+    return np.ascontiguousarray(system.mass_product(levels.T).T)
 
 
 def _forward(
@@ -177,12 +176,12 @@ def _forward(
     """
     _check_alignment(grid, control.grid.N, control.grid.tau, "control trajectory")
     solver = system.euler_solver(grid.tau, gamma)
-    mass = system.mass
+    mass = system.mass_product
     control_loads = grid.tau * _mass_rows(system, control.values[: grid.N])
     yield 0, x
     for n in range(grid.N):
         # M x and tau*M u stay separate terms: M(x + tau*u) rounds differently
-        rhs = mass @ x
+        rhs = mass(x)
         rhs += control_loads[n][:, None]
         for term in extra_terms(n):
             rhs += term
@@ -197,11 +196,11 @@ def _backward(system: FemSystem, grid: TimeGrid, gamma: float, source: np.ndarra
     (M + tau*gamma*A) y^n = M y^{n+1} + tau*source[n+1].
     """
     solver = system.euler_solver(grid.tau, gamma)
-    mass = system.mass
+    mass = system.mass_product
     out = np.zeros((grid.N + 1, system.n))
     y = np.zeros(system.n)
     for n in range(grid.N - 1, -1, -1):
-        y = solver.solve(mass @ y + grid.tau * source[n + 1])
+        y = solver.solve(mass(y) + grid.tau * source[n + 1])
         out[n] = y
     return Trajectory(out, grid)
 

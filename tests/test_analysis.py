@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from socfem import (
     make_interval_mesh,
     sample,
 )
-from socfem.analysis import _accumulate_state_errors, h1_error_sq, orders_from_reports, setup
+from socfem.analysis import _level_state_errors, h1_error_sq, orders_from_reports, setup
 from socfem.problems import BY_NAME
 
 
@@ -160,6 +161,27 @@ class TestComputeErrors:
         assert rep.strong_l2_state == pytest.approx(np.sqrt(l2_sq.max()), rel=1e-12)
         assert rep.h1_state == pytest.approx(np.sqrt(grid.tau * h1_sq[1:].sum()), rel=1e-12)
 
+    def test_peak_allocation_does_not_grow_with_steps(self):
+        # the path states are consumed level by level as the sweep yields
+        # them; a (paths, N+1, n) history would quadruple with N
+        prob = example1()
+
+        def peak(steps):
+            system, grid = setup(prob, Resolution(16, steps))
+            ens = sample(256, grid, seed=3)
+            pts = system.mesh.interior_nodes
+            control = Trajectory(np.stack([prob.exact_u(t, pts) for t in grid.times]), grid)
+            adjoint = Trajectory(np.stack([prob.exact_y(t, pts) for t in grid.times]), grid)
+            bundle = SolutionBundle(control, adjoint, prob.exact_mu)
+            tracemalloc.start()
+            try:
+                compute_errors(prob, bundle, ens, system, grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(100) <= 1.1 * peak(25)
+
     @pytest.mark.parametrize(
         "name,res", [("example1", Resolution(40, 40)), ("example2", Resolution(8, 8))]
     )
@@ -171,7 +193,9 @@ class TestComputeErrors:
         control = Trajectory(np.stack([prob.exact_u(t, pts) for t in grid.times]), grid)
         states = forward_paths(prob.spec, system, grid, control, ens).values
         l2_sq, h1_sq = np.zeros(grid.N + 1), np.zeros(grid.N + 1)
-        _accumulate_state_errors(prob, system, grid, states, ens, l2_sq, h1_sq)
+        for n in range(grid.N + 1):
+            t, w = float(grid.times[n]), ens.brownian_at(n)
+            l2_sq[n], h1_sq[n] = _level_state_errors(prob, system, t, states[:, n], w)
 
         # every path against its own full field x0 + w x1, evaluated point by point
         l2_ref, h1_ref = np.zeros(grid.N + 1), np.zeros(grid.N + 1)

@@ -12,7 +12,7 @@ from socfem import (
     make_interval_mesh,
     make_rectangle_mesh,
 )
-from socfem.fem import EulerSolver, _CheckedCholesky, load_from_values
+from socfem.fem import _PBTRS, EulerSolver, _CheckedCholesky, csr_product, load_from_values
 
 
 @pytest.fixture
@@ -215,3 +215,55 @@ class TestBandedCholesky:
         for j in range(4):
             assert np.array_equal(batched[:, j], system.euler_solver(0.05).solve(block[:, j]))
 
+    def test_residual_is_checked_per_column(self):
+        # doubling the last pivot corrupts solutions near the last node only;
+        # the inverse decays fast, so a large column on the first node barely
+        # feels it while a small column on the last node is wrong by O(1)
+        system = assemble(make_interval_mesh(0, 1, 40))
+        chol = _CheckedCholesky(system.mass, "mass")
+        chol._factor[0, -1] *= 2.0
+        rhs = np.zeros((system.n, 512))
+        rhs[0, 0] = 1.0
+        rhs[-1, 1] = 1e-12
+        # the Frobenius check of the whole block lets it through
+        x, _ = _PBTRS(chol._factor, rhs, lower=1)
+        assert np.linalg.norm(system.mass @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        with pytest.raises(NumericalError, match="in column 1"):
+            chol.solve(rhs)
+        assert np.isfinite(chol.solve(rhs[:, :1])).all()
+
+
+def _operators():
+    for mesh in (make_interval_mesh(0, 1, 20), make_rectangle_mesh((0, 0), (1, 1), 7, 6)):
+        system = assemble(mesh)
+        yield system.mass
+        yield (system.mass + 0.03 * system.stiffness).tocsr()
+
+
+def _operands(n: int):
+    rng = np.random.default_rng(11)
+    block = rng.normal(size=(n, 6))
+    yield block[:, 0].copy()  # (n,)
+    yield block[:, :1].copy()  # (n, 1)
+    yield block  # C-ordered (n, k)
+    yield np.asfortranarray(block)  # F-ordered (n, k)
+    yield block[:, 2]  # strided (n,)
+    yield block[:, 1:2]  # strided (n, 1)
+    yield block[:, ::2]  # strided (n, k)
+    yield rng.normal(size=(2 * n, 3))[::2]  # row-strided (n, k)
+
+
+class TestCsrProduct:
+    @pytest.mark.parametrize("op", list(_operators()))
+    def test_matches_scipy_bit_for_bit(self, op):
+        product = csr_product(op)
+        for x in _operands(op.shape[0]):
+            got, want = product(x), op @ x
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_rejects_mismatched_operands(self, sys_quarter):
+        with pytest.raises(ValueError):
+            sys_quarter.mass_product(np.zeros(4))
+        with pytest.raises(ValueError):
+            sys_quarter.mass_product(np.zeros((3, 2, 2)))
