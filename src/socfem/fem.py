@@ -26,6 +26,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
+# Private scipy module (checked against scipy 1.17): a release that moves or
+# changes it breaks ``import socfem``, so check it on every scipy upgrade.
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .errors import NumericalError

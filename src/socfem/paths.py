@@ -9,7 +9,7 @@ how an ensemble is split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +27,14 @@ class BrownianEnsemble:
     tau: float
     seed: int
     increments: np.ndarray  # (paths, steps), increment n covers (t_n, t_{n+1}]
-    brownian: np.ndarray = field(init=False)  # (paths, steps + 1) prefix sums
+    brownian: np.ndarray | None = None  # (paths, steps + 1) prefix sums
 
     def __post_init__(self):
-        w = np.zeros((self.paths, self.steps + 1))
-        np.cumsum(self.increments, axis=1, out=w[:, 1:])
-        w.flags.writeable = False
-        object.__setattr__(self, "brownian", w)
+        if self.brownian is None:
+            w = np.zeros((self.paths, self.steps + 1))
+            np.cumsum(self.increments, axis=1, out=w[:, 1:])
+            w.flags.writeable = False
+            object.__setattr__(self, "brownian", w)
 
     def brownian_at(self, level: int) -> np.ndarray:
         """W_{t_n} for every path, n = 0..N."""
@@ -42,16 +43,16 @@ class BrownianEnsemble:
     def subset(self, start: int, stop: int) -> "BrownianEnsemble":
         """Paths start..stop-1 as their own ensemble (same substreams).
 
-        The full range is the ensemble itself, whose prefix sums are reused.
+        Views the parent's rows: a row's prefix sums do not depend on the
+        other rows, so nothing is re-summed.
         """
-        if (start, stop) == (0, self.paths):
-            return self
         return BrownianEnsemble(
             paths=stop - start,
             steps=self.steps,
             tau=self.tau,
             seed=self.seed,
             increments=self.increments[start:stop],
+            brownian=self.brownian[start:stop],
         )
 
 

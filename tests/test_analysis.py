@@ -24,6 +24,7 @@ from socfem import (
     sample,
 )
 from socfem.analysis import _level_state_errors, h1_error_sq, orders_from_reports, setup
+from socfem.paths import BLOCK
 from socfem.problems import BY_NAME
 
 
@@ -163,12 +164,14 @@ class TestComputeErrors:
 
     def test_peak_allocation_does_not_grow_with_steps(self):
         # the path states are consumed level by level as the sweep yields
-        # them; a (paths, N+1, n) history would quadruple with N
+        # them, and each block views the ensemble's prefix sums; a
+        # (paths, N+1, n) history, or a (BLOCK, N+1) re-summed W per block,
+        # would grow with N.  More than BLOCK paths, so blocks are subsets.
         prob = example1()
 
         def peak(steps):
             system, grid = setup(prob, Resolution(16, steps))
-            ens = sample(256, grid, seed=3)
+            ens = sample(2 * BLOCK, grid, seed=3)
             pts = system.mesh.interior_nodes
             control = Trajectory(np.stack([prob.exact_u(t, pts) for t in grid.times]), grid)
             adjoint = Trajectory(np.stack([prob.exact_y(t, pts) for t in grid.times]), grid)

@@ -38,6 +38,7 @@ class TestSample:
         sub = ens.subset(3, 7)
         assert np.array_equal(sub.increments, ens.increments[3:7])
         assert np.array_equal(sub.brownian, ens.brownian[3:7])
+        assert np.shares_memory(sub.brownian, ens.brownian)
 
     @pytest.mark.parametrize("P,seed", [(0, 1), (3, -4)])
     def test_invalid_arguments(self, P, seed):
