@@ -214,8 +214,8 @@ def _level_state_errors(problem, system, t: float, states: np.ndarray, w: np.nda
 def fit_order(points) -> OrderFit:
     """Least-squares slope of log(error) against log(scale)."""
     pts = [(float(x), float(e)) for x, e in points]
-    if len(pts) < 2:
-        raise ValueError("order fit needs at least two points")
+    if len({x for x, _ in pts}) < 2:
+        raise ValueError("order fit needs at least two distinct scales")
     if any(x <= 0.0 or e <= 0.0 for x, e in pts):
         raise ValueError("order fit needs positive scales and errors")
     lx = np.log([x for x, _ in pts])

@@ -13,11 +13,21 @@ diameter is the pitch in 1D and sqrt(2) * pitch in 2D.  The time step
 follows the --rule (tau=h, tau=h/sqrt2, tau=h^2, tau=h^2/2, tau=h^4)
 applied to the element diameter, or an explicit --tau list.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.  A
-fixed seed makes every output byte-identical across reruns.  Table cells run
-one after another, resolutions outer, and are reported deltas outer.  Each
-output file is written to a sibling temp file and renamed into place, so it
-is either complete or absent.
+Every option is one row of ``OPTIONS``, and the flags are built from it.
+Each ``key = value`` line of a ``--config`` file becomes a ``--key=value``
+flag placed before the command-line flags, so a config value passes exactly
+the checks its flag does and an explicit flag wins.  ``PROBLEM_FLAGS`` says
+which problem reads which flag: --beta and --exact-mu go to both problems,
+--xd-reading to example1 only, --gamma and --lam to example2 only.  A
+problem flag that the chosen problem does not read is a configuration error.
+
+Exit codes: 0 success; 2 configuration error (an unknown flag or config
+key, a malformed or out-of-range value, a missing config file, or values
+the command cannot run), reported before anything is solved or written;
+3 numerical failure.  A fixed seed makes every output byte-identical across
+reruns.  Table cells run one after another, resolutions outer, and are
+reported deltas outer.  Each output file is written to a sibling temp file
+and renamed into place, so it is either complete or absent.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,9 +50,7 @@ from .analysis import (
 from .errors import InvalidStateError, NumericalError
 from .optimizer import OptimizerConfig, contraction_certificate, gp_iterate
 from .paths import sample
-from .problems import BY_NAME, example1, example2, verify_manufactured
-
-RULES = ("tau=h", "tau=h/sqrt2", "tau=h^2", "tau=h^2/2", "tau=h^4")
+from .problems import BY_NAME, verify_manufactured
 
 ITERATIONS_HEADER = "iter,mu,step_error,constraint_integral,cost_J"
 ERRORS_HEADER = (
@@ -56,30 +64,6 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    problem: str
-    pitches: list[Fraction]
-    rule: str | None
-    taus: list[Fraction] | None
-    deltas: list[float] | None
-    paths: int
-    seed: int
-    rho: float | None
-    eps0: float
-    max_iter: int
-    estimator: str
-    output_dir: Path
-    samples: int
-    beta: float | None
-    exact_mu: float | None
-    gamma: float | None
-    lam: float | None
-    xd_reading: str
-    delta_mode: str
-
-
 def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -91,6 +75,72 @@ def parse_fraction_list(text: str) -> list[Fraction]:
     return [parse_fraction(part) for part in text.split(",") if part.strip()]
 
 
+def _checked(name: str, parse, ok):
+    """An argparse type that parses, then requires ``ok``; argparse exits 2 if not."""
+
+    def convert(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+
+    convert.__name__ = name
+    return convert
+
+
+_INF = float("inf")
+positive_int = _checked("positive integer", int, lambda v: v > 0)
+nonnegative_int = _checked("non-negative integer", int, lambda v: v >= 0)
+positive_float = _checked("positive finite float", float, lambda v: 0.0 < v < _INF)
+finite_float = _checked("finite float", float, lambda v: abs(v) < _INF)
+positive_fractions = _checked("positive fractions", parse_fraction_list, lambda v: v and min(v) > 0)
+fraction_floats = _checked("fractions", lambda t: [float(p) for p in parse_fraction_list(t)], bool)
+
+
+# rule -> (tau from the grid pitch p and d = h^2 / p^2, the one dimension the
+# rule applies to or None); d is 1 in 1D and 2 in 2D, so tau=h/sqrt2 is p.
+TAU_RULES = {
+    "tau=h": (lambda p, d: p, 1),
+    "tau=h/sqrt2": (lambda p, d: p, 2),
+    "tau=h^2": (lambda p, d: d * p * p, None),
+    "tau=h^2/2": (lambda p, d: d * p * p / 2, None),
+    "tau=h^4": (lambda p, d: (d * p * p) ** 2, None),
+}
+
+# problem -> {option key: keyword of the problem's constructor}
+PROBLEM_FLAGS = {
+    "example1": {"beta": "beta", "exact_mu": "mu", "xd_reading": "xd_reading"},
+    "example2": {"gamma": "gamma", "lam": "lam", "beta": "beta", "exact_mu": "mu"},
+}
+
+
+# Every option: flag --name, config key name, and its argparse settings.  A
+# problem flag left unset keeps the problem's own default.
+OPTIONS = {
+    "problem": dict(default="example1", choices=tuple(PROBLEM_FLAGS)),
+    "h": dict(type=positive_fractions, default="1/40", help="pitch list, e.g. 1/40,1/45"),
+    "rule": dict(choices=tuple(TAU_RULES), help="default tau=h in 1D, tau=h/sqrt2 in 2D"),
+    "tau": dict(type=positive_fractions, help="explicit tau list, one per --h"),
+    "delta": dict(type=fraction_floats, help="constraint level list"),
+    "paths": dict(type=positive_int, default=2000, help="Monte Carlo paths"),
+    "seed": dict(type=nonnegative_int, default=7),
+    "rho": dict(type=positive_float, help="step size; default 0.9/(alpha + e^T)"),
+    "eps0": dict(type=positive_float, default=1e-6, help="stopping tolerance"),
+    "max-iter": dict(type=positive_int, default=500),
+    "estimator": dict(default="mean-field", choices=("mean-field", "monte-carlo")),
+    "output-dir": dict(type=Path, default="."),
+    "samples": dict(type=positive_int, default=1000, help="verify sample count"),
+    "beta": dict(type=finite_float, help="noise amplitude (both problems)"),
+    "exact-mu": dict(type=finite_float, help="exact multiplier (both problems)"),
+    "gamma": dict(type=positive_float, help="diffusion (example2)"),
+    "lam": dict(type=finite_float, help="state growth rate (example2)"),
+    "xd-reading": dict(choices=("auto", "beta_w", "plain_w"), help="W coefficient in the target (example1)"),
+    "delta-mode": dict(
+        default="discrete", choices=("discrete", "problem"), help="constraint level of convergence"
+    ),
+}
+
+
 def format_sci(x: float) -> str:
     """Six-significant-digit scientific format with a bare exponent."""
     if x == 0.0:
@@ -99,72 +149,49 @@ def format_sci(x: float) -> str:
     return f"{mantissa}E{int(exponent)}"
 
 
-def build_problem(cfg: RunConfig):
-    if cfg.problem not in BY_NAME:
-        raise ConfigError(f"unknown problem {cfg.problem!r}; choose from {sorted(BY_NAME)}")
-    if cfg.problem == "example1":
-        kwargs = {}
-        if cfg.beta is not None:
-            kwargs["beta"] = cfg.beta
-        if cfg.exact_mu is not None:
-            kwargs["mu"] = cfg.exact_mu
-        return example1(xd_reading=cfg.xd_reading, **kwargs)
-    kwargs = {}
-    if cfg.gamma is not None:
-        kwargs["gamma"] = cfg.gamma
-    if cfg.lam is not None:
-        kwargs["lam"] = cfg.lam
-    if cfg.beta is not None:
-        kwargs["beta"] = cfg.beta
-    if cfg.exact_mu is not None:
-        kwargs["mu"] = cfg.exact_mu
-    return example2(**kwargs)
+def build_problem(args: argparse.Namespace):
+    """The chosen problem, given only the problem flags that are set."""
+    reads = PROBLEM_FLAGS[args.problem]
+    stray = [
+        f"--{key.replace('_', '-')}"
+        for flags in PROBLEM_FLAGS.values()
+        for key in flags
+        if key not in reads and getattr(args, key) is not None
+    ]
+    if stray:
+        raise ConfigError(f"{args.problem} does not read {', '.join(stray)}")
+    kwargs = {kw: getattr(args, k) for k, kw in reads.items() if getattr(args, k) is not None}
+    return BY_NAME[args.problem](**kwargs)
 
 
-def resolutions_for(cfg: RunConfig, problem) -> list[Resolution]:
-    """Turn pitch fractions plus the tau rule into (cells, steps) pairs."""
-    if not cfg.pitches:
-        raise ConfigError("at least one --h value is required")
+def resolutions_for(args: argparse.Namespace, problem) -> list[Resolution]:
+    """Turn pitch fractions plus the tau rule into distinct (cells, steps) pairs."""
     extent = problem.domain[0][1] - problem.domain[0][0]
     T = Fraction(problem.spec.T).limit_denominator(10**6)
-    diag = Fraction(2) if problem.dim == 2 else Fraction(1)  # h^2 = diag * pitch^2
 
-    taus: list[Fraction] = []
-    if cfg.taus is not None:
-        if len(cfg.taus) != len(cfg.pitches):
+    if args.tau is not None:
+        if len(args.tau) != len(args.h):
             raise ConfigError("--tau list must match --h list length")
-        taus = list(cfg.taus)
+        taus = args.tau
     else:
-        rule = cfg.rule or ("tau=h" if problem.dim == 1 else "tau=h/sqrt2")
-        for pitch in cfg.pitches:
-            if rule == "tau=h":
-                if problem.dim == 2:
-                    raise ConfigError(
-                        "tau=h is irrational on 2D meshes; use tau=h/sqrt2 or an explicit --tau list"
-                    )
-                taus.append(pitch)
-            elif rule == "tau=h/sqrt2":
-                if problem.dim == 1:
-                    raise ConfigError("tau=h/sqrt2 only applies to 2D meshes")
-                taus.append(pitch)
-            elif rule == "tau=h^2":
-                taus.append(diag * pitch * pitch)
-            elif rule == "tau=h^2/2":
-                taus.append(diag * pitch * pitch / 2)
-            elif rule == "tau=h^4":
-                taus.append((diag * pitch * pitch) ** 2)
-            else:
-                raise ConfigError(f"unknown rule {rule!r}; choose from {RULES}")
+        rule = args.rule or ("tau=h" if problem.dim == 1 else "tau=h/sqrt2")
+        tau_of, dim = TAU_RULES[rule]
+        if dim not in (None, problem.dim):
+            raise ConfigError(f"{rule} only applies to {dim}D meshes; use another --rule or --tau")
+        taus = [tau_of(pitch, Fraction(problem.dim)) for pitch in args.h]
 
     out = []
-    for pitch, tau in zip(cfg.pitches, taus):
+    for pitch, tau in zip(args.h, taus):
         cells = Fraction(extent) / pitch
         if cells.denominator != 1:
             raise ConfigError(f"pitch {pitch} does not divide the domain extent {extent}")
         steps = T / tau
         if steps.denominator != 1:
             raise ConfigError(f"tau {tau} does not divide the horizon T={problem.spec.T}")
-        out.append(Resolution(cells=int(cells), steps=int(steps)))
+        res = Resolution(cells=int(cells), steps=int(steps))
+        if res in out:
+            raise ConfigError(f"--h {pitch} repeats cells={res.cells}, steps={res.steps}")
+        out.append(res)
     return out
 
 
@@ -172,8 +199,10 @@ def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to a sibling temp file and rename it onto ``path``.
 
     The output is then either complete or absent: a failed write or rename
-    removes the temp file and re-raises.
+    removes the temp file and re-raises.  A run that fails before writing
+    leaves not even the directory.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)
@@ -187,35 +216,32 @@ def _write_lines(path: Path, lines) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _check_rho(cfg: RunConfig, problem) -> None:
-    """Reject a non-positive --rho; warn when a given one has no certificate."""
-    if cfg.rho is None:
-        return
-    if not cfg.rho > 0.0:
-        raise ConfigError(f"--rho must be positive, got {cfg.rho!r}")
+def _check_rho(args: argparse.Namespace, problem) -> None:
+    """Warn when a given --rho has no contraction certificate."""
     spec = problem.spec
-    if contraction_certificate(spec.alpha, spec.T, cfg.rho) is None:
+    if args.rho is not None and contraction_certificate(spec.alpha, spec.T, args.rho) is None:
         print(
-            f"warning: rho={cfg.rho!r} has no contraction certificate "
+            f"warning: rho={args.rho!r} has no contraction certificate "
             f"(alpha={spec.alpha!r}, T={spec.T!r})",
             file=sys.stderr,
         )
 
 
-def run_solve(cfg: RunConfig) -> int:
-    problem = build_problem(cfg)
-    if cfg.deltas:
-        if len(cfg.deltas) != 1:
-            raise ConfigError("solve takes a single --delta value")
-        problem = replace(problem, spec=replace(problem.spec, delta=cfg.deltas[0]))
-    (res,) = resolutions_for(cfg, problem)
-    _check_rho(cfg, problem)
+def run_solve(args: argparse.Namespace) -> int:
+    for key in ("h", "tau", "delta"):
+        if len(getattr(args, key) or ()) > 1:
+            raise ConfigError(f"solve takes a single --{key} value")
+    problem = build_problem(args)
+    if args.delta is not None:
+        problem = replace(problem, spec=replace(problem.spec, delta=args.delta[0]))
+    (res,) = resolutions_for(args, problem)
+    _check_rho(args, problem)
 
     system, grid = setup(problem, res)
-    ensemble = sample(cfg.paths, grid, cfg.seed) if cfg.estimator == "monte-carlo" else None
-    config = OptimizerConfig(rho=cfg.rho, eps0=cfg.eps0, max_iter=cfg.max_iter)
+    ensemble = sample(args.paths, grid, args.seed) if args.estimator == "monte-carlo" else None
+    config = OptimizerConfig(rho=args.rho, eps0=args.eps0, max_iter=args.max_iter)
     result = gp_iterate(
-        problem.spec, system, grid, config, estimator=cfg.estimator, ensemble=ensemble
+        problem.spec, system, grid, config, estimator=args.estimator, ensemble=ensemble
     )
 
     lines = [ITERATIONS_HEADER]
@@ -223,7 +249,7 @@ def run_solve(cfg: RunConfig) -> int:
         lines.append(
             f"{r.iteration},{r.mu!r},{r.step_error!r},{r.constraint_integral!r},{r.cost!r}"
         )
-    _write_lines(cfg.output_dir / "iterations.csv", lines)
+    _write_lines(args.output_dir / "iterations.csv", lines)
 
     coords = system.mesh.interior_nodes
     coord_cols = ",".join(f"x{d}" for d in range(problem.dim))
@@ -237,12 +263,12 @@ def run_solve(cfg: RunConfig) -> int:
                 f"{float(result.state_mean.values[n, j])!r},"
                 f"{float(result.adjoint_mean.values[n, j])!r}"
             )
-    _write_lines(cfg.output_dir / "final_fields.csv", lines)
+    _write_lines(args.output_dir / "final_fields.csv", lines)
 
     last = result.records[-1]
     print(
-        f"solve: {cfg.problem} cells={res.cells} steps={res.steps} "
-        f"estimator={cfg.estimator} iterations={result.iterations} "
+        f"solve: {args.problem} cells={res.cells} steps={res.steps} "
+        f"estimator={args.estimator} iterations={result.iterations} "
         f"converged={result.converged} mu={result.mu!r} "
         f"integral={last.constraint_integral!r}"
     )
@@ -251,22 +277,23 @@ def run_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def run_convergence(cfg: RunConfig) -> int:
-    problem = build_problem(cfg)
-    resolutions = resolutions_for(cfg, problem)
-    if len(resolutions) < 2:
-        raise ConfigError("convergence needs at least two --h values to fit orders")
-    _check_rho(cfg, problem)
+def run_convergence(args: argparse.Namespace) -> int:
+    problem = build_problem(args)
+    resolutions = resolutions_for(args, problem)
+    scale = "tau" if args.rule in (None, "tau=h", "tau=h/sqrt2") else "h"
+    if len({res.steps if scale == "tau" else res.cells for res in resolutions}) < 2:
+        raise ConfigError(f"convergence needs at least two distinct {scale} values to fit orders")
+    _check_rho(args, problem)
     reports = convergence_study(
         problem,
         resolutions,
-        paths=cfg.paths,
-        seed=cfg.seed,
-        rho=cfg.rho,
-        eps0=cfg.eps0,
-        max_iter=cfg.max_iter,
-        estimator=cfg.estimator,
-        delta_mode=cfg.delta_mode,
+        paths=args.paths,
+        seed=args.seed,
+        rho=args.rho,
+        eps0=args.eps0,
+        max_iter=args.max_iter,
+        estimator=args.estimator,
+        delta_mode=args.delta_mode,
     )
 
     lines = [ERRORS_HEADER]
@@ -276,9 +303,8 @@ def run_convergence(cfg: RunConfig) -> int:
             f"{r.strong_l2_adjoint!r},{r.strong_l2_control!r},{r.h1_state!r},"
             f"{r.h1_adjoint!r},{r.mu_error!r}"
         )
-    _write_lines(cfg.output_dir / "errors.csv", lines)
+    _write_lines(args.output_dir / "errors.csv", lines)
 
-    scale = "tau" if cfg.rule in (None, "tau=h", "tau=h/sqrt2") else "h"
     fits = orders_from_reports(reports, scale=scale)
     payload = {
         "scale": scale,
@@ -287,35 +313,35 @@ def run_convergence(cfg: RunConfig) -> int:
             for name, fit in fits.items()
         },
     }
-    _write_atomic(cfg.output_dir / "orders.json", json.dumps(payload, indent=2) + "\n")
+    _write_atomic(args.output_dir / "orders.json", json.dumps(payload, indent=2) + "\n")
     for name, fit in fits.items():
         print(f"{name}: slope={fit.slope:.4f} r2={fit.r_squared:.4f}")
     return 0
 
 
-def run_constraint_table(cfg: RunConfig) -> int:
-    problem = build_problem(cfg)
-    resolutions = resolutions_for(cfg, problem)
-    if not cfg.deltas:
+def run_constraint_table(args: argparse.Namespace) -> int:
+    problem = build_problem(args)
+    resolutions = resolutions_for(args, problem)
+    if args.delta is None:
         raise ConfigError("constraint-table needs --delta values")
-    repeated = sorted({d for d in cfg.deltas if cfg.deltas.count(d) > 1})
+    repeated = sorted({d for d in args.delta if args.delta.count(d) > 1})
     if repeated:
         raise ConfigError(
             f"constraint-table --delta repeats {', '.join(map(repr, repeated))}; "
             "each level is one table row"
         )
-    _check_rho(cfg, problem)
+    _check_rho(args, problem)
 
     cells = constraint_table(
         problem,
-        cfg.deltas,
+        args.delta,
         resolutions,
-        estimator=cfg.estimator,
-        paths=cfg.paths,
-        seed=cfg.seed,
-        rho=cfg.rho,
-        eps0=cfg.eps0,
-        max_iter=cfg.max_iter,
+        estimator=args.estimator,
+        paths=args.paths,
+        seed=args.seed,
+        rho=args.rho,
+        eps0=args.eps0,
+        max_iter=args.max_iter,
     )
 
     long_lines = [TABLE_LONG_HEADER]
@@ -324,28 +350,28 @@ def run_constraint_table(cfg: RunConfig) -> int:
             f"{c.delta!r},{c.h!r},{c.tau!r},{c.integral!r},{format_sci(c.integral)},"
             f"{c.mu!r},{c.iterations},{int(c.converged)}"
         )
-    _write_lines(cfg.output_dir / "table_long.csv", long_lines)
+    _write_lines(args.output_dir / "table_long.csv", long_lines)
 
-    headers = ["delta"] + [f"h={p}" for p in cfg.pitches]
+    headers = ["delta"] + [f"h={p}" for p in args.h]
     wide = [",".join(headers)]
-    per_delta = {d: [] for d in cfg.deltas}
+    per_delta = {d: [] for d in args.delta}
     for c in cells:
         per_delta[c.delta].append(format_sci(c.integral))
-    for d in cfg.deltas:
+    for d in args.delta:
         wide.append(",".join([repr(d)] + per_delta[d]))
-    _write_lines(cfg.output_dir / "table.csv", wide)
+    _write_lines(args.output_dir / "table.csv", wide)
 
     for row in wide:
         print(row)
     return 0
 
 
-def run_verify(cfg: RunConfig) -> int:
-    problem = build_problem(cfg)
-    report = verify_manufactured(problem, samples=cfg.samples, seed=cfg.seed)
+def run_verify(args: argparse.Namespace) -> int:
+    problem = build_problem(args)
+    report = verify_manufactured(problem, samples=args.samples, seed=args.seed)
     text = json.dumps(report.as_dict(), indent=2)
     print(text)
-    _write_atomic(cfg.output_dir / "verify.json", text + "\n")
+    _write_atomic(args.output_dir / "verify.json", text + "\n")
     return 0
 
 
@@ -362,133 +388,46 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="socfem", description="stochastic parabolic optimal control experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="key=value defaults file")
-        p.add_argument("--problem", type=str, default=None)
-        p.add_argument("--h", dest="h", type=str, default=None, help="pitch list, e.g. 1/40,1/45")
-        p.add_argument("--rule", type=str, default=None, choices=RULES)
-        p.add_argument("--tau", type=str, default=None, help="explicit tau list")
-        p.add_argument("--delta", type=str, default=None, help="constraint level list")
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--rho", type=float, default=None)
-        p.add_argument("--eps0", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--estimator", type=str, default=None, choices=["mean-field", "monte-carlo"])
-        p.add_argument("--output-dir", type=str, default=None)
-        p.add_argument("--samples", type=int, default=None, help="verify sample count")
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--exact-mu", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--lam", type=float, default=None)
-        p.add_argument("--xd-reading", type=str, default=None,
-                       choices=["auto", "beta_w", "plain_w"])
-        p.add_argument("--delta-mode", type=str, default=None,
-                       choices=["discrete", "problem"],
-                       help="constraint level for convergence runs")
+    for command in COMMANDS:
+        p = sub.add_parser(command)
+        p.add_argument("--config", help="file of key = value lines, read as flags before these")
+        for name, settings in OPTIONS.items():
+            p.add_argument(f"--{name}", **settings)
     return parser
 
 
-_DEFAULTS = {
-    "problem": "example1",
-    "h": "1/40",
-    "rule": None,
-    "tau": None,
-    "delta": None,
-    "paths": 2000,
-    "seed": 7,
-    "rho": None,
-    "eps0": 1e-6,
-    "max_iter": 500,
-    "estimator": "mean-field",
-    "output_dir": ".",
-    "samples": 1000,
-    "beta": None,
-    "exact_mu": None,
-    "gamma": None,
-    "lam": None,
-    "xd_reading": "auto",
-    "delta_mode": "discrete",
-}
-
-_FLOAT_KEYS = {"rho", "eps0", "beta", "exact_mu", "gamma", "lam"}
-_INT_KEYS = {"paths", "seed", "max_iter", "samples"}
-
-
-def _read_config_file(path: str) -> dict:
-    values = {}
-    for raw in Path(path).read_text().splitlines():
+def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """One ``--key=value`` flag per ``key = value`` line of a config file."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        parser.error(f"cannot read config file {path!r}: {exc.strerror}")
+    flags = []
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line (expected key = value): {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
-        if key in _FLOAT_KEYS:
-            values[key] = float(value)
-        elif key in _INT_KEYS:
-            values[key] = int(value)
-        else:
-            values[key] = value
-    return values
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
-    if args.config:
-        merged.update(_read_config_file(args.config))
-    for key in _DEFAULTS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-
-    output_dir = Path(merged["output_dir"])
-    output_dir.mkdir(parents=True, exist_ok=True)
-
-    deltas = None
-    if merged["delta"] is not None:
-        try:
-            deltas = [float(Fraction(part)) for part in str(merged["delta"]).split(",") if part.strip()]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"cannot parse --delta {merged['delta']!r}: {exc}")
-
-    return RunConfig(
-        command=args.command,
-        problem=str(merged["problem"]),
-        pitches=parse_fraction_list(str(merged["h"])),
-        rule=merged["rule"],
-        taus=parse_fraction_list(str(merged["tau"])) if merged["tau"] else None,
-        deltas=deltas,
-        paths=int(merged["paths"]),
-        seed=int(merged["seed"]),
-        rho=merged["rho"],
-        eps0=float(merged["eps0"]),
-        max_iter=int(merged["max_iter"]),
-        estimator=str(merged["estimator"]),
-        output_dir=output_dir,
-        samples=int(merged["samples"]),
-        beta=merged["beta"],
-        exact_mu=merged["exact_mu"],
-        gamma=merged["gamma"],
-        lam=merged["lam"],
-        xd_reading=str(merged["xd_reading"]),
-        delta_mode=str(merged["delta_mode"]),
-    )
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            parser.error(f"bad config line (expected key = value): {raw!r}")
+        if key.replace("_", "-") not in OPTIONS:
+            parser.error(f"unknown config key {key!r} in {path}")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        if args.config:
+            # the command comes first: the top-level parser has no options
+            args = parser.parse_args([argv[0], *_config_flags(parser, args.config), *argv[1:]])
+    except SystemExit as exc:  # argparse: 0 after --help, 2 for a bad flag or value
         return int(exc.code or 0) and 2
     try:
-        cfg = _merge_config(args)
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -48,6 +48,10 @@ class TestFitOrder:
         with pytest.raises(ValueError):
             fit_order([(0.1, 0.2)])
 
+    def test_needs_two_distinct_scales(self):
+        with pytest.raises(ValueError, match="distinct scales"):
+            fit_order([(0.1, 0.2), (0.1, 0.3)])
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             fit_order([(0.1, 0.0), (0.05, 0.1)])

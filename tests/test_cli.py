@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from socfem.cli import (
+    OPTIONS,
     ConfigError,
     format_sci,
     main,
@@ -298,18 +299,119 @@ class TestReferenceOutputs:
                 assert _close(got["fits"][quantity][key], value), (quantity, key)
 
 
+# Inputs that must exit 2 before anything is solved or written:
+# (command, other flags, option key, bad value).  Each runs as a flag and as a
+# config-file line.
+BAD_INPUTS = [
+    ("solve", [], "estimator", "bogus"),
+    ("solve", [], "xd_reading", "nope"),
+    ("solve", ["--estimator", "monte-carlo"], "paths", "abc"),
+    ("solve", [], "max_iter", "0"),
+    ("solve", [], "eps0", "0"),
+    ("solve", [], "eps0", "nan"),
+    ("solve", ["--estimator", "monte-carlo"], "paths", "0"),
+    ("solve", ["--estimator", "monte-carlo"], "seed", "-1"),
+    ("solve", [], "h", "0"),
+    ("solve", [], "tau", "0"),
+    ("solve", [], "h", "-1/10"),
+    ("solve", ["--problem", "example2"], "gamma", "-1"),
+    ("verify", [], "samples", "-3"),
+    ("verify", [], "samples", "0"),
+    ("solve", [], "beta", "nan"),
+    ("solve", ["--problem", "example2"], "lam", "inf"),
+    ("solve", [], "h", "1/10,1/20"),
+    ("solve", ["--h", "1/10"], "tau", "1/10,1/20"),
+    ("solve", ["--h", "1/10"], "gamma", "3"),
+    ("solve", ["--h", "1/10"], "lam", "0.1"),
+    ("verify", ["--problem", "example2"], "xd_reading", "auto"),
+    ("convergence", ["--paths", "20"], "h", "1/10,1/10"),
+    ("constraint-table", ["--delta", "0.2"], "h", "1/10,0.1"),
+]
+
+
+@pytest.fixture
+def no_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver ran before the configuration was rejected")
+
+    for name in ("gp_iterate", "convergence_study", "constraint_table", "verify_manufactured"):
+        monkeypatch.setattr(f"socfem.cli.{name}", refuse)
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("problem = example1\nh = 1/8\nrule = tau=h\neps0 = 1e-5\n")
         out = tmp_path / "out"
-        argv = ["solve", "--config", str(cfg), "--output-dir", str(out)]
+        argv = ["solve", "--config", str(cfg), "--h", "1/10", "--output-dir", str(out)]
         assert main(argv) == 0
-        assert (out / "iterations.csv").exists()
+        fields = (out / "final_fields.csv").read_text().splitlines()
+        assert len(fields) == 1 + 11 * 9  # the flag's h = 1/10, not the file's 1/8
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command,flags,key,value", BAD_INPUTS, ids=[f"{c}-{k}={v}" for c, _, k, v in BAD_INPUTS]
+    )
+    def test_bad_input_exits_2_before_solving(
+        self, tmp_path, capsys, no_solver, source, command, flags, key, value
+    ):
+        flag = "--" + key.replace("_", "-")
+        out = tmp_path / "out"
+        argv = [command, *flags, "--output-dir", str(out)]
+        if source == "flag":
+            argv.append(f"{flag}={value}")
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err  # "configuration error:" or argparse's "error:"
+        assert flag in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_missing_config_file(self, tmp_path, capsys, no_solver):
+        missing = tmp_path / "missing.cfg"
+        assert main(["solve", "--config", str(missing), "--output-dir", str(tmp_path)]) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("problem", ["example1", "example2"])
+    def test_config_file_equals_flags(self, tmp_path, capsys, problem):
+        values = {
+            "problem": problem, "h": "1/4", "rule": "tau=h^2", "tau": "1/8", "delta": "0.3",
+            "paths": "40", "seed": "3", "rho": "0.2", "eps0": "1e-5", "max_iter": "60",
+            "estimator": "monte-carlo", "samples": "10", "beta": "0.3", "exact_mu": "0.9",
+            "delta_mode": "problem",
+        }
+        per_problem = {
+            "example1": {"xd_reading": "plain_w"},
+            "example2": {"gamma": "0.3", "lam": "0.1"},
+        }
+        every_key = {name.replace("-", "_") for name in OPTIONS}
+        assert set(values) | {"output_dir"} | set().union(*per_problem.values()) == every_key
+        values.update(per_problem[problem])
+
+        cfg = tmp_path / "run.cfg"
+        lines = [f"{k} = {v}" for k, v in values.items()]
+        cfg.write_text("\n".join(lines + [f"output_dir = {tmp_path / 'cfg'}"]) + "\n")
+        assert main(["solve", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr()
+        argv = ["solve", "--output-dir", str(tmp_path / "flags")]
+        for k, v in values.items():
+            argv += ["--" + k.replace("_", "-"), v]
+        assert main(argv) == 0
+        assert capsys.readouterr() == from_config
+        written = sorted(p.name for p in (tmp_path / "cfg").iterdir())
+        assert written == ["final_fields.csv", "iterations.csv"]
+        assert written == sorted(p.name for p in (tmp_path / "flags").iterdir())
+        for name in written:
+            assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        for line in ("wibble = 3", "threads = 2"):
+        for line in ("wibble = 3", "threads = 2", f"config = {cfg}"):
             cfg.write_text(line + "\n")
             assert main(["solve", "--config", str(cfg)]) == 2
 
