@@ -24,7 +24,7 @@ from .grid import TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_g
 from .optimizer import GradientProjection, OptimizerConfig, constraint_integral, gp_iterate
 from .paths import BLOCK, BrownianEnsemble, sample
 from .problems import ManufacturedProblem
-from .spde import Trajectory, forward_mean, iter_forward_paths
+from .spde import SweepData, Trajectory, forward_mean, iter_forward_paths
 
 
 _FD_STEP = 1e-4  # central-difference step of the exact gradients in H1 errors
@@ -164,12 +164,13 @@ def compute_errors(
             ctrl_sq[n] = eu @ mass(eu)
 
     # per-path state errors, added level by level as each block's sweep
-    # yields them; blocks merge in path order
+    # yields them; blocks merge in path order and share one set of nodal loads
     l2_sum = np.zeros(grid.N + 1)
     h1_sum = np.zeros(grid.N + 1)
+    data = SweepData(problem.spec, system, grid)
     for start in range(0, ensemble.paths, BLOCK):
         sub = ensemble.subset(start, min(start + BLOCK, ensemble.paths))
-        for n, x in iter_forward_paths(problem.spec, system, grid, bundle.control, sub):
+        for n, x in iter_forward_paths(problem.spec, system, grid, bundle.control, sub, data):
             t, w = float(grid.times[n]), sub.brownian_at(n)
             l2, h1 = _level_state_errors(problem, system, t, x.T, w)
             l2_sum[n] += l2

@@ -20,6 +20,8 @@ the checks its flag does and an explicit flag wins.  ``PROBLEM_FLAGS`` says
 which problem reads which flag: --beta and --exact-mu go to both problems,
 --xd-reading to example1 only, --gamma and --lam to example2 only.  A
 problem flag that the chosen problem does not read is a configuration error.
+``COMMAND_OPTIONS`` says which command reads which option; a flag or config
+key that the command does not read is rejected like an unknown one.
 
 Exit codes: 0 success; 2 configuration error (an unknown flag or config
 key, a malformed or out-of-range value, a missing config file, or values
@@ -138,6 +140,16 @@ OPTIONS = {
     "delta-mode": dict(
         default="discrete", choices=("discrete", "problem"), help="constraint level of convergence"
     ),
+}
+
+# command -> the options it reads; each command's parser has only these flags
+_SHARED = ("problem", "beta", "exact-mu", "gamma", "lam", "xd-reading", "seed", "output-dir")
+_RUNS = ("h", "rule", "tau", "paths", "rho", "eps0", "max-iter", "estimator")
+COMMAND_OPTIONS = {
+    "solve": _SHARED + _RUNS + ("delta",),
+    "convergence": _SHARED + _RUNS + ("delta-mode",),
+    "constraint-table": _SHARED + _RUNS + ("delta",),
+    "verify": _SHARED + ("samples",),
 }
 
 
@@ -389,14 +401,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
-        p = sub.add_parser(command)
+        # no prefix matching: convergence must not read --delta as --delta-mode
+        p = sub.add_parser(command, allow_abbrev=False)
         p.add_argument("--config", help="file of key = value lines, read as flags before these")
-        for name, settings in OPTIONS.items():
-            p.add_argument(f"--{name}", **settings)
+        for name in COMMAND_OPTIONS[command]:
+            p.add_argument(f"--{name}", **OPTIONS[name])
     return parser
 
 
-def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
+def _config_flags(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
     """One ``--key=value`` flag per ``key = value`` line of a config file."""
     try:
         text = Path(path).read_text()
@@ -410,9 +423,12 @@ def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq:
             parser.error(f"bad config line (expected key = value): {raw!r}")
-        if key.replace("_", "-") not in OPTIONS:
+        name = key.replace("_", "-")
+        if name not in OPTIONS:
             parser.error(f"unknown config key {key!r} in {path}")
-        flags.append(f"--{key.replace('_', '-')}={value}")
+        if name not in COMMAND_OPTIONS[command]:
+            parser.error(f"{command} does not read --{name} (config key {key!r} in {path})")
+        flags.append(f"--{name}={value}")
     return flags
 
 
@@ -423,7 +439,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             # the command comes first: the top-level parser has no options
-            args = parser.parse_args([argv[0], *_config_flags(parser, args.config), *argv[1:]])
+            config = _config_flags(parser, args.command, args.config)
+            args = parser.parse_args([argv[0], *config, *argv[1:]])
     except SystemExit as exc:  # argparse: 0 after --help, 2 for a bad flag or value
         return int(exc.code or 0) and 2
     try:

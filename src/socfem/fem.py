@@ -11,6 +11,14 @@ quadrature (3-point Gauss per segment in 1D, edge midpoints per triangle in
 A ``FemSystem`` is immutable after assembly.  Banded Cholesky factors of
 (M + tau*gamma*A) are cached per (tau, gamma); the mass factor on first use.
 
+Every solve is residual-checked per column, with one rule: column j passes
+when its right-hand side is finite and |op x_j - rhs_j| <= 1e-10 |rhs_j|.
+``solve`` checks before it returns, which is how mass solves and the
+per-level path blocks of ``spde.iter_forward_paths`` are checked.  The
+single-column sweeps of ``spde`` solve through ``solve_unchecked`` and pass
+all their levels to the same ``check`` once, before the sweep returns; in
+1D that one pass costs less than a per-step check's dispatch.
+
 The systems are small (n = 14..39 in 1D), so a time step costs Python
 overhead rather than arithmetic.  Products with M and the residual
 products of the solves therefore go through ``csr_product``, which calls
@@ -20,7 +28,6 @@ generic dispatch; the sums, and so every output, are unchanged.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -41,56 +48,50 @@ _GAUSS3_X = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 _GAUSS3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
-def csr_product(op: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+def csr_product(op: sp.csr_matrix) -> Callable[..., np.ndarray]:
     """``op @ x`` for float64 x of shape (n,), (n, 1) or (n, k), bit for bit.
 
     Calls the kernel scipy's own ``op @ x`` routes to (``csr_matvec`` for
     (n,) and (n, 1), ``csr_matvecs`` on the C-order copy of an (n, k)
     block) with the CSR arrays bound once, so the sums are the same and
-    only the per-call dispatch is gone.
+    only the per-call dispatch is gone.  Given a C-ordered ``out`` of the
+    result's shape, the kernel adds ``op @ x`` to it in place and returns it.
     """
     op = op.tocsr()
     m, n = op.shape
     indptr, indices, data = op.indptr, op.indices, op.data
 
-    def product(x: np.ndarray) -> np.ndarray:
+    def product(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if x.shape[0] != n or x.ndim > 2:
             raise ValueError(f"operand shape {x.shape} does not match operator shape {(m, n)}")
+        if out is None:
+            out = np.zeros((m,) + x.shape[1:])
+        elif out.shape != (m,) + x.shape[1:] or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-ordered array of shape {(m,) + x.shape[1:]}")
         if x.ndim == 1 or x.shape[1] == 1:
-            out = np.zeros(m)
-            csr_matvec(m, n, indptr, indices, data, x.ravel(), out)
-            return out if x.ndim == 1 else out.reshape(m, 1)
-        k = x.shape[1]
-        out = np.zeros((m, k))
-        csr_matvecs(m, n, k, indptr, indices, data, x.ravel(), out.ravel())
+            csr_matvec(m, n, indptr, indices, data, x.ravel(), out.ravel())
+        else:
+            csr_matvecs(m, n, x.shape[1], indptr, indices, data, x.ravel(), out.ravel())
         return out
 
     return product
 
 
-def _column_norms(v: np.ndarray, batch: bool):
-    """2-norms of the columns of an (n, k) batch, or the 2-norm of a single
-    (n,) or (n, 1) column as a float.
-
-    A single column takes ``sqrt(v @ v)`` on ``v.ravel(order="K")``, the
-    formula ``np.linalg.norm`` evaluates, without its dispatch.
-    """
-    if batch:
-        return np.sqrt(np.einsum("ij,ij->j", v, v))
-    flat = v.ravel(order="K")
-    return math.sqrt(flat @ flat)
+def _column_norms(v: np.ndarray) -> np.ndarray:
+    """2-norms of the columns of an (n, k) block."""
+    return np.sqrt(np.einsum("ij,ij->j", v, v))
 
 
 class _CheckedCholesky:
-    """Banded Cholesky (lower band) of an SPD operator, residual-checked per solve.
+    """Banded Cholesky (lower band) of an SPD operator with a per-column residual check.
 
     The bandwidth is the largest ``row - col`` of a stored entry: 1 in 1D
     and ``cells`` in 2D under the mesh's interior numbering.  A failed
-    factorization (the operator is not SPD), a non-finite right-hand side or
-    a column whose relative residual is not below 1e-10 raises
-    ``NumericalError`` naming ``what``.  Each column of a batch is checked
-    against its own right-hand side, so one bad column is not diluted by
-    the others.
+    factorization (the operator is not SPD) raises ``NumericalError`` naming
+    ``what``.  ``solve`` checks each solution before it returns it;
+    ``solve_unchecked`` leaves the check to its caller, which passes the
+    right-hand sides and solutions of many solves to one ``check`` (see
+    ``spde._single_column``).
     """
 
     def __init__(self, op: sp.spmatrix, what: str):
@@ -107,45 +108,64 @@ class _CheckedCholesky:
             raise NumericalError(f"{what} factorization failed: pbtrf info={info}, not SPD")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for one right-hand side (n,) or a batch (n, k)."""
-        rhs = np.asarray(rhs, dtype=float)
+        """Solve for one right-hand side (n,) or a batch (n, k), residual-checked."""
+        rhs = np.array(rhs, dtype=float, order="C")  # a copy: the check consumes it
         if rhs.shape[0] != self._n:
             raise ValueError(f"rhs length {rhs.shape[0]} != system size {self._n}")
-        batch = rhs.ndim == 2 and rhs.shape[1] > 1
-        scale = _column_norms(rhs, batch)
-        if not (np.isfinite(scale).all() if batch else math.isfinite(scale)):
-            raise NumericalError(f"{self._what} solve residual undefined: |rhs| = {np.max(scale)}")
-        x, _ = _PBTRS(self._factor, rhs, lower=1)
-        res = _column_norms(self._product(x) - rhs, batch)
-        ok = res <= _RESIDUAL_RTOL * scale
-        if not (ok.all() if batch else ok):
-            j = int(np.argmin(ok))
-            res_j, scale_j = np.ravel(res)[j], np.ravel(scale)[j]
-            raise NumericalError(
-                f"{self._what} solve residual {res_j:.3e} exceeds "
-                f"{_RESIDUAL_RTOL:.1e} * |rhs| = {_RESIDUAL_RTOL * scale_j:.3e} in column {j}"
-            )
+        x = self.solve_unchecked(rhs)
+        self.check(rhs, x)
         return x
 
+    def solve_unchecked(self, rhs: np.ndarray) -> np.ndarray:
+        """``solve`` without the check: the caller must ``check`` x before using it."""
+        x, _ = _PBTRS(self._factor, rhs, lower=1)
+        return x
 
-class EulerSolver:
-    """Reusable solver for (M + tau*gamma*A) x = rhs on interior nodes.
+    def check(self, rhs: np.ndarray, x: np.ndarray, levels: range | None = None) -> None:
+        """Raise ``NumericalError`` unless each column of x solves its column of rhs.
 
-    Factorizes the SPD operator once through ``_CheckedCholesky``, so a
-    failed factorization or a residual breach raises ``NumericalError``.
-    """
+        Takes (n,) or (n, k) pairs, rhs C-ordered.  Column j passes when
+        rhs_j is finite and |op x_j - rhs_j| <= 1e-10 |rhs_j|, so one bad
+        column is not diluted by the others.  One residual product covers
+        all columns and overwrites ``rhs`` with the residual, so a C-ordered
+        x costs no (n, k) temporary.  The first failing column is named as
+        ``column j``, or as ``level levels[j]`` when the columns are the
+        levels of a sweep.
+        """
+        rhs, x = rhs.reshape(self._n, -1), x.reshape(self._n, -1)
+        scale = _column_norms(rhs)
+        finite = np.isfinite(scale)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise NumericalError(
+                f"{self._what} solve residual undefined: |rhs| = {scale[j]} "
+                f"{_column_name(j, levels)}"
+            )
+        residual = self._product(x, np.negative(rhs, out=rhs))
+        res = _column_norms(residual)
+        ok = res <= _RESIDUAL_RTOL * scale
+        if not ok.all():
+            j = int(np.argmin(ok))
+            raise NumericalError(
+                f"{self._what} solve residual {res[j]:.3e} exceeds "
+                f"{_RESIDUAL_RTOL:.1e} * |rhs| = {_RESIDUAL_RTOL * scale[j]:.3e} "
+                f"{_column_name(j, levels)}"
+            )
+
+
+def _column_name(j: int, levels: range | None) -> str:
+    return f"in column {j}" if levels is None else f"at level {levels[j]}"
+
+
+class EulerSolver(_CheckedCholesky):
+    """Banded Cholesky of (M + tau*gamma*A) on interior nodes; see ``_CheckedCholesky``."""
 
     def __init__(self, system: "FemSystem", tau: float, gamma: float = 1.0):
         if not tau > 0.0:
             raise ValueError(f"tau must be positive, got {tau}")
         if not gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {gamma}")
-        op = system.mass + tau * gamma * system.stiffness
-        self._chol = _CheckedCholesky(op, "implicit-Euler")
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for one right-hand side (n,) or a batch (n, k)."""
-        return self._chol.solve(rhs)
+        super().__init__(system.mass + tau * gamma * system.stiffness, "implicit-Euler")
 
 
 class FemSystem:

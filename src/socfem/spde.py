@@ -18,6 +18,13 @@ The backward kernel (``_backward``) starts from y^N = 0:
 with source M xbar - load(xbar_d) + mu*load(1) for the mean adjoint and
 load(1) for Mtilde.
 
+Every solve is residual-checked (see ``fem``) before a caller sees its
+level.  The path sweep checks each level's (n, paths) block before it
+yields it, so no path history is kept.  The single-column sweeps (mean
+state, control response, Qtilde, mean adjoint, Mtilde) write each level's
+right-hand side to one column of an (n, N) table and check all levels
+against it in one batched pass before they return.
+
 Problem data depend on the Brownian value only through ``AffineInW``
 pairs f = f0 + W f1.  Controls, forcing and the noise coefficient are
 evaluated at the left time point; states and tracking targets at the
@@ -34,6 +41,7 @@ estimated across simulated paths by least-squares regression on the basis
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -137,20 +145,53 @@ def _mean_brownian(grid: TimeGrid, ensemble: BrownianEnsemble | None):
     )
 
 
-def _data_terms(spec: ProblemSpec, system: FemSystem, grid: TimeGrid, brownian, increments):
+class SweepData:
+    """Nodal data of the forward sweep, each piece built on first use and kept.
+
+    ``x0`` is the projected initial state (n,); ``forcing_mean``,
+    ``forcing_slope`` and ``sigma`` hold load(f0), load(f1) and load(sigma)
+    at t_0..t_{N-1}, (N, n) tables.  ``compute_errors`` builds one and
+    shares it across the path blocks of its sweep.
+    """
+
+    def __init__(self, spec: ProblemSpec, system: FemSystem, grid: TimeGrid):
+        self._spec, self._system, self._grid = spec, system, grid
+
+    def _levels(self, fn: SpaceTimeFn) -> np.ndarray:
+        out = np.empty((self._grid.N, self._system.n))
+        for n in range(self._grid.N):
+            out[n] = _load_at(self._system, fn, float(self._grid.times[n]))
+        return out
+
+    @cached_property
+    def x0(self) -> np.ndarray:
+        return l2_project(self._system, self._spec.x0)
+
+    @cached_property
+    def forcing_mean(self) -> np.ndarray:
+        return self._levels(self._spec.forcing.mean)
+
+    @cached_property
+    def forcing_slope(self) -> np.ndarray:
+        return self._levels(self._spec.forcing.slope)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return self._levels(self._spec.sigma)
+
+
+def _data_terms(data: SweepData, tau: float, brownian, increments):
     """Data terms of forward step n for columns j: tau*(load(f0) + W^j_n load(f1)),
     then dW^j_{n+1} load(sigma), all at t_n, with W^j = ``brownian[j]`` and dW^j =
-    ``increments[j]``.  Both are None for zero means: only tau*load(f0) is built."""
+    ``increments[j]``.  Both are None for zero means: only tau*load(f0) is read."""
 
     def terms(n: int):
-        t = float(grid.times[n])
-        forcing = _load_at(system, spec.forcing.mean, t)[:, None]
+        forcing = data.forcing_mean[n][:, None]
         if brownian is None:
-            yield grid.tau * forcing
+            yield tau * forcing
             return
-        slope = _load_at(system, spec.forcing.slope, t)[:, None]
-        yield grid.tau * (forcing + slope * brownian[:, n])
-        yield _load_at(system, spec.sigma, t)[:, None] * increments[:, n]
+        yield tau * (forcing + data.forcing_slope[n][:, None] * brownian[:, n])
+        yield data.sigma[n][:, None] * increments[:, n]
 
     return terms
 
@@ -167,15 +208,21 @@ def _mass_rows(system: FemSystem, levels: np.ndarray) -> np.ndarray:
 def _forward(
     system: FemSystem, grid: TimeGrid, gamma: float, x: np.ndarray, control: Trajectory,
     extra_terms: Callable[[int], Iterable[np.ndarray]] = lambda n: (),
+    rhs_levels: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Forward implicit-Euler kernel over an (n, k) column block.
 
     Yields (level, x), level 0 being ``x`` itself; yielded arrays are owned
     by the sweep.  Step n adds, in this order, tau*M u^n and each term of
-    ``extra_terms(n)`` to M x^n, then solves with (M + tau*gamma*A).
+    ``extra_terms(n)`` to M x^n, then solves with (M + tau*gamma*A).  Each
+    level is residual-checked before it is yielded, unless an (n, N) table
+    ``rhs_levels`` is given for a one-column block: then step n writes its
+    right-hand side to column n, and ``_single_column`` checks all levels at
+    once before it returns any.
     """
     _check_alignment(grid, control.grid.N, control.grid.tau, "control trajectory")
     solver = system.euler_solver(grid.tau, gamma)
+    solve = solver.solve if rhs_levels is None else solver.solve_unchecked
     mass = system.mass_product
     control_loads = grid.tau * _mass_rows(system, control.values[: grid.N])
     yield 0, x
@@ -185,30 +232,54 @@ def _forward(
         rhs += control_loads[n][:, None]
         for term in extra_terms(n):
             rhs += term
-        x = solver.solve(rhs)
+        if rhs_levels is not None:
+            rhs_levels[:, n] = rhs[:, 0]
+        x = solve(rhs)
         yield n + 1, x
+
+
+def _single_column(
+    system: FemSystem, grid: TimeGrid, gamma: float, x: np.ndarray, control: Trajectory,
+    extra_terms: Callable[[int], Iterable[np.ndarray]] = lambda n: (),
+) -> Trajectory:
+    """The forward kernel on one column from x (n,), as an (N+1, n) trajectory.
+
+    The solves run unchecked; all N levels are residual-checked in one
+    batched pass before the trajectory is returned.  The right-hand sides
+    and a copy of the solutions fill the two (n, N) halves of one block,
+    laid out as the residual product reads them, so the check allocates no
+    table of its own: in 2D, fresh (n, N) temporaries cost more in page
+    faults than the per-step checks they replace.
+    """
+    out = np.empty((grid.N + 1, system.n))
+    rhs, solutions = np.empty((2, system.n, grid.N))
+    sweep = _forward(system, grid, gamma, x[:, None], control, extra_terms, rhs)
+    for level, col in sweep:
+        out[level] = col[:, 0]
+    solutions[...] = out[1:].T
+    system.euler_solver(grid.tau, gamma).check(rhs, solutions, range(1, grid.N + 1))
+    return Trajectory(out, grid)
 
 
 def _backward(system: FemSystem, grid: TimeGrid, gamma: float, source: np.ndarray) -> Trajectory:
     """Backward implicit-Euler kernel with zero terminal value.
 
     ``source`` is an (N+1, n) table; step n solves
-    (M + tau*gamma*A) y^n = M y^{n+1} + tau*source[n+1].
+    (M + tau*gamma*A) y^n = M y^{n+1} + tau*source[n+1].  The solves run
+    unchecked; all N levels are residual-checked in one batched pass, in
+    sweep order, before the trajectory is returned (tables as in
+    ``_single_column``).
     """
     solver = system.euler_solver(grid.tau, gamma)
     mass = system.mass_product
     out = np.zeros((grid.N + 1, system.n))
-    y = np.zeros(system.n)
+    rhs, solutions = np.empty((2, system.n, grid.N))  # column j: level N-1-j
     for n in range(grid.N - 1, -1, -1):
-        y = solver.solve(mass(y) + grid.tau * source[n + 1])
-        out[n] = y
-    return Trajectory(out, grid)
-
-
-def _single_column(sweep: Iterator[tuple[int, np.ndarray]], grid: TimeGrid, n: int) -> Trajectory:
-    out = np.empty((grid.N + 1, n))
-    for level, x in sweep:
-        out[level] = x[:, 0]
+        b = mass(out[n + 1]) + grid.tau * source[n + 1]
+        rhs[:, grid.N - 1 - n] = b
+        out[n] = solver.solve_unchecked(b)
+    solutions[...] = out[-2::-1].T
+    solver.check(rhs, solutions, range(grid.N - 1, -1, -1))
     return Trajectory(out, grid)
 
 
@@ -218,16 +289,20 @@ def iter_forward_paths(
     grid: TimeGrid,
     control: Trajectory,
     ensemble: BrownianEnsemble,
+    data: SweepData | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Advance all paths together, yielding (level, states (n_interior, paths)).
 
     Level 0 is the projected initial state.  Step n adds the forcing loads
-    of every path, then the noise columns.  Yielded arrays are owned by the
-    sweep; consumers must copy what they keep.
+    of every path, then the noise columns.  Each level is residual-checked
+    before it is yielded.  Yielded arrays are owned by the sweep; consumers
+    must copy what they keep.  ``data`` is built here unless a caller that
+    sweeps several blocks shares one.
     """
     _check_alignment(grid, ensemble.steps, ensemble.tau, "ensemble")
-    terms = _data_terms(spec, system, grid, ensemble.brownian, ensemble.increments)
-    x = np.tile(l2_project(system, spec.x0)[:, None], (1, ensemble.paths))
+    data = SweepData(spec, system, grid) if data is None else data
+    terms = _data_terms(data, grid.tau, ensemble.brownian, ensemble.increments)
+    x = np.tile(data.x0[:, None], (1, ensemble.paths))
     yield from _forward(system, grid, spec.gamma, x, control, terms)
 
 
@@ -258,9 +333,9 @@ def forward_mean(
     the path average of ``iter_forward_paths`` over it, which by linearity is
     the sweep driven by the ensemble's mean Brownian values and increments.
     """
-    terms = _data_terms(spec, system, grid, *_mean_brownian(grid, ensemble))
-    x = l2_project(system, spec.x0)[:, None]
-    return _single_column(_forward(system, grid, spec.gamma, x, control, terms), grid, system.n)
+    data = SweepData(spec, system, grid)
+    terms = _data_terms(data, grid.tau, *_mean_brownian(grid, ensemble))
+    return _single_column(system, grid, spec.gamma, data.x0, control, terms)
 
 
 def control_response(
@@ -271,8 +346,7 @@ def control_response(
     By linearity the full mean state is ``base + control_response``, which
     the optimizer exploits to avoid re-simulating path ensembles.
     """
-    sweep = _forward(system, grid, gamma, np.zeros((system.n, 1)), control)
-    return _single_column(sweep, grid, system.n)
+    return _single_column(system, grid, gamma, np.zeros(system.n), control)
 
 
 def mean_target_loads(

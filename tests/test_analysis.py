@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import socfem.fem
+import socfem.spde
 from socfem import (
     GradientProjection,
     NumericalError,
@@ -108,7 +110,7 @@ class TestComputeErrors:
         prob, system, grid, ens, control, adjoint = small_run
         pts = system.mesh.interior_nodes
 
-        def exact_paths(spec, system, grid, control, sub):
+        def exact_paths(spec, system, grid, control, sub, data):
             for n in range(grid.N + 1):
                 t, w = float(grid.times[n]), sub.brownian_at(n)[:, None]
                 yield n, (prob.exact_x.mean(t, pts) + w * prob.exact_x.slope(t, pts)).T
@@ -188,6 +190,27 @@ class TestComputeErrors:
                 tracemalloc.stop()
 
         assert peak(100) <= 1.1 * peak(25)
+
+    def test_path_blocks_share_the_nodal_loads(self, monkeypatch):
+        # f0, f1 and sigma are loaded once per level for the whole ensemble,
+        # not once per block, and x0 is projected once
+        prob = example1()
+        system, grid = setup(prob, Resolution(8, 10))
+        ens = sample(2 * BLOCK, grid, seed=3)
+        pts = system.mesh.interior_nodes
+        control = Trajectory(np.stack([prob.exact_u(t, pts) for t in grid.times]), grid)
+        adjoint = Trajectory(np.stack([prob.exact_y(t, pts) for t in grid.times]), grid)
+        calls = []
+        real = socfem.fem.load_vector
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(socfem.fem, "load_vector", counted)
+        monkeypatch.setattr(socfem.spde, "load_vector", counted)
+        compute_errors(prob, SolutionBundle(control, adjoint, prob.exact_mu), ens, system, grid)
+        assert len(calls) == 3 * grid.N + 1
 
     @pytest.mark.parametrize(
         "name,res", [("example1", Resolution(40, 40)), ("example2", Resolution(8, 8))]

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from socfem.cli import (
+    COMMAND_OPTIONS,
     OPTIONS,
     ConfigError,
     format_sci,
@@ -328,6 +329,24 @@ BAD_INPUTS = [
     ("constraint-table", ["--delta", "0.2"], "h", "1/10,0.1"),
 ]
 
+# A valid option value given to a command that does not read that option:
+# (command, other flags, option key, value).
+UNREAD_INPUTS = [
+    ("convergence", ["--h", "1/8,1/10", "--paths", "20"], "delta", "5"),
+    ("convergence", ["--h", "1/8,1/10", "--paths", "20"], "samples", "3"),
+    ("verify", [], "h", "1/10"),
+    ("verify", [], "rule", "tau=h"),
+    ("verify", [], "paths", "7"),
+    ("verify", [], "estimator", "monte-carlo"),
+    ("verify", [], "delta_mode", "problem"),
+    ("solve", [], "samples", "3"),
+    ("solve", [], "delta_mode", "problem"),
+    ("constraint-table", ["--delta", "0.2"], "samples", "3"),
+    ("constraint-table", ["--delta", "0.2"], "delta_mode", "problem"),
+    # a valid --delta-mode value after its prefix, not read as --delta-mode
+    ("convergence", ["--h", "1/8,1/10"], "delta", "problem"),
+]
+
 
 @pytest.fixture
 def no_solver(monkeypatch):
@@ -371,6 +390,33 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_every_option_is_read_by_some_command(self):
+        assert set().union(*COMMAND_OPTIONS.values()) == set(OPTIONS)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command,flags,key,value",
+        UNREAD_INPUTS,
+        ids=[f"{c}-{k}={v}" for c, _, k, v in UNREAD_INPUTS],
+    )
+    def test_option_the_command_does_not_read_exits_2(
+        self, tmp_path, capsys, no_solver, source, command, flags, key, value
+    ):
+        flag = "--" + key.replace("_", "-")
+        out = tmp_path / "out"
+        argv = [command, *flags, "--output-dir", str(out)]
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys, no_solver):
         missing = tmp_path / "missing.cfg"
         assert main(["solve", "--config", str(missing), "--output-dir", str(tmp_path)]) == 2
@@ -382,14 +428,13 @@ class TestConfigHandling:
         values = {
             "problem": problem, "h": "1/4", "rule": "tau=h^2", "tau": "1/8", "delta": "0.3",
             "paths": "40", "seed": "3", "rho": "0.2", "eps0": "1e-5", "max_iter": "60",
-            "estimator": "monte-carlo", "samples": "10", "beta": "0.3", "exact_mu": "0.9",
-            "delta_mode": "problem",
+            "estimator": "monte-carlo", "beta": "0.3", "exact_mu": "0.9",
         }
         per_problem = {
             "example1": {"xd_reading": "plain_w"},
             "example2": {"gamma": "0.3", "lam": "0.1"},
         }
-        every_key = {name.replace("-", "_") for name in OPTIONS}
+        every_key = {name.replace("-", "_") for name in COMMAND_OPTIONS["solve"]}
         assert set(values) | {"output_dir"} | set().union(*per_problem.values()) == every_key
         values.update(per_problem[problem])
 

@@ -192,13 +192,13 @@ class TestBandedCholesky:
     def test_bandwidth_interval(self):
         system = assemble(make_interval_mesh(0, 1, 9))
         assert _bandwidth(_CheckedCholesky(system.mass, "mass")) == 1
-        assert _bandwidth(system.euler_solver(0.1)._chol) == 1
+        assert _bandwidth(system.euler_solver(0.1)) == 1
 
     @pytest.mark.parametrize("cells", [3, 6, 8])
     def test_bandwidth_rectangle(self, cells):
         system = assemble(make_rectangle_mesh((0, 0), (1, 1), cells, cells))
         assert _bandwidth(_CheckedCholesky(system.mass, "mass")) == cells
-        assert _bandwidth(system.euler_solver(0.1)._chol) == cells
+        assert _bandwidth(system.euler_solver(0.1)) == cells
 
     def test_2d_solve_matches_dense(self):
         system = assemble(make_rectangle_mesh((0, 0), (1, 1), 8, 8))
@@ -232,6 +232,16 @@ class TestBandedCholesky:
             chol.solve(rhs)
         assert np.isfinite(chol.solve(rhs[:, :1])).all()
 
+    def test_solve_leaves_the_rhs_alone(self):
+        # the check overwrites the right-hand side it is given with the
+        # residual, so solve must hand it a copy
+        system = assemble(make_rectangle_mesh((0, 0), (1, 1), 8, 8))
+        rng = np.random.default_rng(7)
+        for rhs in (rng.normal(size=system.n), rng.normal(size=(system.n, 3))):
+            kept = rhs.copy()
+            system.euler_solver(0.05).solve(rhs)
+            assert np.array_equal(rhs, kept)
+
 
 def _operators():
     for mesh in (make_interval_mesh(0, 1, 20), make_rectangle_mesh((0, 0), (1, 1), 7, 6)):
@@ -261,6 +271,24 @@ class TestCsrProduct:
             got, want = product(x), op @ x
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("op", list(_operators()))
+    def test_out_accumulates_in_place(self, op):
+        product = csr_product(op)
+        for x in _operands(op.shape[0]):
+            want = op @ x
+            zeros = np.zeros(want.shape)
+            assert product(x, zeros) is zeros
+            assert np.array_equal(zeros, want)
+            start = np.full(want.shape, 0.5)
+            assert np.allclose(product(x, start), 0.5 + want, rtol=1e-14, atol=1e-14)
+
+    def test_rejects_mismatched_out(self, sys_quarter):
+        x = np.ones((sys_quarter.n, 3))
+        with pytest.raises(ValueError):
+            sys_quarter.mass_product(x, np.zeros((sys_quarter.n, 2)))
+        with pytest.raises(ValueError):
+            sys_quarter.mass_product(x, np.zeros((sys_quarter.n, 3), order="F"))
 
     def test_rejects_mismatched_operands(self, sys_quarter):
         with pytest.raises(ValueError):

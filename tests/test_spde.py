@@ -19,12 +19,15 @@ from socfem import (
     qtilde_solve,
     sample,
 )
+from socfem.errors import NumericalError
+from socfem.fem import EulerSolver
 from socfem.paths import BrownianEnsemble
 from socfem.spde import (
     _backward,
     _forward,
     _mass_rows,
     backward_adjoint_from_loads,
+    control_response,
     mean_target_loads,
 )
 
@@ -357,6 +360,85 @@ class TestKernels:
         # a one-column block steps exactly like a vector
         solver = system.euler_solver(0.01)
         assert np.array_equal(solver.solve(levels[0][:, None])[:, 0], solver.solve(levels[0]))
+
+
+def _corrupt_call(monkeypatch, index):
+    """Scale the solution of the ``index``-th unchecked implicit-Euler solve by 1 + 1e-6."""
+    calls = []
+    real = EulerSolver.solve_unchecked
+
+    def corrupted(self, rhs):
+        x = real(self, rhs)
+        calls.append(None)
+        return x * (1.0 + 1e-6) if len(calls) == index + 1 else x
+
+    monkeypatch.setattr(EulerSolver, "solve_unchecked", corrupted)
+
+
+CHECK_GRID = make_time_grid(1.0, 12)
+CHECK_SYSTEMS = [
+    pytest.param(assemble(make_interval_mesh(0, 1, 40)), id="interval40"),
+    pytest.param(assemble(make_rectangle_mesh((0, 0), (1, 1), 8, 8)), id="rectangle8x8"),
+]
+
+
+class TestDeferredCheck:
+    """Single-column sweeps solve unchecked and check every level once, at the end."""
+
+    def test_bad_forward_level_is_named(self, monkeypatch):
+        system = KERNEL_SYSTEM
+        grid = CHECK_GRID
+        u = Trajectory(np.random.default_rng(1).normal(size=(grid.N + 1, system.n)), grid)
+        _corrupt_call(monkeypatch, 6)  # forward call 6 solves level 7
+        with pytest.raises(NumericalError, match="at level 7$"):
+            control_response(system, grid, u)
+
+    def test_bad_backward_level_is_named(self, monkeypatch):
+        system = KERNEL_SYSTEM
+        grid = CHECK_GRID
+        _corrupt_call(monkeypatch, grid.N - 1 - 7)  # backward calls run N-1 down to 0
+        with pytest.raises(NumericalError, match="at level 7$"):
+            mtilde_solve(system, grid)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_control_is_numerical_error(self):
+        system = KERNEL_SYSTEM
+        grid = CHECK_GRID
+        u = np.ones((grid.N + 1, system.n))
+        u[5, 3] = np.inf
+        with pytest.raises(NumericalError, match="undefined"):
+            control_response(system, grid, Trajectory(u, grid))
+
+    @pytest.mark.parametrize("system", CHECK_SYSTEMS)
+    def test_sweeps_equal_a_loop_of_checked_solves(self, system):
+        grid = CHECK_GRID
+        tau, mass = grid.tau, system.mass
+        solver = system.euler_solver(tau, 0.7)
+        rng = np.random.default_rng(2)
+        u, x_levels, loads = (rng.normal(size=(grid.N + 1, system.n)) for _ in range(3))
+
+        x = np.zeros(system.n)
+        response = [x]
+        for n in range(grid.N):
+            x = solver.solve(mass @ x + tau * (mass @ u[n]))
+            response.append(x)
+        got = control_response(system, grid, Trajectory(u, grid), 0.7)
+        assert np.array_equal(got.values, np.stack(response))
+
+        def backward(source):
+            y = np.zeros(system.n)
+            levels = [y]
+            for n in range(grid.N - 1, -1, -1):
+                y = solver.solve(mass @ y + tau * source[n + 1])
+                levels.append(y)
+            return np.stack(levels[::-1])
+
+        ones = np.broadcast_to(system.ones_load, (grid.N + 1, system.n))
+        assert np.array_equal(mtilde_solve(system, grid, 0.7).values, backward(ones))
+        source = np.stack([mass @ x - load + 1.3 * system.ones_load
+                           for x, load in zip(x_levels, loads)])
+        got = backward_adjoint_from_loads(system, grid, 0.7, x_levels, loads, 1.3)
+        assert np.array_equal(got.values, backward(source))
 
 
 class TestLsmcZ:
