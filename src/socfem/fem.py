@@ -15,9 +15,10 @@ Every solve is residual-checked per column, with one rule: column j passes
 when its right-hand side is finite and |op x_j - rhs_j| <= 1e-10 |rhs_j|.
 ``solve`` checks before it returns, which is how mass solves and the
 per-level path blocks of ``spde.iter_forward_paths`` are checked.  The
-single-column sweeps of ``spde`` solve through ``solve_unchecked`` and pass
-all their levels to the same ``check`` once, before the sweep returns; in
-1D that one pass costs less than a per-step check's dispatch.
+single-column sweeps of ``spde`` solve through ``solve_unchecked``, in
+place on a row of their output table, and pass all their levels to the
+same ``check`` once, before the sweep returns; in 1D that one pass costs
+less than a per-step check's dispatch.
 
 The systems are small (n = 14..39 in 1D), so a time step costs Python
 overhead rather than arithmetic.  Products with M and the residual
@@ -89,8 +90,9 @@ class _CheckedCholesky:
     and ``cells`` in 2D under the mesh's interior numbering.  A failed
     factorization (the operator is not SPD) raises ``NumericalError`` naming
     ``what``.  ``solve`` checks each solution before it returns it;
-    ``solve_unchecked`` leaves the check to its caller, which passes the
-    right-hand sides and solutions of many solves to one ``check`` (see
+    ``solve_unchecked`` solves in place, overwriting its right-hand side,
+    and leaves the check to its caller, which passes the right-hand sides
+    and solutions of many solves to one ``check`` (see
     ``spde._single_column``).
     """
 
@@ -112,13 +114,18 @@ class _CheckedCholesky:
         rhs = np.array(rhs, dtype=float, order="C")  # a copy: the check consumes it
         if rhs.shape[0] != self._n:
             raise ValueError(f"rhs length {rhs.shape[0]} != system size {self._n}")
-        x = self.solve_unchecked(rhs)
+        x = self.solve_unchecked(np.array(rhs, order="F"))  # a copy, solved in place
         self.check(rhs, x)
         return x
 
     def solve_unchecked(self, rhs: np.ndarray) -> np.ndarray:
-        """``solve`` without the check: the caller must ``check`` x before using it."""
-        x, _ = _PBTRS(self._factor, rhs, lower=1)
+        """``solve`` without the check: the caller must ``check`` x before using it.
+
+        Solves in place: a Fortran-contiguous ``rhs`` (a C-ordered row or
+        (n, 1) column among them) is overwritten with x and returned; any
+        other layout is solved in a copy.
+        """
+        x, _ = _PBTRS(self._factor, rhs, lower=1, overwrite_b=1)
         return x
 
     def check(self, rhs: np.ndarray, x: np.ndarray, levels: range | None = None) -> None:

@@ -15,6 +15,16 @@ response is computed once up front, not once per iteration.  The scheme is
 linear and the data affine in W, so the path average is itself one mean
 sweep driven by the ensemble's mean Brownian values and increments; the
 mean-field estimator is the case where both means are zero.
+
+The loop allocates no table per iteration.  A ``GradientProjection`` owns
+the sweeps' scratch (``spde.SweepTables``), sized once per resolution and
+shared by every delta run on it; nothing a run returns lives there.  Each
+``run`` owns its iterates: the control and mean state, the next pair
+(swapped with them each iteration) and one scratch table.  The sweeps
+write into these tables, and every update is an ``out=`` ufunc with the
+same operations in the same order as the plain expression, so the bits
+are those of the expression.  Results therefore never share memory with
+the workspace or with another run's results.
 """
 
 from __future__ import annotations
@@ -30,7 +40,9 @@ from .grid import TimeGrid
 from .paths import BrownianEnsemble
 from .spde import (
     ProblemSpec,
+    SweepTables,
     Trajectory,
+    _mass_rows,
     backward_adjoint_from_loads,
     control_response,
     forward_mean,
@@ -159,6 +171,7 @@ class GradientProjection:
         self.qtilde = qtilde_solve(system, grid, self.mtilde, spec.gamma)
         self.qtilde_integral = constraint_integral(self.qtilde, system, grid)
 
+        self.tables = SweepTables(grid.N, system.n)
         means_of = ensemble if estimator == "monte-carlo" else None
         zero = Trajectory.zeros(grid, system.n)
         self.base = forward_mean(spec, system, grid, zero, means_of)
@@ -166,77 +179,96 @@ class GradientProjection:
         self.target_proj = np.zeros_like(self.target_loads)
         self.target_proj[1:] = system.mass_solve(self.target_loads[1:].T).T
 
-    def state_mean(self, control: Trajectory) -> Trajectory:
-        resp = control_response(self.system, self.grid, control, self.spec.gamma)
-        return Trajectory(self.base.values + resp.values, self.grid)
+    def state_mean(self, control: Trajectory, out: np.ndarray | None = None) -> Trajectory:
+        """``base + control_response(control)``, written into ``out`` when given."""
+        resp = control_response(
+            self.system, self.grid, control, self.spec.gamma, out=out, tables=self.tables
+        )
+        np.add(self.base.values, resp.values, out=resp.values)
+        return resp
 
-    def adjoint(self, x_mean: Trajectory, mu: float) -> Trajectory:
+    def adjoint(self, x_mean: Trajectory, mu: float, out: np.ndarray | None = None) -> Trajectory:
         return backward_adjoint_from_loads(
-            self.system, self.grid, self.spec.gamma, x_mean.values, self.target_loads, mu
+            self.system, self.grid, self.spec.gamma, x_mean.values, self.target_loads, mu,
+            out=out, tables=self.tables,
         )
 
-    def cost(self, x_mean: Trajectory, control: Trajectory) -> float:
-        """Discrete tracking cost of the mean fields.
+    def _mass_inner(self, levels: np.ndarray) -> float:
+        """sum over rows l of levels[l] . M levels[l], for an (N, n) table."""
+        return np.einsum("ln,ln->", levels, _mass_rows(self.system, levels, self.tables))
+
+    def cost(self, x_mean: Trajectory, control: Trajectory, scratch: np.ndarray) -> float:
+        """Discrete tracking cost of the mean fields; the misfit goes to ``scratch`` (N+1, n).
 
         The noise-variance part of the expected cost is control-independent
         for additive noise and is not included.
         """
-        mass = self.system.mass
-        misfit = x_mean.values[1:] - self.target_proj[1:]
-        track = np.einsum("ln,ln->", misfit, (mass @ misfit.T).T)
-        u = control.values[: self.grid.N]
-        reg = np.einsum("ln,ln->", u, (mass @ u.T).T)
+        misfit = np.subtract(
+            x_mean.values[1:], self.target_proj[1:], out=scratch[: self.grid.N]
+        )
+        track = self._mass_inner(misfit)
+        reg = self._mass_inner(control.values[: self.grid.N])
         return float(0.5 * self.grid.tau * (track + self.spec.alpha * reg))
 
     def step_norm(self, diff_levels: np.ndarray) -> float:
         """tau-weighted L2(0,T; L2) norm of a control difference."""
-        mass = self.system.mass
-        d = diff_levels[: self.grid.N]
-        return float(np.sqrt(self.grid.tau * np.einsum("ln,ln->", d, (mass @ d.T).T)))
+        return float(np.sqrt(self.grid.tau * self._mass_inner(diff_levels[: self.grid.N])))
 
     def project(
-        self, control: Trajectory, delta: float
+        self, control: Trajectory, delta: float,
+        u_out: np.ndarray | None = None, x_out: np.ndarray | None = None,
     ) -> tuple[Trajectory, Trajectory, float]:
         """Project a control onto the feasible set of constraint level delta.
 
         Solves the mean state, selects the multiplier and subtracts
         rho*mu times the auxiliary backward field.  Returns the projected
-        control, its mean state and the multiplier.
+        control, its mean state and the multiplier, written into ``u_out``
+        and ``x_out`` (N+1, n) when given and into new arrays otherwise.
         """
-        x = self.state_mean(control)
+        x = self.state_mean(control, x_out)
         integral = constraint_integral(x, self.system, self.grid)
         mu = select_multiplier(integral, delta, self.rho, self.qtilde_integral)
-        u_proj = Trajectory(control.values - self.rho * mu * self.mtilde.values, self.grid)
-        x_proj = Trajectory(x.values - self.rho * mu * self.qtilde.values, self.grid)
-        return u_proj, x_proj, mu
+        step = self.rho * mu
+        # u_out holds step*qtilde until x is projected, then step*mtilde
+        shift = np.multiply(step, self.qtilde.values, out=u_out)
+        np.subtract(x.values, shift, out=x.values)
+        np.multiply(step, self.mtilde.values, out=shift)
+        u_proj = Trajectory(np.subtract(control.values, shift, out=shift), self.grid)
+        return u_proj, x, mu
 
     def run(
         self, config: OptimizerConfig, delta: float, keep_history: bool = False
     ) -> GpResult:
-        rho, alpha = self.rho, self.spec.alpha
-        u = config.u0.copy() if config.u0 is not None else Trajectory.zeros(self.grid, self.system.n)
-        x = self.state_mean(u)
+        rho, alpha, grid = self.rho, self.spec.alpha, self.grid
+        shape = (grid.N + 1, self.system.n)
+        u = config.u0.copy() if config.u0 is not None else Trajectory.zeros(grid, self.system.n)
+        x = self.state_mean(u, np.empty(shape))
+        # the next iterates and one scratch table, owned by this run
+        u_next, x_next, scratch = (np.empty(shape) for _ in range(3))
         records: list[IterationRecord] = []
         history = [u.values.copy()] if keep_history else None
         converged = False
         mu = 0.0
 
         for i in range(config.max_iter):
-            y_tilde = self.adjoint(x, mu=0.0)
-            u_half = Trajectory(
-                u.values - rho * (alpha * u.values + y_tilde.values), self.grid
-            )
-            u_next, x_next, mu = self.project(u_half, delta)
-            step_error = self.step_norm(u_next.values - u.values)
-            integral = constraint_integral(x_next, self.system, self.grid)
-            cost = self.cost(x_next, u_next)
+            y_tilde = self.adjoint(x, mu=0.0, out=u_next).values
+            # u_half = u - rho*(alpha*u + y_tilde), one operation at a time
+            u_half = np.multiply(alpha, u.values, out=scratch)
+            u_half += y_tilde
+            u_half *= rho
+            np.subtract(u.values, u_half, out=u_half)
+            u_new, x_new, mu = self.project(Trajectory(u_half, grid), delta, u_next, x_next)
+            step_error = self.step_norm(np.subtract(u_new.values, u.values, out=scratch))
+            integral = constraint_integral(x_new, self.system, grid)
+            cost = self.cost(x_new, u_new, scratch)
             if not np.all(np.isfinite([mu, step_error, integral, cost])):
                 raise NumericalError(
                     f"gradient projection diverged at iteration {i}: mu={mu!r} "
                     f"step_error={step_error!r} integral={integral!r} cost={cost!r}"
                 )
             records.append(IterationRecord(i, mu, step_error, integral, cost))
-            u, x = u_next, x_next
+            u, u_next = u_new, u.values
+            x, x_next = x_new, x.values
             if keep_history:
                 history.append(u.values.copy())
             if step_error <= config.eps0:

@@ -21,9 +21,20 @@ load(1) for Mtilde.
 Every solve is residual-checked (see ``fem``) before a caller sees its
 level.  The path sweep checks each level's (n, paths) block before it
 yields it, so no path history is kept.  The single-column sweeps (mean
-state, control response, Qtilde, mean adjoint, Mtilde) write each level's
-right-hand side to one column of an (n, N) table and check all levels
-against it in one batched pass before they return.
+state, control response, Qtilde, mean adjoint, Mtilde) run on tables laid
+out as they are read:
+
+* each level is built and solved in place, by ``pbtrs`` on its own row of
+  an (N+1, n) ``out`` that the caller may own;
+* each step's right-hand side is staged as a contiguous row of the (N, n)
+  ``SweepTables.rows``, which first holds the sweep's scaled loads;
+* after the loop, one transposed copy per table fills the (n, N) tables
+  that one batched check reads, so no step writes a strided column.
+
+``SweepTables`` also carries the transposed copies of the whole-trajectory
+mass products.  A caller that sweeps many times at one size (the
+gradient-projection loop) passes its own ``out`` and tables, so the loop
+allocates no table per sweep.
 
 Problem data depend on the Brownian value only through ``AffineInW``
 pairs f = f0 + W f1.  Controls, forcing and the noise coefficient are
@@ -47,7 +58,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import NumericalError
-from .fem import FemSystem, l2_project, load_vector
+from .fem import EulerSolver, FemSystem, l2_project, load_vector
 from .grid import TimeGrid
 from .paths import BrownianEnsemble
 
@@ -196,90 +207,146 @@ def _data_terms(data: SweepData, tau: float, brownian, increments):
     return terms
 
 
-def _mass_rows(system: FemSystem, levels: np.ndarray) -> np.ndarray:
-    """M applied to every row of an (L, n) level table, one sparse-dense product.
+class SweepTables:
+    """Scratch tables of the mean sweeps for N steps of an n-node system.
 
-    Row l equals ``system.mass @ levels[l]`` bit for bit.  The result is
-    copied to C order because the sweeps read it row by row.
+    ``rows`` (N, n) stages one level per row: the scaled loads of a sweep
+    on entry, its right-hand sides once the sweep has run.  ``cols`` and
+    ``product`` (n, N) hold the transposed copies that the whole-trajectory
+    mass products and the batched residual check read.  No sweep leaves
+    anything in them that a later call reads, so a caller that sweeps many
+    times at one size (``GradientProjection``) shares one set, and the
+    buffers are faulted in once, not once per sweep.
     """
-    return np.ascontiguousarray(system.mass_product(levels.T).T)
+
+    def __init__(self, steps: int, n: int):
+        self.rows = np.empty((steps, n))
+        self.cols, self.product = np.empty((2, n, steps))
+
+    def check(
+        self, solver: EulerSolver, rhs_rows: np.ndarray, solution_rows: np.ndarray, levels: range
+    ) -> None:
+        """Residual-check N solves whose right-hand sides and solutions are rows,
+        in one batched pass that names the first failing level of ``levels``."""
+        np.copyto(self.cols, rhs_rows.T)
+        np.copyto(self.product, solution_rows.T)
+        solver.check(self.cols, self.product, levels)
+
+
+def _mass_rows(system: FemSystem, levels: np.ndarray, tables: SweepTables) -> np.ndarray:
+    """M applied to every row of an (N, n) level table, one sparse-dense product.
+
+    Row l equals ``system.mass @ levels[l]`` bit for bit.  The result is a
+    transposed view of ``tables.product``, valid until the tables are next
+    used.
+    """
+    np.copyto(tables.cols, levels.T)
+    tables.product.fill(0.0)
+    return system.mass_product(tables.cols, tables.product).T
+
+
+def _solve_in_place(solver: EulerSolver, rhs: np.ndarray) -> np.ndarray:
+    """Solve unchecked into ``rhs`` itself, which then holds the level."""
+    x = solver.solve_unchecked(rhs)
+    if x is not rhs:  # a solver that returns a new array
+        rhs[...] = x
+    return rhs
 
 
 def _forward(
     system: FemSystem, grid: TimeGrid, gamma: float, x: np.ndarray, control: Trajectory,
     extra_terms: Callable[[int], Iterable[np.ndarray]] = lambda n: (),
-    rhs_levels: np.ndarray | None = None,
+    out: np.ndarray | None = None, tables: SweepTables | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Forward implicit-Euler kernel over an (n, k) column block.
 
     Yields (level, x), level 0 being ``x`` itself; yielded arrays are owned
     by the sweep.  Step n adds, in this order, tau*M u^n and each term of
-    ``extra_terms(n)`` to M x^n, then solves with (M + tau*gamma*A).  Each
-    level is residual-checked before it is yielded, unless an (n, N) table
-    ``rhs_levels`` is given for a one-column block: then step n writes its
-    right-hand side to column n, and ``_single_column`` checks all levels at
-    once before it returns any.
+    ``extra_terms(n)`` to M x^n, then solves with (M + tau*gamma*A); the
+    tau*M u^n come from one product over the trajectory, held in
+    ``tables.rows``.  Each level is residual-checked before it is yielded,
+    unless an (N+1, n, 1) ``out`` is given for a one-column block whose
+    ``x`` is ``out[0]``: then step n builds its right-hand side in
+    ``out[n+1]``, stages a copy in row n of ``tables.rows`` and solves in
+    place, and ``_single_column`` checks all levels at once before it
+    returns any.
     """
     _check_alignment(grid, control.grid.N, control.grid.tau, "control trajectory")
     solver = system.euler_solver(grid.tau, gamma)
-    solve = solver.solve if rhs_levels is None else solver.solve_unchecked
     mass = system.mass_product
-    control_loads = grid.tau * _mass_rows(system, control.values[: grid.N])
+    tables = SweepTables(grid.N, system.n) if tables is None else tables
+    loads = np.multiply(
+        grid.tau, _mass_rows(system, control.values[: grid.N], tables), out=tables.rows
+    )[:, :, None]
     yield 0, x
     for n in range(grid.N):
         # M x and tau*M u stay separate terms: M(x + tau*u) rounds differently
-        rhs = mass(x)
-        rhs += control_loads[n][:, None]
+        if out is None:
+            rhs = mass(x)
+        else:
+            rhs = out[n + 1]
+            rhs.fill(0.0)
+            mass(x, rhs)
+        rhs += loads[n]
         for term in extra_terms(n):
             rhs += term
-        if rhs_levels is not None:
-            rhs_levels[:, n] = rhs[:, 0]
-        x = solve(rhs)
+        if out is None:
+            x = solver.solve(rhs)
+        else:
+            loads[n] = rhs
+            x = _solve_in_place(solver, rhs)
         yield n + 1, x
 
 
 def _single_column(
     system: FemSystem, grid: TimeGrid, gamma: float, x: np.ndarray, control: Trajectory,
     extra_terms: Callable[[int], Iterable[np.ndarray]] = lambda n: (),
+    out: np.ndarray | None = None, tables: SweepTables | None = None,
 ) -> Trajectory:
-    """The forward kernel on one column from x (n,), as an (N+1, n) trajectory.
+    """The forward kernel on one column from x (n,), written into an (N+1, n) ``out``.
 
-    The solves run unchecked; all N levels are residual-checked in one
-    batched pass before the trajectory is returned.  The right-hand sides
-    and a copy of the solutions fill the two (n, N) halves of one block,
-    laid out as the residual product reads them, so the check allocates no
-    table of its own: in 2D, fresh (n, N) temporaries cost more in page
-    faults than the per-step checks they replace.
+    The solves run unchecked, in place on the rows of ``out``; all N levels
+    are residual-checked in one batched pass before the trajectory is
+    returned.  ``out`` and ``tables`` are allocated when not given.
     """
-    out = np.empty((grid.N + 1, system.n))
-    rhs, solutions = np.empty((2, system.n, grid.N))
-    sweep = _forward(system, grid, gamma, x[:, None], control, extra_terms, rhs)
-    for level, col in sweep:
-        out[level] = col[:, 0]
-    solutions[...] = out[1:].T
-    system.euler_solver(grid.tau, gamma).check(rhs, solutions, range(1, grid.N + 1))
+    out = np.empty((grid.N + 1, system.n)) if out is None else out
+    tables = SweepTables(grid.N, system.n) if tables is None else tables
+    out[0] = x
+    levels = out[:, :, None]  # level l as an (n, 1) block
+    for _ in _forward(system, grid, gamma, levels[0], control, extra_terms, levels, tables):
+        pass
+    solver = system.euler_solver(grid.tau, gamma)
+    tables.check(solver, tables.rows, out[1:], range(1, grid.N + 1))
     return Trajectory(out, grid)
 
 
-def _backward(system: FemSystem, grid: TimeGrid, gamma: float, source: np.ndarray) -> Trajectory:
+def _backward(
+    system: FemSystem, grid: TimeGrid, gamma: float, tables: SweepTables,
+    out: np.ndarray | None = None,
+) -> Trajectory:
     """Backward implicit-Euler kernel with zero terminal value.
 
-    ``source`` is an (N+1, n) table; step n solves
-    (M + tau*gamma*A) y^n = M y^{n+1} + tau*source[n+1].  The solves run
+    On entry row n of ``tables.rows`` holds tau*source[n+1], the scaled
+    source of level n+1; step n solves
+    (M + tau*gamma*A) y^n = M y^{n+1} + tau*source[n+1], in place on row n
+    of the (N+1, n) ``out`` (allocated when not given), and stages its
+    right-hand side over the source row it has read.  The solves run
     unchecked; all N levels are residual-checked in one batched pass, in
-    sweep order, before the trajectory is returned (tables as in
-    ``_single_column``).
+    sweep order, before the trajectory is returned.
     """
     solver = system.euler_solver(grid.tau, gamma)
     mass = system.mass_product
-    out = np.zeros((grid.N + 1, system.n))
-    rhs, solutions = np.empty((2, system.n, grid.N))  # column j: level N-1-j
+    out = np.empty((grid.N + 1, system.n)) if out is None else out
+    rows = tables.rows
+    out[grid.N] = 0.0
     for n in range(grid.N - 1, -1, -1):
-        b = mass(out[n + 1]) + grid.tau * source[n + 1]
-        rhs[:, grid.N - 1 - n] = b
-        out[n] = solver.solve_unchecked(b)
-    solutions[...] = out[-2::-1].T
-    solver.check(rhs, solutions, range(grid.N - 1, -1, -1))
+        rhs = out[n]
+        rhs.fill(0.0)
+        mass(out[n + 1], rhs)
+        rhs += rows[n]
+        rows[n] = rhs
+        _solve_in_place(solver, rhs)
+    tables.check(solver, rows[::-1], out[-2::-1], range(grid.N - 1, -1, -1))
     return Trajectory(out, grid)
 
 
@@ -339,14 +406,17 @@ def forward_mean(
 
 
 def control_response(
-    system: FemSystem, grid: TimeGrid, control: Trajectory, gamma: float = 1.0
+    system: FemSystem, grid: TimeGrid, control: Trajectory, gamma: float = 1.0,
+    out: np.ndarray | None = None, tables: SweepTables | None = None,
 ) -> Trajectory:
     """State response to the control alone (zero data, zero noise).
 
     By linearity the full mean state is ``base + control_response``, which
-    the optimizer exploits to avoid re-simulating path ensembles.
+    the optimizer exploits to avoid re-simulating path ensembles.  The
+    levels are written into ``out`` (N+1, n) when given.
     """
-    return _single_column(system, grid, gamma, np.zeros(system.n), control)
+    x0 = np.zeros(system.n)
+    return _single_column(system, grid, gamma, x0, control, out=out, tables=tables)
 
 
 def mean_target_loads(
@@ -370,6 +440,7 @@ def mean_target_loads(
 def backward_adjoint_from_loads(
     system: FemSystem, grid: TimeGrid, gamma: float,
     x_levels: np.ndarray, target_loads: np.ndarray, mu: float,
+    out: np.ndarray | None = None, tables: SweepTables | None = None,
 ) -> Trajectory:
     """Mean adjoint driven by the tracking misfit and the multiplier.
 
@@ -377,10 +448,16 @@ def backward_adjoint_from_loads(
     M xbar^n - load(xbar_d(t_n)) + mu*load(1), with the target loads
     precomputed (see ``mean_target_loads``).  For deterministic controls
     this is the exact expectation of the conditional-expectation
-    recursion, since the noise enters linearly.
+    recursion, since the noise enters linearly.  The levels are written
+    into ``out`` (N+1, n) when given.
     """
-    source = _mass_rows(system, x_levels) - target_loads + mu * system.ones_load
-    return _backward(system, grid, gamma, source)
+    tables = SweepTables(grid.N, system.n) if tables is None else tables
+    source = np.subtract(
+        _mass_rows(system, x_levels[1:], tables), target_loads[1:], out=tables.rows
+    )
+    source += mu * system.ones_load
+    source *= grid.tau
+    return _backward(system, grid, gamma, tables, out)
 
 
 def mtilde_solve(system: FemSystem, grid: TimeGrid, gamma: float = 1.0) -> Trajectory:
@@ -389,8 +466,9 @@ def mtilde_solve(system: FemSystem, grid: TimeGrid, gamma: float = 1.0) -> Traje
     Adding mu times this field to the constraint-free adjoint gives the
     full adjoint; it is also the direction of the projection step.
     """
-    source = np.broadcast_to(system.ones_load, (grid.N + 1, system.n))
-    return _backward(system, grid, gamma, source)
+    tables = SweepTables(grid.N, system.n)
+    np.multiply(grid.tau, system.ones_load, out=tables.rows)
+    return _backward(system, grid, gamma, tables)
 
 
 def qtilde_solve(

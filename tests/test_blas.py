@@ -1,4 +1,5 @@
-"""``import socfem`` pins both bundled OpenBLAS pools to one thread.
+"""``import socfem`` pins both bundled OpenBLAS pools to one thread, and
+the outputs do not depend on the thread count.
 
 Each case runs in a fresh interpreter, because the pin is process-wide.
 The probe imports numpy and scipy's solvers and wakes numpy's pool before
@@ -44,12 +45,26 @@ print(json.dumps([before, threads()]))
 """
 
 
-def _probe(**env_overrides):
+# criterion 5's Monte Carlo cell, as the benchmark's table_mc_1d workload runs it
+TABLE_MC_1D = [
+    "constraint-table", "--problem", "example1", "--rule", "tau=h", "--h", "1/40",
+    "--delta", "0.2,0.1,-0.1,-0.2", "--estimator", "monte-carlo", "--paths", "1024",
+    "--seed", "7",
+]
+RUN_CLI = "import sys; from socfem.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _child_env(**env_overrides) -> dict:
     env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.update(env_overrides)
+    return env
+
+
+def _probe(**env_overrides):
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", PROBE], env=_child_env(**env_overrides),
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     before, after = json.loads(proc.stdout)
@@ -66,3 +81,19 @@ def test_import_pins_both_pools_after_numpy_and_scipy():
 def test_explicit_environment_wins():
     before, after = _probe(OPENBLAS_NUM_THREADS="2")
     assert after == before
+
+
+def _table_mc_1d_outputs(out: Path, **env_overrides) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, *TABLE_MC_1D, "--output-dir", str(out)],
+        env=_child_env(**env_overrides), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def test_outputs_identical_across_blas_thread_counts(tmp_path):
+    pinned = _table_mc_1d_outputs(tmp_path / "pinned")
+    two = _table_mc_1d_outputs(tmp_path / "two", OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    assert sorted(pinned) == ["table.csv", "table_long.csv"]
+    assert two == pinned

@@ -143,6 +143,18 @@ class TestConstraintTableCommand:
         for r in active:
             assert abs(float(r.split(",")[3]) - 0.2) <= 1e-8
 
+    def test_infeasible_projection_exits_3_without_output(self, tmp_path, monkeypatch, capsys):
+        # a multiplier of zero never projects, so the active cell ends above delta
+        monkeypatch.setattr("socfem.optimizer.select_multiplier", lambda *args: 0.0)
+        out = tmp_path / "out"
+        argv = [
+            "constraint-table", "--problem", "example1", "--h", "1/8",
+            "--rule", "tau=h", "--delta", "0.2", "--output-dir", str(out),
+        ]
+        assert main(argv) == 3
+        assert "projection failed feasibility" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_delta_is_config_error(self, tmp_path):
         argv = [
             "constraint-table", "--problem", "example1", "--h", "1/8",

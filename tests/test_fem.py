@@ -160,6 +160,18 @@ class TestEulerSolve:
                 sys_quarter.euler_solver(0.2).solve(block[:, j]), abs=0
             )
 
+    def test_solve_unchecked_solves_in_place(self):
+        # the single-column sweeps rely on this: a scipy whose f2py wrapper
+        # starts copying the rhs would fail here, not silently slow down
+        system = assemble(make_interval_mesh(0, 1, 10))
+        solver = system.euler_solver(0.1)
+        table = np.random.default_rng(5).normal(size=(3, system.n))
+        for rhs in (table[1], table[2][:, None]):  # a row, and a row as an (n, 1) block
+            expected = solver.solve(rhs)
+            x = solver.solve_unchecked(rhs)
+            assert x is rhs and np.shares_memory(x, table)
+            assert np.array_equal(x, expected)
+
     def test_invalid_tau(self, sys_half):
         with pytest.raises(ValueError):
             sys_half.euler_solver(0.0).solve(np.array([1.0]))

@@ -114,6 +114,45 @@ class TestProjection:
             assert lhs <= rhs + 1e-9
 
 
+class TestWorkspaceAliasing:
+    """Runs share the workspace's scratch tables but own every array they return."""
+
+    FIELDS = ("control", "state_mean", "adjoint_mean")
+
+    # one and two iterations end on either buffer of the swapped pairs
+    @pytest.mark.parametrize("max_iter", [1, 2, 500])
+    def test_second_delta_leaves_first_result_intact(self, coarse, max_iter):
+        prob, system, grid = coarse
+        config = OptimizerConfig(max_iter=max_iter)
+        loop = GradientProjection(prob.spec, system, grid)
+        first = loop.run(config, 0.2)
+        kept = {name: getattr(first, name).values.copy() for name in self.FIELDS}
+        second = loop.run(OptimizerConfig(), -0.1)
+        assert first.mu > 0.0 and second.mu > 0.0
+        fresh = GradientProjection(prob.spec, system, grid).run(config, 0.2)
+        tables = loop.tables
+        for name in self.FIELDS:
+            values = getattr(first, name).values
+            assert np.array_equal(values, kept[name])
+            assert np.array_equal(values, getattr(fresh, name).values)
+            for other in [getattr(second, f).values for f in self.FIELDS] + [
+                tables.rows, tables.cols, tables.product
+            ]:
+                assert not np.shares_memory(values, other)
+
+    def test_project_returns_new_arrays(self, coarse):
+        prob, system, grid = coarse
+        loop = GradientProjection(prob.spec, system, grid)
+        control = Trajectory(np.random.default_rng(3).normal(size=(grid.N + 1, system.n)), grid)
+        u1, x1, mu = loop.project(control, -5.0)
+        u2, x2, _ = loop.project(control, -5.0)
+        assert mu > 0.0
+        for a in (u1, x1):
+            for b in (u2, x2, control):
+                assert not np.shares_memory(a.values, b.values)
+        assert np.array_equal(u1.values, u2.values) and np.array_equal(x1.values, x2.values)
+
+
 PROPERTY_PROB = example1()
 PROPERTY_SYSTEM, PROPERTY_GRID = setup(PROPERTY_PROB, Resolution(12, 12))
 PROPERTY_LOOP = GradientProjection(PROPERTY_PROB.spec, PROPERTY_SYSTEM, PROPERTY_GRID)

@@ -23,6 +23,7 @@ from socfem.errors import NumericalError
 from socfem.fem import EulerSolver
 from socfem.paths import BrownianEnsemble
 from socfem.spde import (
+    SweepTables,
     _backward,
     _forward,
     _mass_rows,
@@ -345,7 +346,9 @@ class TestKernels:
         src2 = np.random.default_rng(s2).normal(size=shape)
 
         def sweep(src):
-            return _backward(KERNEL_SYSTEM, KERNEL_GRID, 1.0, src).values
+            tables = SweepTables(KERNEL_GRID.N, KERNEL_SYSTEM.n)
+            np.multiply(KERNEL_GRID.tau, src[1:], out=tables.rows)  # the kernel reads tau*source
+            return _backward(KERNEL_SYSTEM, KERNEL_GRID, 1.0, tables).values
 
         assert _is_combination(sweep(a * src1 + b * src2), a, sweep(src1), b, sweep(src2))
 
@@ -356,7 +359,8 @@ class TestKernels:
         system = assemble(mesh)
         levels = np.random.default_rng(3).normal(size=(9, system.n))
         per_step = np.stack([system.mass @ row for row in levels])
-        assert np.array_equal(_mass_rows(system, levels), per_step)
+        tables = SweepTables(len(levels), system.n)
+        assert np.array_equal(_mass_rows(system, levels, tables), per_step)
         # a one-column block steps exactly like a vector
         solver = system.euler_solver(0.01)
         assert np.array_equal(solver.solve(levels[0][:, None])[:, 0], solver.solve(levels[0]))
@@ -480,6 +484,16 @@ class TestLsmcZ:
         z = lsmc_z_estimate(system, grid, ens, payoff, level=3)
         assert z.evaluate(0.0).shape == (system.n,)
         assert z.evaluate(np.zeros(5)).shape == (5, system.n)
+
+    def test_rank_deficient_basis_is_numerical_error(self, setup_small):
+        system, grid, _ = setup_small
+        increments = np.zeros((4, grid.N))
+        increments[:, 0] = [1.0, 1.0, np.nextafter(1.0, 2.0), 1.0]  # W_{t_1} one ulp apart
+        ens = BrownianEnsemble(paths=4, steps=grid.N, tau=grid.tau, seed=0, increments=increments)
+        assert np.ptp(ens.brownian_at(1)) > 0.0  # not the constant-only fallback
+        payoff = np.ones((ens.paths, system.n))
+        with pytest.raises(NumericalError, match="rank-deficient regression basis"):
+            lsmc_z_estimate(system, grid, ens, payoff, level=1)
 
     def test_bad_shapes_rejected(self, setup_small):
         system, grid, ens = setup_small
