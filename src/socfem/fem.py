@@ -21,14 +21,20 @@ same ``check`` once, before the sweep returns; in 1D that one pass costs
 less than a per-step check's dispatch.
 
 The systems are small (n = 14..39 in 1D), so a time step costs Python
-overhead rather than arithmetic.  Products with M and the residual
-products of the solves therefore go through ``csr_product``, which calls
-the sparsetools kernel that ``A @ x`` itself ends in and skips scipy's
-generic dispatch; the sums, and so every output, are unchanged.
+overhead rather than arithmetic.  Sparse products therefore call the
+sparsetools kernel that ``A @ x`` itself ends in, with the CSR arrays bound
+once, and skip scipy's generic dispatch; the sums, and so every output,
+are unchanged.  ``csr_product`` checks the operand and ``out`` on every
+call, for the whole-trajectory products, the residual checks and the path
+blocks.  ``csr_kernel`` is the bare (n,) row kernel, with no check at all:
+the single-column sweeps of ``spde`` check their tables' shapes once when a
+sweep starts, and then each step is one ``FemSystem.mass_kernel`` call and
+one ``solve_unchecked``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -49,18 +55,34 @@ _GAUSS3_X = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 _GAUSS3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
+def csr_kernel(op: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray], None]:
+    """``out += op @ x`` for C-contiguous float64 rows x (n,) and out (m,), unchecked.
+
+    ``csr_matvec`` with the CSR arrays of ``op`` bound, the kernel that
+    scipy's own ``op @ x`` ends in, so a zeroed ``out`` receives the same
+    sums bit for bit.  Nothing is checked: a short x is read past its end,
+    so the caller checks shapes and layout first (``spde`` does it once per
+    sweep).
+    """
+    op = op.tocsr()
+    return partial(csr_matvec, *op.shape, op.indptr, op.indices, op.data)
+
+
 def csr_product(op: sp.csr_matrix) -> Callable[..., np.ndarray]:
     """``op @ x`` for float64 x of shape (n,), (n, 1) or (n, k), bit for bit.
 
-    Calls the kernel scipy's own ``op @ x`` routes to (``csr_matvec`` for
+    Calls the kernel scipy's own ``op @ x`` routes to (``csr_kernel`` for
     (n,) and (n, 1), ``csr_matvecs`` on the C-order copy of an (n, k)
     block) with the CSR arrays bound once, so the sums are the same and
-    only the per-call dispatch is gone.  Given a C-ordered ``out`` of the
-    result's shape, the kernel adds ``op @ x`` to it in place and returns it.
+    only the per-call dispatch is gone.  Every call checks x and ``out``
+    and raises ``ValueError`` on a mismatch.  Given a C-ordered ``out`` of
+    the result's shape, the kernel adds ``op @ x`` to it in place and
+    returns it.
     """
     op = op.tocsr()
     m, n = op.shape
     indptr, indices, data = op.indptr, op.indices, op.data
+    matvec = csr_kernel(op)
 
     def product(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if x.shape[0] != n or x.ndim > 2:
@@ -70,7 +92,7 @@ def csr_product(op: sp.csr_matrix) -> Callable[..., np.ndarray]:
         elif out.shape != (m,) + x.shape[1:] or not out.flags.c_contiguous:
             raise ValueError(f"out must be a C-ordered array of shape {(m,) + x.shape[1:]}")
         if x.ndim == 1 or x.shape[1] == 1:
-            csr_matvec(m, n, indptr, indices, data, x.ravel(), out.ravel())
+            matvec(x.ravel(), out.ravel())
         else:
             csr_matvecs(m, n, x.shape[1], indptr, indices, data, x.ravel(), out.ravel())
         return out
@@ -125,7 +147,8 @@ class _CheckedCholesky:
         (n, 1) column among them) is overwritten with x and returned; any
         other layout is solved in a copy.
         """
-        x, _ = _PBTRS(self._factor, rhs, lower=1, overwrite_b=1)
+        # positional (lower=1, ldab, overwrite_b=1): f2py parses keywords slower
+        x, _ = _PBTRS(self._factor, rhs, 1, self._factor.shape[0], 1)
         return x
 
     def check(self, rhs: np.ndarray, x: np.ndarray, levels: range | None = None) -> None:
@@ -197,6 +220,9 @@ class FemSystem:
         P1 gradient on each element.
     mass_product : callable
         ``x -> mass @ x``, bit for bit, through ``csr_product``.
+    mass_kernel : callable
+        ``(x, out) -> None``, adding ``mass @ x`` to ``out`` for (n,) rows,
+        unchecked (``csr_kernel``).
     """
 
     def __init__(self, mesh, mass, stiffness, quad_points, quad_weights, load_matrix, grad_ops):
@@ -208,6 +234,7 @@ class FemSystem:
         self.load_matrix = load_matrix
         self.grad_ops = grad_ops
         self.mass_product = csr_product(mass)
+        self.mass_kernel = csr_kernel(mass)
         self._euler_cache: dict[tuple[float, float], EulerSolver] = {}
         self._mass_chol = None
         self.ones_load = np.asarray(load_matrix.sum(axis=1)).ravel()

@@ -12,7 +12,7 @@ read-only) and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +59,11 @@ class Mesh:
         boundary.
     volume : float
         Measure of the domain (length / area).
+    interior_nodes : ndarray, shape (n_interior, dim)
+        Coordinates of interior nodes in dense (renumbered) order, computed
+        once at construction.
+    n_interior : int
+        Number of interior nodes.
     """
 
     dim: int
@@ -68,19 +73,17 @@ class Mesh:
     h: float
     interior_index: np.ndarray
     volume: float
+    interior_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    n_interior: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        interior = _frozen(self.nodes[~self.boundary_mask])
+        object.__setattr__(self, "interior_nodes", interior)
+        object.__setattr__(self, "n_interior", interior.shape[0])
 
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
-
-    @property
-    def n_interior(self) -> int:
-        return int(np.count_nonzero(~self.boundary_mask))
-
-    @property
-    def interior_nodes(self) -> np.ndarray:
-        """Coordinates of interior nodes in dense (renumbered) order."""
-        return self.nodes[~self.boundary_mask]
 
     def __repr__(self) -> str:
         return (

@@ -20,11 +20,12 @@ The loop allocates no table per iteration.  A ``GradientProjection`` owns
 the sweeps' scratch (``spde.SweepTables``), sized once per resolution and
 shared by every delta run on it; nothing a run returns lives there.  Each
 ``run`` owns its iterates: the control and mean state, the next pair
-(swapped with them each iteration) and one scratch table.  The sweeps
-write into these tables, and every update is an ``out=`` ufunc with the
-same operations in the same order as the plain expression, so the bits
-are those of the expression.  Results therefore never share memory with
-the workspace or with another run's results.
+(swapped with them each iteration) and one scratch table; the returned
+mean adjoint goes into the next-control table, free once the loop ends.
+The sweeps write into these tables, and every update is an ``out=`` ufunc
+with the same operations in the same order as the plain expression, so
+the bits are those of the expression.  Results therefore never share
+memory with the workspace, with each other or with another run's results.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ class GradientProjection:
             step_error = self.step_norm(np.subtract(u_new.values, u.values, out=scratch))
             integral = constraint_integral(x_new, self.system, grid)
             cost = self.cost(x_new, u_new, scratch)
-            if not np.all(np.isfinite([mu, step_error, integral, cost])):
+            if not all(map(math.isfinite, (mu, step_error, integral, cost))):
                 raise NumericalError(
                     f"gradient projection diverged at iteration {i}: mu={mu!r} "
                     f"step_error={step_error!r} integral={integral!r} cost={cost!r}"
@@ -281,7 +282,7 @@ class GradientProjection:
             records=records,
             converged=converged,
             state_mean=x,
-            adjoint_mean=self.adjoint(x, mu),
+            adjoint_mean=self.adjoint(x, mu, out=u_next),
             control_history=history,
         )
 

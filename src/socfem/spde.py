@@ -3,7 +3,8 @@
 Every sweep runs one of two implicit-Euler kernels on interior P1
 coefficients, both with the factorized SPD operator M + tau*gamma*A.
 
-The forward kernel (``_forward``) steps an (n, k) column block:
+The forward kernel (``_forward``) steps an (n, k) column block, or one
+column on the rows of a table:
 
     (M + tau*gamma*A) x^{n+1} = M x^n + tau*M u^n + (extra terms of level n)
 
@@ -22,12 +23,17 @@ Every solve is residual-checked (see ``fem``) before a caller sees its
 level.  The path sweep checks each level's (n, paths) block before it
 yields it, so no path history is kept.  The single-column sweeps (mean
 state, control response, Qtilde, mean adjoint, Mtilde) run on tables laid
-out as they are read:
+out as they are read, and a step costs its two kernel calls:
 
-* each level is built and solved in place, by ``pbtrs`` on its own row of
-  an (N+1, n) ``out`` that the caller may own;
-* each step's right-hand side is staged as a contiguous row of the (N, n)
-  ``SweepTables.rows``, which first holds the sweep's scaled loads;
+* when the sweep starts, it checks the shapes of its (N+1, n) ``out``
+  (which the caller may own), its ``SweepTables`` and, going forward, its
+  initial state; it zeroes ``out`` once and binds the mass kernel
+  (``FemSystem.mass_kernel``) and ``solve_unchecked``;
+* a step adds M times the previous level into the zeroed (n,) row of
+  ``out`` that will hold the new level, adds the row's loads, stages the
+  right-hand side as a contiguous row of the (N, n) ``SweepTables.rows``
+  (which first holds the sweep's scaled loads) and solves in place by
+  ``pbtrs``;
 * after the loop, one transposed copy per table fills the (n, N) tables
   that one batched check reads, so no step writes a strided column.
 
@@ -145,15 +151,12 @@ def _load_at(system: FemSystem, fn: SpaceTimeFn, t: float) -> np.ndarray:
 
 
 def _mean_brownian(grid: TimeGrid, ensemble: BrownianEnsemble | None):
-    """The ensemble's mean Brownian values (1, N+1) and increments (1, N); None, None
+    """The ensemble's mean Brownian values (N+1,) and increments (N,); None, None
     for the exact means, both zero."""
     if ensemble is None:
         return None, None
     _check_alignment(grid, ensemble.steps, ensemble.tau, "ensemble")
-    return (
-        ensemble.brownian.mean(axis=0, keepdims=True),
-        ensemble.increments.mean(axis=0, keepdims=True),
-    )
+    return ensemble.brownian.mean(axis=0), ensemble.increments.mean(axis=0)
 
 
 class SweepData:
@@ -192,17 +195,24 @@ class SweepData:
 
 
 def _data_terms(data: SweepData, tau: float, brownian, increments):
-    """Data terms of forward step n for columns j: tau*(load(f0) + W^j_n load(f1)),
-    then dW^j_{n+1} load(sigma), all at t_n, with W^j = ``brownian[j]`` and dW^j =
-    ``increments[j]``.  Both are None for zero means: only tau*load(f0) is read."""
+    """Data terms of forward step n: tau*(load(f0) + W_n load(f1)), then
+    dW_{n+1} load(sigma), all at t_n.
+
+    For one column, W and dW are the 1-D ``brownian`` and ``increments``
+    and the terms are (n,) rows; both are None for zero means, and then
+    only tau*load(f0) is read.  For a block, column j reads row j of the
+    2-D ``brownian`` and ``increments`` and the terms are (n, k).
+    """
+    f0 = data.forcing_mean
+    if brownian is None:
+        return lambda n: (tau * f0[n],)
+    f1, sigma = data.forcing_slope, data.sigma
+    if brownian.ndim == 2:
+        f0, f1, sigma = f0[:, :, None], f1[:, :, None], sigma[:, :, None]
 
     def terms(n: int):
-        forcing = data.forcing_mean[n][:, None]
-        if brownian is None:
-            yield tau * forcing
-            return
-        yield tau * (forcing + data.forcing_slope[n][:, None] * brownian[:, n])
-        yield data.sigma[n][:, None] * increments[:, n]
+        yield tau * (f0[n] + f1[n] * brownian[..., n])
+        yield sigma[n] * increments[..., n]
 
     return terms
 
@@ -245,12 +255,30 @@ def _mass_rows(system: FemSystem, levels: np.ndarray, tables: SweepTables) -> np
     return system.mass_product(tables.cols, tables.product).T
 
 
-def _solve_in_place(solver: EulerSolver, rhs: np.ndarray) -> np.ndarray:
-    """Solve unchecked into ``rhs`` itself, which then holds the level."""
-    x = solver.solve_unchecked(rhs)
-    if x is not rhs:  # a solver that returns a new array
-        rhs[...] = x
-    return rhs
+def _checked_tables(
+    grid: TimeGrid, n: int, out: np.ndarray | None, tables: SweepTables | None
+) -> SweepTables:
+    """``tables``, or new ones when None, once ``out`` (when given) and ``tables``
+    fit a sweep of N steps on n nodes.
+
+    The single-column steps go through the unchecked ``FemSystem.mass_kernel``
+    on rows of ``out``, so a sweep checks here, once, before its first
+    solve: ``out`` must be a C-ordered float64 (N+1, n) array, and
+    ``tables`` must be sized for N steps of n nodes.  A mismatch raises
+    ``ValueError``.
+    """
+    if out is not None and (
+        out.shape != (grid.N + 1, n) or out.dtype != np.float64 or not out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be a C-ordered float64 array of shape {(grid.N + 1, n)}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    if tables is None:
+        return SweepTables(grid.N, n)
+    if tables.rows.shape != (grid.N, n):
+        raise ValueError(f"tables hold {tables.rows.shape} levels, the sweep needs {(grid.N, n)}")
+    return tables
 
 
 def _forward(
@@ -258,26 +286,35 @@ def _forward(
     extra_terms: Callable[[int], Iterable[np.ndarray]] = lambda n: (),
     out: np.ndarray | None = None, tables: SweepTables | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Forward implicit-Euler kernel over an (n, k) column block.
+    """Forward implicit-Euler kernel over an (n, k) column block, or one column.
 
     Yields (level, x), level 0 being ``x`` itself; yielded arrays are owned
     by the sweep.  Step n adds, in this order, tau*M u^n and each term of
     ``extra_terms(n)`` to M x^n, then solves with (M + tau*gamma*A); the
     tau*M u^n come from one product over the trajectory, held in
-    ``tables.rows``.  Each level is residual-checked before it is yielded,
-    unless an (N+1, n, 1) ``out`` is given for a one-column block whose
-    ``x`` is ``out[0]``: then step n builds its right-hand side in
-    ``out[n+1]``, stages a copy in row n of ``tables.rows`` and solves in
-    place, and ``_single_column`` checks all levels at once before it
+    ``tables.rows``.  Each level of a block is residual-checked before it is
+    yielded.  Given an (N+1, n) ``out``, the sweep runs the one column
+    x (n,) on its rows instead, and level l is row l: step n adds M x^n
+    into the zeroed row n+1 through the bound mass kernel, stages the
+    right-hand side in row n of ``tables.rows`` and solves in place,
+    unchecked; ``_single_column`` checks all levels at once before it
     returns any.
     """
     _check_alignment(grid, control.grid.N, control.grid.tau, "control trajectory")
+    tables = _checked_tables(grid, system.n, out, tables)
     solver = system.euler_solver(grid.tau, gamma)
-    mass = system.mass_product
-    tables = SweepTables(grid.N, system.n) if tables is None else tables
     loads = np.multiply(
         grid.tau, _mass_rows(system, control.values[: grid.N], tables), out=tables.rows
-    )[:, :, None]
+    )
+    if out is None:
+        mass, solve, loads = system.mass_product, solver.solve, loads[:, :, None]
+    else:
+        if np.shape(x) != (system.n,):
+            raise ValueError(f"initial state shape {np.shape(x)} != ({system.n},)")
+        out[0] = x
+        out[1:] = 0.0
+        x = out[0]
+        matvec, solve = system.mass_kernel, solver.solve_unchecked
     yield 0, x
     for n in range(grid.N):
         # M x and tau*M u stay separate terms: M(x + tau*u) rounds differently
@@ -285,16 +322,17 @@ def _forward(
             rhs = mass(x)
         else:
             rhs = out[n + 1]
-            rhs.fill(0.0)
-            mass(x, rhs)
+            matvec(x, rhs)
         rhs += loads[n]
         for term in extra_terms(n):
             rhs += term
         if out is None:
-            x = solver.solve(rhs)
+            x = solve(rhs)
         else:
             loads[n] = rhs
-            x = _solve_in_place(solver, rhs)
+            x = solve(rhs)
+            if x is not rhs:  # a solver that returns a new array
+                rhs[...] = x
         yield n + 1, x
 
 
@@ -311,9 +349,7 @@ def _single_column(
     """
     out = np.empty((grid.N + 1, system.n)) if out is None else out
     tables = SweepTables(grid.N, system.n) if tables is None else tables
-    out[0] = x
-    levels = out[:, :, None]  # level l as an (n, 1) block
-    for _ in _forward(system, grid, gamma, levels[0], control, extra_terms, levels, tables):
+    for _ in _forward(system, grid, gamma, x, control, extra_terms, out, tables):
         pass
     solver = system.euler_solver(grid.tau, gamma)
     tables.check(solver, tables.rows, out[1:], range(1, grid.N + 1))
@@ -329,23 +365,24 @@ def _backward(
     On entry row n of ``tables.rows`` holds tau*source[n+1], the scaled
     source of level n+1; step n solves
     (M + tau*gamma*A) y^n = M y^{n+1} + tau*source[n+1], in place on row n
-    of the (N+1, n) ``out`` (allocated when not given), and stages its
-    right-hand side over the source row it has read.  The solves run
-    unchecked; all N levels are residual-checked in one batched pass, in
-    sweep order, before the trajectory is returned.
+    of the (N+1, n) ``out`` (allocated when not given, zeroed once), and
+    stages its right-hand side over the source row it has read.  The
+    solves run unchecked; all N levels are residual-checked in one batched
+    pass, in sweep order, before the trajectory is returned.
     """
-    solver = system.euler_solver(grid.tau, gamma)
-    mass = system.mass_product
     out = np.empty((grid.N + 1, system.n)) if out is None else out
-    rows = tables.rows
-    out[grid.N] = 0.0
+    rows = _checked_tables(grid, system.n, out, tables).rows
+    solver = system.euler_solver(grid.tau, gamma)
+    matvec, solve = system.mass_kernel, solver.solve_unchecked
+    out.fill(0.0)  # y^N = 0, and step n adds M y^{n+1} into row n
     for n in range(grid.N - 1, -1, -1):
         rhs = out[n]
-        rhs.fill(0.0)
-        mass(out[n + 1], rhs)
+        matvec(out[n + 1], rhs)
         rhs += rows[n]
         rows[n] = rhs
-        _solve_in_place(solver, rhs)
+        x = solve(rhs)
+        if x is not rhs:  # a solver that returns a new array
+            rhs[...] = x
     tables.check(solver, rows[::-1], out[-2::-1], range(grid.N - 1, -1, -1))
     return Trajectory(out, grid)
 
@@ -433,7 +470,7 @@ def mean_target_loads(
         t = float(grid.times[n])
         loads[n] = _load_at(system, spec.target.mean, t)
         if w_bar is not None:
-            loads[n] += w_bar[0, n] * _load_at(system, spec.target.slope, t)
+            loads[n] += w_bar[n] * _load_at(system, spec.target.slope, t)
     return loads
 
 
@@ -451,7 +488,7 @@ def backward_adjoint_from_loads(
     recursion, since the noise enters linearly.  The levels are written
     into ``out`` (N+1, n) when given.
     """
-    tables = SweepTables(grid.N, system.n) if tables is None else tables
+    tables = _checked_tables(grid, system.n, out, tables)
     source = np.subtract(
         _mass_rows(system, x_levels[1:], tables), target_loads[1:], out=tables.rows
     )

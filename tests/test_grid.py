@@ -124,3 +124,15 @@ def test_mesh_arrays_immutable():
     m = make_interval_mesh(0, 1, 4)
     with pytest.raises(ValueError):
         m.nodes[0, 0] = 3.0
+
+
+@pytest.mark.parametrize(
+    "mesh", [make_interval_mesh(0, 1, 4), make_rectangle_mesh((0, 0), (1, 1), 3, 2)]
+)
+def test_interior_nodes_computed_once_and_frozen(mesh):
+    nodes = mesh.interior_nodes
+    assert mesh.interior_nodes is nodes
+    assert np.array_equal(nodes, mesh.nodes[~mesh.boundary_mask])
+    assert mesh.n_interior == nodes.shape[0]
+    with pytest.raises(ValueError):
+        nodes[0, 0] = 3.0

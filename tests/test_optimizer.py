@@ -135,7 +135,8 @@ class TestWorkspaceAliasing:
             values = getattr(first, name).values
             assert np.array_equal(values, kept[name])
             assert np.array_equal(values, getattr(fresh, name).values)
-            for other in [getattr(second, f).values for f in self.FIELDS] + [
+            mates = [getattr(first, f).values for f in self.FIELDS if f != name]
+            for other in [getattr(second, f).values for f in self.FIELDS] + mates + [
                 tables.rows, tables.cols, tables.product
             ]:
                 assert not np.shares_memory(values, other)

@@ -20,7 +20,7 @@ from socfem import (
     sample,
 )
 from socfem.errors import NumericalError
-from socfem.fem import EulerSolver
+from socfem.fem import EulerSolver, load_vector
 from socfem.paths import BrownianEnsemble
 from socfem.spde import (
     SweepTables,
@@ -29,6 +29,7 @@ from socfem.spde import (
     _mass_rows,
     backward_adjoint_from_loads,
     control_response,
+    iter_forward_paths,
     mean_target_loads,
 )
 
@@ -380,6 +381,12 @@ def _corrupt_call(monkeypatch, index):
 
 
 CHECK_GRID = make_time_grid(1.0, 12)
+DATA_SPEC = make_spec(
+    x0=lambda p: np.sin(np.pi * p[:, 0]),
+    sigma=lambda t, p: (1.0 + t) * p[:, 0],
+    forcing=AffineInW(lambda t, p: np.cos(t + p.sum(axis=1)), lambda t, p: t * p[:, -1]),
+    gamma=0.7,
+)
 CHECK_SYSTEMS = [
     pytest.param(assemble(make_interval_mesh(0, 1, 40)), id="interval40"),
     pytest.param(assemble(make_rectangle_mesh((0, 0), (1, 1), 8, 8)), id="rectangle8x8"),
@@ -420,14 +427,22 @@ class TestDeferredCheck:
         solver = system.euler_solver(tau, 0.7)
         rng = np.random.default_rng(2)
         u, x_levels, loads = (rng.normal(size=(grid.N + 1, system.n)) for _ in range(3))
+        control = Trajectory(u, grid)
 
-        x = np.zeros(system.n)
-        response = [x]
-        for n in range(grid.N):
-            x = solver.solve(mass @ x + tau * (mass @ u[n]))
-            response.append(x)
-        got = control_response(system, grid, Trajectory(u, grid), 0.7)
-        assert np.array_equal(got.values, np.stack(response))
+        def forward(x, terms=lambda n: ()):
+            """Levels from x, (n,) or (n, k): M x, + tau*M u, + each term, then solve."""
+            levels = [x]
+            for n in range(grid.N):
+                control_load = tau * (mass @ u[n])
+                rhs = mass @ x + (control_load if x.ndim == 1 else control_load[:, None])
+                for term in terms(n):
+                    rhs = rhs + term
+                x = solver.solve(rhs)
+                levels.append(x)
+            return np.stack(levels)
+
+        got = control_response(system, grid, control, 0.7)
+        assert np.array_equal(got.values, forward(np.zeros(system.n)))
 
         def backward(source):
             y = np.zeros(system.n)
@@ -443,6 +458,55 @@ class TestDeferredCheck:
                            for x, load in zip(x_levels, loads)])
         got = backward_adjoint_from_loads(system, grid, 0.7, x_levels, loads, 1.3)
         assert np.array_equal(got.values, backward(source))
+
+        # the data sweeps: tau*(f0 + W f1), then sigma dW, all loads at t_n
+        spec = DATA_SPEC
+        f0, f1, sig = (
+            np.stack([load_vector(system, lambda p: fn(t, p)) for t in grid.times[:-1]])
+            for fn in (spec.forcing.mean, spec.forcing.slope, spec.sigma)
+        )
+        x0 = l2_project(system, spec.x0)
+        got = forward_mean(spec, system, grid, control)
+        assert np.array_equal(got.values, forward(x0, lambda n: [tau * f0[n]]))
+
+        ens = sample(5, grid, seed=4)
+        w, dw = ens.brownian.mean(axis=0), ens.increments.mean(axis=0)
+        got = forward_mean(spec, system, grid, control, ens)
+        expected = forward(x0, lambda n: [tau * (f0[n] + f1[n] * w[n]), sig[n] * dw[n]])
+        assert np.array_equal(got.values, expected)
+
+        w, dw = ens.brownian, ens.increments
+        got = np.stack([x.copy() for _, x in iter_forward_paths(spec, system, grid, control, ens)])
+        expected = forward(np.tile(x0[:, None], (1, ens.paths)), lambda n: [
+            tau * (f0[n][:, None] + f1[n][:, None] * w[:, n]), sig[n][:, None] * dw[:, n]
+        ])
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "misfit", ["out rows", "out cols", "out order", "table rows", "table cols"]
+    )
+    def test_misfit_buffers_rejected_before_any_solve(self, monkeypatch, misfit):
+        system, grid = KERNEL_SYSTEM, CHECK_GRID
+        N, n = grid.N, system.n
+        calls = []
+        real = EulerSolver.solve_unchecked
+
+        def counted(self, rhs):
+            calls.append(None)
+            return real(self, rhs)
+
+        monkeypatch.setattr(EulerSolver, "solve_unchecked", counted)
+        levels = np.ones((N + 1, n))
+        out_shape = {"out rows": (N + 2, n), "out cols": (N + 1, n - 1)}.get(misfit, (N + 1, n))
+        out = np.empty(out_shape, order="F" if misfit == "out order" else "C")
+        tables = SweepTables(*{"table rows": (N - 1, n), "table cols": (N, n + 1)}.get(misfit, (N, n)))
+        with pytest.raises(ValueError):
+            control_response(system, grid, Trajectory(levels, grid), out=out, tables=tables)
+        with pytest.raises(ValueError):
+            backward_adjoint_from_loads(system, grid, 1.0, levels, levels, 0.5, out=out, tables=tables)
+        assert calls == []
+        control_response(system, grid, Trajectory(levels, grid), out=np.empty((N + 1, n)))
+        assert len(calls) == N  # the counter sees the solves of a run that fits
 
 
 class TestLsmcZ:
