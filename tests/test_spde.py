@@ -499,11 +499,14 @@ class TestDeferredCheck:
         levels = np.ones((N + 1, n))
         out_shape = {"out rows": (N + 2, n), "out cols": (N + 1, n - 1)}.get(misfit, (N + 1, n))
         out = np.empty(out_shape, order="F" if misfit == "out order" else "C")
-        tables = SweepTables(*{"table rows": (N - 1, n), "table cols": (N, n + 1)}.get(misfit, (N, n)))
+        table_shape = {"table rows": (N - 1, n), "table cols": (N, n + 1)}.get(misfit, (N, n))
+        tables = SweepTables(*table_shape)
         with pytest.raises(ValueError):
             control_response(system, grid, Trajectory(levels, grid), out=out, tables=tables)
         with pytest.raises(ValueError):
-            backward_adjoint_from_loads(system, grid, 1.0, levels, levels, 0.5, out=out, tables=tables)
+            backward_adjoint_from_loads(
+                system, grid, 1.0, levels, levels, 0.5, out=out, tables=tables
+            )
         assert calls == []
         control_response(system, grid, Trajectory(levels, grid), out=np.empty((N + 1, n)))
         assert len(calls) == N  # the counter sees the solves of a run that fits
