@@ -20,12 +20,10 @@ from .fem import FemSystem, assemble, l2_project, load_vector
 from .paths import BrownianEnsemble, sample
 from .spde import (
     AffineInW,
-    PathEnsembleTrajectory,
     ProblemSpec,
     Trajectory,
     ZEstimate,
     forward_mean,
-    forward_paths,
     lsmc_z_estimate,
     mtilde_solve,
     qtilde_solve,
@@ -69,7 +67,6 @@ __all__ = [
     "NumericalError",
     "OptimizerConfig",
     "OrderFit",
-    "PathEnsembleTrajectory",
     "ProblemSpec",
     "Resolution",
     "SolutionBundle",
@@ -88,7 +85,6 @@ __all__ = [
     "example2",
     "fit_order",
     "forward_mean",
-    "forward_paths",
     "gp_iterate",
     "l2_project",
     "load_vector",

@@ -61,7 +61,6 @@ class ErrorReport:
 
 @dataclass(frozen=True)
 class OrderFit:
-    points: tuple
     slope: float
     r_squared: float
 
@@ -98,7 +97,7 @@ def _interior_values(system: FemSystem, fn, t: float) -> np.ndarray:
     return np.asarray(fn(t, system.mesh.interior_nodes), dtype=float)
 
 
-def h1_error_sq(system: FemSystem, nodal: np.ndarray, exact_eval, fd_step: float = _FD_STEP):
+def h1_error_sq(system: FemSystem, nodal: np.ndarray, exact_eval):
     """Squared H1 seminorm of (exact - P1 field) by element quadrature.
 
     ``nodal`` is a batch (..., n_interior) of coefficient vectors;
@@ -108,17 +107,17 @@ def h1_error_sq(system: FemSystem, nodal: np.ndarray, exact_eval, fd_step: float
     its interpolant matters here: on uniform meshes the gradient error
     against the interpolant superconverges and would hide the true rate.
     """
-    return _h1_gap_sq(system, nodal, _fd_gradients(system, exact_eval, fd_step))
+    return _h1_gap_sq(system, nodal, _fd_gradients(system, exact_eval))
 
 
-def _fd_gradients(system: FemSystem, exact_eval, fd_step: float = _FD_STEP) -> list:
+def _fd_gradients(system: FemSystem, exact_eval) -> list:
     """Central-difference gradient of ``exact_eval`` at the quadrature points,
     one array (..., n_quad) per axis."""
     qp = system.quad_points
     return [
         (np.asarray(exact_eval(qp + s), dtype=float) - np.asarray(exact_eval(qp - s), dtype=float))
-        / (2.0 * fd_step)
-        for s in fd_step * np.eye(system.mesh.dim)
+        / (2.0 * _FD_STEP)
+        for s in _FD_STEP * np.eye(system.mesh.dim)
     ]
 
 
@@ -226,7 +225,7 @@ def fit_order(points) -> OrderFit:
     ss_res = float(np.sum((le - pred) ** 2))
     ss_tot = float(np.sum((le - np.mean(le)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return OrderFit(points=tuple(pts), slope=float(slope), r_squared=r2)
+    return OrderFit(slope=float(slope), r_squared=r2)
 
 
 def discrete_constraint_level(
@@ -287,12 +286,7 @@ def _error_report(problem, res, paths, seed, config, estimator, delta_mode) -> E
     if delta_mode == "discrete":
         spec = replace(spec, delta=discrete_constraint_level(problem, system, grid))
     result = gp_iterate(
-        spec,
-        system,
-        grid,
-        config,
-        estimator=estimator,
-        ensemble=ensemble if estimator == "monte-carlo" else None,
+        spec, system, grid, config, ensemble=ensemble if estimator == "monte-carlo" else None
     )
     bundle = SolutionBundle(control=result.control, adjoint_mean=result.adjoint_mean, mu=result.mu)
     return compute_errors(problem, bundle, ensemble, system, grid)
@@ -380,9 +374,7 @@ def _resolution_cells(problem, deltas, res, estimator, paths, seed, config) -> l
     with _cell_context(deltas[0], res):
         system, grid = setup(problem, res)
         ensemble = sample(paths, grid, seed) if estimator == "monte-carlo" else None
-        loop = GradientProjection(
-            problem.spec, system, grid, rho=config.rho, estimator=estimator, ensemble=ensemble
-        )
+        loop = GradientProjection(problem.spec, system, grid, rho=config.rho, ensemble=ensemble)
     cells = []
     for delta in deltas:
         with _cell_context(delta, res):

@@ -252,9 +252,7 @@ def run_solve(args: argparse.Namespace) -> int:
     system, grid = setup(problem, res)
     ensemble = sample(args.paths, grid, args.seed) if args.estimator == "monte-carlo" else None
     config = OptimizerConfig(rho=args.rho, eps0=args.eps0, max_iter=args.max_iter)
-    result = gp_iterate(
-        problem.spec, system, grid, config, estimator=args.estimator, ensemble=ensemble
-    )
+    result = gp_iterate(problem.spec, system, grid, config, ensemble=ensemble)
 
     lines = [ITERATIONS_HEADER]
     for r in result.records:

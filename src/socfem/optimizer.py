@@ -7,14 +7,15 @@ updated mean state's space-time integral lands exactly on the constraint
 level whenever the half step is infeasible; feasible half steps leave the
 control untouched (multiplier zero).
 
-Expectations are evaluated either in closed form (``mean-field``, exact
-for additive noise and deterministic controls) or as path averages over a
-fixed Brownian ensemble (``monte-carlo``).  Both reduce to the same affine
-iteration: the state responses to data and control separate, so the data
-response is computed once up front, not once per iteration.  The scheme is
-linear and the data affine in W, so the path average is itself one mean
-sweep driven by the ensemble's mean Brownian values and increments; the
-mean-field estimator is the case where both means are zero.
+Expectations are evaluated either in closed form (mean-field, exact for
+additive noise and deterministic controls), when no ensemble is given, or
+as path averages over a fixed Brownian ensemble (Monte Carlo), when one is.
+Both reduce to the same affine iteration: the state responses to data and
+control separate, so the data response is computed once up front, not once
+per iteration.  The scheme is linear and the data affine in W, so the path
+average is itself one mean sweep driven by the ensemble's mean Brownian
+values and increments; the mean-field estimator is the case where both
+means are zero.
 
 The loop allocates no table per iteration.  A ``GradientProjection`` owns
 the sweeps' scratch (``spde.SweepTables``), sized once per resolution and
@@ -52,9 +53,6 @@ from .spde import (
     qtilde_solve,
 )
 
-ESTIMATORS = ("mean-field", "monte-carlo")
-
-
 @dataclass
 class OptimizerConfig:
     """Loop parameters; ``rho=None`` selects 0.9/(alpha + e^T)."""
@@ -62,7 +60,6 @@ class OptimizerConfig:
     rho: float | None = None
     eps0: float = 1e-6
     max_iter: int = 500
-    u0: Trajectory | None = None
 
     def __post_init__(self):
         if self.rho is not None and not self.rho > 0.0:
@@ -90,7 +87,6 @@ class GpResult:
     converged: bool
     state_mean: Trajectory
     adjoint_mean: Trajectory
-    control_history: list[np.ndarray] | None = None
 
     @property
     def iterations(self) -> int:
@@ -139,14 +135,16 @@ def contraction_certificate(alpha: float, T: float, rho: float) -> float | None:
 
 
 class GradientProjection:
-    """Shared workspace for one problem/grid/estimator combination.
+    """Shared workspace for one problem, grid and ensemble.
 
     The control-independent pieces (auxiliary fields, data response, target
     loads) are computed once; ``run`` then iterates, and ``project`` exposes
     the projection alone for property tests and reuse.  None of them depends
     on the constraint level: delta is an argument of ``project`` and
     ``run``, not workspace state, and the workspace never reads
-    ``spec.delta``, so one workspace serves every delta.
+    ``spec.delta``, so one workspace serves every delta.  With an
+    ``ensemble``, expectations are its path averages (Monte Carlo); without
+    one, they are exact (mean-field).
     """
 
     def __init__(
@@ -155,17 +153,11 @@ class GradientProjection:
         system: FemSystem,
         grid: TimeGrid,
         rho: float | None = None,
-        estimator: str = "mean-field",
         ensemble: BrownianEnsemble | None = None,
     ):
-        if estimator not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-        if estimator == "monte-carlo" and ensemble is None:
-            raise ValueError("the monte-carlo estimator needs a Brownian ensemble")
         self.spec = spec
         self.system = system
         self.grid = grid
-        self.estimator = estimator
         self.rho = 0.9 / (spec.alpha + math.exp(spec.T)) if rho is None else float(rho)
 
         self.mtilde = mtilde_solve(system, grid, spec.gamma)
@@ -173,10 +165,9 @@ class GradientProjection:
         self.qtilde_integral = constraint_integral(self.qtilde, system, grid)
 
         self.tables = SweepTables(grid.N, system.n)
-        means_of = ensemble if estimator == "monte-carlo" else None
         zero = Trajectory.zeros(grid, system.n)
-        self.base = forward_mean(spec, system, grid, zero, means_of)
-        self.target_loads = mean_target_loads(spec, system, grid, means_of)
+        self.base = forward_mean(spec, system, grid, zero, ensemble)
+        self.target_loads = mean_target_loads(spec, system, grid, ensemble)
         self.target_proj = np.zeros_like(self.target_loads)
         self.target_proj[1:] = system.mass_solve(self.target_loads[1:].T).T
 
@@ -237,17 +228,14 @@ class GradientProjection:
         u_proj = Trajectory(np.subtract(control.values, shift, out=shift), self.grid)
         return u_proj, x, mu
 
-    def run(
-        self, config: OptimizerConfig, delta: float, keep_history: bool = False
-    ) -> GpResult:
+    def run(self, config: OptimizerConfig, delta: float) -> GpResult:
         rho, alpha, grid = self.rho, self.spec.alpha, self.grid
         shape = (grid.N + 1, self.system.n)
-        u = config.u0.copy() if config.u0 is not None else Trajectory.zeros(grid, self.system.n)
+        u = Trajectory.zeros(grid, self.system.n)
         x = self.state_mean(u, np.empty(shape))
         # the next iterates and one scratch table, owned by this run
         u_next, x_next, scratch = (np.empty(shape) for _ in range(3))
         records: list[IterationRecord] = []
-        history = [u.values.copy()] if keep_history else None
         converged = False
         mu = 0.0
 
@@ -270,8 +258,6 @@ class GradientProjection:
             records.append(IterationRecord(i, mu, step_error, integral, cost))
             u, u_next = u_new, u.values
             x, x_next = x_new, x.values
-            if keep_history:
-                history.append(u.values.copy())
             if step_error <= config.eps0:
                 converged = True
                 break
@@ -283,7 +269,6 @@ class GradientProjection:
             converged=converged,
             state_mean=x,
             adjoint_mean=self.adjoint(x, mu, out=u_next),
-            control_history=history,
         )
 
 
@@ -292,9 +277,7 @@ def gp_iterate(
     system: FemSystem,
     grid: TimeGrid,
     config: OptimizerConfig,
-    estimator: str = "mean-field",
     ensemble: BrownianEnsemble | None = None,
-    keep_history: bool = False,
 ) -> GpResult:
     """Run the gradient projection loop; see ``GradientProjection``.
 
@@ -302,7 +285,5 @@ def gp_iterate(
     ``converged`` flag, not raised; a non-finite iterate (a divergent step
     size) raises ``NumericalError``.
     """
-    loop = GradientProjection(
-        spec, system, grid, rho=config.rho, estimator=estimator, ensemble=ensemble
-    )
-    return loop.run(config, spec.delta, keep_history=keep_history)
+    loop = GradientProjection(spec, system, grid, rho=config.rho, ensemble=ensemble)
+    return loop.run(config, spec.delta)

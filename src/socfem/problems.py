@@ -37,10 +37,7 @@ class ManufacturedProblem:
     exact_x: AffineInW
     exact_y: callable  # (t, pts) -> values, equal to -alpha * exact_u
     exact_mu: float
-    beta: float
-    gamma: float
     domain: tuple[tuple[float, float], ...]
-    lam: float = 0.0
     xd_reading: str | None = None
     xd_variants: dict = field(default_factory=dict)
 
@@ -115,8 +112,6 @@ def example1(beta: float = 0.1, mu: float = 1.0, xd_reading: str = "auto") -> Ma
         exact_x=exact_x,
         exact_y=exact_y,
         exact_mu=mu,
-        beta=beta,
-        gamma=1.0,
         domain=((0.0, 1.0),),
         xd_reading=xd_reading,
         xd_variants=variants,
@@ -194,10 +189,7 @@ def example2(
         exact_x=exact_x,
         exact_y=exact_y,
         exact_mu=mu,
-        beta=beta,
-        gamma=gamma,
         domain=((0.0, 1.0), (0.0, 1.0)),
-        lam=lam,
     )
 
 
@@ -226,10 +218,6 @@ class VerificationReport:
     delta_error: float
     selected_reading: str | None
     target_w_mismatch: dict
-
-    @property
-    def drift_residual(self) -> float:
-        return max(self.state_residual, self.adjoint_mean_residual)
 
     def as_dict(self) -> dict:
         return {

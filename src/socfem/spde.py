@@ -121,9 +121,6 @@ class Trajectory:
     def zeros(cls, grid: TimeGrid, n: int) -> "Trajectory":
         return cls(np.zeros((grid.N + 1, n)), grid)
 
-    def copy(self) -> "Trajectory":
-        return Trajectory(self.values.copy(), self.grid)
-
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2 or self.values.shape[0] != self.grid.N + 1:
@@ -131,14 +128,6 @@ class Trajectory:
                 f"trajectory needs shape (N+1, n) = ({self.grid.N + 1}, *), "
                 f"got {self.values.shape}"
             )
-
-
-@dataclass
-class PathEnsembleTrajectory:
-    """Per-path trajectories sharing one grid, shape (paths, N+1, n)."""
-
-    values: np.ndarray
-    grid: TimeGrid
 
 
 def _check_alignment(grid: TimeGrid, steps: int, tau: float, what: str):
@@ -326,13 +315,9 @@ def _forward(
         rhs += loads[n]
         for term in extra_terms(n):
             rhs += term
-        if out is None:
-            x = solve(rhs)
-        else:
+        if out is not None:
             loads[n] = rhs
-            x = solve(rhs)
-            if x is not rhs:  # a solver that returns a new array
-                rhs[...] = x
+        x = solve(rhs)
         yield n + 1, x
 
 
@@ -380,9 +365,7 @@ def _backward(
         matvec(out[n + 1], rhs)
         rhs += rows[n]
         rows[n] = rhs
-        x = solve(rhs)
-        if x is not rhs:  # a solver that returns a new array
-            rhs[...] = x
+        solve(rhs)
     tables.check(solver, rows[::-1], out[-2::-1], range(grid.N - 1, -1, -1))
     return Trajectory(out, grid)
 
@@ -408,20 +391,6 @@ def iter_forward_paths(
     terms = _data_terms(data, grid.tau, ensemble.brownian, ensemble.increments)
     x = np.tile(data.x0[:, None], (1, ensemble.paths))
     yield from _forward(system, grid, spec.gamma, x, control, terms)
-
-
-def forward_paths(
-    spec: ProblemSpec,
-    system: FemSystem,
-    grid: TimeGrid,
-    control: Trajectory,
-    ensemble: BrownianEnsemble,
-) -> PathEnsembleTrajectory:
-    """Solve the state equation along every path of the ensemble."""
-    out = np.empty((ensemble.paths, grid.N + 1, system.n))
-    for n, x in iter_forward_paths(spec, system, grid, control, ensemble):
-        out[:, n, :] = x.T
-    return PathEnsembleTrajectory(out, grid)
 
 
 def forward_mean(
@@ -528,12 +497,6 @@ class ZEstimate:
     const: np.ndarray
     slope: np.ndarray
     fallback: bool
-
-    def evaluate(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        if w.ndim == 0:
-            return self.const + float(w) * self.slope
-        return self.const[None, :] + w[:, None] * self.slope[None, :]
 
 
 def lsmc_z_estimate(

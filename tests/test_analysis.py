@@ -20,7 +20,6 @@ from socfem import (
     discrete_constraint_level,
     example1,
     fit_order,
-    forward_paths,
     gp_iterate,
     make_interval_mesh,
     sample,
@@ -28,6 +27,8 @@ from socfem import (
 from socfem.analysis import _level_state_errors, h1_error_sq, orders_from_reports, setup
 from socfem.paths import BLOCK
 from socfem.problems import BY_NAME
+
+from helpers import path_states
 
 
 class TestFitOrder:
@@ -150,9 +151,7 @@ class TestComputeErrors:
 
     def test_streamed_states_match_materialized(self, small_run):
         prob, system, grid, ens, control, adjoint = small_run
-        from socfem import forward_paths
-
-        states = forward_paths(prob.spec, system, grid, control, ens).values
+        states = path_states(prob.spec, system, grid, control, ens)
         pts = system.mesh.interior_nodes
         l2_sq = np.zeros(grid.N + 1)
         h1_sq = np.zeros(grid.N + 1)
@@ -221,7 +220,7 @@ class TestComputeErrors:
         ens = sample(32, grid, seed=9)
         pts = system.mesh.interior_nodes
         control = Trajectory(np.stack([prob.exact_u(t, pts) for t in grid.times]), grid)
-        states = forward_paths(prob.spec, system, grid, control, ens).values
+        states = path_states(prob.spec, system, grid, control, ens)
         l2_sq, h1_sq = np.zeros(grid.N + 1), np.zeros(grid.N + 1)
         for n in range(grid.N + 1):
             t, w = float(grid.times[n]), ens.brownian_at(n)
@@ -327,8 +326,7 @@ class TestSharedWorkspace:
                 system, grid = setup(prob, res)
                 ensemble = sample(64, grid, 3) if estimator == "monte-carlo" else None
                 alone = gp_iterate(
-                    replace(prob.spec, delta=delta), system, grid, OptimizerConfig(),
-                    estimator=estimator, ensemble=ensemble,
+                    replace(prob.spec, delta=delta), system, grid, OptimizerConfig(), ensemble
                 )
                 cell = next(cells)
                 assert cell.mu == alone.mu

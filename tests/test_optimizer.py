@@ -10,7 +10,6 @@ from socfem import (
     constraint_integral,
     contraction_certificate,
     example1,
-    forward_paths,
     gp_iterate,
     make_interval_mesh,
     make_time_grid,
@@ -20,6 +19,8 @@ from socfem import (
 from socfem.analysis import Resolution, setup
 from socfem.optimizer import GradientProjection
 from socfem.problems import BY_NAME
+
+from helpers import path_states
 
 
 @pytest.fixture(scope="module")
@@ -190,11 +191,9 @@ class TestMonteCarloWorkspace:
         prob = BY_NAME[name]()
         system, grid = setup(prob, res)
         ens = sample(64, grid, seed=5)
-        loop = GradientProjection(
-            prob.spec, system, grid, estimator="monte-carlo", ensemble=ens
-        )
+        loop = GradientProjection(prob.spec, system, grid, ensemble=ens)
         zero = Trajectory.zeros(grid, system.n)
-        states = forward_paths(prob.spec, system, grid, zero, ens).values
+        states = path_states(prob.spec, system, grid, zero, ens)
         assert _max_rel(loop.base.values, states.mean(axis=0)) <= 1e-12
 
         # every path's target values at the quadrature points, loaded and averaged
@@ -217,16 +216,6 @@ class TestGpIterate:
             assert rec.constraint_integral <= prob.spec.delta + 1e-8
             assert rec.step_error >= 0.0
             assert rec.mu >= 0.0
-
-    def test_fixed_point_exits_immediately(self, coarse):
-        prob, system, grid = coarse
-        first = gp_iterate(prob.spec, system, grid, OptimizerConfig(eps0=1e-10, max_iter=400))
-        assert first.converged
-        again = gp_iterate(
-            prob.spec, system, grid, OptimizerConfig(eps0=1e-8, u0=first.control)
-        )
-        assert again.iterations == 1
-        assert again.records[0].step_error <= 1e-8
 
     def test_slack_constraint_keeps_mu_zero(self, coarse):
         prob, system, grid = coarse
@@ -264,25 +253,10 @@ class TestGpIterate:
         system, grid = setup(prob, Resolution(12, 12))
         ens = sample(8, grid, seed=4)
         mf = gp_iterate(prob.spec, system, grid, OptimizerConfig(eps0=1e-8))
-        mc = gp_iterate(
-            prob.spec, system, grid, OptimizerConfig(eps0=1e-8),
-            estimator="monte-carlo", ensemble=ens,
-        )
+        mc = gp_iterate(prob.spec, system, grid, OptimizerConfig(eps0=1e-8), ensemble=ens)
         assert mc.iterations == mf.iterations
         assert np.abs(mc.control.values - mf.control.values).max() <= 1e-10
         assert mc.mu == pytest.approx(mf.mu, rel=1e-8)
-
-    def test_monte_carlo_requires_ensemble(self, coarse):
-        prob, system, grid = coarse
-        with pytest.raises(ValueError):
-            gp_iterate(
-                prob.spec, system, grid, OptimizerConfig(), estimator="monte-carlo"
-            )
-
-    def test_unknown_estimator(self, coarse):
-        prob, system, grid = coarse
-        with pytest.raises(ValueError):
-            gp_iterate(prob.spec, system, grid, OptimizerConfig(), estimator="exact")
 
 
 class TestConfigValidation:

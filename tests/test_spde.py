@@ -9,7 +9,6 @@ from socfem import (
     assemble,
     example1,
     forward_mean,
-    forward_paths,
     l2_project,
     lsmc_z_estimate,
     make_interval_mesh,
@@ -32,6 +31,8 @@ from socfem.spde import (
     iter_forward_paths,
     mean_target_loads,
 )
+
+from helpers import path_states
 
 
 def zero_space(x):
@@ -78,9 +79,9 @@ class TestForward:
 
         spec = make_spec(x0=hat)
         grid = make_time_grid(0.5, 1)
-        out = forward_paths(spec, sys_half, grid, Trajectory.zeros(grid, 1), zero_ensemble(3, grid))
-        assert out.values[:, 0, 0] == pytest.approx([1.0] * 3, abs=1e-12)
-        assert out.values[:, 1, 0] == pytest.approx([1 / 7] * 3, abs=1e-12)
+        out = path_states(spec, sys_half, grid, Trajectory.zeros(grid, 1), zero_ensemble(3, grid))
+        assert out[:, 0, 0] == pytest.approx([1.0] * 3, abs=1e-12)
+        assert out[:, 1, 0] == pytest.approx([1 / 7] * 3, abs=1e-12)
 
     def test_zero_increments_reduce_to_mean(self):
         prob = example1()
@@ -89,10 +90,10 @@ class TestForward:
         grid = make_time_grid(1.0, 8)
         rng = np.random.default_rng(0)
         u = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
-        paths = forward_paths(prob.spec, system, grid, u, zero_ensemble(4, grid))
+        paths = path_states(prob.spec, system, grid, u, zero_ensemble(4, grid))
         mean = forward_mean(prob.spec, system, grid, u)
         for p in range(4):
-            assert np.array_equal(paths.values[p], mean.values)
+            assert np.array_equal(paths[p], mean.values)
 
     def test_superposition_per_path(self):
         mesh = make_interval_mesh(0, 1, 6)
@@ -119,11 +120,11 @@ class TestForward:
                 lambda t, p: f1.slope(t, p) + f2.slope(t, p),
             ),
         )
-        a = forward_paths(spec1, system, grid, u1, ens)
-        b = forward_paths(spec2, system, grid, u2, ens)
+        a = path_states(spec1, system, grid, u1, ens)
+        b = path_states(spec2, system, grid, u2, ens)
         u_sum = Trajectory(u1.values + u2.values, grid)
-        c = forward_paths(spec_sum, system, grid, u_sum, ens)
-        assert np.abs(c.values - (a.values + b.values)).max() <= 1e-10
+        c = path_states(spec_sum, system, grid, u_sum, ens)
+        assert np.abs(c - (a + b)).max() <= 1e-10
 
     def test_example1_matches_monte_carlo_mean(self):
         prob = example1()
@@ -132,9 +133,9 @@ class TestForward:
         ens = sample(2000, grid, seed=7)
         u = Trajectory.zeros(grid, system.n)
         mean = forward_mean(prob.spec, system, grid, u)
-        paths = forward_paths(prob.spec, system, grid, u, ens)
-        sample_mean = paths.values.mean(axis=0)
-        stderr = paths.values.std(axis=0, ddof=1) / np.sqrt(ens.paths)
+        paths = path_states(prob.spec, system, grid, u, ens)
+        sample_mean = paths.mean(axis=0)
+        stderr = paths.std(axis=0, ddof=1) / np.sqrt(ens.paths)
         gap = np.abs(sample_mean - mean.values)
         assert np.all(gap <= 4 * stderr + 1e-12)
 
@@ -144,12 +145,12 @@ class TestForward:
         grid = make_time_grid(1.0, 10)
         ens = sample(16, grid, seed=1)
         u = Trajectory.zeros(grid, system.n)
-        fwd = forward_paths(prob.spec, system, grid, u, ens).values
+        fwd = path_states(prob.spec, system, grid, u, ens)
         mirror = BrownianEnsemble(
             paths=ens.paths, steps=ens.steps, tau=ens.tau, seed=ens.seed,
             increments=-ens.increments,
         )
-        bwd = forward_paths(prob.spec, system, grid, u, mirror).values
+        bwd = path_states(prob.spec, system, grid, u, mirror)
         mean = forward_mean(prob.spec, system, grid, u)
         averaged = 0.5 * (fwd + bwd)
         for p in range(16):
@@ -172,7 +173,7 @@ class TestForward:
         grid = make_time_grid(1.0, 4)
         other = make_time_grid(1.0, 5)
         with pytest.raises(ValueError):
-            forward_paths(
+            path_states(
                 make_spec(), sys_half, grid, Trajectory.zeros(grid, 1), zero_ensemble(2, other)
             )
         with pytest.raises(ValueError):
@@ -368,14 +369,17 @@ class TestKernels:
 
 
 def _corrupt_call(monkeypatch, index):
-    """Scale the solution of the ``index``-th unchecked implicit-Euler solve by 1 + 1e-6."""
+    """Scale the solution of the ``index``-th unchecked implicit-Euler solve by 1 + 1e-6,
+    in place, as the sweeps read it."""
     calls = []
     real = EulerSolver.solve_unchecked
 
     def corrupted(self, rhs):
         x = real(self, rhs)
         calls.append(None)
-        return x * (1.0 + 1e-6) if len(calls) == index + 1 else x
+        if len(calls) == index + 1:
+            x *= 1.0 + 1e-6
+        return x
 
     monkeypatch.setattr(EulerSolver, "solve_unchecked", corrupted)
 
@@ -544,13 +548,6 @@ class TestLsmcZ:
         assert np.abs(z.slope).max() == 0.0
         stderr = np.sqrt(2 * grid.tau**2 / ens.paths)
         assert abs(z.const[0] - grid.tau) <= 4 * stderr
-
-    def test_evaluate_shapes(self, setup_small):
-        system, grid, ens = setup_small
-        payoff = np.ones((ens.paths, system.n))
-        z = lsmc_z_estimate(system, grid, ens, payoff, level=3)
-        assert z.evaluate(0.0).shape == (system.n,)
-        assert z.evaluate(np.zeros(5)).shape == (5, system.n)
 
     def test_rank_deficient_basis_is_numerical_error(self, setup_small):
         system, grid, _ = setup_small
