@@ -28,6 +28,7 @@ from .spde import SweepData, Trajectory, forward_mean, iter_forward_paths
 
 
 _FD_STEP = 1e-4  # central-difference step of the exact gradients in H1 errors
+_ESTIMATORS = ("mean-field", "monte-carlo")
 
 
 @dataclass(frozen=True)
@@ -271,11 +272,18 @@ def convergence_study(
     """
     if delta_mode not in ("discrete", "problem"):
         raise ValueError(f"delta_mode must be 'discrete' or 'problem', got {delta_mode!r}")
+    _check_estimator(estimator)
     config = OptimizerConfig(rho=rho, eps0=eps0, max_iter=max_iter)
     return [
         _error_report(problem, res, paths, seed, config, estimator, delta_mode)
         for res in resolutions
     ]
+
+
+def _check_estimator(estimator: str) -> None:
+    """Reject an estimator name that would otherwise run as mean-field."""
+    if estimator not in _ESTIMATORS:
+        raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
 
 
 def _error_report(problem, res, paths, seed, config, estimator, delta_mode) -> ErrorReport:
@@ -346,6 +354,7 @@ def constraint_table(
     mean the projection is broken rather than inaccurate.  Failures name
     the cell they happened in.
     """
+    _check_estimator(estimator)
     config = OptimizerConfig(rho=rho, eps0=eps0, max_iter=max_iter)
     by_resolution = [
         _resolution_cells(problem, deltas, res, estimator, paths, seed, config)

@@ -276,6 +276,10 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(example1(), [Resolution(8, 8)], delta_mode="exotic")
 
+    def test_estimator_validation(self):
+        with pytest.raises(ValueError, match="estimator"):
+            convergence_study(example1(), [Resolution(8, 8)], estimator="bogus")
+
     def test_discrete_level_near_continuous(self):
         prob = example1()
         system, grid = setup(prob, Resolution(20, 20))
@@ -302,6 +306,10 @@ class TestConstraintTable:
             assert abs(cell.integral - cell.delta) <= 1e-8
             assert cell.integral <= cell.delta + 1e-8
             assert cell.mu > 0.0
+
+    def test_estimator_validation(self):
+        with pytest.raises(ValueError, match="estimator"):
+            constraint_table(example1(), [0.2], [Resolution(8, 8)], estimator="bogus")
 
 
 class TestSharedWorkspace:
