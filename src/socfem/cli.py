@@ -38,7 +38,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -379,7 +379,7 @@ def run_constraint_table(args: argparse.Namespace) -> int:
 def run_verify(args: argparse.Namespace) -> int:
     problem = build_problem(args)
     report = verify_manufactured(problem, samples=args.samples, seed=args.seed)
-    text = json.dumps(report.as_dict(), indent=2)
+    text = json.dumps(asdict(report), indent=2)
     print(text)
     _write_atomic(args.output_dir / "verify.json", text + "\n")
     return 0

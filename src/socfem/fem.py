@@ -15,10 +15,10 @@ Every solve is residual-checked per column, with one rule: column j passes
 when its right-hand side is finite and |op x_j - rhs_j| <= 1e-10 |rhs_j|.
 ``solve`` checks before it returns, which is how mass solves and the
 per-level path blocks of ``spde.iter_forward_paths`` are checked.  The
-single-column sweeps of ``spde`` solve through ``solve_unchecked``, in
-place on a row of their output table, and pass all their levels to the
-same ``check`` once, before the sweep returns; in 1D that one pass costs
-less than a per-step check's dispatch.
+single-column kernel of ``spde`` (``_row_sweep``) solves through
+``solve_unchecked``, in place on a row of its output table, and passes
+all its levels to the same ``check`` once, before the sweep returns; in
+1D that one pass costs less than a per-step check's dispatch.
 
 The systems are small (n = 14..39 in 1D), so a time step costs Python
 overhead rather than arithmetic.  Sparse products therefore call the
@@ -27,9 +27,9 @@ once, and skip scipy's generic dispatch; the sums, and so every output,
 are unchanged.  ``csr_product`` checks the operand and ``out`` on every
 call, for the whole-trajectory products, the residual checks and the path
 blocks.  ``csr_kernel`` is the bare (n,) row kernel, with no check at all:
-the single-column sweeps of ``spde`` check their tables' shapes once when a
-sweep starts, and then each step is one ``FemSystem.mass_kernel`` call and
-one ``solve_unchecked``.
+the single-column kernel of ``spde`` checks the shape and layout of its
+output table once when a sweep starts, and then each step is one
+``FemSystem.mass_kernel`` call and one ``solve_unchecked``.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class _CheckedCholesky:
     ``solve_unchecked`` solves in place, overwriting its right-hand side,
     and leaves the check to its caller, which passes the right-hand sides
     and solutions of many solves to one ``check`` (see
-    ``spde._single_column``).
+    ``spde._row_sweep``).
     """
 
     def __init__(self, op: sp.spmatrix, what: str):

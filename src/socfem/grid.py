@@ -57,8 +57,6 @@ class Mesh:
     interior_index : ndarray of int, shape (n_nodes,)
         Dense renumbering of interior nodes (0..n_interior-1); -1 on the
         boundary.
-    volume : float
-        Measure of the domain (length / area).
     interior_nodes : ndarray, shape (n_interior, dim)
         Coordinates of interior nodes in dense (renumbered) order, computed
         once at construction.
@@ -72,7 +70,6 @@ class Mesh:
     boundary_mask: np.ndarray
     h: float
     interior_index: np.ndarray
-    volume: float
     interior_nodes: np.ndarray = field(init=False, repr=False, compare=False)
     n_interior: int = field(init=False, repr=False, compare=False)
 
@@ -125,7 +122,6 @@ def make_interval_mesh(a: float, b: float, cells: int) -> Mesh:
         boundary_mask=_frozen(boundary),
         h=(b - a) / cells,
         interior_index=_frozen(_dense_interior(boundary)),
-        volume=float(b - a),
     )
 
 
@@ -181,7 +177,6 @@ def make_rectangle_mesh(
         boundary_mask=_frozen(boundary),
         h=float(np.hypot(dx, dy)),
         interior_index=_frozen(_dense_interior(boundary)),
-        volume=float((bx - ax) * (by - ay)),
     )
 
 

@@ -219,19 +219,6 @@ class VerificationReport:
     selected_reading: str | None
     target_w_mismatch: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "samples": self.samples,
-            "state_residual": self.state_residual,
-            "noise_mismatch": self.noise_mismatch,
-            "adjoint_mean_residual": self.adjoint_mean_residual,
-            "optimality_residual": self.optimality_residual,
-            "delta_error": self.delta_error,
-            "selected_reading": self.selected_reading,
-            "target_w_mismatch": self.target_w_mismatch,
-        }
-
 
 def verify_manufactured(
     problem: ManufacturedProblem, samples: int = 1000, seed: int = 0

@@ -1,46 +1,40 @@
 """Time-stepping solvers for the controlled stochastic heat equation.
 
-Every sweep runs one of two implicit-Euler kernels on interior P1
-coefficients, both with the factorized SPD operator M + tau*gamma*A.
+The state and the adjoint take the same implicit-Euler step on interior P1
+coefficients, with the factorized SPD operator M + tau*gamma*A; only the
+direction differs.  Forward from x^0:
 
-The forward kernel (``_forward``) steps an (n, k) column block, or one
-column on the rows of a table:
+    (M + tau*gamma*A) x^{n+1} = M x^n + tau*M u^n + (data terms of level n)
 
-    (M + tau*gamma*A) x^{n+1} = M x^n + tau*M u^n + (extra terms of level n)
-
-tau*M u^n is read from one table M U^T over the whole trajectory.  The
-data terms of column j are tau*(load(f0(t_n)) + W_n^j load(f1(t_n))), then
-dW_{n+1}^j load(sigma(t_n)); the control response adds none.
-
-The backward kernel (``_backward``) starts from y^N = 0:
+and backward from y^N = 0:
 
     (M + tau*gamma*A) y^n = M y^{n+1} + tau*source[n+1]
 
-with source M xbar - load(xbar_d) + mu*load(1) for the mean adjoint and
-load(1) for Mtilde.
+tau*M u^n is read from one table M U^T over the whole trajectory.  The
+data terms of column j are tau*(load(f0(t_n)) + W_n^j load(f1(t_n))), then
+dW_{n+1}^j load(sigma(t_n)); the control response adds none.  The source
+is M xbar - load(xbar_d) + mu*load(1) for the mean adjoint and load(1) for
+Mtilde.
 
-Every solve is residual-checked (see ``fem``) before a caller sees its
-level.  The path sweep checks each level's (n, paths) block before it
-yields it, so no path history is kept.  The single-column sweeps (mean
-state, control response, Qtilde, mean adjoint, Mtilde) run on tables laid
-out as they are read, and a step costs its two kernel calls:
+Each layout has one kernel, and every solve is residual-checked (see
+``fem``) before a caller sees its level:
 
-* when the sweep starts, it checks the shapes of its (N+1, n) ``out``
-  (which the caller may own), its ``SweepTables`` and, going forward, its
-  initial state; it zeroes ``out`` once and binds the mass kernel
-  (``FemSystem.mass_kernel``) and ``solve_unchecked``;
-* a step adds M times the previous level into the zeroed (n,) row of
-  ``out`` that will hold the new level, adds the row's loads, stages the
-  right-hand side as a contiguous row of the (N, n) ``SweepTables.rows``
-  (which first holds the sweep's scaled loads) and solves in place by
-  ``pbtrs``;
-* after the loop, one transposed copy per table fills the (n, N) tables
-  that one batched check reads, so no step writes a strided column.
+* the path block: ``iter_forward_paths`` steps an (n, paths) block and
+  checks each level with one ``solve`` before it yields it, so no path
+  history is kept;
+* the single column: ``_row_sweep`` runs the mean state, the control
+  response and Qtilde forward, and the mean adjoint and Mtilde backward,
+  on the rows of an (N+1, n) ``out`` (read in reverse going backward).  A
+  step adds M times the neighbouring level into the zeroed row of the new
+  level through the unchecked ``FemSystem.mass_kernel``, adds its staged
+  row of ``SweepTables.rows`` and its data terms, stages the right-hand
+  side over that row and solves in place by ``pbtrs``.  After the last
+  step one batched check covers every level, in sweep order.
 
-``SweepTables`` also carries the transposed copies of the whole-trajectory
-mass products.  A caller that sweeps many times at one size (the
-gradient-projection loop) passes its own ``out`` and tables, so the loop
-allocates no table per sweep.
+``SweepTables`` also carries the transposed copies that the
+whole-trajectory mass products and the batched check read.  A caller that
+sweeps many times at one size (the gradient-projection loop) passes its
+own ``out`` and tables, so the loop allocates no table per sweep.
 
 Problem data depend on the Brownian value only through ``AffineInW``
 pairs f = f0 + W f1.  Controls, forcing and the noise coefficient are
@@ -244,129 +238,58 @@ def _mass_rows(system: FemSystem, levels: np.ndarray, tables: SweepTables) -> np
     return system.mass_product(tables.cols, tables.product).T
 
 
-def _checked_tables(
-    grid: TimeGrid, n: int, out: np.ndarray | None, tables: SweepTables | None
-) -> SweepTables:
-    """``tables``, or new ones when None, once ``out`` (when given) and ``tables``
-    fit a sweep of N steps on n nodes.
+def _control_loads(
+    system: FemSystem, grid: TimeGrid, control: Trajectory, tables: SweepTables
+) -> np.ndarray:
+    """tau*M u^n for n < N, staged in ``tables.rows`` and returned."""
+    _check_alignment(grid, control.grid.N, control.grid.tau, "control trajectory")
+    product = _mass_rows(system, control.values[: grid.N], tables)
+    return np.multiply(grid.tau, product, out=tables.rows)
 
-    The single-column steps go through the unchecked ``FemSystem.mass_kernel``
-    on rows of ``out``, so a sweep checks here, once, before its first
-    solve: ``out`` must be a C-ordered float64 (N+1, n) array, and
-    ``tables`` must be sized for N steps of n nodes.  A mismatch raises
-    ``ValueError``.
+
+def _row_sweep(
+    system: FemSystem, grid: TimeGrid, gamma: float, start: np.ndarray | float,
+    tables: SweepTables, out: np.ndarray | None = None,
+    terms: Callable[[int], Iterable[np.ndarray]] = lambda n: (), backward: bool = False,
+) -> Trajectory:
+    """The single-column kernel: N implicit-Euler steps on the rows of ``out``.
+
+    ``out`` (N+1, n) is allocated when not given; the mass kernel reads its
+    rows unchecked, so it must be a C-ordered float64 array of that shape,
+    or ``ValueError`` is raised before the first solve.  Forward, level 0
+    is ``start`` and step n solves for level n+1; backward, level N is
+    ``start`` and step n solves for level N-1-n, on the rows of ``out`` and
+    ``tables.rows`` in reverse.  Step n adds M times the previous level
+    into the zeroed row of the new one, then row n of ``tables.rows`` (the
+    caller's scaled load of the step) and each term of ``terms(n)``; it
+    stages the right-hand side over that row and solves in place,
+    unchecked.  After the last step one batched check covers every level,
+    in sweep order, before the trajectory is returned.
     """
-    if out is not None and (
-        out.shape != (grid.N + 1, n) or out.dtype != np.float64 or not out.flags.c_contiguous
-    ):
+    N, n = grid.N, system.n
+    out = np.empty((N + 1, n)) if out is None else out
+    if out.shape != (N + 1, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(
-            f"out must be a C-ordered float64 array of shape {(grid.N + 1, n)}, "
+            f"out must be a C-ordered float64 array of shape {(N + 1, n)}, "
             f"got {out.dtype} {out.shape}"
         )
-    if tables is None:
-        return SweepTables(grid.N, n)
-    if tables.rows.shape != (grid.N, n):
-        raise ValueError(f"tables hold {tables.rows.shape} levels, the sweep needs {(grid.N, n)}")
-    return tables
-
-
-def _forward(
-    system: FemSystem, grid: TimeGrid, gamma: float, x: np.ndarray, control: Trajectory,
-    extra_terms: Callable[[int], Iterable[np.ndarray]] = lambda n: (),
-    out: np.ndarray | None = None, tables: SweepTables | None = None,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Forward implicit-Euler kernel over an (n, k) column block, or one column.
-
-    Yields (level, x), level 0 being ``x`` itself; yielded arrays are owned
-    by the sweep.  Step n adds, in this order, tau*M u^n and each term of
-    ``extra_terms(n)`` to M x^n, then solves with (M + tau*gamma*A); the
-    tau*M u^n come from one product over the trajectory, held in
-    ``tables.rows``.  Each level of a block is residual-checked before it is
-    yielded.  Given an (N+1, n) ``out``, the sweep runs the one column
-    x (n,) on its rows instead, and level l is row l: step n adds M x^n
-    into the zeroed row n+1 through the bound mass kernel, stages the
-    right-hand side in row n of ``tables.rows`` and solves in place,
-    unchecked; ``_single_column`` checks all levels at once before it
-    returns any.
-    """
-    _check_alignment(grid, control.grid.N, control.grid.tau, "control trajectory")
-    tables = _checked_tables(grid, system.n, out, tables)
-    solver = system.euler_solver(grid.tau, gamma)
-    loads = np.multiply(
-        grid.tau, _mass_rows(system, control.values[: grid.N], tables), out=tables.rows
-    )
-    if out is None:
-        mass, solve, loads = system.mass_product, solver.solve, loads[:, :, None]
-    else:
-        if np.shape(x) != (system.n,):
-            raise ValueError(f"initial state shape {np.shape(x)} != ({system.n},)")
-        out[0] = x
-        out[1:] = 0.0
-        x = out[0]
-        matvec, solve = system.mass_kernel, solver.solve_unchecked
-    yield 0, x
-    for n in range(grid.N):
-        # M x and tau*M u stay separate terms: M(x + tau*u) rounds differently
-        if out is None:
-            rhs = mass(x)
-        else:
-            rhs = out[n + 1]
-            matvec(x, rhs)
-        rhs += loads[n]
-        for term in extra_terms(n):
-            rhs += term
-        if out is not None:
-            loads[n] = rhs
-        x = solve(rhs)
-        yield n + 1, x
-
-
-def _single_column(
-    system: FemSystem, grid: TimeGrid, gamma: float, x: np.ndarray, control: Trajectory,
-    extra_terms: Callable[[int], Iterable[np.ndarray]] = lambda n: (),
-    out: np.ndarray | None = None, tables: SweepTables | None = None,
-) -> Trajectory:
-    """The forward kernel on one column from x (n,), written into an (N+1, n) ``out``.
-
-    The solves run unchecked, in place on the rows of ``out``; all N levels
-    are residual-checked in one batched pass before the trajectory is
-    returned.  ``out`` and ``tables`` are allocated when not given.
-    """
-    out = np.empty((grid.N + 1, system.n)) if out is None else out
-    tables = SweepTables(grid.N, system.n) if tables is None else tables
-    for _ in _forward(system, grid, gamma, x, control, extra_terms, out, tables):
-        pass
-    solver = system.euler_solver(grid.tau, gamma)
-    tables.check(solver, tables.rows, out[1:], range(1, grid.N + 1))
-    return Trajectory(out, grid)
-
-
-def _backward(
-    system: FemSystem, grid: TimeGrid, gamma: float, tables: SweepTables,
-    out: np.ndarray | None = None,
-) -> Trajectory:
-    """Backward implicit-Euler kernel with zero terminal value.
-
-    On entry row n of ``tables.rows`` holds tau*source[n+1], the scaled
-    source of level n+1; step n solves
-    (M + tau*gamma*A) y^n = M y^{n+1} + tau*source[n+1], in place on row n
-    of the (N+1, n) ``out`` (allocated when not given, zeroed once), and
-    stages its right-hand side over the source row it has read.  The
-    solves run unchecked; all N levels are residual-checked in one batched
-    pass, in sweep order, before the trajectory is returned.
-    """
-    out = np.empty((grid.N + 1, system.n)) if out is None else out
-    rows = _checked_tables(grid, system.n, out, tables).rows
     solver = system.euler_solver(grid.tau, gamma)
     matvec, solve = system.mass_kernel, solver.solve_unchecked
-    out.fill(0.0)  # y^N = 0, and step n adds M y^{n+1} into row n
-    for n in range(grid.N - 1, -1, -1):
-        rhs = out[n]
-        matvec(out[n + 1], rhs)
-        rhs += rows[n]
-        rows[n] = rhs
+    levels, rows, sweep = range(N + 1), tables.rows, out
+    if backward:
+        levels, rows, sweep = levels[::-1], rows[::-1], out[::-1]
+    sweep[0] = start
+    sweep[1:] = 0.0
+    for step in range(N):
+        # M x and the staged row stay separate terms: M(x + tau*u) rounds differently
+        rhs = sweep[step + 1]
+        matvec(sweep[step], rhs)
+        rhs += rows[step]
+        for term in terms(step):
+            rhs += term
+        rows[step] = rhs
         solve(rhs)
-    tables.check(solver, rows[::-1], out[-2::-1], range(grid.N - 1, -1, -1))
+    tables.check(solver, rows, sweep[1:], levels[1:])
     return Trajectory(out, grid)
 
 
@@ -380,17 +303,29 @@ def iter_forward_paths(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Advance all paths together, yielding (level, states (n_interior, paths)).
 
-    Level 0 is the projected initial state.  Step n adds the forcing loads
-    of every path, then the noise columns.  Each level is residual-checked
-    before it is yielded.  Yielded arrays are owned by the sweep; consumers
-    must copy what they keep.  ``data`` is built here unless a caller that
-    sweeps several blocks shares one.
+    Level 0 is the projected initial state.  Step n adds to M x^n, in this
+    order, tau*M u^n, the forcing loads of every path and the noise
+    columns, then solves with (M + tau*gamma*A); each level is
+    residual-checked by that ``solve`` before it is yielded.  Yielded
+    arrays are owned by the sweep; consumers must copy what they keep.
+    ``data`` is built here unless a caller that sweeps several blocks
+    shares one.
     """
     _check_alignment(grid, ensemble.steps, ensemble.tau, "ensemble")
     data = SweepData(spec, system, grid) if data is None else data
     terms = _data_terms(data, grid.tau, ensemble.brownian, ensemble.increments)
     x = np.tile(data.x0[:, None], (1, ensemble.paths))
-    yield from _forward(system, grid, spec.gamma, x, control, terms)
+    loads = _control_loads(system, grid, control, SweepTables(grid.N, system.n))[:, :, None]
+    solve = system.euler_solver(grid.tau, spec.gamma).solve
+    yield 0, x
+    for n in range(grid.N):
+        # M x and tau*M u stay separate terms: M(x + tau*u) rounds differently
+        rhs = system.mass_product(x)
+        rhs += loads[n]
+        for term in terms(n):
+            rhs += term
+        x = solve(rhs)
+        yield n + 1, x
 
 
 def forward_mean(
@@ -408,7 +343,9 @@ def forward_mean(
     """
     data = SweepData(spec, system, grid)
     terms = _data_terms(data, grid.tau, *_mean_brownian(grid, ensemble))
-    return _single_column(system, grid, spec.gamma, data.x0, control, terms)
+    tables = SweepTables(grid.N, system.n)
+    _control_loads(system, grid, control, tables)
+    return _row_sweep(system, grid, spec.gamma, data.x0, tables, terms=terms)
 
 
 def control_response(
@@ -421,8 +358,9 @@ def control_response(
     the optimizer exploits to avoid re-simulating path ensembles.  The
     levels are written into ``out`` (N+1, n) when given.
     """
-    x0 = np.zeros(system.n)
-    return _single_column(system, grid, gamma, x0, control, out=out, tables=tables)
+    tables = SweepTables(grid.N, system.n) if tables is None else tables
+    _control_loads(system, grid, control, tables)
+    return _row_sweep(system, grid, gamma, 0.0, tables, out)
 
 
 def mean_target_loads(
@@ -457,13 +395,13 @@ def backward_adjoint_from_loads(
     recursion, since the noise enters linearly.  The levels are written
     into ``out`` (N+1, n) when given.
     """
-    tables = _checked_tables(grid, system.n, out, tables)
+    tables = SweepTables(grid.N, system.n) if tables is None else tables
     source = np.subtract(
         _mass_rows(system, x_levels[1:], tables), target_loads[1:], out=tables.rows
     )
     source += mu * system.ones_load
     source *= grid.tau
-    return _backward(system, grid, gamma, tables, out)
+    return _row_sweep(system, grid, gamma, 0.0, tables, out, backward=True)
 
 
 def mtilde_solve(system: FemSystem, grid: TimeGrid, gamma: float = 1.0) -> Trajectory:
@@ -474,7 +412,7 @@ def mtilde_solve(system: FemSystem, grid: TimeGrid, gamma: float = 1.0) -> Traje
     """
     tables = SweepTables(grid.N, system.n)
     np.multiply(grid.tau, system.ones_load, out=tables.rows)
-    return _backward(system, grid, gamma, tables)
+    return _row_sweep(system, grid, gamma, 0.0, tables, backward=True)
 
 
 def qtilde_solve(

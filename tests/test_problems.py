@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from socfem import AffineInW, example1, example2, verify_manufactured
 
@@ -133,6 +133,6 @@ class TestVerify:
         import json
 
         rep = verify_manufactured(prob1, samples=50, seed=4)
-        payload = json.loads(json.dumps(rep.as_dict()))
+        payload = json.loads(json.dumps(asdict(rep)))
         assert payload["problem"] == "example1"
         assert payload["samples"] == 50

@@ -23,9 +23,9 @@ from socfem.fem import EulerSolver, load_vector
 from socfem.paths import BrownianEnsemble
 from socfem.spde import (
     SweepTables,
-    _backward,
-    _forward,
+    _control_loads,
     _mass_rows,
+    _row_sweep,
     backward_adjoint_from_loads,
     control_response,
     iter_forward_paths,
@@ -320,9 +320,15 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 def _forward_levels(x0, u):
-    """Every level of the forward kernel, shape (N+1, n, k)."""
-    sweep = _forward(KERNEL_SYSTEM, KERNEL_GRID, 1.0, x0, Trajectory(u, KERNEL_GRID))
-    return np.stack([x.copy() for _, x in sweep])
+    """Every level of the row kernel run from each column of x0 (n, k), shape (N+1, n, k)."""
+    control = Trajectory(u, KERNEL_GRID)
+
+    def column(x):
+        tables = SweepTables(KERNEL_GRID.N, KERNEL_SYSTEM.n)
+        _control_loads(KERNEL_SYSTEM, KERNEL_GRID, control, tables)
+        return _row_sweep(KERNEL_SYSTEM, KERNEL_GRID, 1.0, x, tables).values
+
+    return np.stack([column(x) for x in x0.T], axis=-1)
 
 
 def _is_combination(lhs, a, k1, b, k2):
@@ -350,7 +356,7 @@ class TestKernels:
         def sweep(src):
             tables = SweepTables(KERNEL_GRID.N, KERNEL_SYSTEM.n)
             np.multiply(KERNEL_GRID.tau, src[1:], out=tables.rows)  # the kernel reads tau*source
-            return _backward(KERNEL_SYSTEM, KERNEL_GRID, 1.0, tables).values
+            return _row_sweep(KERNEL_SYSTEM, KERNEL_GRID, 1.0, 0.0, tables, backward=True).values
 
         assert _is_combination(sweep(a * src1 + b * src2), a, sweep(src1), b, sweep(src2))
 
@@ -398,7 +404,8 @@ CHECK_SYSTEMS = [
 
 
 class TestDeferredCheck:
-    """Single-column sweeps solve unchecked and check every level once, at the end."""
+    """Single-column sweeps solve unchecked and check every level once, at the end;
+    the path sweep checks each level before it yields it."""
 
     def test_bad_forward_level_is_named(self, monkeypatch):
         system = KERNEL_SYSTEM
@@ -414,6 +421,17 @@ class TestDeferredCheck:
         _corrupt_call(monkeypatch, grid.N - 1 - 7)  # backward calls run N-1 down to 0
         with pytest.raises(NumericalError, match="at level 7$"):
             mtilde_solve(system, grid)
+
+    def test_bad_path_level_raises_before_it_is_yielded(self, monkeypatch):
+        system, grid = KERNEL_SYSTEM, CHECK_GRID
+        control = Trajectory(np.random.default_rng(1).normal(size=(grid.N + 1, system.n)), grid)
+        ens = sample(3, grid, seed=5)
+        _corrupt_call(monkeypatch, 4)  # the path sweep's solve 4 gives level 5
+        yielded = []
+        with pytest.raises(NumericalError, match="in column 0$"):
+            for n, _ in iter_forward_paths(DATA_SPEC, system, grid, control, ens):
+                yielded.append(n)
+        assert yielded == [0, 1, 2, 3, 4]
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_control_is_numerical_error(self):
