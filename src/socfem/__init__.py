@@ -21,7 +21,6 @@ from .paths import BrownianEnsemble, sample
 from .spde import (
     AffineInW,
     ProblemSpec,
-    Trajectory,
     ZEstimate,
     forward_mean,
     lsmc_z_estimate,
@@ -72,7 +71,6 @@ __all__ = [
     "SolutionBundle",
     "TableCell",
     "TimeGrid",
-    "Trajectory",
     "ZEstimate",
     "assemble",
     "compute_errors",

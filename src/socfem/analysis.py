@@ -24,7 +24,7 @@ from .grid import TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_g
 from .optimizer import GradientProjection, OptimizerConfig, constraint_integral, gp_iterate
 from .paths import BLOCK, BrownianEnsemble, sample
 from .problems import ManufacturedProblem
-from .spde import SweepData, Trajectory, forward_mean, iter_forward_paths
+from .spde import SweepData, forward_mean, iter_forward_paths
 
 
 _FD_STEP = 1e-4  # central-difference step of the exact gradients in H1 errors
@@ -68,14 +68,14 @@ class OrderFit:
 
 @dataclass
 class SolutionBundle:
-    """Converged fields passed to ``compute_errors``.
+    """Converged fields passed to ``compute_errors``, each an (N+1, n) array.
 
     The per-path states are re-simulated from ``control`` in blocks while
     errors accumulate.
     """
 
-    control: Trajectory
-    adjoint_mean: Trajectory
+    control: np.ndarray
+    adjoint_mean: np.ndarray
     mu: float
 
 
@@ -154,13 +154,11 @@ def compute_errors(
     adj_h1 = np.zeros(grid.N + 1)
     for n in range(grid.N + 1):
         t = float(grid.times[n])
-        ey = bundle.adjoint_mean.values[n] - _interior_values(system, problem.exact_y, t)
+        ey = bundle.adjoint_mean[n] - _interior_values(system, problem.exact_y, t)
         adj_sq[n] = ey @ mass(ey)
-        adj_h1[n] = h1_error_sq(
-            system, bundle.adjoint_mean.values[n], lambda p, _t=t: problem.exact_y(_t, p)
-        )
+        adj_h1[n] = h1_error_sq(system, bundle.adjoint_mean[n], lambda p: problem.exact_y(t, p))
         if n < grid.N:
-            eu = bundle.control.values[n] - _interior_values(system, problem.exact_u, t)
+            eu = bundle.control[n] - _interior_values(system, problem.exact_u, t)
             ctrl_sq[n] = eu @ mass(eu)
 
     # per-path state errors, added level by level as each block's sweep
@@ -249,7 +247,7 @@ def discrete_constraint_level(
     u = np.zeros((grid.N + 1, system.n))
     for n in range(grid.N):
         u[n] = np.asarray(problem.exact_u(float(grid.times[n]), pts), dtype=float)
-    x = forward_mean(problem.spec, system, grid, Trajectory(u, grid))
+    x = forward_mean(problem.spec, system, grid, u)
     return constraint_integral(x, system, grid)
 
 
@@ -330,6 +328,7 @@ class TableCell:
     mu: float
     iterations: int
     converged: bool
+    step_error: float  # of the last iteration
 
 
 def constraint_table(
@@ -407,4 +406,5 @@ def _table_cell(loop: GradientProjection, delta: float, config: OptimizerConfig)
         mu=result.mu,
         iterations=result.iterations,
         converged=result.converged,
+        step_error=result.records[-1].step_error,
     )

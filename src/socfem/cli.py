@@ -269,9 +269,9 @@ def run_solve(args: argparse.Namespace) -> int:
         for j in range(system.n):
             xy = ",".join(repr(float(c)) for c in coords[j])
             lines.append(
-                f"{t!r},{xy},{float(result.control.values[n, j])!r},"
-                f"{float(result.state_mean.values[n, j])!r},"
-                f"{float(result.adjoint_mean.values[n, j])!r}"
+                f"{t!r},{xy},{float(result.control[n, j])!r},"
+                f"{float(result.state_mean[n, j])!r},"
+                f"{float(result.adjoint_mean[n, j])!r}"
             )
     _write_lines(args.output_dir / "final_fields.csv", lines)
 
@@ -373,6 +373,11 @@ def run_constraint_table(args: argparse.Namespace) -> int:
 
     for row in wide:
         print(row)
+    for c, res in zip(cells, resolutions * len(args.delta)):
+        if not c.converged:
+            print(f"warning: cell delta={c.delta!r} cells={res.cells} steps={res.steps}: "
+                  f"optimizer hit max_iter before reaching eps0, step_error={c.step_error!r}",
+                  file=sys.stderr)
     return 0
 
 

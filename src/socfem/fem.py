@@ -8,8 +8,9 @@ integration of P1 products; load vectors use a fixed degree-2-exact
 quadrature (3-point Gauss per segment in 1D, edge midpoints per triangle in
 2D), which keeps quadrature error below the h^2 discretization error.
 
-A ``FemSystem`` is immutable after assembly.  Banded Cholesky factors of
-(M + tau*gamma*A) are cached per (tau, gamma); the mass factor on first use.
+A ``FemSystem``'s operators are immutable; factors and sweep scratch are
+cached on first use: the banded Cholesky factor of (M + tau*gamma*A) per
+(tau, gamma), the mass factor, and one ``SweepTables`` per step count.
 
 Every solve is residual-checked per column, with one rule: column j passes
 when its right-hand side is finite and |op x_j - rhs_j| <= 1e-10 |rhs_j|.
@@ -198,6 +199,31 @@ class EulerSolver(_CheckedCholesky):
         super().__init__(system.mass + tau * gamma * system.stiffness, "implicit-Euler")
 
 
+class SweepTables:
+    """Scratch tables of the single-column sweeps over N steps of an n-node system.
+
+    ``rows`` (N, n) stages one level per row: the scaled loads of a sweep
+    on entry, its right-hand sides once the sweep has run.  ``cols`` and
+    ``product`` (n, N) hold the transposed copies that the whole-trajectory
+    mass products and the batched residual check read.  No sweep leaves
+    anything there that a later call reads, so ``FemSystem.sweep_tables``
+    keeps one set per step count.
+    """
+
+    def __init__(self, steps: int, n: int):
+        self.rows = np.empty((steps, n))
+        self.cols, self.product = np.empty((2, n, steps))
+
+    def check(
+        self, solver: EulerSolver, rhs_rows: np.ndarray, solution_rows: np.ndarray, levels: range
+    ) -> None:
+        """Residual-check N solves whose right-hand sides and solutions are rows,
+        in one batched pass that names the first failing level of ``levels``."""
+        np.copyto(self.cols, rhs_rows.T)
+        np.copyto(self.product, solution_rows.T)
+        solver.check(self.cols, self.product, levels)
+
+
 class FemSystem:
     """Assembled P1 operators over the interior nodes of a mesh.
 
@@ -236,6 +262,7 @@ class FemSystem:
         self.mass_product = csr_product(mass)
         self.mass_kernel = csr_kernel(mass)
         self._euler_cache: dict[tuple[float, float], EulerSolver] = {}
+        self._tables_cache: dict[int, SweepTables] = {}
         self._mass_chol = None
         self.ones_load = np.asarray(load_matrix.sum(axis=1)).ravel()
 
@@ -250,6 +277,12 @@ class FemSystem:
         if solver is None:
             solver = self._euler_cache[key] = EulerSolver(self, tau, gamma)
         return solver
+
+    def sweep_tables(self, steps: int) -> SweepTables:
+        """The one ``SweepTables`` of the sweeps over ``steps`` steps, built on first use."""
+        if steps not in self._tables_cache:
+            self._tables_cache[steps] = SweepTables(steps, self.n)
+        return self._tables_cache[steps]
 
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs (used by the L2 projection), residual-checked."""

@@ -17,12 +17,13 @@ average is itself one mean sweep driven by the ensemble's mean Brownian
 values and increments; the mean-field estimator is the case where both
 means are zero.
 
-The loop allocates no table per iteration.  A ``GradientProjection`` owns
-the sweeps' scratch (``spde.SweepTables``), sized once per resolution and
-shared by every delta run on it; nothing a run returns lives there.  Each
-``run`` owns its iterates: the control and mean state, the next pair
-(swapped with them each iteration) and one scratch table; the returned
-mean adjoint goes into the next-control table, free once the loop ends.
+The loop allocates no table per iteration.  The sweeps' scratch is the
+``FemSystem``'s (``FemSystem.sweep_tables``), built by the first set-up
+sweep and shared by every sweep and delta run after it; nothing a run
+returns lives there.  Each ``run`` owns its iterates, (N+1, n) arrays: the
+control and mean state, the next pair (swapped with them each iteration)
+and one scratch table; the returned mean adjoint goes into the
+next-control table, free once the loop ends.
 The sweeps write into these tables, and every update is an ``out=`` ufunc
 with the same operations in the same order as the plain expression, so
 the bits are those of the expression.  Results therefore never share
@@ -42,8 +43,6 @@ from .grid import TimeGrid
 from .paths import BrownianEnsemble
 from .spde import (
     ProblemSpec,
-    SweepTables,
-    Trajectory,
     _mass_rows,
     backward_adjoint_from_loads,
     control_response,
@@ -81,21 +80,21 @@ class IterationRecord:
 
 @dataclass
 class GpResult:
-    control: Trajectory
+    control: np.ndarray
     mu: float
     records: list[IterationRecord]
     converged: bool
-    state_mean: Trajectory
-    adjoint_mean: Trajectory
+    state_mean: np.ndarray
+    adjoint_mean: np.ndarray
 
     @property
     def iterations(self) -> int:
         return len(self.records)
 
 
-def constraint_integral(x_mean: Trajectory, system: FemSystem, grid: TimeGrid) -> float:
+def constraint_integral(x_mean: np.ndarray, system: FemSystem, grid: TimeGrid) -> float:
     """Space-time integral of the mean state, right-endpoint rule in time."""
-    return float(grid.tau * (x_mean.values[1:] @ system.ones_load).sum())
+    return float(grid.tau * (x_mean[1:] @ system.ones_load).sum())
 
 
 def select_multiplier(
@@ -164,42 +163,34 @@ class GradientProjection:
         self.qtilde = qtilde_solve(system, grid, self.mtilde, spec.gamma)
         self.qtilde_integral = constraint_integral(self.qtilde, system, grid)
 
-        self.tables = SweepTables(grid.N, system.n)
-        zero = Trajectory.zeros(grid, system.n)
-        self.base = forward_mean(spec, system, grid, zero, ensemble)
+        self.base = forward_mean(spec, system, grid, np.zeros((grid.N + 1, system.n)), ensemble)
         self.target_loads = mean_target_loads(spec, system, grid, ensemble)
         self.target_proj = np.zeros_like(self.target_loads)
         self.target_proj[1:] = system.mass_solve(self.target_loads[1:].T).T
 
-    def state_mean(self, control: Trajectory, out: np.ndarray | None = None) -> Trajectory:
+    def state_mean(self, control: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``base + control_response(control)``, written into ``out`` when given."""
-        resp = control_response(
-            self.system, self.grid, control, self.spec.gamma, out=out, tables=self.tables
-        )
-        np.add(self.base.values, resp.values, out=resp.values)
-        return resp
+        resp = control_response(self.system, self.grid, control, self.spec.gamma, out=out)
+        return np.add(self.base, resp, out=resp)
 
-    def adjoint(self, x_mean: Trajectory, mu: float, out: np.ndarray | None = None) -> Trajectory:
+    def adjoint(self, x_mean: np.ndarray, mu: float, out: np.ndarray | None = None) -> np.ndarray:
         return backward_adjoint_from_loads(
-            self.system, self.grid, self.spec.gamma, x_mean.values, self.target_loads, mu,
-            out=out, tables=self.tables,
+            self.system, self.grid, self.spec.gamma, x_mean, self.target_loads, mu, out=out
         )
 
     def _mass_inner(self, levels: np.ndarray) -> float:
         """sum over rows l of levels[l] . M levels[l], for an (N, n) table."""
-        return np.einsum("ln,ln->", levels, _mass_rows(self.system, levels, self.tables))
+        return np.einsum("ln,ln->", levels, _mass_rows(self.system, levels))
 
-    def cost(self, x_mean: Trajectory, control: Trajectory, scratch: np.ndarray) -> float:
+    def cost(self, x_mean: np.ndarray, control: np.ndarray, scratch: np.ndarray) -> float:
         """Discrete tracking cost of the mean fields; the misfit goes to ``scratch`` (N+1, n).
 
         The noise-variance part of the expected cost is control-independent
         for additive noise and is not included.
         """
-        misfit = np.subtract(
-            x_mean.values[1:], self.target_proj[1:], out=scratch[: self.grid.N]
-        )
+        misfit = np.subtract(x_mean[1:], self.target_proj[1:], out=scratch[: self.grid.N])
         track = self._mass_inner(misfit)
-        reg = self._mass_inner(control.values[: self.grid.N])
+        reg = self._mass_inner(control[: self.grid.N])
         return float(0.5 * self.grid.tau * (track + self.spec.alpha * reg))
 
     def step_norm(self, diff_levels: np.ndarray) -> float:
@@ -207,9 +198,9 @@ class GradientProjection:
         return float(np.sqrt(self.grid.tau * self._mass_inner(diff_levels[: self.grid.N])))
 
     def project(
-        self, control: Trajectory, delta: float,
+        self, control: np.ndarray, delta: float,
         u_out: np.ndarray | None = None, x_out: np.ndarray | None = None,
-    ) -> tuple[Trajectory, Trajectory, float]:
+    ) -> tuple[np.ndarray, np.ndarray, float]:
         """Project a control onto the feasible set of constraint level delta.
 
         Solves the mean state, selects the multiplier and subtracts
@@ -222,16 +213,15 @@ class GradientProjection:
         mu = select_multiplier(integral, delta, self.rho, self.qtilde_integral)
         step = self.rho * mu
         # u_out holds step*qtilde until x is projected, then step*mtilde
-        shift = np.multiply(step, self.qtilde.values, out=u_out)
-        np.subtract(x.values, shift, out=x.values)
-        np.multiply(step, self.mtilde.values, out=shift)
-        u_proj = Trajectory(np.subtract(control.values, shift, out=shift), self.grid)
-        return u_proj, x, mu
+        shift = np.multiply(step, self.qtilde, out=u_out)
+        np.subtract(x, shift, out=x)
+        np.multiply(step, self.mtilde, out=shift)
+        return np.subtract(control, shift, out=shift), x, mu
 
     def run(self, config: OptimizerConfig, delta: float) -> GpResult:
         rho, alpha, grid = self.rho, self.spec.alpha, self.grid
         shape = (grid.N + 1, self.system.n)
-        u = Trajectory.zeros(grid, self.system.n)
+        u = np.zeros(shape)
         x = self.state_mean(u, np.empty(shape))
         # the next iterates and one scratch table, owned by this run
         u_next, x_next, scratch = (np.empty(shape) for _ in range(3))
@@ -240,14 +230,14 @@ class GradientProjection:
         mu = 0.0
 
         for i in range(config.max_iter):
-            y_tilde = self.adjoint(x, mu=0.0, out=u_next).values
+            y_tilde = self.adjoint(x, mu=0.0, out=u_next)
             # u_half = u - rho*(alpha*u + y_tilde), one operation at a time
-            u_half = np.multiply(alpha, u.values, out=scratch)
+            u_half = np.multiply(alpha, u, out=scratch)
             u_half += y_tilde
             u_half *= rho
-            np.subtract(u.values, u_half, out=u_half)
-            u_new, x_new, mu = self.project(Trajectory(u_half, grid), delta, u_next, x_next)
-            step_error = self.step_norm(np.subtract(u_new.values, u.values, out=scratch))
+            np.subtract(u, u_half, out=u_half)
+            u_new, x_new, mu = self.project(u_half, delta, u_next, x_next)
+            step_error = self.step_norm(np.subtract(u_new, u, out=scratch))
             integral = constraint_integral(x_new, self.system, grid)
             cost = self.cost(x_new, u_new, scratch)
             if not all(map(math.isfinite, (mu, step_error, integral, cost))):
@@ -256,8 +246,8 @@ class GradientProjection:
                     f"step_error={step_error!r} integral={integral!r} cost={cost!r}"
                 )
             records.append(IterationRecord(i, mu, step_error, integral, cost))
-            u, u_next = u_new, u.values
-            x, x_next = x_new, x.values
+            u, u_next = u_new, u
+            x, x_next = x_new, x
             if step_error <= config.eps0:
                 converged = True
                 break

@@ -90,7 +90,7 @@ def example1(beta: float = 0.1, mu: float = 1.0, xd_reading: str = "auto") -> Ma
 
     variants = {"beta_w": make_target(beta), "plain_w": make_target(1.0)}
     if xd_reading == "auto":
-        xd_reading = _select_reading(exact_x, variants, dim=1)
+        xd_reading = _select_reading(exact_x, variants)
     if xd_reading not in variants:
         raise ValueError(f"xd_reading must be 'auto', 'beta_w' or 'plain_w', got {xd_reading!r}")
     target = variants[xd_reading]
@@ -291,12 +291,10 @@ def _at_w(datum: AffineInW, w: float):
     return lambda t, pts: datum.mean(t, pts) + w * datum.slope(t, pts)
 
 
-def _select_reading(exact_x: AffineInW, variants: dict, dim: int) -> str:
-    """Pick the target reading with the smallest pathwise fluctuation gap."""
+def _select_reading(exact_x: AffineInW, variants: dict) -> str:
+    """Pick the 1D target reading with the smallest pathwise fluctuation gap."""
     ts = np.linspace(0.05, 0.95, 7)
     xs = np.linspace(0.1, 0.9, 5).reshape(-1, 1)
-    if dim == 2:
-        xs = np.column_stack([np.tile(xs[:, 0], 5), np.repeat(xs[:, 0], 5)])
     scores = {
         reading: _target_w_mismatch(exact_x, tgt, ts, xs, grid=True)
         for reading, tgt in variants.items()

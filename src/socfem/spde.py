@@ -10,11 +10,12 @@ and backward from y^N = 0:
 
     (M + tau*gamma*A) y^n = M y^{n+1} + tau*source[n+1]
 
-tau*M u^n is read from one table M U^T over the whole trajectory.  The
-data terms of column j are tau*(load(f0(t_n)) + W_n^j load(f1(t_n))), then
-dW_{n+1}^j load(sigma(t_n)); the control response adds none.  The source
-is M xbar - load(xbar_d) + mu*load(1) for the mean adjoint and load(1) for
-Mtilde.
+Every field is a plain (N+1, n) array of interior coefficients, row n
+holding level n.  tau*M u^n is read from one table M U^T over the whole
+trajectory.  The data terms of column j are tau*(load(f0(t_n)) + W_n^j
+load(f1(t_n))), then dW_{n+1}^j load(sigma(t_n)); the control response
+adds none.  The source is M xbar - load(xbar_d) + mu*load(1) for the mean
+adjoint and load(1) for Mtilde.
 
 Each layout has one kernel, and every solve is residual-checked (see
 ``fem``) before a caller sees its level:
@@ -31,10 +32,13 @@ Each layout has one kernel, and every solve is residual-checked (see
   side over that row and solves in place by ``pbtrs``.  After the last
   step one batched check covers every level, in sweep order.
 
-``SweepTables`` also carries the transposed copies that the
-whole-trajectory mass products and the batched check read.  A caller that
-sweeps many times at one size (the gradient-projection loop) passes its
-own ``out`` and tables, so the loop allocates no table per sweep.
+The system owns the scratch: each single-column sweep stages its rows in
+the ``fem.SweepTables`` that ``FemSystem.sweep_tables(N)`` caches, and no
+sweep takes tables as an argument.  A caller that sweeps many times at one
+size (the gradient-projection loop) passes its own ``out``, so the loop
+allocates no table per sweep.  The path sweep, a generator, copies its
+control loads out of those tables, so a sweep run while it is suspended
+cannot change them.
 
 Problem data depend on the Brownian value only through ``AffineInW``
 pairs f = f0 + W f1.  Controls, forcing and the noise coefficient are
@@ -58,7 +62,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import NumericalError
-from .fem import EulerSolver, FemSystem, l2_project, load_vector
+from .fem import FemSystem, l2_project, load_vector
 from .grid import TimeGrid
 from .paths import BrownianEnsemble
 
@@ -102,26 +106,6 @@ class ProblemSpec:
             raise ValueError(f"T must be positive, got {self.T}")
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-
-
-@dataclass
-class Trajectory:
-    """Interior nodal coefficients per time level, shape (N+1, n_interior)."""
-
-    values: np.ndarray
-    grid: TimeGrid
-
-    @classmethod
-    def zeros(cls, grid: TimeGrid, n: int) -> "Trajectory":
-        return cls(np.zeros((grid.N + 1, n)), grid)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[0] != self.grid.N + 1:
-            raise ValueError(
-                f"trajectory needs shape (N+1, n) = ({self.grid.N + 1}, *), "
-                f"got {self.values.shape}"
-            )
 
 
 def _check_alignment(grid: TimeGrid, steps: int, tau: float, what: str):
@@ -200,58 +184,31 @@ def _data_terms(data: SweepData, tau: float, brownian, increments):
     return terms
 
 
-class SweepTables:
-    """Scratch tables of the mean sweeps for N steps of an n-node system.
-
-    ``rows`` (N, n) stages one level per row: the scaled loads of a sweep
-    on entry, its right-hand sides once the sweep has run.  ``cols`` and
-    ``product`` (n, N) hold the transposed copies that the whole-trajectory
-    mass products and the batched residual check read.  No sweep leaves
-    anything in them that a later call reads, so a caller that sweeps many
-    times at one size (``GradientProjection``) shares one set, and the
-    buffers are faulted in once, not once per sweep.
-    """
-
-    def __init__(self, steps: int, n: int):
-        self.rows = np.empty((steps, n))
-        self.cols, self.product = np.empty((2, n, steps))
-
-    def check(
-        self, solver: EulerSolver, rhs_rows: np.ndarray, solution_rows: np.ndarray, levels: range
-    ) -> None:
-        """Residual-check N solves whose right-hand sides and solutions are rows,
-        in one batched pass that names the first failing level of ``levels``."""
-        np.copyto(self.cols, rhs_rows.T)
-        np.copyto(self.product, solution_rows.T)
-        solver.check(self.cols, self.product, levels)
-
-
-def _mass_rows(system: FemSystem, levels: np.ndarray, tables: SweepTables) -> np.ndarray:
+def _mass_rows(system: FemSystem, levels: np.ndarray) -> np.ndarray:
     """M applied to every row of an (N, n) level table, one sparse-dense product.
 
     Row l equals ``system.mass @ levels[l]`` bit for bit.  The result is a
-    transposed view of ``tables.product``, valid until the tables are next
-    used.
+    view of ``system.sweep_tables(N)``, valid until they are next used.
     """
+    tables = system.sweep_tables(len(levels))
     np.copyto(tables.cols, levels.T)
     tables.product.fill(0.0)
     return system.mass_product(tables.cols, tables.product).T
 
 
-def _control_loads(
-    system: FemSystem, grid: TimeGrid, control: Trajectory, tables: SweepTables
-) -> np.ndarray:
-    """tau*M u^n for n < N, staged in ``tables.rows`` and returned."""
-    _check_alignment(grid, control.grid.N, control.grid.tau, "control trajectory")
-    product = _mass_rows(system, control.values[: grid.N], tables)
-    return np.multiply(grid.tau, product, out=tables.rows)
+def _control_loads(system: FemSystem, grid: TimeGrid, control: np.ndarray) -> np.ndarray:
+    """tau*M u^n for n < N, staged in the sweep tables' rows; ``control`` is (N+1, n)."""
+    if control.shape != (grid.N + 1, system.n):
+        raise ValueError(f"control of shape {control.shape} is not aligned with the time grid")
+    product = _mass_rows(system, control[: grid.N])
+    return np.multiply(grid.tau, product, out=system.sweep_tables(grid.N).rows)
 
 
 def _row_sweep(
     system: FemSystem, grid: TimeGrid, gamma: float, start: np.ndarray | float,
-    tables: SweepTables, out: np.ndarray | None = None,
+    out: np.ndarray | None = None,
     terms: Callable[[int], Iterable[np.ndarray]] = lambda n: (), backward: bool = False,
-) -> Trajectory:
+) -> np.ndarray:
     """The single-column kernel: N implicit-Euler steps on the rows of ``out``.
 
     ``out`` (N+1, n) is allocated when not given; the mass kernel reads its
@@ -259,12 +216,12 @@ def _row_sweep(
     or ``ValueError`` is raised before the first solve.  Forward, level 0
     is ``start`` and step n solves for level n+1; backward, level N is
     ``start`` and step n solves for level N-1-n, on the rows of ``out`` and
-    ``tables.rows`` in reverse.  Step n adds M times the previous level
-    into the zeroed row of the new one, then row n of ``tables.rows`` (the
-    caller's scaled load of the step) and each term of ``terms(n)``; it
-    stages the right-hand side over that row and solves in place,
-    unchecked.  After the last step one batched check covers every level,
-    in sweep order, before the trajectory is returned.
+    ``tables.rows`` in reverse (``tables = system.sweep_tables(N)``).  Step
+    n adds M times the previous level into the zeroed row of the new one,
+    then row n of ``tables.rows`` (the caller's scaled load of the step)
+    and each term of ``terms(n)``; it stages the right-hand side over that
+    row and solves in place, unchecked.  After the last step one batched
+    check covers every level, in sweep order, before ``out`` is returned.
     """
     N, n = grid.N, system.n
     out = np.empty((N + 1, n)) if out is None else out
@@ -273,7 +230,7 @@ def _row_sweep(
             f"out must be a C-ordered float64 array of shape {(N + 1, n)}, "
             f"got {out.dtype} {out.shape}"
         )
-    solver = system.euler_solver(grid.tau, gamma)
+    solver, tables = system.euler_solver(grid.tau, gamma), system.sweep_tables(N)
     matvec, solve = system.mass_kernel, solver.solve_unchecked
     levels, rows, sweep = range(N + 1), tables.rows, out
     if backward:
@@ -290,14 +247,14 @@ def _row_sweep(
         rows[step] = rhs
         solve(rhs)
     tables.check(solver, rows, sweep[1:], levels[1:])
-    return Trajectory(out, grid)
+    return out
 
 
 def iter_forward_paths(
     spec: ProblemSpec,
     system: FemSystem,
     grid: TimeGrid,
-    control: Trajectory,
+    control: np.ndarray,
     ensemble: BrownianEnsemble,
     data: SweepData | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -308,6 +265,8 @@ def iter_forward_paths(
     columns, then solves with (M + tau*gamma*A); each level is
     residual-checked by that ``solve`` before it is yielded.  Yielded
     arrays are owned by the sweep; consumers must copy what they keep.
+    The control loads are copied out of the shared sweep tables, so any
+    sweep may run between two levels.
     ``data`` is built here unless a caller that sweeps several blocks
     shares one.
     """
@@ -315,7 +274,7 @@ def iter_forward_paths(
     data = SweepData(spec, system, grid) if data is None else data
     terms = _data_terms(data, grid.tau, ensemble.brownian, ensemble.increments)
     x = np.tile(data.x0[:, None], (1, ensemble.paths))
-    loads = _control_loads(system, grid, control, SweepTables(grid.N, system.n))[:, :, None]
+    loads = _control_loads(system, grid, control)[:, :, None].copy()
     solve = system.euler_solver(grid.tau, spec.gamma).solve
     yield 0, x
     for n in range(grid.N):
@@ -332,9 +291,9 @@ def forward_mean(
     spec: ProblemSpec,
     system: FemSystem,
     grid: TimeGrid,
-    control: Trajectory,
+    control: np.ndarray,
     ensemble: BrownianEnsemble | None = None,
-) -> Trajectory:
+) -> np.ndarray:
     """Mean state trajectory, one single-column sweep.
 
     Without an ensemble, the exact expectation (driven by f0 alone); with one,
@@ -343,24 +302,22 @@ def forward_mean(
     """
     data = SweepData(spec, system, grid)
     terms = _data_terms(data, grid.tau, *_mean_brownian(grid, ensemble))
-    tables = SweepTables(grid.N, system.n)
-    _control_loads(system, grid, control, tables)
-    return _row_sweep(system, grid, spec.gamma, data.x0, tables, terms=terms)
+    _control_loads(system, grid, control)
+    return _row_sweep(system, grid, spec.gamma, data.x0, terms=terms)
 
 
 def control_response(
-    system: FemSystem, grid: TimeGrid, control: Trajectory, gamma: float = 1.0,
-    out: np.ndarray | None = None, tables: SweepTables | None = None,
-) -> Trajectory:
+    system: FemSystem, grid: TimeGrid, control: np.ndarray, gamma: float = 1.0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """State response to the control alone (zero data, zero noise).
 
     By linearity the full mean state is ``base + control_response``, which
     the optimizer exploits to avoid re-simulating path ensembles.  The
     levels are written into ``out`` (N+1, n) when given.
     """
-    tables = SweepTables(grid.N, system.n) if tables is None else tables
-    _control_loads(system, grid, control, tables)
-    return _row_sweep(system, grid, gamma, 0.0, tables, out)
+    _control_loads(system, grid, control)
+    return _row_sweep(system, grid, gamma, 0.0, out)
 
 
 def mean_target_loads(
@@ -384,8 +341,8 @@ def mean_target_loads(
 def backward_adjoint_from_loads(
     system: FemSystem, grid: TimeGrid, gamma: float,
     x_levels: np.ndarray, target_loads: np.ndarray, mu: float,
-    out: np.ndarray | None = None, tables: SweepTables | None = None,
-) -> Trajectory:
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Mean adjoint driven by the tracking misfit and the multiplier.
 
     Terminal value zero; the source at level n is
@@ -395,29 +352,26 @@ def backward_adjoint_from_loads(
     recursion, since the noise enters linearly.  The levels are written
     into ``out`` (N+1, n) when given.
     """
-    tables = SweepTables(grid.N, system.n) if tables is None else tables
-    source = np.subtract(
-        _mass_rows(system, x_levels[1:], tables), target_loads[1:], out=tables.rows
-    )
+    rows = system.sweep_tables(grid.N).rows
+    source = np.subtract(_mass_rows(system, x_levels[1:]), target_loads[1:], out=rows)
     source += mu * system.ones_load
     source *= grid.tau
-    return _row_sweep(system, grid, gamma, 0.0, tables, out, backward=True)
+    return _row_sweep(system, grid, gamma, 0.0, out, backward=True)
 
 
-def mtilde_solve(system: FemSystem, grid: TimeGrid, gamma: float = 1.0) -> Trajectory:
+def mtilde_solve(system: FemSystem, grid: TimeGrid, gamma: float = 1.0) -> np.ndarray:
     """Backward auxiliary field with unit source and zero terminal value.
 
     Adding mu times this field to the constraint-free adjoint gives the
     full adjoint; it is also the direction of the projection step.
     """
-    tables = SweepTables(grid.N, system.n)
-    np.multiply(grid.tau, system.ones_load, out=tables.rows)
-    return _row_sweep(system, grid, gamma, 0.0, tables, backward=True)
+    np.multiply(grid.tau, system.ones_load, out=system.sweep_tables(grid.N).rows)
+    return _row_sweep(system, grid, gamma, 0.0, backward=True)
 
 
 def qtilde_solve(
-    system: FemSystem, grid: TimeGrid, mtilde: Trajectory, gamma: float = 1.0
-) -> Trajectory:
+    system: FemSystem, grid: TimeGrid, mtilde: np.ndarray, gamma: float = 1.0
+) -> np.ndarray:
     """Forward state response to the auxiliary field used as a control."""
     return control_response(system, grid, mtilde, gamma)
 

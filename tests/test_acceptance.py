@@ -15,7 +15,6 @@ from socfem import (
     ProblemSpec,
     Resolution,
     SolutionBundle,
-    Trajectory,
     assemble,
     compute_errors,
     constraint_table,
@@ -78,11 +77,11 @@ def _heat_error(cells: int, steps: int) -> float:
         sigma=lambda t, p: np.zeros(p.shape[0]),
         forcing=zero, target=zero,
     )
-    xbar = forward_mean(spec, system, grid, Trajectory.zeros(grid, system.n))
+    xbar = forward_mean(spec, system, grid, np.zeros((grid.N + 1, system.n)))
     pts = mesh.interior_nodes[:, 0]
     worst = 0.0
     for n in range(grid.N + 1):
-        e = xbar.values[n] - np.exp(-np.pi**2 * grid.times[n]) * np.sin(np.pi * pts)
+        e = xbar[n] - np.exp(-np.pi**2 * grid.times[n]) * np.sin(np.pi * pts)
         worst = max(worst, float(np.sqrt(e @ (system.mass @ e))))
     return worst
 
@@ -179,11 +178,11 @@ def test_criterion_6_projection_properties():
     violations = []
     worst_slack = 0.0
     for _ in range(100):
-        v = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
-        p = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
+        v = rng.normal(size=(grid.N + 1, system.n))
+        p = rng.normal(size=(grid.N + 1, system.n))
         pv, _, _ = loop.project(v, prob.spec.delta)
         pp, _, _ = loop.project(p, prob.spec.delta)
-        slack = loop.step_norm(pv.values - pp.values) - loop.step_norm(v.values - p.values)
+        slack = loop.step_norm(pv - pp) - loop.step_norm(v - p)
         worst_slack = max(worst_slack, slack)
         if slack > 1e-9:
             violations.append(f"nonexpansiveness violated by {slack:.2e}")
@@ -234,12 +233,12 @@ def test_criterion_7_contraction():
 
     def recording_project(*args):
         u_proj, x, mu = project(*args)
-        iterates.append(u_proj.values.copy())
+        iterates.append(u_proj.copy())
         return u_proj, x, mu
 
     loop.project = recording_project
     result = loop.run(OptimizerConfig(rho=0.2, eps0=1e-12, max_iter=300), prob.spec.delta)
-    ustar = result.control.values
+    ustar = result.control
     dists = [loop.step_norm(u - ustar) for u in iterates]
     worst = 0.0
     for i in range(2, len(dists) - 1):
@@ -273,9 +272,9 @@ def test_criterion_8_duality_identity():
         m = mtilde_solve(system, grid)
         q = qtilde_solve(system, grid, m)
         lhs = grid.tau * sum(
-            m.values[n] @ (system.mass @ m.values[n]) for n in range(grid.N)
+            m[n] @ (system.mass @ m[n]) for n in range(grid.N)
         )
-        rhs = grid.tau * (q.values[1:] @ system.ones_load).sum()
+        rhs = grid.tau * (q[1:] @ system.ones_load).sum()
         rel = abs(lhs - rhs) / abs(rhs)
         worst = max(worst, rel)
         if rel > 1e-9:
@@ -299,7 +298,7 @@ def test_criterion_9_lsmc_oracle():
     xd_values = spec.target.mean(t_next, qp) + w_next[:, None] * spec.target.slope(t_next, qp)
     xd_proj = system.mass_solve((xd_values @ system.load_matrix.T).T).T
     payoff = (
-        result.adjoint_mean.values[level + 1][None, :] / tau
+        result.adjoint_mean[level + 1][None, :] / tau
         + states
         - xd_proj
     )

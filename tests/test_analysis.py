@@ -12,7 +12,6 @@ from socfem import (
     OptimizerConfig,
     Resolution,
     SolutionBundle,
-    Trajectory,
     assemble,
     compute_errors,
     constraint_table,
@@ -98,11 +97,8 @@ def small_run():
     system, grid = setup(prob, Resolution(16, 16))
     ens = sample(200, grid, seed=7)
     pts = system.mesh.interior_nodes
-    control = Trajectory(
-        np.stack([prob.exact_u(t, pts) for t in grid.times[:-1]] + [np.zeros(system.n)]),
-        grid,
-    )
-    adjoint = Trajectory(np.stack([prob.exact_y(t, pts) for t in grid.times]), grid)
+    control = np.stack([prob.exact_u(t, pts) for t in grid.times[:-1]] + [np.zeros(system.n)])
+    adjoint = np.stack([prob.exact_y(t, pts) for t in grid.times])
     return prob, system, grid, ens, control, adjoint
 
 
@@ -131,13 +127,13 @@ class TestComputeErrors:
     def test_homogeneous_in_deviation(self, small_run):
         prob, system, grid, ens, control, adjoint = small_run
         rng = np.random.default_rng(5)
-        d_u = rng.normal(size=control.values.shape)
-        d_y = rng.normal(size=adjoint.values.shape)
+        d_u = rng.normal(size=control.shape)
+        d_y = rng.normal(size=adjoint.shape)
 
         def report(scale):
             bundle = SolutionBundle(
-                control=Trajectory(control.values + scale * d_u, grid),
-                adjoint_mean=Trajectory(adjoint.values + scale * d_y, grid),
+                control=control + scale * d_u,
+                adjoint_mean=adjoint + scale * d_y,
                 mu=prob.exact_mu + scale * 0.25,
             )
             return compute_errors(prob, bundle, ens, system, grid)
@@ -178,8 +174,8 @@ class TestComputeErrors:
             system, grid = setup(prob, Resolution(16, steps))
             ens = sample(2 * BLOCK, grid, seed=3)
             pts = system.mesh.interior_nodes
-            control = Trajectory(np.stack([prob.exact_u(t, pts) for t in grid.times]), grid)
-            adjoint = Trajectory(np.stack([prob.exact_y(t, pts) for t in grid.times]), grid)
+            control = np.stack([prob.exact_u(t, pts) for t in grid.times])
+            adjoint = np.stack([prob.exact_y(t, pts) for t in grid.times])
             bundle = SolutionBundle(control, adjoint, prob.exact_mu)
             tracemalloc.start()
             try:
@@ -197,8 +193,8 @@ class TestComputeErrors:
         system, grid = setup(prob, Resolution(8, 10))
         ens = sample(2 * BLOCK, grid, seed=3)
         pts = system.mesh.interior_nodes
-        control = Trajectory(np.stack([prob.exact_u(t, pts) for t in grid.times]), grid)
-        adjoint = Trajectory(np.stack([prob.exact_y(t, pts) for t in grid.times]), grid)
+        control = np.stack([prob.exact_u(t, pts) for t in grid.times])
+        adjoint = np.stack([prob.exact_y(t, pts) for t in grid.times])
         calls = []
         real = socfem.fem.load_vector
 
@@ -219,7 +215,7 @@ class TestComputeErrors:
         system, grid = setup(prob, res)
         ens = sample(32, grid, seed=9)
         pts = system.mesh.interior_nodes
-        control = Trajectory(np.stack([prob.exact_u(t, pts) for t in grid.times]), grid)
+        control = np.stack([prob.exact_u(t, pts) for t in grid.times])
         states = path_states(prob.spec, system, grid, control, ens)
         l2_sq, h1_sq = np.zeros(grid.N + 1), np.zeros(grid.N + 1)
         for n in range(grid.N + 1):
@@ -271,6 +267,10 @@ class TestConvergenceStudy:
         }
         for fit in fits.values():
             assert np.isfinite(fit.slope)
+
+    def test_orders_scale_validation(self):
+        with pytest.raises(ValueError, match="scale"):
+            orders_from_reports([], scale="x")
 
     def test_delta_mode_validation(self):
         with pytest.raises(ValueError):

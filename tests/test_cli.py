@@ -74,6 +74,17 @@ class TestSolveCommand:
         assert "certificate" not in capsys.readouterr().err
         assert main(base + ["--rho", "0"]) == 2
 
+    def test_max_iter_warns_and_still_writes(self, tmp_path, capsys):
+        argv = [
+            "solve", "--problem", "example1", "--h", "1/8", "--rule", "tau=h",
+            "--max-iter", "2", "--output-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "iterations=2 converged=False" in captured.out
+        assert captured.err == "warning: optimizer hit max_iter before reaching eps0\n"
+        assert len((tmp_path / "iterations.csv").read_text().splitlines()) == 1 + 2
+
     def test_slack_delta_keeps_mu_zero(self, tmp_path):
         argv = [
             "solve", "--problem", "example1", "--h", "1/8", "--rule", "tau=h",
@@ -142,6 +153,27 @@ class TestConstraintTableCommand:
         active = [r for r in long_rows[1:] if r.startswith("0.2,")]
         for r in active:
             assert abs(float(r.split(",")[3]) - 0.2) <= 1e-8
+
+    def test_unconverged_cells_warn_on_stderr(self, tmp_path, capsys):
+        argv = [
+            "constraint-table", "--problem", "example1", "--h", "1/8,1/10",
+            "--rule", "tau=h", "--delta", "10,0.2",
+        ]
+        assert main(argv + ["--output-dir", str(tmp_path / "full")]) == 0
+        assert capsys.readouterr().err == ""  # converged cells print nothing
+        assert main(argv + ["--max-iter", "2", "--output-dir", str(tmp_path / "two")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        rows = (tmp_path / "two" / "table_long.csv").read_text().splitlines()[1:]
+        unconverged = [r.split(",") for r in rows if r.endswith(",0")]
+        assert unconverged and len(err) == len(unconverged)
+        for line, (delta, h, tau, *_) in zip(err, unconverged):
+            cells, steps = round(1 / float(h)), round(1 / float(tau))
+            head, step_error = line.split(", step_error=")
+            assert head == (
+                f"warning: cell delta={delta} cells={cells} steps={steps}: "
+                "optimizer hit max_iter before reaching eps0"
+            )
+            assert float(step_error) > 1e-6
 
     def test_infeasible_projection_exits_3_without_output(self, tmp_path, monkeypatch, capsys):
         # a multiplier of zero never projects, so the active cell ends above delta
@@ -276,6 +308,22 @@ class TestReferenceOutputs:
             assert len(g_vals) == len(w_vals)
             assert all(_close(float(a), float(b)) for a, b in zip(g_vals, w_vals)), (g, w)
 
+    def test_monte_carlo_solve_final_fields(self, tmp_path):
+        argv = [
+            "solve", "--problem", "example1", "--h", "1/10", "--rule", "tau=h",
+            "--estimator", "monte-carlo", "--paths", "50", "--seed", "7",
+            "--output-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        got = (tmp_path / "final_fields.csv").read_text().splitlines()
+        want = (REFERENCE / "solve_example1_mc_h1-10_final_fields.csv").read_text().splitlines()
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        exact = {"t", "x0"}
+        for g, w in zip(got[1:], want[1:]):
+            for column, a, b in zip(want[0].split(","), g.split(","), w.split(",")):
+                assert a == b if column in exact else _close(float(a), float(b)), (column, g, w)
+
     def test_monte_carlo_table(self, tmp_path):
         argv = [
             "constraint-table", "--problem", "example1", "--rule", "tau=h", "--h", "1/40,1/45",
@@ -338,6 +386,7 @@ BAD_INPUTS = [
     ("solve", ["--h", "1/10"], "lam", "0.1"),
     ("verify", ["--problem", "example2"], "xd_reading", "auto"),
     ("convergence", ["--paths", "20"], "h", "1/10,1/10"),
+    ("convergence", ["--h", "1/8,1/10", "--paths", "20"], "tau", "1/8"),
     ("constraint-table", ["--delta", "0.2"], "h", "1/10,0.1"),
 ]
 
@@ -476,9 +525,30 @@ class TestConfigHandling:
         argv = ["solve", "--h", "1//9", "--output-dir", str(tmp_path)]
         assert main(argv) == 2
 
-    def test_tau_not_dividing_horizon(self, tmp_path):
+    def test_tau_not_dividing_horizon(self, tmp_path, capsys, no_solver):
         argv = ["solve", "--h", "3/7", "--rule", "tau=h", "--output-dir", str(tmp_path)]
         assert main(argv) == 2
+        # a pitch that divides the domain, with a tau that does not divide T
+        out = tmp_path / "out"
+        assert main(["solve", "--h", "1/10", "--tau", "3/7", "--output-dir", str(out)]) == 2
+        assert "error: tau 3/7 does not divide the horizon T=1.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines,named",
+        [(["wibble"], "bad config line (expected key = value): 'wibble'"),
+         (["# a comment", "   # an indented comment", "h = 0"], "argument --h")],
+        ids=["no-equals", "comment-lines-skipped"],
+    )
+    def test_config_lines_exit_2_before_solving(self, tmp_path, capsys, no_solver, lines, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and named in err
+        assert "comment" not in err  # a comment-only line is never reported
+        assert not out.exists()
 
     def test_rule_dimension_mismatch(self, tmp_path):
         argv = [

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from socfem import (
     InvalidStateError,
     OptimizerConfig,
-    Trajectory,
     assemble,
     constraint_integral,
     contraction_certificate,
@@ -33,13 +32,13 @@ def coarse():
 class TestConstraintIntegral:
     def test_zero(self, coarse):
         _, system, grid = coarse
-        assert constraint_integral(Trajectory.zeros(grid, system.n), system, grid) == 0.0
+        assert constraint_integral(np.zeros((grid.N + 1, system.n)), system, grid) == 0.0
 
     def test_constant_in_time(self, coarse):
         _, system, grid = coarse
         rng = np.random.default_rng(0)
         v = rng.normal(size=system.n)
-        traj = Trajectory(np.tile(v, (grid.N + 1, 1)), grid)
+        traj = np.tile(v, (grid.N + 1, 1))
         expected = grid.T * (system.ones_load @ v)
         assert constraint_integral(traj, system, grid) == pytest.approx(expected, rel=1e-13)
 
@@ -47,7 +46,7 @@ class TestConstraintIntegral:
         prob, system, grid = coarse
         pts = system.mesh.interior_nodes
         vals = np.stack([prob.exact_x.mean(t, pts) for t in grid.times])
-        integral = constraint_integral(Trajectory(vals, grid), system, grid)
+        integral = constraint_integral(vals, system, grid)
         # right-endpoint rule + interpolation leave an O(h + tau) gap
         assert abs(integral - prob.spec.delta) <= grid.tau + system.mesh.h**2
 
@@ -86,7 +85,7 @@ class TestProjection:
         prob, system, grid = coarse
         loop = GradientProjection(prob.spec, system, grid)
         rng = np.random.default_rng(1)
-        control = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
+        control = rng.normal(size=(grid.N + 1, system.n))
         u_proj, x_proj, mu = loop.project(control, prob.spec.delta)
         if mu > 0.0:
             integral = constraint_integral(x_proj, system, grid)
@@ -96,22 +95,22 @@ class TestProjection:
     def test_feasible_control_untouched(self, coarse):
         prob, system, grid = coarse
         loop = GradientProjection(prob.spec, system, grid)
-        control = Trajectory(np.full((grid.N + 1, system.n), -5.0), grid)
+        control = np.full((grid.N + 1, system.n), -5.0)
         u_proj, _, mu = loop.project(control, prob.spec.delta)
         assert mu == 0.0
-        assert np.array_equal(u_proj.values, control.values)
+        assert np.array_equal(u_proj, control)
 
     def test_nonexpansiveness(self, coarse):
         prob, system, grid = coarse
         loop = GradientProjection(prob.spec, system, grid)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            v = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
-            p = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
+            v = rng.normal(size=(grid.N + 1, system.n))
+            p = rng.normal(size=(grid.N + 1, system.n))
             pv, _, _ = loop.project(v, prob.spec.delta)
             pp, _, _ = loop.project(p, prob.spec.delta)
-            lhs = loop.step_norm(pv.values - pp.values)
-            rhs = loop.step_norm(v.values - p.values)
+            lhs = loop.step_norm(pv - pp)
+            rhs = loop.step_norm(v - p)
             assert lhs <= rhs + 1e-9
 
 
@@ -127,17 +126,17 @@ class TestWorkspaceAliasing:
         config = OptimizerConfig(max_iter=max_iter)
         loop = GradientProjection(prob.spec, system, grid)
         first = loop.run(config, 0.2)
-        kept = {name: getattr(first, name).values.copy() for name in self.FIELDS}
+        kept = {name: getattr(first, name).copy() for name in self.FIELDS}
         second = loop.run(OptimizerConfig(), -0.1)
         assert first.mu > 0.0 and second.mu > 0.0
         fresh = GradientProjection(prob.spec, system, grid).run(config, 0.2)
-        tables = loop.tables
+        tables = system.sweep_tables(grid.N)
         for name in self.FIELDS:
-            values = getattr(first, name).values
+            values = getattr(first, name)
             assert np.array_equal(values, kept[name])
-            assert np.array_equal(values, getattr(fresh, name).values)
-            mates = [getattr(first, f).values for f in self.FIELDS if f != name]
-            for other in [getattr(second, f).values for f in self.FIELDS] + mates + [
+            assert np.array_equal(values, getattr(fresh, name))
+            mates = [getattr(first, f) for f in self.FIELDS if f != name]
+            for other in [getattr(second, f) for f in self.FIELDS] + mates + [
                 tables.rows, tables.cols, tables.product
             ]:
                 assert not np.shares_memory(values, other)
@@ -145,14 +144,14 @@ class TestWorkspaceAliasing:
     def test_project_returns_new_arrays(self, coarse):
         prob, system, grid = coarse
         loop = GradientProjection(prob.spec, system, grid)
-        control = Trajectory(np.random.default_rng(3).normal(size=(grid.N + 1, system.n)), grid)
+        control = np.random.default_rng(3).normal(size=(grid.N + 1, system.n))
         u1, x1, mu = loop.project(control, -5.0)
         u2, x2, _ = loop.project(control, -5.0)
         assert mu > 0.0
         for a in (u1, x1):
             for b in (u2, x2, control):
-                assert not np.shares_memory(a.values, b.values)
-        assert np.array_equal(u1.values, u2.values) and np.array_equal(x1.values, x2.values)
+                assert not np.shares_memory(a, b)
+        assert np.array_equal(u1, u2) and np.array_equal(x1, x2)
 
 
 PROPERTY_PROB = example1()
@@ -166,14 +165,14 @@ class TestProjectionProperties:
     def test_feasible_and_nonexpansive(self, s1, s2, scale, delta):
         loop, system, grid = PROPERTY_LOOP, PROPERTY_SYSTEM, PROPERTY_GRID
         shape = (grid.N + 1, system.n)
-        v = Trajectory(scale * np.random.default_rng(s1).normal(size=shape), grid)
-        p = Trajectory(scale * np.random.default_rng(s2).normal(size=shape), grid)
+        v = scale * np.random.default_rng(s1).normal(size=shape)
+        p = scale * np.random.default_rng(s2).normal(size=shape)
         pv, xv, _ = loop.project(v, delta)
         pp, xp, _ = loop.project(p, delta)
         for x in (xv, xp):
             assert constraint_integral(x, system, grid) <= delta + 1e-8
-        lhs = loop.step_norm(pv.values - pp.values)
-        rhs = loop.step_norm(v.values - p.values)
+        lhs = loop.step_norm(pv - pp)
+        rhs = loop.step_norm(v - p)
         assert lhs <= rhs + 1e-9
 
 
@@ -192,9 +191,9 @@ class TestMonteCarloWorkspace:
         system, grid = setup(prob, res)
         ens = sample(64, grid, seed=5)
         loop = GradientProjection(prob.spec, system, grid, ensemble=ens)
-        zero = Trajectory.zeros(grid, system.n)
+        zero = np.zeros((grid.N + 1, system.n))
         states = path_states(prob.spec, system, grid, zero, ens)
-        assert _max_rel(loop.base.values, states.mean(axis=0)) <= 1e-12
+        assert _max_rel(loop.base, states.mean(axis=0)) <= 1e-12
 
         # every path's target values at the quadrature points, loaded and averaged
         xd, qp = prob.spec.target, system.quad_points
@@ -245,7 +244,7 @@ class TestGpIterate:
         # adjoint equals -alpha*u
         prob, system, grid = coarse
         res = gp_iterate(prob.spec, system, grid, OptimizerConfig(eps0=1e-11, max_iter=400))
-        gap = res.adjoint_mean.values[: grid.N] + prob.spec.alpha * res.control.values[: grid.N]
+        gap = res.adjoint_mean[: grid.N] + prob.spec.alpha * res.control[: grid.N]
         assert np.abs(gap).max() <= 1e-9
 
     def test_monte_carlo_estimator_matches_mean_field_without_noise(self):
@@ -255,7 +254,7 @@ class TestGpIterate:
         mf = gp_iterate(prob.spec, system, grid, OptimizerConfig(eps0=1e-8))
         mc = gp_iterate(prob.spec, system, grid, OptimizerConfig(eps0=1e-8), ensemble=ens)
         assert mc.iterations == mf.iterations
-        assert np.abs(mc.control.values - mf.control.values).max() <= 1e-10
+        assert np.abs(mc.control - mf.control).max() <= 1e-10
         assert mc.mu == pytest.approx(mf.mu, rel=1e-8)
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from socfem import (
     AffineInW,
     ProblemSpec,
-    Trajectory,
     assemble,
     example1,
     forward_mean,
@@ -22,7 +21,6 @@ from socfem.errors import NumericalError
 from socfem.fem import EulerSolver, load_vector
 from socfem.paths import BrownianEnsemble
 from socfem.spde import (
-    SweepTables,
     _control_loads,
     _mass_rows,
     _row_sweep,
@@ -79,7 +77,7 @@ class TestForward:
 
         spec = make_spec(x0=hat)
         grid = make_time_grid(0.5, 1)
-        out = path_states(spec, sys_half, grid, Trajectory.zeros(grid, 1), zero_ensemble(3, grid))
+        out = path_states(spec, sys_half, grid, np.zeros((grid.N + 1, 1)), zero_ensemble(3, grid))
         assert out[:, 0, 0] == pytest.approx([1.0] * 3, abs=1e-12)
         assert out[:, 1, 0] == pytest.approx([1 / 7] * 3, abs=1e-12)
 
@@ -89,11 +87,11 @@ class TestForward:
         system = assemble(mesh)
         grid = make_time_grid(1.0, 8)
         rng = np.random.default_rng(0)
-        u = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
+        u = rng.normal(size=(grid.N + 1, system.n))
         paths = path_states(prob.spec, system, grid, u, zero_ensemble(4, grid))
         mean = forward_mean(prob.spec, system, grid, u)
         for p in range(4):
-            assert np.array_equal(paths[p], mean.values)
+            assert np.array_equal(paths[p], mean)
 
     def test_superposition_per_path(self):
         mesh = make_interval_mesh(0, 1, 6)
@@ -101,8 +99,8 @@ class TestForward:
         grid = make_time_grid(1.0, 5)
         ens = sample(8, grid, seed=3)
         rng = np.random.default_rng(5)
-        u1 = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
-        u2 = Trajectory(rng.normal(size=(grid.N + 1, system.n)), grid)
+        u1 = rng.normal(size=(grid.N + 1, system.n))
+        u2 = rng.normal(size=(grid.N + 1, system.n))
 
         sigma = lambda t, p: np.sin(np.pi * p[..., 0]) * (1 + t)
         f1 = AffineInW(lambda t, p: p[..., 0] + t, zero_space_time)
@@ -122,7 +120,7 @@ class TestForward:
         )
         a = path_states(spec1, system, grid, u1, ens)
         b = path_states(spec2, system, grid, u2, ens)
-        u_sum = Trajectory(u1.values + u2.values, grid)
+        u_sum = u1 + u2
         c = path_states(spec_sum, system, grid, u_sum, ens)
         assert np.abs(c - (a + b)).max() <= 1e-10
 
@@ -131,12 +129,12 @@ class TestForward:
         system = assemble(make_interval_mesh(0, 1, 20))
         grid = make_time_grid(1.0, 20)
         ens = sample(2000, grid, seed=7)
-        u = Trajectory.zeros(grid, system.n)
+        u = np.zeros((grid.N + 1, system.n))
         mean = forward_mean(prob.spec, system, grid, u)
         paths = path_states(prob.spec, system, grid, u, ens)
         sample_mean = paths.mean(axis=0)
         stderr = paths.std(axis=0, ddof=1) / np.sqrt(ens.paths)
-        gap = np.abs(sample_mean - mean.values)
+        gap = np.abs(sample_mean - mean)
         assert np.all(gap <= 4 * stderr + 1e-12)
 
     def test_antithetic_average_recovers_mean(self):
@@ -144,7 +142,7 @@ class TestForward:
         system = assemble(make_interval_mesh(0, 1, 10))
         grid = make_time_grid(1.0, 10)
         ens = sample(16, grid, seed=1)
-        u = Trajectory.zeros(grid, system.n)
+        u = np.zeros((grid.N + 1, system.n))
         fwd = path_states(prob.spec, system, grid, u, ens)
         mirror = BrownianEnsemble(
             paths=ens.paths, steps=ens.steps, tau=ens.tau, seed=ens.seed,
@@ -154,19 +152,19 @@ class TestForward:
         mean = forward_mean(prob.spec, system, grid, u)
         averaged = 0.5 * (fwd + bwd)
         for p in range(16):
-            assert np.abs(averaged[p] - mean.values).max() <= 1e-12
+            assert np.abs(averaged[p] - mean).max() <= 1e-12
 
     def test_zero_data_gives_zero(self, sys_half):
         grid = make_time_grid(1.0, 4)
-        out = forward_mean(make_spec(), sys_half, grid, Trajectory.zeros(grid, 1))
-        assert np.abs(out.values).max() == 0.0
+        out = forward_mean(make_spec(), sys_half, grid, np.zeros((grid.N + 1, 1)))
+        assert np.abs(out).max() == 0.0
 
     def test_constant_control_increases_monotonically(self):
         system = assemble(make_interval_mesh(0, 1, 4))
         grid = make_time_grid(1.0, 20)  # tau = 0.05 keeps (M + tau A) an M-matrix
-        u = Trajectory(np.ones((grid.N + 1, system.n)), grid)
+        u = np.ones((grid.N + 1, system.n))
         out = forward_mean(make_spec(), system, grid, u)
-        diffs = np.diff(out.values, axis=0)
+        diffs = np.diff(out, axis=0)
         assert np.all(diffs > 0)
 
     def test_misaligned_ensemble_rejected(self, sys_half):
@@ -174,11 +172,11 @@ class TestForward:
         other = make_time_grid(1.0, 5)
         with pytest.raises(ValueError):
             path_states(
-                make_spec(), sys_half, grid, Trajectory.zeros(grid, 1), zero_ensemble(2, other)
+                make_spec(), sys_half, grid, np.zeros((grid.N + 1, 1)), zero_ensemble(2, other)
             )
         with pytest.raises(ValueError):
             forward_mean(
-                make_spec(), sys_half, grid, Trajectory.zeros(grid, 1), zero_ensemble(2, other)
+                make_spec(), sys_half, grid, np.zeros((grid.N + 1, 1)), zero_ensemble(2, other)
             )
 
 
@@ -190,26 +188,26 @@ class TestBackwardAdjoint:
         proj = np.stack([l2_project(sys_half, lambda p, _t=t: g(_t, p)) for t in grid.times])
         loads = mean_target_loads(spec, sys_half, grid)
         y = backward_adjoint_from_loads(sys_half, grid, spec.gamma, proj, loads, 0.0)
-        assert np.abs(y.values).max() <= 1e-12
+        assert np.abs(y).max() <= 1e-12
 
     def test_one_step_oracle(self, sys_half):
         grid = make_time_grid(0.5, 1)
         x_levels = np.array([[0.0], [1.0]])
         y = backward_adjoint_from_loads(sys_half, grid, 1.0, x_levels, np.zeros((2, 1)), 0.0)
-        assert y.values[0] == pytest.approx([1 / 14], abs=1e-14)
-        assert y.values[1] == pytest.approx([0.0], abs=0)
+        assert y[0] == pytest.approx([1 / 14], abs=1e-14)
+        assert y[1] == pytest.approx([0.0], abs=0)
 
     def test_affine_in_mu(self):
         prob = example1()
         system = assemble(make_interval_mesh(0, 1, 8))
         grid = make_time_grid(1.0, 6)
-        x = Trajectory(np.linspace(0, 1, (grid.N + 1) * system.n).reshape(grid.N + 1, -1), grid)
+        x = np.linspace(0, 1, (grid.N + 1) * system.n).reshape(grid.N + 1, -1)
         loads = mean_target_loads(prob.spec, system, grid)
-        y0 = backward_adjoint_from_loads(system, grid, prob.spec.gamma, x.values, loads, 0.0)
-        y1 = backward_adjoint_from_loads(system, grid, prob.spec.gamma, x.values, loads, 1.3)
-        y2 = backward_adjoint_from_loads(system, grid, prob.spec.gamma, x.values, loads, 2.9)
-        unit = (y1.values - y0.values) / 1.3
-        assert np.abs((y2.values - y0.values) - 2.9 * unit).max() <= 1e-10
+        y0 = backward_adjoint_from_loads(system, grid, prob.spec.gamma, x, loads, 0.0)
+        y1 = backward_adjoint_from_loads(system, grid, prob.spec.gamma, x, loads, 1.3)
+        y2 = backward_adjoint_from_loads(system, grid, prob.spec.gamma, x, loads, 2.9)
+        unit = (y1 - y0) / 1.3
+        assert np.abs((y2 - y0) - 2.9 * unit).max() <= 1e-10
 
     def test_example1_adjoint_error_halves_with_resolution(self):
         prob = example1()
@@ -218,16 +216,14 @@ class TestBackwardAdjoint:
             system = assemble(make_interval_mesh(0, 1, k))
             grid = make_time_grid(1.0, k)
             pts = system.mesh.interior_nodes
-            u = Trajectory(
-                np.stack([prob.exact_u(t, pts) for t in grid.times]), grid
-            )
+            u = np.stack([prob.exact_u(t, pts) for t in grid.times])
             x = forward_mean(prob.spec, system, grid, u)
             loads = mean_target_loads(prob.spec, system, grid)
             y = backward_adjoint_from_loads(
-                system, grid, prob.spec.gamma, x.values, loads, prob.exact_mu
+                system, grid, prob.spec.gamma, x, loads, prob.exact_mu
             )
             err = max(
-                np.abs(y.values[n] - prob.exact_y(float(grid.times[n]), pts)).max()
+                np.abs(y[n] - prob.exact_y(float(grid.times[n]), pts)).max()
                 for n in range(grid.N + 1)
             )
             errs.append(err)
@@ -238,26 +234,26 @@ class TestAuxiliarySystems:
     def test_mtilde_oracle(self, sys_half):
         grid = make_time_grid(1.0, 2)
         m = mtilde_solve(sys_half, grid)
-        assert m.values[grid.N] == pytest.approx([0.0], abs=0)
-        assert m.values[grid.N - 1] == pytest.approx([3 / 28], abs=1e-14)
+        assert m[grid.N] == pytest.approx([0.0], abs=0)
+        assert m[grid.N - 1] == pytest.approx([3 / 28], abs=1e-14)
 
     def test_mtilde_nonnegative(self):
         system = assemble(make_interval_mesh(0, 1, 8))
         grid = make_time_grid(1.0, 8)
         m = mtilde_solve(system, grid)
-        assert m.values.min() >= -1e-14
+        assert m.min() >= -1e-14
 
     def test_qtilde_zero_source(self, sys_half):
         grid = make_time_grid(1.0, 3)
-        q = qtilde_solve(sys_half, grid, Trajectory.zeros(grid, 1))
-        assert np.abs(q.values).max() == 0.0
+        q = qtilde_solve(sys_half, grid, np.zeros((grid.N + 1, 1)))
+        assert np.abs(q).max() == 0.0
 
     def test_qtilde_oracle(self, sys_half):
         grid = make_time_grid(0.5, 1)
         m = mtilde_solve(sys_half, grid)
         q = qtilde_solve(sys_half, grid, m)
-        assert q.values[0] == pytest.approx([0.0], abs=0)
-        assert q.values[1] == pytest.approx([3 / 392], abs=1e-14)
+        assert q[0] == pytest.approx([0.0], abs=0)
+        assert q[1] == pytest.approx([3 / 392], abs=1e-14)
 
     def test_qtilde_integral_positive(self):
         for cells, steps in [(8, 2), (8, 5), (16, 16)]:
@@ -265,7 +261,7 @@ class TestAuxiliarySystems:
             grid = make_time_grid(1.0, steps)
             m = mtilde_solve(system, grid)
             q = qtilde_solve(system, grid, m)
-            integral = grid.tau * (q.values[1:] @ system.ones_load).sum()
+            integral = grid.tau * (q[1:] @ system.ones_load).sum()
             assert integral > 0.0
 
     @pytest.mark.parametrize(
@@ -284,9 +280,9 @@ class TestAuxiliarySystems:
         m = mtilde_solve(system, grid, gamma)
         q = qtilde_solve(system, grid, m, gamma)
         lhs = grid.tau * sum(
-            m.values[n] @ (system.mass @ m.values[n]) for n in range(grid.N)
+            m[n] @ (system.mass @ m[n]) for n in range(grid.N)
         )
-        rhs = grid.tau * (q.values[1:] @ system.ones_load).sum()
+        rhs = grid.tau * (q[1:] @ system.ones_load).sum()
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 
 
@@ -307,9 +303,9 @@ class TestAuxiliarySystems:
         m = mtilde_solve(system, grid, gamma)
         q = qtilde_solve(system, grid, m, gamma)
         lhs = grid.tau * sum(
-            m.values[n] @ (system.mass @ m.values[n]) for n in range(grid.N)
+            m[n] @ (system.mass @ m[n]) for n in range(grid.N)
         )
-        rhs = grid.tau * (q.values[1:] @ system.ones_load).sum()
+        rhs = grid.tau * (q[1:] @ system.ones_load).sum()
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 
 
@@ -321,12 +317,10 @@ seeds = st.integers(0, 2**32 - 1)
 
 def _forward_levels(x0, u):
     """Every level of the row kernel run from each column of x0 (n, k), shape (N+1, n, k)."""
-    control = Trajectory(u, KERNEL_GRID)
 
     def column(x):
-        tables = SweepTables(KERNEL_GRID.N, KERNEL_SYSTEM.n)
-        _control_loads(KERNEL_SYSTEM, KERNEL_GRID, control, tables)
-        return _row_sweep(KERNEL_SYSTEM, KERNEL_GRID, 1.0, x, tables).values
+        _control_loads(KERNEL_SYSTEM, KERNEL_GRID, u)
+        return _row_sweep(KERNEL_SYSTEM, KERNEL_GRID, 1.0, x)
 
     return np.stack([column(x) for x in x0.T], axis=-1)
 
@@ -354,9 +348,9 @@ class TestKernels:
         src2 = np.random.default_rng(s2).normal(size=shape)
 
         def sweep(src):
-            tables = SweepTables(KERNEL_GRID.N, KERNEL_SYSTEM.n)
-            np.multiply(KERNEL_GRID.tau, src[1:], out=tables.rows)  # the kernel reads tau*source
-            return _row_sweep(KERNEL_SYSTEM, KERNEL_GRID, 1.0, 0.0, tables, backward=True).values
+            rows = KERNEL_SYSTEM.sweep_tables(KERNEL_GRID.N).rows
+            np.multiply(KERNEL_GRID.tau, src[1:], out=rows)  # the kernel reads tau*source
+            return _row_sweep(KERNEL_SYSTEM, KERNEL_GRID, 1.0, 0.0, backward=True)
 
         assert _is_combination(sweep(a * src1 + b * src2), a, sweep(src1), b, sweep(src2))
 
@@ -367,8 +361,7 @@ class TestKernels:
         system = assemble(mesh)
         levels = np.random.default_rng(3).normal(size=(9, system.n))
         per_step = np.stack([system.mass @ row for row in levels])
-        tables = SweepTables(len(levels), system.n)
-        assert np.array_equal(_mass_rows(system, levels, tables), per_step)
+        assert np.array_equal(_mass_rows(system, levels), per_step)
         # a one-column block steps exactly like a vector
         solver = system.euler_solver(0.01)
         assert np.array_equal(solver.solve(levels[0][:, None])[:, 0], solver.solve(levels[0]))
@@ -410,7 +403,7 @@ class TestDeferredCheck:
     def test_bad_forward_level_is_named(self, monkeypatch):
         system = KERNEL_SYSTEM
         grid = CHECK_GRID
-        u = Trajectory(np.random.default_rng(1).normal(size=(grid.N + 1, system.n)), grid)
+        u = np.random.default_rng(1).normal(size=(grid.N + 1, system.n))
         _corrupt_call(monkeypatch, 6)  # forward call 6 solves level 7
         with pytest.raises(NumericalError, match="at level 7$"):
             control_response(system, grid, u)
@@ -424,7 +417,7 @@ class TestDeferredCheck:
 
     def test_bad_path_level_raises_before_it_is_yielded(self, monkeypatch):
         system, grid = KERNEL_SYSTEM, CHECK_GRID
-        control = Trajectory(np.random.default_rng(1).normal(size=(grid.N + 1, system.n)), grid)
+        control = np.random.default_rng(1).normal(size=(grid.N + 1, system.n))
         ens = sample(3, grid, seed=5)
         _corrupt_call(monkeypatch, 4)  # the path sweep's solve 4 gives level 5
         yielded = []
@@ -440,7 +433,7 @@ class TestDeferredCheck:
         u = np.ones((grid.N + 1, system.n))
         u[5, 3] = np.inf
         with pytest.raises(NumericalError, match="undefined"):
-            control_response(system, grid, Trajectory(u, grid))
+            control_response(system, grid, u)
 
     @pytest.mark.parametrize("system", CHECK_SYSTEMS)
     def test_sweeps_equal_a_loop_of_checked_solves(self, system):
@@ -449,7 +442,6 @@ class TestDeferredCheck:
         solver = system.euler_solver(tau, 0.7)
         rng = np.random.default_rng(2)
         u, x_levels, loads = (rng.normal(size=(grid.N + 1, system.n)) for _ in range(3))
-        control = Trajectory(u, grid)
 
         def forward(x, terms=lambda n: ()):
             """Levels from x, (n,) or (n, k): M x, + tau*M u, + each term, then solve."""
@@ -463,8 +455,8 @@ class TestDeferredCheck:
                 levels.append(x)
             return np.stack(levels)
 
-        got = control_response(system, grid, control, 0.7)
-        assert np.array_equal(got.values, forward(np.zeros(system.n)))
+        got = control_response(system, grid, u, 0.7)
+        assert np.array_equal(got, forward(np.zeros(system.n)))
 
         def backward(source):
             y = np.zeros(system.n)
@@ -475,11 +467,11 @@ class TestDeferredCheck:
             return np.stack(levels[::-1])
 
         ones = np.broadcast_to(system.ones_load, (grid.N + 1, system.n))
-        assert np.array_equal(mtilde_solve(system, grid, 0.7).values, backward(ones))
+        assert np.array_equal(mtilde_solve(system, grid, 0.7), backward(ones))
         source = np.stack([mass @ x - load + 1.3 * system.ones_load
                            for x, load in zip(x_levels, loads)])
         got = backward_adjoint_from_loads(system, grid, 0.7, x_levels, loads, 1.3)
-        assert np.array_equal(got.values, backward(source))
+        assert np.array_equal(got, backward(source))
 
         # the data sweeps: tau*(f0 + W f1), then sigma dW, all loads at t_n
         spec = DATA_SPEC
@@ -488,24 +480,40 @@ class TestDeferredCheck:
             for fn in (spec.forcing.mean, spec.forcing.slope, spec.sigma)
         )
         x0 = l2_project(system, spec.x0)
-        got = forward_mean(spec, system, grid, control)
-        assert np.array_equal(got.values, forward(x0, lambda n: [tau * f0[n]]))
+        got = forward_mean(spec, system, grid, u)
+        assert np.array_equal(got, forward(x0, lambda n: [tau * f0[n]]))
 
         ens = sample(5, grid, seed=4)
         w, dw = ens.brownian.mean(axis=0), ens.increments.mean(axis=0)
-        got = forward_mean(spec, system, grid, control, ens)
+        got = forward_mean(spec, system, grid, u, ens)
         expected = forward(x0, lambda n: [tau * (f0[n] + f1[n] * w[n]), sig[n] * dw[n]])
-        assert np.array_equal(got.values, expected)
+        assert np.array_equal(got, expected)
 
         w, dw = ens.brownian, ens.increments
-        got = np.stack([x.copy() for _, x in iter_forward_paths(spec, system, grid, control, ens)])
+        got = np.stack([x.copy() for _, x in iter_forward_paths(spec, system, grid, u, ens)])
         expected = forward(np.tile(x0[:, None], (1, ens.paths)), lambda n: [
             tau * (f0[n][:, None] + f1[n][:, None] * w[:, n]), sig[n][:, None] * dw[:, n]
         ])
         assert np.array_equal(got, expected)
 
+    def test_mean_sweep_while_path_sweep_is_suspended(self):
+        # the mean sweeps stage their loads in the system's one set of sweep
+        # tables; the path sweep copied its own, so it steps on unchanged
+        system, grid = KERNEL_SYSTEM, CHECK_GRID
+        control, other = np.random.default_rng(6).normal(size=(2, grid.N + 1, system.n))
+        ens = sample(3, grid, seed=5)
+        alone = [x.copy() for _, x in iter_forward_paths(DATA_SPEC, system, grid, control, ens)]
+        paths = iter_forward_paths(DATA_SPEC, system, grid, control, ens)
+        levels = [next(paths)[1].copy() for _ in range(4)]
+        control_response(system, grid, other, DATA_SPEC.gamma)
+        mtilde_solve(system, grid, DATA_SPEC.gamma)
+        levels += [x.copy() for _, x in paths]
+        assert len(levels) == len(alone) == grid.N + 1
+        for got, want in zip(levels, alone):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize(
-        "misfit", ["out rows", "out cols", "out order", "table rows", "table cols"]
+        "misfit", ["out rows", "out cols", "out order", "control rows", "control cols"]
     )
     def test_misfit_buffers_rejected_before_any_solve(self, monkeypatch, misfit):
         system, grid = KERNEL_SYSTEM, CHECK_GRID
@@ -518,19 +526,16 @@ class TestDeferredCheck:
             return real(self, rhs)
 
         monkeypatch.setattr(EulerSolver, "solve_unchecked", counted)
-        levels = np.ones((N + 1, n))
         out_shape = {"out rows": (N + 2, n), "out cols": (N + 1, n - 1)}.get(misfit, (N + 1, n))
         out = np.empty(out_shape, order="F" if misfit == "out order" else "C")
-        table_shape = {"table rows": (N - 1, n), "table cols": (N, n + 1)}.get(misfit, (N, n))
-        tables = SweepTables(*table_shape)
+        level_shape = {"control rows": (N, n), "control cols": (N + 1, n + 1)}
+        levels = np.ones(level_shape.get(misfit, (N + 1, n)))
         with pytest.raises(ValueError):
-            control_response(system, grid, Trajectory(levels, grid), out=out, tables=tables)
+            control_response(system, grid, levels, out=out)
         with pytest.raises(ValueError):
-            backward_adjoint_from_loads(
-                system, grid, 1.0, levels, levels, 0.5, out=out, tables=tables
-            )
+            backward_adjoint_from_loads(system, grid, 1.0, levels, levels, 0.5, out=out)
         assert calls == []
-        control_response(system, grid, Trajectory(levels, grid), out=np.empty((N + 1, n)))
+        control_response(system, grid, np.ones((N + 1, n)), out=np.empty((N + 1, n)))
         assert len(calls) == N  # the counter sees the solves of a run that fits
 
 
@@ -597,8 +602,3 @@ class TestProblemSpecValidation:
         kwargs[field] = value
         with pytest.raises(ValueError):
             ProblemSpec(**kwargs)
-
-    def test_trajectory_shape_checked(self):
-        grid = make_time_grid(1.0, 4)
-        with pytest.raises(ValueError):
-            Trajectory(np.zeros((3, 2)), grid)
