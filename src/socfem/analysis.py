@@ -7,6 +7,15 @@ Brownian values, so the measured error is scheme error, not Brownian-path
 error; the gradients of x0 and x1 are taken once per level and combined
 per path.  The path states are consumed level by level as the sweep yields
 them, so memory does not grow with the number of time steps.
+
+The state errors work in the sweep's own (n, paths) layout.  Each path
+block owns one ``_StateErrors`` workspace whose buffers every level
+reuses, and the sweep yields every level in one array that it overwrites
+on the next resume, so no level allocates a block-sized array.  The
+control and adjoint errors are deterministic: they are computed over all
+N+1 levels at once, as (N+1, n) tables, with the exact fields evaluated
+once per level.
+
 Order fits are least-squares slopes of log(error) against log(scale) and
 report r^2 so flat or noisy fits are detectable.
 """
@@ -24,7 +33,7 @@ from .grid import TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_g
 from .optimizer import GradientProjection, OptimizerConfig, constraint_integral, gp_iterate
 from .paths import BLOCK, BrownianEnsemble, sample
 from .problems import ManufacturedProblem
-from .spde import SweepData, forward_mean, iter_forward_paths
+from .spde import SweepData, SpaceTimeFn, forward_mean, iter_forward_paths
 
 
 _FD_STEP = 1e-4  # central-difference step of the exact gradients in H1 errors
@@ -45,7 +54,10 @@ class ErrorReport:
 
     strong_* fields are sqrt(max over time of the mean squared L2 error);
     h1_* fields are sqrt(tau * sum over steps of the mean squared H1
-    seminorm error).
+    seminorm error).  ``converged`` and ``step_error`` (of the last
+    iteration) describe the gradient-projection run behind the bundle:
+    ``convergence_study`` fills them in, and ``compute_errors`` alone
+    leaves them None.
     """
 
     h: float
@@ -58,6 +70,8 @@ class ErrorReport:
     h1_state: float
     h1_adjoint: float
     mu_error: float
+    converged: bool | None = None
+    step_error: float | None = None
 
 
 @dataclass(frozen=True)
@@ -94,10 +108,6 @@ def setup(problem: ManufacturedProblem, res: Resolution):
     return system, grid
 
 
-def _interior_values(system: FemSystem, fn, t: float) -> np.ndarray:
-    return np.asarray(fn(t, system.mesh.interior_nodes), dtype=float)
-
-
 def h1_error_sq(system: FemSystem, nodal: np.ndarray, exact_eval):
     """Squared H1 seminorm of (exact - P1 field) by element quadrature.
 
@@ -113,7 +123,7 @@ def h1_error_sq(system: FemSystem, nodal: np.ndarray, exact_eval):
 
 def _fd_gradients(system: FemSystem, exact_eval) -> list:
     """Central-difference gradient of ``exact_eval`` at the quadrature points,
-    one array (..., n_quad) per axis."""
+    one array per axis, shaped as exact_eval's values there."""
     qp = system.quad_points
     return [
         (np.asarray(exact_eval(qp + s), dtype=float) - np.asarray(exact_eval(qp - s), dtype=float))
@@ -145,21 +155,14 @@ def compute_errors(
     grid: TimeGrid,
 ) -> ErrorReport:
     """Errors of a solution bundle against the problem's exact fields."""
-    mass = system.mass_product
-
-    # deterministic control / adjoint errors; L2 against the nodal
-    # interpolant, H1 against the exact field itself
-    ctrl_sq = np.zeros(grid.N + 1)
-    adj_sq = np.zeros(grid.N + 1)
-    adj_h1 = np.zeros(grid.N + 1)
-    for n in range(grid.N + 1):
-        t = float(grid.times[n])
-        ey = bundle.adjoint_mean[n] - _interior_values(system, problem.exact_y, t)
-        adj_sq[n] = ey @ mass(ey)
-        adj_h1[n] = h1_error_sq(system, bundle.adjoint_mean[n], lambda p: problem.exact_y(t, p))
-        if n < grid.N:
-            eu = bundle.control[n] - _interior_values(system, problem.exact_u, t)
-            ctrl_sq[n] = eu @ mass(eu)
+    # deterministic control / adjoint errors over all levels at once; L2
+    # against the nodal interpolant, H1 against the exact field itself
+    times = grid.times
+    ctrl_sq = _l2_error_sq(system, bundle.control[: grid.N], problem.exact_u, times[: grid.N])
+    adj_sq = _l2_error_sq(system, bundle.adjoint_mean, problem.exact_y, times)
+    adj_h1 = h1_error_sq(
+        system, bundle.adjoint_mean, lambda p: _level_values(problem.exact_y, times, p)
+    )
 
     # per-path state errors, added level by level as each block's sweep
     # yields them; blocks merge in path order and share one set of nodal loads
@@ -168,9 +171,9 @@ def compute_errors(
     data = SweepData(problem.spec, system, grid)
     for start in range(0, ensemble.paths, BLOCK):
         sub = ensemble.subset(start, min(start + BLOCK, ensemble.paths))
+        level_errors = _StateErrors(problem, system, sub.paths)
         for n, x in iter_forward_paths(problem.spec, system, grid, bundle.control, sub, data):
-            t, w = float(grid.times[n]), sub.brownian_at(n)
-            l2, h1 = _level_state_errors(problem, system, t, x.T, w)
+            l2, h1 = level_errors(float(times[n]), x, sub.brownian_at(n))
             l2_sum[n] += l2
             h1_sum[n] += h1
     l2_sum /= ensemble.paths
@@ -190,24 +193,75 @@ def compute_errors(
     )
 
 
-def _level_state_errors(problem, system, t: float, states: np.ndarray, w: np.ndarray):
-    """Path-summed squared L2 and H1 state errors at one time level.
+def _level_values(fn: SpaceTimeFn, times: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """fn(t, points) for each t of ``times``, one row each, shape (len(times), m).
 
-    ``states`` holds the per-path fields (paths, n_interior) at time t and
-    ``w`` the paths' Brownian values there.  Path p is measured against
-    x0 + w_p x1; the gradients of x0 and x1 are taken once and combined as
-    G0 + w ⊗ G1.
+    fn is called once per level, with a float t; a scalar fills its row.
     """
-    pts = system.mesh.interior_nodes
-    x = problem.exact_x
-    w = w[:, None]
-    e = states - (x.mean(t, pts) + w * x.slope(t, pts))
-    l2 = np.einsum("pn,pn->", e, system.mass_product(e.T).T)
-    grads = zip(
-        _fd_gradients(system, lambda p: x.mean(t, p)),
-        _fd_gradients(system, lambda p: x.slope(t, p)),
-    )
-    return l2, _h1_gap_sq(system, states, [g0 + w * g1 for g0, g1 in grads]).sum()
+    values = np.empty((len(times), points.shape[0]))
+    for row, t in zip(values, times):
+        row[...] = fn(float(t), points)
+    return values
+
+
+def _l2_error_sq(system: FemSystem, levels: np.ndarray, exact, times: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of each row of ``levels`` minus the nodal interpolant of
+    exact(t) at its time, from one mass product over all rows."""
+    error = levels - _level_values(exact, times, system.mesh.interior_nodes)
+    error = np.ascontiguousarray(error.T)
+    return np.einsum("nl,nl->l", error, system.mass_product(error))
+
+
+class _StateErrors:
+    """Path-summed squared L2 and H1 state errors of one path block, level by level.
+
+    Works in the path sweep's own layout: a call takes the states x
+    (n_interior, paths) at time t, as ``spde.iter_forward_paths`` yields
+    them, and the paths' Brownian values w there.  Path p is measured
+    against x0 + w_p x1, so every exact quantity is one (m, 2) table
+    [x0, x1] times the (2, paths) basis [1; w].  The error
+    e = x - [x0, x1] [1; w] goes into one (n, paths) buffer and M e into
+    another; the gradient gap [G0, G1] [1; w] - G x (the exact gradients
+    by central differences at the quadrature points) goes into one
+    (n_quad, paths) buffer, with G x in an (n_elements, paths) one.  The
+    object owns these buffers, so no level allocates a block-sized array.
+    """
+
+    def __init__(self, problem, system: FemSystem, paths: int):
+        self._exact, self._system = problem.exact_x, system
+        n, n_quad = system.n, system.quad_points.shape[0]
+        n_elements = system.mesh.elements.shape[0]
+        self._basis = np.ones((2, paths))
+        self._error, self._mass_error = np.empty((2, n, paths))
+        self._gap = np.empty((n_quad, paths))
+        self._gap_by_element = self._gap.reshape(n_elements, -1, paths)
+        self._grad = np.empty((n_elements, paths))
+
+    def _affine(self, t: float, points: np.ndarray) -> np.ndarray:
+        """The exact state's [x0, x1] at ``points``, shape (m, 2)."""
+        values = np.empty((points.shape[0], 2))
+        values[:, 0] = self._exact.mean(t, points)
+        values[:, 1] = self._exact.slope(t, points)
+        return values
+
+    def __call__(self, t: float, x: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+        system, basis = self._system, self._basis
+        basis[1] = w
+        e = np.einsum("nk,kp->np", self._affine(t, system.mesh.interior_nodes), basis,
+                      out=self._error)
+        np.subtract(x, e, out=e)
+        me = self._mass_error
+        me.fill(0.0)
+        l2 = float(np.einsum("np,np->", e, system.mass_product(e, me)))
+
+        h1, gap, by_element = 0.0, self._gap, self._gap_by_element
+        exact_grads = _fd_gradients(system, lambda p: self._affine(t, p))
+        for slopes, grad in zip(exact_grads, system.grad_products):
+            np.einsum("qk,kp->qp", slopes, basis, out=gap)
+            self._grad.fill(0.0)
+            np.subtract(by_element, grad(x, self._grad)[:, None, :], out=by_element)
+            h1 += float(system.quad_weights @ np.einsum("qp,qp->q", gap, gap))
+        return l2, h1
 
 
 def fit_order(points) -> OrderFit:
@@ -243,10 +297,8 @@ def discrete_constraint_level(
     convergence rates of the adjoint and multiplier under a large-constant
     consistency error.
     """
-    pts = system.mesh.interior_nodes
     u = np.zeros((grid.N + 1, system.n))
-    for n in range(grid.N):
-        u[n] = np.asarray(problem.exact_u(float(grid.times[n]), pts), dtype=float)
+    u[: grid.N] = _level_values(problem.exact_u, grid.times[: grid.N], system.mesh.interior_nodes)
     x = forward_mean(problem.spec, system, grid, u)
     return constraint_integral(x, system, grid)
 
@@ -295,7 +347,8 @@ def _error_report(problem, res, paths, seed, config, estimator, delta_mode) -> E
         spec, system, grid, config, ensemble=ensemble if estimator == "monte-carlo" else None
     )
     bundle = SolutionBundle(control=result.control, adjoint_mean=result.adjoint_mean, mu=result.mu)
-    return compute_errors(problem, bundle, ensemble, system, grid)
+    report = compute_errors(problem, bundle, ensemble, system, grid)
+    return replace(report, converged=result.converged, step_error=result.records[-1].step_error)
 
 
 ORDER_QUANTITIES = (

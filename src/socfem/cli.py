@@ -326,6 +326,14 @@ def run_convergence(args: argparse.Namespace) -> int:
     _write_atomic(args.output_dir / "orders.json", json.dumps(payload, indent=2) + "\n")
     for name, fit in fits.items():
         print(f"{name}: slope={fit.slope:.4f} r2={fit.r_squared:.4f}")
+    unconverged = [(r, res) for r, res in zip(reports, resolutions) if not r.converged]
+    for r, res in unconverged:
+        print(f"warning: cell cells={res.cells} steps={res.steps}: "
+              f"optimizer hit max_iter before reaching eps0, step_error={r.step_error!r}",
+              file=sys.stderr)
+    if unconverged:
+        print(f"warning: the order fits use {len(unconverged)} unconverged cell(s)",
+              file=sys.stderr)
     return 0
 
 

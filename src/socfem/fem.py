@@ -14,23 +14,27 @@ cached on first use: the banded Cholesky factor of (M + tau*gamma*A) per
 
 Every solve is residual-checked per column, with one rule: column j passes
 when its right-hand side is finite and |op x_j - rhs_j| <= 1e-10 |rhs_j|.
-``solve`` checks before it returns, which is how mass solves and the
-per-level path blocks of ``spde.iter_forward_paths`` are checked.  The
-single-column kernel of ``spde`` (``_row_sweep``) solves through
-``solve_unchecked``, in place on a row of its output table, and passes
-all its levels to the same ``check`` once, before the sweep returns; in
-1D that one pass costs less than a per-step check's dispatch.
+``solve`` checks before it returns, which is how mass solves are checked.
+The sweeps of ``spde`` solve through ``solve_unchecked``, in place on
+their own buffers, and call the same ``check`` themselves.  The path
+block (``iter_forward_paths``) checks each level before it yields it.
+The single-column kernel (``_row_sweep``) passes all its levels to one
+``check``, before the sweep returns; in 1D that one pass costs less than
+a per-step check's dispatch.
 
 The systems are small (n = 14..39 in 1D), so a time step costs Python
 overhead rather than arithmetic.  Sparse products therefore call the
 sparsetools kernel that ``A @ x`` itself ends in, with the CSR arrays bound
 once, and skip scipy's generic dispatch; the sums, and so every output,
 are unchanged.  ``csr_product`` checks the operand and ``out`` on every
-call, for the whole-trajectory products, the residual checks and the path
-blocks.  ``csr_kernel`` is the bare (n,) row kernel, with no check at all:
-the single-column kernel of ``spde`` checks the shape and layout of its
-output table once when a sweep starts, and then each step is one
-``FemSystem.mass_kernel`` call and one ``solve_unchecked``.
+call, for the whole-trajectory products, the residual checks, the path
+blocks and the error pass.  ``csr_kernel`` is the bare (n,) row kernel,
+with no check at all: the single-column kernel of ``spde`` checks the
+shape and layout of its output table once when a sweep starts, and then
+each step is one ``FemSystem.mass_kernel`` call and one
+``solve_unchecked``; the load tables of ``spde`` stage each level's
+quadrature values in one buffer of the right length and load them with
+``FemSystem.load_kernel``.
 """
 
 from __future__ import annotations
@@ -203,15 +207,17 @@ class SweepTables:
     """Scratch tables of the single-column sweeps over N steps of an n-node system.
 
     ``rows`` (N, n) stages one level per row: the scaled loads of a sweep
-    on entry, its right-hand sides once the sweep has run.  ``cols`` and
-    ``product`` (n, N) hold the transposed copies that the whole-trajectory
-    mass products and the batched residual check read.  No sweep leaves
-    anything there that a later call reads, so ``FemSystem.sweep_tables``
-    keeps one set per step count.
+    on entry, its right-hand sides once the sweep has run.  ``term`` (n,)
+    stages one data term of a step.  ``cols`` and ``product`` (n, N) hold
+    the transposed copies that the whole-trajectory mass products and the
+    batched residual check read.  No sweep leaves anything there that a
+    later call reads, so ``FemSystem.sweep_tables`` keeps one set per step
+    count.
     """
 
     def __init__(self, steps: int, n: int):
         self.rows = np.empty((steps, n))
+        self.term = np.empty(n)
         self.cols, self.product = np.empty((2, n, steps))
 
     def check(
@@ -249,6 +255,11 @@ class FemSystem:
     mass_kernel : callable
         ``(x, out) -> None``, adding ``mass @ x`` to ``out`` for (n,) rows,
         unchecked (``csr_kernel``).
+    load_kernel : callable
+        ``(values, out) -> None``, adding ``load_matrix @ values`` to
+        ``out`` for (n_quad,) values, unchecked (``csr_kernel``).
+    grad_products : tuple of callable
+        ``grad_ops[d] @ x``, through ``csr_product``.
     """
 
     def __init__(self, mesh, mass, stiffness, quad_points, quad_weights, load_matrix, grad_ops):
@@ -261,6 +272,8 @@ class FemSystem:
         self.grad_ops = grad_ops
         self.mass_product = csr_product(mass)
         self.mass_kernel = csr_kernel(mass)
+        self.load_kernel = csr_kernel(load_matrix)
+        self.grad_products = tuple(csr_product(op) for op in grad_ops)
         self._euler_cache: dict[tuple[float, float], EulerSolver] = {}
         self._tables_cache: dict[int, SweepTables] = {}
         self._mass_chol = None

@@ -15,14 +15,17 @@ holding level n.  tau*M u^n is read from one table M U^T over the whole
 trajectory.  The data terms of column j are tau*(load(f0(t_n)) + W_n^j
 load(f1(t_n))), then dW_{n+1}^j load(sigma(t_n)); the control response
 adds none.  The source is M xbar - load(xbar_d) + mu*load(1) for the mean
-adjoint and load(1) for Mtilde.
+adjoint and load(1) for Mtilde.  The load tables are built level by
+level through the bare load kernel (``_load_rows``); every row equals
+``load_vector`` bit for bit.
 
 Each layout has one kernel, and every solve is residual-checked (see
 ``fem``) before a caller sees its level:
 
-* the path block: ``iter_forward_paths`` steps an (n, paths) block and
-  checks each level with one ``solve`` before it yields it, so no path
-  history is kept;
+* the path block: ``iter_forward_paths`` steps a C-ordered (n, paths)
+  block in buffers it allocates once, solves an F-ordered copy in place
+  by ``pbtrs`` and checks each level before it yields it, in the same
+  array every time, so no path history is kept;
 * the single column: ``_row_sweep`` runs the mean state, the control
   response and Qtilde forward, and the mean adjoint and Mtilde backward,
   on the rows of an (N+1, n) ``out`` (read in reverse going backward).  A
@@ -36,9 +39,10 @@ The system owns the scratch: each single-column sweep stages its rows in
 the ``fem.SweepTables`` that ``FemSystem.sweep_tables(N)`` caches, and no
 sweep takes tables as an argument.  A caller that sweeps many times at one
 size (the gradient-projection loop) passes its own ``out``, so the loop
-allocates no table per sweep.  The path sweep, a generator, copies its
-control loads out of those tables, so a sweep run while it is suspended
-cannot change them.
+allocates no table per sweep.  The path sweep, a generator, owns its
+block workspace, and the arrays it yields are reused, so a consumer
+copies what it keeps.  It copies its control loads out of the sweep
+tables, so a sweep run while it is suspended cannot change them.
 
 Problem data depend on the Brownian value only through ``AffineInW``
 pairs f = f0 + W f1.  Controls, forcing and the noise coefficient are
@@ -57,17 +61,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import NumericalError
-from .fem import FemSystem, l2_project, load_vector
+from .fem import FemSystem, l2_project
 from .grid import TimeGrid
 from .paths import BrownianEnsemble
 
 SpaceFn = Callable[[np.ndarray], np.ndarray]
 SpaceTimeFn = Callable[[float, np.ndarray], np.ndarray]
+Terms = Callable[[int, np.ndarray, np.ndarray], None]  # (step, rhs, scratch): adds to rhs
 
 
 @dataclass(frozen=True)
@@ -113,8 +118,22 @@ def _check_alignment(grid: TimeGrid, steps: int, tau: float, what: str):
         raise ValueError(f"{what} is not aligned with the time grid")
 
 
-def _load_at(system: FemSystem, fn: SpaceTimeFn, t: float) -> np.ndarray:
-    return load_vector(system, lambda p: fn(t, p))
+def _load_rows(system: FemSystem, fn: SpaceTimeFn, times: np.ndarray, out: np.ndarray):
+    """Add load(fn(t, .)) for each t of ``times`` to the rows of ``out``, and return it.
+
+    ``out`` must be a C-ordered (len(times), n) float64 array: the kernel
+    writes its rows unchecked, and every caller allocates it.  Each level's
+    quadrature values are staged in one (n_quad,) buffer (a scalar fills
+    it, a wrong shape raises) and added to its row by
+    ``FemSystem.load_kernel``, the kernel ``load_vector`` ends in; so on a
+    zeroed ``out``, row k equals ``load_vector`` at times[k] bit for bit,
+    without scipy's per-call dispatch.
+    """
+    values = np.empty(system.quad_points.shape[0])
+    for row, t in zip(out, times):
+        values[...] = fn(float(t), system.quad_points)
+        system.load_kernel(values, row)
+    return out
 
 
 def _mean_brownian(grid: TimeGrid, ensemble: BrownianEnsemble | None):
@@ -139,10 +158,8 @@ class SweepData:
         self._spec, self._system, self._grid = spec, system, grid
 
     def _levels(self, fn: SpaceTimeFn) -> np.ndarray:
-        out = np.empty((self._grid.N, self._system.n))
-        for n in range(self._grid.N):
-            out[n] = _load_at(self._system, fn, float(self._grid.times[n]))
-        return out
+        N = self._grid.N
+        return _load_rows(self._system, fn, self._grid.times[:N], np.zeros((N, self._system.n)))
 
     @cached_property
     def x0(self) -> np.ndarray:
@@ -161,25 +178,32 @@ class SweepData:
         return self._levels(self._spec.sigma)
 
 
-def _data_terms(data: SweepData, tau: float, brownian, increments):
-    """Data terms of forward step n: tau*(load(f0) + W_n load(f1)), then
-    dW_{n+1} load(sigma), all at t_n.
+def _data_terms(data: SweepData, tau: float, brownian, increments) -> Terms:
+    """``terms(n, rhs, scratch)`` adds the data terms of forward step n to rhs:
+    tau*(load(f0) + W_n load(f1)), then dW_{n+1} load(sigma), all at t_n.
 
-    For one column, W and dW are the 1-D ``brownian`` and ``increments``
-    and the terms are (n,) rows; both are None for zero means, and then
-    only tau*load(f0) is read.  For a block, column j reads row j of the
-    2-D ``brownian`` and ``increments`` and the terms are (n, k).
+    Each term is staged in ``scratch``, an array of rhs's shape, by
+    ``out=`` ufuncs.  For one column, W and dW are the 1-D ``brownian`` and
+    ``increments`` and rhs is an (n,) row; both are None for zero means,
+    and then only tau*load(f0) is added.  For a block, column j reads row j
+    of the 2-D ``brownian`` and ``increments`` and rhs is (n, k).
     """
     f0 = data.forcing_mean
     if brownian is None:
-        return lambda n: (tau * f0[n],)
+        def mean_terms(n: int, rhs: np.ndarray, scratch: np.ndarray) -> None:
+            rhs += np.multiply(tau, f0[n], out=scratch)
+
+        return mean_terms
     f1, sigma = data.forcing_slope, data.sigma
     if brownian.ndim == 2:
         f0, f1, sigma = f0[:, :, None], f1[:, :, None], sigma[:, :, None]
 
-    def terms(n: int):
-        yield tau * (f0[n] + f1[n] * brownian[..., n])
-        yield sigma[n] * increments[..., n]
+    def terms(n: int, rhs: np.ndarray, scratch: np.ndarray) -> None:
+        forcing = np.multiply(f1[n], brownian[..., n], out=scratch)
+        forcing += f0[n]
+        forcing *= tau
+        rhs += forcing
+        rhs += np.multiply(sigma[n], increments[..., n], out=scratch)
 
     return terms
 
@@ -206,8 +230,7 @@ def _control_loads(system: FemSystem, grid: TimeGrid, control: np.ndarray) -> np
 
 def _row_sweep(
     system: FemSystem, grid: TimeGrid, gamma: float, start: np.ndarray | float,
-    out: np.ndarray | None = None,
-    terms: Callable[[int], Iterable[np.ndarray]] = lambda n: (), backward: bool = False,
+    out: np.ndarray | None = None, terms: Terms | None = None, backward: bool = False,
 ) -> np.ndarray:
     """The single-column kernel: N implicit-Euler steps on the rows of ``out``.
 
@@ -219,9 +242,10 @@ def _row_sweep(
     ``tables.rows`` in reverse (``tables = system.sweep_tables(N)``).  Step
     n adds M times the previous level into the zeroed row of the new one,
     then row n of ``tables.rows`` (the caller's scaled load of the step)
-    and each term of ``terms(n)``; it stages the right-hand side over that
-    row and solves in place, unchecked.  After the last step one batched
-    check covers every level, in sweep order, before ``out`` is returned.
+    and, if given, ``terms(n, rhs, tables.term)``; it stages the
+    right-hand side over that row and solves in place, unchecked.  After
+    the last step one batched check covers every level, in sweep order,
+    before ``out`` is returned.
     """
     N, n = grid.N, system.n
     out = np.empty((N + 1, n)) if out is None else out
@@ -231,20 +255,19 @@ def _row_sweep(
             f"got {out.dtype} {out.shape}"
         )
     solver, tables = system.euler_solver(grid.tau, gamma), system.sweep_tables(N)
-    matvec, solve = system.mass_kernel, solver.solve_unchecked
+    matvec, solve, scratch = system.mass_kernel, solver.solve_unchecked, tables.term
     levels, rows, sweep = range(N + 1), tables.rows, out
     if backward:
         levels, rows, sweep = levels[::-1], rows[::-1], out[::-1]
     sweep[0] = start
     sweep[1:] = 0.0
-    for step in range(N):
+    for step, prev, rhs, staged in zip(range(N), sweep[:-1], sweep[1:], rows):
         # M x and the staged row stay separate terms: M(x + tau*u) rounds differently
-        rhs = sweep[step + 1]
-        matvec(sweep[step], rhs)
-        rhs += rows[step]
-        for term in terms(step):
-            rhs += term
-        rows[step] = rhs
+        matvec(prev, rhs)
+        rhs += staged
+        if terms is not None:
+            terms(step, rhs, scratch)
+        staged[...] = rhs
         solve(rhs)
     tables.check(solver, rows, sweep[1:], levels[1:])
     return out
@@ -262,28 +285,33 @@ def iter_forward_paths(
 
     Level 0 is the projected initial state.  Step n adds to M x^n, in this
     order, tau*M u^n, the forcing loads of every path and the noise
-    columns, then solves with (M + tau*gamma*A); each level is
-    residual-checked by that ``solve`` before it is yielded.  Yielded
-    arrays are owned by the sweep; consumers must copy what they keep.
+    columns, each staged by ``out=`` ufuncs in preallocated buffers, then
+    solves with (M + tau*gamma*A) on an F-ordered copy, in place.  Each
+    level is residual-checked before it is yielded.  Every level is
+    yielded in the same C-ordered (n, paths) array, which the next resume
+    overwrites: consumers copy what they keep and must not write to it.
     The control loads are copied out of the shared sweep tables, so any
-    sweep may run between two levels.
-    ``data`` is built here unless a caller that sweeps several blocks
-    shares one.
+    sweep may run between two levels.  ``data`` is built here unless a
+    caller that sweeps several blocks shares one.
     """
     _check_alignment(grid, ensemble.steps, ensemble.tau, "ensemble")
     data = SweepData(spec, system, grid) if data is None else data
     terms = _data_terms(data, grid.tau, ensemble.brownian, ensemble.increments)
-    x = np.tile(data.x0[:, None], (1, ensemble.paths))
     loads = _control_loads(system, grid, control)[:, :, None].copy()
-    solve = system.euler_solver(grid.tau, spec.gamma).solve
+    solver = system.euler_solver(grid.tau, spec.gamma)
+    x, rhs, scratch = np.empty((3, system.n, ensemble.paths))
+    solution = np.empty(x.shape, order="F")
+    x[...] = data.x0[:, None]
     yield 0, x
     for n in range(grid.N):
         # M x and tau*M u stay separate terms: M(x + tau*u) rounds differently
-        rhs = system.mass_product(x)
+        rhs.fill(0.0)
+        system.mass_product(x, rhs)
         rhs += loads[n]
-        for term in terms(n):
-            rhs += term
-        x = solve(rhs)
+        terms(n, rhs, scratch)
+        np.copyto(solution, rhs)
+        np.copyto(x, solver.solve_unchecked(solution))
+        solver.check(rhs, x)
         yield n + 1, x
 
 
@@ -330,11 +358,10 @@ def mean_target_loads(
     load(xd0), plus Wbar_n load(xd1) for the mean Brownian values of an ensemble."""
     w_bar, _ = _mean_brownian(grid, ensemble)
     loads = np.zeros((grid.N + 1, system.n))
-    for n in range(1, grid.N + 1):
-        t = float(grid.times[n])
-        loads[n] = _load_at(system, spec.target.mean, t)
-        if w_bar is not None:
-            loads[n] += w_bar[n] * _load_at(system, spec.target.slope, t)
+    _load_rows(system, spec.target.mean, grid.times[1:], loads[1:])
+    if w_bar is not None:
+        slope = _load_rows(system, spec.target.slope, grid.times[1:], np.zeros((grid.N, system.n)))
+        loads[1:] += np.multiply(w_bar[1:, None], slope, out=slope)
     return loads
 
 
@@ -350,8 +377,12 @@ def backward_adjoint_from_loads(
     precomputed (see ``mean_target_loads``).  For deterministic controls
     this is the exact expectation of the conditional-expectation
     recursion, since the noise enters linearly.  The levels are written
-    into ``out`` (N+1, n) when given.
+    into ``out`` (N+1, n) when given.  Misaligned ``x_levels`` or
+    ``target_loads`` raise ``ValueError`` before any sweep table is touched.
     """
+    for name, levels in (("x_levels", x_levels), ("target_loads", target_loads)):
+        if levels.shape != (grid.N + 1, system.n):
+            raise ValueError(f"{name} of shape {levels.shape} is not aligned with the time grid")
     rows = system.sweep_tables(grid.N).rows
     source = np.subtract(_mass_rows(system, x_levels[1:]), target_loads[1:], out=rows)
     source += mu * system.ones_load

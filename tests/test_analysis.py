@@ -23,7 +23,7 @@ from socfem import (
     make_interval_mesh,
     sample,
 )
-from socfem.analysis import _level_state_errors, h1_error_sq, orders_from_reports, setup
+from socfem.analysis import _StateErrors, h1_error_sq, orders_from_reports, setup
 from socfem.paths import BLOCK
 from socfem.problems import BY_NAME
 
@@ -187,8 +187,8 @@ class TestComputeErrors:
         assert peak(100) <= 1.1 * peak(25)
 
     def test_path_blocks_share_the_nodal_loads(self, monkeypatch):
-        # f0, f1 and sigma are loaded once per level for the whole ensemble,
-        # not once per block, and x0 is projected once
+        # f0, f1 and sigma are loaded once for the whole ensemble, not once
+        # per block: one table of all levels each; x0 is projected once
         prob = example1()
         system, grid = setup(prob, Resolution(8, 10))
         ens = sample(2 * BLOCK, grid, seed=3)
@@ -196,16 +196,20 @@ class TestComputeErrors:
         control = np.stack([prob.exact_u(t, pts) for t in grid.times])
         adjoint = np.stack([prob.exact_y(t, pts) for t in grid.times])
         calls = []
-        real = socfem.fem.load_vector
 
-        def counted(*args):
-            calls.append(None)
-            return real(*args)
+        def counted(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(socfem.fem, "load_vector", counted)
-        monkeypatch.setattr(socfem.spde, "load_vector", counted)
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(socfem.fem, "load_vector")
+        counted(socfem.spde, "_load_rows")
         compute_errors(prob, SolutionBundle(control, adjoint, prob.exact_mu), ens, system, grid)
-        assert len(calls) == 3 * grid.N + 1
+        assert sorted(calls) == ["_load_rows"] * 3 + ["load_vector"]
 
     @pytest.mark.parametrize(
         "name,res", [("example1", Resolution(40, 40)), ("example2", Resolution(8, 8))]
@@ -217,10 +221,13 @@ class TestComputeErrors:
         pts = system.mesh.interior_nodes
         control = np.stack([prob.exact_u(t, pts) for t in grid.times])
         states = path_states(prob.spec, system, grid, control, ens)
+        level_errors = _StateErrors(prob, system, ens.paths)
         l2_sq, h1_sq = np.zeros(grid.N + 1), np.zeros(grid.N + 1)
         for n in range(grid.N + 1):
             t, w = float(grid.times[n]), ens.brownian_at(n)
-            l2_sq[n], h1_sq[n] = _level_state_errors(prob, system, t, states[:, n], w)
+            # the sweep's (n, paths) layout, C-ordered as it yields it
+            x = np.ascontiguousarray(states[:, n].T)
+            l2_sq[n], h1_sq[n] = level_errors(t, x, w)
 
         # every path against its own full field x0 + w x1, evaluated point by point
         l2_ref, h1_ref = np.zeros(grid.N + 1), np.zeros(grid.N + 1)

@@ -125,6 +125,28 @@ class TestConvergenceCommand:
         assert main(argv) == 2
         assert not (tmp_path / "errors.csv").exists()
 
+    def test_unconverged_cells_warn_on_stderr(self, tmp_path, capsys):
+        argv = [
+            "convergence", "--problem", "example1", "--h", "1/8,1/10",
+            "--rule", "tau=h", "--paths", "40",
+        ]
+        assert main(argv + ["--output-dir", str(tmp_path / "full")]) == 0
+        assert capsys.readouterr().err == ""  # converged cells print nothing
+        assert main(argv + ["--max-iter", "2", "--output-dir", str(tmp_path / "two")]) == 0
+        captured = capsys.readouterr()
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+            "strong_l2_state", "strong_l2_adjoint", "strong_l2_control",
+            "mu_error", "h1_state", "h1_adjoint",
+        ]
+        *cells, fits = captured.err.splitlines()
+        assert fits == "warning: the order fits use 2 unconverged cell(s)"
+        heads, step_errors = zip(*(line.split(", step_error=") for line in cells))
+        assert list(heads) == [
+            f"warning: cell cells={k} steps={k}: optimizer hit max_iter before reaching eps0"
+            for k in (8, 10)
+        ]
+        assert all(float(e) > 1e-6 for e in step_errors)
+
     def test_rule_h2_fits_against_h(self, tmp_path):
         argv = [
             "convergence", "--problem", "example1", "--h", "1/4,1/6",

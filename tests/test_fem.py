@@ -176,6 +176,15 @@ class TestEulerSolve:
         with pytest.raises(ValueError):
             sys_half.euler_solver(0.0).solve(np.array([1.0]))
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    def test_invalid_gamma(self, sys_half, gamma):
+        with pytest.raises(ValueError, match=f"^gamma must be positive, got {gamma}$"):
+            EulerSolver(sys_half, 0.5, gamma)
+
+    def test_wrong_rhs_length(self, sys_quarter):
+        with pytest.raises(ValueError, match="^rhs length 2 != system size 3$"):
+            sys_quarter.euler_solver(0.5).solve(np.ones(2))
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_rhs_fails_residual_guard(self, sys_half, value):

@@ -33,6 +33,9 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             make_time_grid(T, N)
 
+    def test_repr_leaves_out_the_times(self):
+        assert repr(make_time_grid(1.0, 4)) == "TimeGrid(T=1.0, N=4, tau=0.25)"
+
 
 class TestIntervalMesh:
     def test_two_cells(self):
@@ -55,6 +58,16 @@ class TestIntervalMesh:
         with pytest.raises(ValueError):
             make_interval_mesh(1.0, 1.0, 4)
 
+    @pytest.mark.parametrize("cells", [0, -2])
+    def test_invalid_cell_count(self, cells):
+        with pytest.raises(ValueError, match=f"^cell count must be >= 1, got {cells}$"):
+            make_interval_mesh(0.0, 1.0, cells)
+
+    def test_repr_leaves_out_the_arrays(self):
+        assert repr(make_interval_mesh(0.0, 1.0, 4)) == (
+            "Mesh(dim=1, nodes=5, elements=4, h=0.25)"
+        )
+
 
 class TestRectangleMesh:
     def test_smallest_useful(self):
@@ -76,6 +89,17 @@ class TestRectangleMesh:
     def test_invalid_corners(self):
         with pytest.raises(ValueError):
             make_rectangle_mesh((0, 0), (0, 1), 2, 2)
+
+    @pytest.mark.parametrize("cells", [(0, 2), (2, 0)])
+    def test_invalid_cell_counts(self, cells):
+        message = f"^cell counts must be >= 1, got {cells[0]}, {cells[1]}$"
+        with pytest.raises(ValueError, match=message):
+            make_rectangle_mesh((0, 0), (1, 1), *cells)
+
+    def test_repr_leaves_out_the_arrays(self):
+        assert repr(make_rectangle_mesh((0, 0), (1, 1), 2, 3)) == (
+            "Mesh(dim=2, nodes=12, elements=12, h=0.600925)"
+        )
 
     def test_positive_areas(self):
         m = make_rectangle_mesh((-1, 2), (3, 5), 3, 4)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from socfem import (
     AffineInW,
     ProblemSpec,
+    Resolution,
     assemble,
     example1,
     forward_mean,
@@ -17,10 +18,13 @@ from socfem import (
     qtilde_solve,
     sample,
 )
+from socfem.analysis import setup
 from socfem.errors import NumericalError
 from socfem.fem import EulerSolver, load_vector
 from socfem.paths import BrownianEnsemble
+from socfem.problems import BY_NAME
 from socfem.spde import (
+    SweepData,
     _control_loads,
     _mass_rows,
     _row_sweep,
@@ -490,11 +494,15 @@ class TestDeferredCheck:
         assert np.array_equal(got, expected)
 
         w, dw = ens.brownian, ens.increments
-        got = np.stack([x.copy() for _, x in iter_forward_paths(spec, system, grid, u, ens)])
         expected = forward(np.tile(x0[:, None], (1, ens.paths)), lambda n: [
             tau * (f0[n][:, None] + f1[n][:, None] * w[:, n]), sig[n][:, None] * dw[:, n]
         ])
-        assert np.array_equal(got, expected)
+        yielded = []
+        for level, x in iter_forward_paths(spec, system, grid, u, ens):
+            # each level is final when it is yielded, into the one array the sweep reuses
+            assert x.flags.c_contiguous and x.tobytes() == expected[level].tobytes()
+            yielded.append(x)
+        assert len(yielded) == grid.N + 1 and all(x is yielded[0] for x in yielded)
 
     def test_mean_sweep_while_path_sweep_is_suspended(self):
         # the mean sweeps stage their loads in the system's one set of sweep
@@ -537,6 +545,48 @@ class TestDeferredCheck:
         assert calls == []
         control_response(system, grid, np.ones((N + 1, n)), out=np.empty((N + 1, n)))
         assert len(calls) == N  # the counter sees the solves of a run that fits
+
+    @pytest.mark.parametrize("misfit", ["x_levels", "target_loads"])
+    def test_misaligned_adjoint_levels_leave_the_tables_alone(self, misfit):
+        system, grid = assemble(make_interval_mesh(0, 1, 8)), CHECK_GRID
+        N, n = grid.N, system.n
+        control_response(system, grid, np.ones((N + 1, n)))
+        keys = sorted(system._tables_cache)
+        fit, short = np.ones((N + 1, n)), np.ones((N, n))
+        levels = (short, fit) if misfit == "x_levels" else (fit, short)
+        with pytest.raises(ValueError, match=rf"^{misfit} of shape \({N}, {n}\) is not aligned"):
+            backward_adjoint_from_loads(system, grid, 1.0, *levels, 0.5)
+        assert sorted(system._tables_cache) == keys == [N]
+
+
+class TestLoadTables:
+    """Level tables load each level through the bare kernel that ``load_vector`` ends in."""
+
+    @pytest.mark.parametrize(
+        "name,res", [("example1", Resolution(12, 9)), ("example2", Resolution(5, 4))]
+    )
+    def test_tables_equal_per_level_load_vectors(self, name, res):
+        prob = BY_NAME[name]()
+        spec = prob.spec
+        system, grid = setup(prob, res)
+        ens = sample(7, grid, seed=3)
+
+        def rows(fn, times):
+            return np.stack([load_vector(system, lambda p: fn(float(t), p)) for t in times])
+
+        data = SweepData(spec, system, grid)
+        for table, fn in ((data.forcing_mean, spec.forcing.mean),
+                          (data.forcing_slope, spec.forcing.slope), (data.sigma, spec.sigma)):
+            assert table.tobytes() == rows(fn, grid.times[:-1]).tobytes()
+        w_bar = ens.brownian.mean(axis=0)
+        for ensemble in (None, ens):
+            expected = np.zeros((grid.N + 1, system.n))
+            expected[1:] = rows(spec.target.mean, grid.times[1:])
+            if ensemble is not None:
+                for n, slope in enumerate(rows(spec.target.slope, grid.times[1:]), start=1):
+                    expected[n] += w_bar[n] * slope
+            got = mean_target_loads(spec, system, grid, ensemble)
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestLsmcZ:
