@@ -140,8 +140,8 @@ def _h1_gap_sq(system: FemSystem, nodal: np.ndarray, exact_grads: list) -> np.nd
     qwts = system.quad_weights.reshape(ne, -1)
     batch = nodal.shape[:-1]
     total = np.zeros(batch)
-    for g_exact, grad_op in zip(exact_grads, system.grad_ops):
-        g_fe = (grad_op @ nodal.T).T
+    for g_exact, grad in zip(exact_grads, system.grad_products):
+        g_fe = grad(nodal.T).T
         diff = g_exact.reshape(batch + (ne, qwts.shape[1])) - g_fe[..., None]
         total += np.einsum("...eq,eq->...", diff**2, qwts)
     return total

@@ -24,43 +24,145 @@ a per-step check's dispatch.
 
 The systems are small (n = 14..39 in 1D), so a time step costs Python
 overhead rather than arithmetic.  Sparse products therefore call the
-sparsetools kernel that ``A @ x`` itself ends in, with the CSR arrays bound
-once, and skip scipy's generic dispatch; the sums, and so every output,
-are unchanged.  ``csr_product`` checks the operand and ``out`` on every
-call, for the whole-trajectory products, the residual checks, the path
-blocks and the error pass.  ``csr_kernel`` is the bare (n,) row kernel,
-with no check at all: the single-column kernel of ``spde`` checks the
-shape and layout of its output table once when a sweep starts, and then
-each step is one ``FemSystem.mass_kernel`` call and one
+sparsetools kernel that scipy's own ``A @ x`` ends in, with the CSR arrays
+bound once, and skip scipy's generic dispatch; the sums, and so every
+output, are unchanged.  ``csr_product`` checks the operand and ``out`` on
+every call, for the whole-trajectory products, the residual checks, the
+path blocks and the error pass.  ``csr_kernel`` is the bare (n,) row
+kernel, with no check at all: the single-column kernel of ``spde`` checks
+the shape and layout of its output table once when a sweep starts, and
+then each step is one ``FemSystem.mass_kernel`` call and one
 ``solve_unchecked``; the load tables of ``spde`` stage each level's
 quadrature values in one buffer of the right length and load them with
 ``FemSystem.load_kernel``.
+
+Operators are ``Csr`` records (shape, indptr, indices, data), not scipy
+matrices.  ``Csr.from_triplets`` runs the sparsetools kernels of scipy's
+``coo_matrix(...).tocsr()`` in the same order, so every stored entry, and
+with it every band factor and output, equals scipy's bit for bit.  scipy's
+two compiled modules, ``linalg._flapack`` (the banded Cholesky
+``dpbtrf``/``dpbtrs``) and ``sparse._sparsetools`` (the CSR kernels), are
+loaded straight from their files in the installed scipy: the package
+``__init__`` of ``scipy.sparse`` and ``scipy.linalg`` would cost more than
+half of ``import socfem``.  A scipy without either file fails ``import
+socfem`` with an ``ImportError`` that names the module, the folder and the
+scipy version, so check both on every scipy upgrade.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
-# Private scipy module (checked against scipy 1.17): a release that moves or
-# changes it breaks ``import socfem``, so check it on every scipy upgrade.
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+import scipy
 
 from .errors import NumericalError
 from .grid import Mesh, element_volumes
 
+
+def _scipy_extension(name: str):
+    """The compiled module ``scipy.<name>``, loaded from its file.
+
+    Runs the module's own initialiser only, not the ``__init__`` of the
+    scipy subpackage that holds it, and adds nothing to ``sys.modules``.
+    A missing file raises ``ImportError``.
+    """
+    package, _, leaf = name.rpartition(".")
+    folder = Path(scipy.__file__).parent.joinpath(*package.split("."))
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / (leaf + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(f"scipy.{name}", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(
+        f"scipy.{name}: no compiled module {leaf!r} in {folder} (scipy {scipy.__version__})"
+    )
+
+
+_sparsetools = _scipy_extension("sparse._sparsetools")
+_flapack = _scipy_extension("linalg._flapack")
+_PBTRF, _PBTRS = _flapack.dpbtrf, _flapack.dpbtrs
 _RESIDUAL_RTOL = 1e-10
-_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 # 3-point Gauss-Legendre on [-1, 1]
 _GAUSS3_X = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
 _GAUSS3_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
-def csr_kernel(op: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray], None]:
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """A sparse operator in canonical CSR form (sorted column indices, no
+    duplicates), with int32 indices and float64 data as scipy stores it."""
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_triplets(cls, shape: tuple[int, int], rows, cols, vals) -> Csr:
+        """The sum of the entries ``vals`` at (rows, cols), as scipy's
+        ``coo_matrix((vals, (rows, cols)), shape).tocsr()`` forms it.
+
+        The same kernels in the same order: ``coo_tocsr``, the in-row sort
+        when a row is out of order, then ``csr_sum_duplicates``.  The sort
+        is unstable over rows that still hold duplicates, so only the same
+        kernel on the same input adds them in the same order.
+        """
+        m, n = shape
+        nnz = len(vals)
+        indptr, indices, data = np.empty(m + 1, np.int32), np.empty(nnz, np.int32), np.empty(nnz)
+        _sparsetools.coo_tocsr(
+            m, n, nnz, np.asarray(rows, np.int32), np.asarray(cols, np.int32),
+            np.asarray(vals, np.float64), indptr, indices, data,
+        )
+        if not _sparsetools.csr_has_sorted_indices(m, indptr, indices):
+            _sparsetools.csr_sort_indices(m, indptr, indices, data)
+        _sparsetools.csr_sum_duplicates(m, n, indptr, indices, data)
+        return cls._trimmed(shape, indptr, indices, data)
+
+    @classmethod
+    def _trimmed(cls, shape, indptr, indices, data) -> Csr:
+        nnz = indptr[-1]
+        return cls(shape, indptr, indices[:nnz].copy(), data[:nnz].copy())
+
+    def plus_scaled(self, other: Csr, scale: float) -> Csr:
+        """``self + scale * other``, formed as scipy's ``csr_plus_csr`` forms it."""
+        m, n = self.shape
+        size = len(self.data) + len(other.data)
+        indptr, indices, data = np.empty(m + 1, np.int32), np.empty(size, np.int32), np.empty(size)
+        _sparsetools.csr_plus_csr(
+            m, n, self.indptr, self.indices, self.data,
+            other.indptr, other.indices, other.data * scale, indptr, indices, data,
+        )
+        return self._trimmed(self.shape, indptr, indices, data)
+
+    def row_sums(self) -> np.ndarray:
+        """Each row's sum, added as scipy's ``sum(axis=1)`` adds it: one
+        ``np.add.reduceat`` over the non-empty rows, pairwise on long rows."""
+        out = np.zeros(self.shape[0])
+        rows = np.flatnonzero(np.diff(self.indptr))
+        out[rows] = np.add.reduceat(self.data, self.indptr[rows])
+        return out
+
+    def lower_band(self) -> np.ndarray:
+        """The lower triangle in LAPACK's lower band storage: entry (i, j) at
+        [i - j, j], with one row per offset up to the widest stored i - j."""
+        offset = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)) - self.indices
+        lower = offset >= 0
+        band = np.zeros((int(np.max(offset[lower], initial=0)) + 1, self.shape[0]))
+        band[offset[lower], self.indices[lower]] = self.data[lower]
+        return band
+
+
+def csr_kernel(op: Csr) -> Callable[[np.ndarray, np.ndarray], None]:
     """``out += op @ x`` for C-contiguous float64 rows x (n,) and out (m,), unchecked.
 
     ``csr_matvec`` with the CSR arrays of ``op`` bound, the kernel that
@@ -69,11 +171,10 @@ def csr_kernel(op: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray], None]:
     so the caller checks shapes and layout first (``spde`` does it once per
     sweep).
     """
-    op = op.tocsr()
-    return partial(csr_matvec, *op.shape, op.indptr, op.indices, op.data)
+    return partial(_sparsetools.csr_matvec, *op.shape, op.indptr, op.indices, op.data)
 
 
-def csr_product(op: sp.csr_matrix) -> Callable[..., np.ndarray]:
+def csr_product(op: Csr) -> Callable[..., np.ndarray]:
     """``op @ x`` for float64 x of shape (n,), (n, 1) or (n, k), bit for bit.
 
     Calls the kernel scipy's own ``op @ x`` routes to (``csr_kernel`` for
@@ -84,9 +185,7 @@ def csr_product(op: sp.csr_matrix) -> Callable[..., np.ndarray]:
     the result's shape, the kernel adds ``op @ x`` to it in place and
     returns it.
     """
-    op = op.tocsr()
     m, n = op.shape
-    indptr, indices, data = op.indptr, op.indices, op.data
     matvec = csr_kernel(op)
 
     def product(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -99,7 +198,9 @@ def csr_product(op: sp.csr_matrix) -> Callable[..., np.ndarray]:
         if x.ndim == 1 or x.shape[1] == 1:
             matvec(x.ravel(), out.ravel())
         else:
-            csr_matvecs(m, n, x.shape[1], indptr, indices, data, x.ravel(), out.ravel())
+            _sparsetools.csr_matvecs(
+                m, n, x.shape[1], op.indptr, op.indices, op.data, x.ravel(), out.ravel()
+            )
         return out
 
     return product
@@ -123,16 +224,11 @@ class _CheckedCholesky:
     ``spde._row_sweep``).
     """
 
-    def __init__(self, op: sp.spmatrix, what: str):
+    def __init__(self, op: Csr, what: str):
         self._what = what
-        op = op.tocsr()
         self._n = op.shape[0]
         self._product = csr_product(op)
-        lower = sp.tril(op, format="coo")
-        kd = int(np.max(lower.row - lower.col, initial=0))
-        band = np.zeros((kd + 1, self._n))
-        band[lower.row - lower.col, lower.col] = lower.data
-        self._factor, info = _PBTRF(band, lower=1)
+        self._factor, info = _PBTRF(op.lower_band(), lower=1)
         if info != 0:
             raise NumericalError(f"{what} factorization failed: pbtrf info={info}, not SPD")
 
@@ -200,7 +296,7 @@ class EulerSolver(_CheckedCholesky):
             raise ValueError(f"tau must be positive, got {tau}")
         if not gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {gamma}")
-        super().__init__(system.mass + tau * gamma * system.stiffness, "implicit-Euler")
+        super().__init__(system.mass.plus_scaled(system.stiffness, tau * gamma), "implicit-Euler")
 
 
 class SweepTables:
@@ -236,18 +332,18 @@ class FemSystem:
     Attributes
     ----------
     mesh : Mesh
-    mass : csr_matrix
+    mass : Csr
         M_ij = integral of phi_i * phi_j (symmetric positive definite).
-    stiffness : csr_matrix
+    stiffness : Csr
         A_ij = integral of grad(phi_i) . grad(phi_j) (symmetric PSD).
     quad_points : ndarray, shape (n_quad, dim)
         Global quadrature points of the load rule, element-major (3 per
         element).
     quad_weights : ndarray, shape (n_quad,)
         Quadrature weight per global point.
-    load_matrix : csr_matrix, shape (n_interior, n_quad)
+    load_matrix : Csr, shape (n_interior, n_quad)
         Maps integrand values at quadrature points to nodal load vectors.
-    grad_ops : tuple of csr_matrix, shape (n_elements, n_interior)
+    grad_ops : tuple of Csr, shape (n_elements, n_interior)
         Per-dimension maps from interior nodal values to the (constant)
         P1 gradient on each element.
     mass_product : callable
@@ -260,6 +356,8 @@ class FemSystem:
         ``out`` for (n_quad,) values, unchecked (``csr_kernel``).
     grad_products : tuple of callable
         ``grad_ops[d] @ x``, through ``csr_product``.
+    ones_load : ndarray, shape (n_interior,)
+        The load vector of g = 1: the row sums of ``load_matrix``.
     """
 
     def __init__(self, mesh, mass, stiffness, quad_points, quad_weights, load_matrix, grad_ops):
@@ -277,7 +375,7 @@ class FemSystem:
         self._euler_cache: dict[tuple[float, float], EulerSolver] = {}
         self._tables_cache: dict[int, SweepTables] = {}
         self._mass_chol = None
-        self.ones_load = np.asarray(load_matrix.sum(axis=1)).ravel()
+        self.ones_load = load_matrix.row_sums()
 
     @property
     def n(self) -> int:
@@ -317,7 +415,7 @@ def assemble(mesh: Mesh) -> FemSystem:
         mass, stiff = _assemble_2d(mesh)
         qpts, qwts, lmat = _load_rule_2d(mesh)
     grad_ops = _gradient_ops(mesh)
-    return FemSystem(mesh, mass.tocsr(), stiff.tocsr(), qpts, qwts, lmat.tocsr(), grad_ops)
+    return FemSystem(mesh, mass, stiff, qpts, qwts, lmat, grad_ops)
 
 
 def _gradient_ops(mesh: Mesh) -> tuple:
@@ -342,21 +440,17 @@ def _gradient_ops(mesh: Mesh) -> tuple:
     ops = []
     for d in range(mesh.dim):
         vals = grads[..., d].ravel()
-        ops.append(
-            sp.coo_matrix(
-                (vals[keep], (rows[keep], cidx[keep])), shape=(ne, mesh.n_interior)
-            ).tocsr()
-        )
+        ops.append(Csr.from_triplets((ne, mesh.n_interior), rows[keep], cidx[keep], vals[keep]))
     return tuple(ops)
 
 
-def _scatter(mesh: Mesh, rows, cols, vals) -> sp.coo_matrix:
+def _scatter(mesh: Mesh, rows, cols, vals) -> Csr:
     """Drop boundary couplings and map to the dense interior numbering."""
     ridx = mesh.interior_index[rows]
     cidx = mesh.interior_index[cols]
     keep = (ridx >= 0) & (cidx >= 0)
     n = mesh.n_interior
-    return sp.coo_matrix((vals[keep], (ridx[keep], cidx[keep])), shape=(n, n))
+    return Csr.from_triplets((n, n), ridx[keep], cidx[keep], vals[keep])
 
 
 def _assemble_1d(mesh: Mesh):
@@ -428,9 +522,7 @@ def _load_rule_2d(mesh: Mesh):
 def _finish_load(mesh, qpts, qwts, rows, cols, vals, n_quad):
     ridx = mesh.interior_index[rows]
     keep = ridx >= 0
-    lmat = sp.coo_matrix(
-        (vals[keep], (ridx[keep], cols[keep])), shape=(mesh.n_interior, n_quad)
-    )
+    lmat = Csr.from_triplets((mesh.n_interior, n_quad), ridx[keep], cols[keep], vals[keep])
     qpts = np.ascontiguousarray(qpts)
     qpts.flags.writeable = False
     qwts = np.ascontiguousarray(qwts)
@@ -442,16 +534,22 @@ def load_vector(system: FemSystem, g: Callable[[np.ndarray], np.ndarray]) -> np.
     """b_i = integral of g * phi_i via the system's quadrature rule."""
     vals = np.asarray(g(system.quad_points), dtype=float)
     vals = np.broadcast_to(vals, (system.quad_points.shape[0],))
-    return system.load_matrix @ vals
+    out = np.zeros(system.n)
+    system.load_kernel(vals, out)
+    return out
 
 
 def load_from_values(system: FemSystem, values: np.ndarray) -> np.ndarray:
     """Load vectors from integrand values at ``system.quad_points``.
 
     ``values`` may carry leading batch axes, e.g. (paths, n_quad); the
-    result has the matching shape (..., n_interior).
+    result has the matching shape (..., n_interior).  The batch is loaded
+    as one (n_quad, batch) block, through the kernel scipy's
+    ``values @ load_matrix.T`` ends in.
     """
-    return np.asarray(values) @ system.load_matrix.T
+    values = np.asarray(values)
+    block = values.reshape(-1, values.shape[-1]).T
+    return csr_product(system.load_matrix)(block).T.reshape(values.shape[:-1] + (system.n,))
 
 
 def l2_project(system: FemSystem, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

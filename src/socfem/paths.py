@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .grid import TimeGrid
 
@@ -70,7 +71,7 @@ def sample(P: int, grid: TimeGrid, seed: int) -> BrownianEnsemble:
     scale = np.sqrt(grid.tau)
     inc = np.empty((P, grid.N))
     for p in range(P):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
+        rng = default_rng(SeedSequence(seed, spawn_key=(p,)))
         inc[p] = rng.normal(0.0, scale, grid.N)
     inc.flags.writeable = False
     return BrownianEnsemble(paths=P, steps=grid.N, tau=grid.tau, seed=seed, increments=inc)

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from numpy.random import default_rng
 
 from .spde import AffineInW, ProblemSpec
 
@@ -234,7 +236,7 @@ def verify_manufactured(
     Report-only; nothing is raised for large residuals.
     """
     spec = problem.spec
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     lo = np.array([d[0] for d in problem.domain])
     hi = np.array([d[1] for d in problem.domain])
     pad = 0.05 * (hi - lo)
@@ -317,14 +319,14 @@ def _target_w_mismatch(
 def _mean_state_integral(problem: ManufacturedProblem, order: int = 48) -> float:
     """Gauss-Legendre quadrature of the exact mean state over [0,T] x D."""
     spec = problem.spec
-    tn, tw = np.polynomial.legendre.leggauss(order)
+    tn, tw = leggauss(order)
     t_nodes = 0.5 * spec.T * (tn + 1.0)
     t_weights = 0.5 * spec.T * tw
 
     axes = []
     weights = []
     for lo, hi in problem.domain:
-        xn, xw = np.polynomial.legendre.leggauss(order)
+        xn, xw = leggauss(order)
         axes.append(0.5 * (hi - lo) * (xn + 1.0) + lo)
         weights.append(0.5 * (hi - lo) * xw)
     if problem.dim == 1:

@@ -1,7 +1,8 @@
-"""Per-path states for tests, read from the streamed path sweep
-``socfem.spde.iter_forward_paths``."""
+"""Test helpers: per-path states read from the streamed path sweep
+``socfem.spde.iter_forward_paths``, and socfem operators as scipy matrices."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from socfem.spde import iter_forward_paths
 
@@ -20,3 +21,11 @@ def path_states_at(spec, system, grid, control, ensemble, level: int) -> np.ndar
         if n == level:
             return x.T.copy()
     raise ValueError(f"level {level} is past the last level {grid.N}")
+
+
+def scipy_csr(op) -> sp.csr_matrix:
+    """A socfem ``Csr`` operator as a scipy ``csr_matrix`` over the same
+    arrays, for checks written with scipy's matrix API (``@``, ``.T``,
+    ``.toarray()``).  Its products run the kernels socfem's own products
+    run, so they give the same sums bit for bit."""
+    return sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape)

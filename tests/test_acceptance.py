@@ -38,7 +38,7 @@ from socfem.analysis import orders_from_reports, setup
 from socfem.fem import load_vector
 from socfem.optimizer import GradientProjection
 
-from helpers import path_states_at
+from helpers import path_states_at, scipy_csr
 
 
 def _report(criterion: str, violations: list, details: str) -> None:
@@ -49,8 +49,8 @@ def _report(criterion: str, violations: list, details: str) -> None:
 
 def test_criterion_1_fem_oracles():
     system = assemble(make_interval_mesh(0, 1, 4))
-    m = system.mass.toarray()
-    a = system.stiffness.toarray()
+    m = scipy_csr(system.mass).toarray()
+    a = scipy_csr(system.stiffness).toarray()
     expected_m = np.array([[1 / 6, 1 / 24, 0], [1 / 24, 1 / 6, 1 / 24], [0, 1 / 24, 1 / 6]])
     expected_a = np.array([[8.0, -4.0, 0.0], [-4.0, 8.0, -4.0], [0.0, -4.0, 8.0]])
     sys_half = assemble(make_interval_mesh(0, 1, 2))
@@ -82,7 +82,7 @@ def _heat_error(cells: int, steps: int) -> float:
     worst = 0.0
     for n in range(grid.N + 1):
         e = xbar[n] - np.exp(-np.pi**2 * grid.times[n]) * np.sin(np.pi * pts)
-        worst = max(worst, float(np.sqrt(e @ (system.mass @ e))))
+        worst = max(worst, float(np.sqrt(e @ (scipy_csr(system.mass) @ e))))
     return worst
 
 
@@ -271,9 +271,8 @@ def test_criterion_8_duality_identity():
         grid = make_time_grid(1.0, steps)
         m = mtilde_solve(system, grid)
         q = qtilde_solve(system, grid, m)
-        lhs = grid.tau * sum(
-            m[n] @ (system.mass @ m[n]) for n in range(grid.N)
-        )
+        mass = scipy_csr(system.mass)
+        lhs = grid.tau * sum(m[n] @ (mass @ m[n]) for n in range(grid.N))
         rhs = grid.tau * (q[1:] @ system.ones_load).sum()
         rel = abs(lhs - rhs) / abs(rhs)
         worst = max(worst, rel)
@@ -296,7 +295,8 @@ def test_criterion_9_lsmc_oracle():
     qp = system.quad_points
     w_next = ens.brownian_at(level + 1)
     xd_values = spec.target.mean(t_next, qp) + w_next[:, None] * spec.target.slope(t_next, qp)
-    xd_proj = system.mass_solve((xd_values @ system.load_matrix.T).T).T
+    load_matrix = scipy_csr(system.load_matrix)
+    xd_proj = system.mass_solve((xd_values @ load_matrix.T).T).T
     payoff = (
         result.adjoint_mean[level + 1][None, :] / tau
         + states
@@ -307,12 +307,11 @@ def test_criterion_9_lsmc_oracle():
     solver = system.euler_solver(tau, spec.gamma)
     sigma_load = load_vector(system, lambda p: spec.sigma(t_mid, p))
     xd_slope = spec.target.slope(t_next, qp)
-    oracle = tau * (solver.solve(sigma_load) - system.mass_solve(system.load_matrix @ xd_slope))
+    oracle = tau * (solver.solve(sigma_load) - system.mass_solve(load_matrix @ xd_slope))
 
     diff = z.const - oracle
-    rel = float(
-        np.sqrt(diff @ (system.mass @ diff)) / np.sqrt(oracle @ (system.mass @ oracle))
-    )
+    mass = scipy_csr(system.mass)
+    rel = float(np.sqrt(diff @ (mass @ diff)) / np.sqrt(oracle @ (mass @ oracle)))
     violations = []
     if rel > 0.05:
         violations.append(f"oracle mismatch {rel:.3f} > 5%")

@@ -27,7 +27,7 @@ from socfem.analysis import _StateErrors, h1_error_sq, orders_from_reports, setu
 from socfem.paths import BLOCK
 from socfem.problems import BY_NAME
 
-from helpers import path_states
+from helpers import path_states, scipy_csr
 
 
 class TestFitOrder:
@@ -155,7 +155,7 @@ class TestComputeErrors:
             t, w = float(grid.times[n]), ens.brownian_at(n)[:, None]
             exact_x = lambda p: prob.exact_x.mean(t, p) + w * prob.exact_x.slope(t, p)
             e = states[:, n, :] - exact_x(pts)
-            l2_sq[n] = np.einsum("pn,pn->", e, (system.mass @ e.T).T) / ens.paths
+            l2_sq[n] = np.einsum("pn,pn->", e, (scipy_csr(system.mass) @ e.T).T) / ens.paths
             h1_sq[n] = h1_error_sq(system, states[:, n, :], exact_x).sum() / ens.paths
         rep = compute_errors(
             prob, SolutionBundle(control, adjoint, prob.exact_mu), ens, system, grid
@@ -231,13 +231,13 @@ class TestComputeErrors:
 
         # every path against its own full field x0 + w x1, evaluated point by point
         l2_ref, h1_ref = np.zeros(grid.N + 1), np.zeros(grid.N + 1)
-        x = prob.exact_x
+        x, mass = prob.exact_x, scipy_csr(system.mass)
         for n in range(grid.N + 1):
             t = float(grid.times[n])
             for p, w in enumerate(ens.brownian_at(n)):
                 field = lambda q: x.mean(t, q) + w * x.slope(t, q)
                 e = states[p, n] - field(pts)
-                l2_ref[n] += e @ (system.mass @ e)
+                l2_ref[n] += e @ (mass @ e)
                 h1_ref[n] += h1_error_sq(system, states[p, n], field)
         for got, want in ((l2_sq, l2_ref), (h1_sq, h1_ref)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -4,7 +4,9 @@ the outputs do not depend on the thread count.
 Each case runs in a fresh interpreter, because the pin is process-wide.
 The probe imports numpy and scipy's solvers and wakes numpy's pool before
 socfem is imported, then reads the thread counts back through each
-library's own getter, before and after ``import socfem``.
+library's own getter, before and after ``import socfem``.  When socfem is
+imported first, OpenBLAS loads with one thread and starts no helper at
+all, so the process keeps a single thread.
 """
 
 import json
@@ -43,6 +45,26 @@ before = threads()
 import socfem
 print(json.dumps([before, threads()]))
 """
+
+
+THREADS_PROBE = """
+import json, os
+import socfem
+print(json.dumps([len(os.listdir("/proc/self/task")), "OPENBLAS_NUM_THREADS" in os.environ]))
+"""
+
+
+def test_import_first_starts_no_helper_thread():
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count threads with")
+    proc = subprocess.run(
+        [sys.executable, "-c", THREADS_PROBE], env=_child_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    threads, env_left = json.loads(proc.stdout)
+    assert threads == 1
+    assert not env_left
 
 
 # criterion 5's Monte Carlo cell, as the benchmark's table_mc_1d workload runs it

@@ -1,7 +1,9 @@
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 
 from socfem import (
@@ -12,7 +14,18 @@ from socfem import (
     make_interval_mesh,
     make_rectangle_mesh,
 )
-from socfem.fem import _PBTRS, EulerSolver, _CheckedCholesky, csr_product, load_from_values
+from socfem.fem import (
+    _PBTRF,
+    _PBTRS,
+    Csr,
+    EulerSolver,
+    _CheckedCholesky,
+    _scipy_extension,
+    csr_product,
+    load_from_values,
+)
+
+from helpers import scipy_csr
 
 
 @pytest.fixture
@@ -27,12 +40,12 @@ def sys_quarter():
 
 class TestAssembly:
     def test_single_interior_node(self, sys_half):
-        assert sys_half.mass.toarray().item() == pytest.approx(1 / 3, abs=1e-15)
-        assert sys_half.stiffness.toarray().item() == pytest.approx(4.0, abs=1e-13)
+        assert scipy_csr(sys_half.mass).toarray().item() == pytest.approx(1 / 3, abs=1e-15)
+        assert scipy_csr(sys_half.stiffness).toarray().item() == pytest.approx(4.0, abs=1e-13)
 
     def test_quarter_tridiagonal(self, sys_quarter):
-        m = sys_quarter.mass.toarray()
-        a = sys_quarter.stiffness.toarray()
+        m = scipy_csr(sys_quarter.mass).toarray()
+        a = scipy_csr(sys_quarter.stiffness).toarray()
         expected_m = np.array(
             [[1 / 6, 1 / 24, 0], [1 / 24, 1 / 6, 1 / 24], [0, 1 / 24, 1 / 6]]
         )
@@ -42,7 +55,7 @@ class TestAssembly:
 
     def test_2d_five_point_equivalence(self):
         system = assemble(make_rectangle_mesh((0, 0), (1, 1), 2, 2))
-        assert system.stiffness.toarray().item() == pytest.approx(4.0, abs=1e-12)
+        assert scipy_csr(system.stiffness).toarray().item() == pytest.approx(4.0, abs=1e-12)
 
     def test_rejects_no_interior(self):
         with pytest.raises(ValueError):
@@ -54,11 +67,11 @@ class TestAssembly:
     )
     def test_symmetry_and_positivity(self, mesh):
         system = assemble(mesh)
-        m = system.mass.toarray()
-        a = system.stiffness.toarray()
+        m = scipy_csr(system.mass).toarray()
+        a = scipy_csr(system.stiffness).toarray()
         assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
         assert np.abs(a - a.T).max() <= 1e-12 * np.abs(a).max()
-        assert np.all(np.asarray(system.mass.sum(axis=1)) > 0)
+        assert np.all(np.asarray(scipy_csr(system.mass).sum(axis=1)) > 0)
         np.linalg.cholesky(m)  # SPD
         rng = np.random.default_rng(0)
         x = rng.normal(size=system.n)
@@ -68,7 +81,7 @@ class TestAssembly:
         mesh = make_interval_mesh(0, 1, 8)
         system = assemble(mesh)
         v = mesh.interior_nodes[:, 0]  # nodal values of f(x) = x
-        r = system.stiffness @ v
+        r = scipy_csr(system.stiffness) @ v
         assert np.abs(r[1:-1]).max() <= 1e-12  # boundary-only residual
 
 
@@ -97,7 +110,7 @@ class TestL2Projection:
     def test_galerkin_orthogonality(self, sys_quarter):
         g = lambda x: np.exp(x[..., 0]) * np.cos(3 * x[..., 0])
         p = l2_project(sys_quarter, g)
-        residual = sys_quarter.mass @ p - load_vector(sys_quarter, g)
+        residual = scipy_csr(sys_quarter.mass) @ p - load_vector(sys_quarter, g)
         assert np.abs(residual).max() <= 1e-10
 
 
@@ -194,13 +207,13 @@ class TestEulerSolve:
             sys_half.mass_solve(np.full(sys_half.n, value))
 
     def test_singular_operator_fails_factorization(self):
-        zero = sp.csr_matrix((2, 2))
+        zero = Csr.from_triplets((2, 2), [], [], [])
         with pytest.raises(NumericalError):
             EulerSolver(SimpleNamespace(mass=zero, stiffness=zero), 0.5)
 
     def test_indefinite_operator_fails_factorization(self):
-        indefinite = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        zero = sp.csr_matrix((2, 2))
+        indefinite = Csr.from_triplets((2, 2), [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 2.0, 1.0])
+        zero = Csr.from_triplets((2, 2), [], [], [])
         with pytest.raises(NumericalError, match="implicit-Euler factorization failed"):
             EulerSolver(SimpleNamespace(mass=indefinite, stiffness=zero), 0.5)
 
@@ -224,7 +237,7 @@ class TestBandedCholesky:
     def test_2d_solve_matches_dense(self):
         system = assemble(make_rectangle_mesh((0, 0), (1, 1), 8, 8))
         rhs = np.random.default_rng(5).normal(size=system.n)
-        dense = (system.mass + 0.05 * system.stiffness).toarray()
+        dense = scipy_csr(system.mass.plus_scaled(system.stiffness, 0.05)).toarray()
         oracle = np.linalg.solve(dense, rhs)
         x = system.euler_solver(0.05).solve(rhs)
         assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
@@ -248,7 +261,7 @@ class TestBandedCholesky:
         rhs[-1, 1] = 1e-12
         # the Frobenius check of the whole block lets it through
         x, _ = _PBTRS(chol._factor, rhs, lower=1)
-        assert np.linalg.norm(system.mass @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        assert np.linalg.norm(scipy_csr(system.mass) @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
         with pytest.raises(NumericalError, match="in column 1"):
             chol.solve(rhs)
         assert np.isfinite(chol.solve(rhs[:, :1])).all()
@@ -268,7 +281,7 @@ def _operators():
     for mesh in (make_interval_mesh(0, 1, 20), make_rectangle_mesh((0, 0), (1, 1), 7, 6)):
         system = assemble(mesh)
         yield system.mass
-        yield (system.mass + 0.03 * system.stiffness).tocsr()
+        yield system.mass.plus_scaled(system.stiffness, 0.03)
 
 
 def _operands(n: int):
@@ -289,7 +302,7 @@ class TestCsrProduct:
     def test_matches_scipy_bit_for_bit(self, op):
         product = csr_product(op)
         for x in _operands(op.shape[0]):
-            got, want = product(x), op @ x
+            got, want = product(x), scipy_csr(op) @ x
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
@@ -297,7 +310,7 @@ class TestCsrProduct:
     def test_out_accumulates_in_place(self, op):
         product = csr_product(op)
         for x in _operands(op.shape[0]):
-            want = op @ x
+            want = scipy_csr(op) @ x
             zeros = np.zeros(want.shape)
             assert product(x, zeros) is zeros
             assert np.array_equal(zeros, want)
@@ -316,3 +329,81 @@ class TestCsrProduct:
             sys_quarter.mass_product(np.zeros(4))
         with pytest.raises(ValueError):
             sys_quarter.mass_product(np.zeros((3, 2, 2)))
+
+
+SCIPY_MESHES = {
+    "interval40": lambda: make_interval_mesh(0, 1, 40),
+    "interval25": lambda: make_interval_mesh(0, 1, 25),
+    "rectangle60x60": lambda: make_rectangle_mesh((0, 0), (1, 1), 60, 60),
+    "rectangle7x5": lambda: make_rectangle_mesh((0, 0), (1, 2), 7, 5),
+}
+
+
+def _same_csr(got: Csr, want: sp.csr_matrix) -> bool:
+    return (
+        got.shape == want.shape
+        and all(
+            a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in zip(
+                (got.indptr, got.indices, got.data), (want.indptr, want.indices, want.data)
+            )
+        )
+    )
+
+
+def _scipy_band_factor(op: sp.csr_matrix) -> np.ndarray:
+    """The lower band factor through scipy's ``tril``, as socfem once formed it."""
+    lower = sp.tril(op, format="coo")
+    band = np.zeros((int(np.max(lower.row - lower.col, initial=0)) + 1, op.shape[0]))
+    band[lower.row - lower.col, lower.col] = lower.data
+    factor, info = _PBTRF(band, lower=1)
+    assert info == 0
+    return factor
+
+
+@pytest.mark.parametrize("name", list(SCIPY_MESHES))
+def test_operators_bit_identical_to_scipy(name, monkeypatch):
+    # every operator assembly builds, from the same triplets, scipy's
+    # coo_matrix(...).tocsr() next to socfem's own record
+    twins = {}
+    build = Csr.from_triplets.__func__
+
+    def recorded(cls, shape, rows, cols, vals):
+        op = build(cls, shape, rows, cols, vals)
+        twins[id(op)] = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        return op
+
+    monkeypatch.setattr(Csr, "from_triplets", classmethod(recorded))
+    system = assemble(SCIPY_MESHES[name]())
+    ops = (system.mass, system.stiffness, system.load_matrix) + system.grad_ops
+    assert len(twins) == len(ops)
+    for op in ops:
+        assert _same_csr(op, twins[id(op)])
+    mass, stiffness, load = (twins[id(op)] for op in ops[:3])
+
+    assert np.array_equal(system.ones_load, np.asarray(load.sum(axis=1)).ravel())
+    tau, gamma = 0.01, 0.7
+    assert _same_csr(system.mass.plus_scaled(system.stiffness, tau * gamma),
+                     mass + tau * gamma * stiffness)
+    euler = system.euler_solver(tau, gamma)._factor
+    assert np.array_equal(euler, _scipy_band_factor(mass + tau * gamma * stiffness))
+    assert np.array_equal(
+        _CheckedCholesky(system.mass, "mass")._factor, _scipy_band_factor(mass)
+    )
+
+    g = lambda p: np.exp(p[..., 0]) * np.cos(3.0 * p[..., -1])
+    assert np.array_equal(load_vector(system, g), load @ g(system.quad_points))
+    assert np.array_equal(load_vector(system, lambda p: 2.5), load @ np.full(load.shape[1], 2.5))
+    values = np.random.default_rng(9).normal(size=(5, load.shape[1]))
+    assert np.array_equal(load_from_values(system, values), values @ load.T)
+    assert np.array_equal(load_from_values(system, values[0]), values[0] @ load.T)
+
+
+def test_missing_scipy_module_fails_loudly():
+    with pytest.raises(ImportError) as failure:
+        _scipy_extension("sparse._no_such_module")
+    message = str(failure.value)
+    folder = str(Path(scipy.__file__).parent / "sparse")
+    assert "scipy.sparse._no_such_module" in message
+    assert folder in message
+    assert f"scipy {scipy.__version__}" in message

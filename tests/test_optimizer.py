@@ -19,7 +19,7 @@ from socfem.analysis import Resolution, setup
 from socfem.optimizer import GradientProjection
 from socfem.problems import BY_NAME
 
-from helpers import path_states
+from helpers import path_states, scipy_csr
 
 
 @pytest.fixture(scope="module")
@@ -198,10 +198,11 @@ class TestMonteCarloWorkspace:
         # every path's target values at the quadrature points, loaded and averaged
         xd, qp = prob.spec.target, system.quad_points
         loads = np.zeros_like(loop.target_loads)
+        load_matrix = scipy_csr(system.load_matrix)
         for n in range(1, grid.N + 1):
             t = float(grid.times[n])
             values = xd.mean(t, qp) + ens.brownian_at(n)[:, None] * xd.slope(t, qp)
-            loads[n] = (values @ system.load_matrix.T).mean(axis=0)
+            loads[n] = (values @ load_matrix.T).mean(axis=0)
         assert _max_rel(loop.target_loads, loads) <= 1e-12
 
 
