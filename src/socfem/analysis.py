@@ -1,19 +1,22 @@
 """Error norms against exact solutions, order fits and constraint tables.
 
-Exact solutions enter L2 errors by nodal interpolation and H1 errors by
-element quadrature against the exact field (see ``h1_error_sq``).  Strong
-state errors evaluate the exact field x0 + W x1 at each path's own discrete
-Brownian values, so the measured error is scheme error, not Brownian-path
-error; the gradients of x0 and x1 are taken once per level and combined
-per path.  The path states are consumed level by level as the sweep yields
-them, so memory does not grow with the number of time steps.
+Every reported L2 and H1 error comes from one evaluator, ``_FieldErrors``,
+which measures the columns of an (n, k) block at once.  L2 errors are
+taken against the nodal interpolant of the exact field, H1 errors by
+element quadrature against the exact field itself, whose gradients are
+central differences at the quadrature points.  Measuring H1 against the
+exact field matters here: on uniform meshes the gradient error against
+the interpolant superconverges and would hide the true rate.
 
-The state errors work in the sweep's own (n, paths) layout.  Each path
-block owns one ``_StateErrors`` workspace whose buffers every level
-reuses, and the sweep yields every level in one array that it overwrites
-on the next resume, so no level allocates a block-sized array.  The
-control and adjoint errors are deterministic: they are computed over all
-N+1 levels at once, as (N+1, n) tables, with the exact fields evaluated
+The columns are the paths of a block for the states and the time levels
+for the deterministic fields.  Strong state errors evaluate the exact
+field x0 + W x1 at each path's own discrete Brownian values, so the
+measured error is scheme error, not Brownian-path error; x0, x1 and their
+gradients are evaluated once per level and combined per path.  Each path
+block owns one evaluator, fed the (n, paths) level that the sweep yields
+in one array it overwrites on the next resume, so no path history is
+kept and no level allocates a block-sized array.  The control and the
+mean adjoint are one evaluator call each, with the exact field evaluated
 once per level.
 
 Order fits are least-squares slopes of log(error) against log(scale) and
@@ -33,7 +36,7 @@ from .grid import TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_g
 from .optimizer import GradientProjection, OptimizerConfig, constraint_integral, gp_iterate
 from .paths import BLOCK, BrownianEnsemble, sample
 from .problems import ManufacturedProblem
-from .spde import SweepData, SpaceTimeFn, forward_mean, iter_forward_paths
+from .spde import AffineInW, SweepData, SpaceTimeFn, forward_mean, iter_forward_paths
 
 
 _FD_STEP = 1e-4  # central-difference step of the exact gradients in H1 errors
@@ -108,19 +111,6 @@ def setup(problem: ManufacturedProblem, res: Resolution):
     return system, grid
 
 
-def h1_error_sq(system: FemSystem, nodal: np.ndarray, exact_eval):
-    """Squared H1 seminorm of (exact - P1 field) by element quadrature.
-
-    ``nodal`` is a batch (..., n_interior) of coefficient vectors;
-    ``exact_eval`` maps points (m, dim) to values (..., m).  Exact
-    gradients come from central differences, so only point values of the
-    exact field are needed.  Measuring against the exact field rather than
-    its interpolant matters here: on uniform meshes the gradient error
-    against the interpolant superconverges and would hide the true rate.
-    """
-    return _h1_gap_sq(system, nodal, _fd_gradients(system, exact_eval))
-
-
 def _fd_gradients(system: FemSystem, exact_eval) -> list:
     """Central-difference gradient of ``exact_eval`` at the quadrature points,
     one array per axis, shaped as exact_eval's values there."""
@@ -132,19 +122,42 @@ def _fd_gradients(system: FemSystem, exact_eval) -> list:
     ]
 
 
-def _h1_gap_sq(system: FemSystem, nodal: np.ndarray, exact_grads: list) -> np.ndarray:
-    """Squared H1 seminorm of (exact - P1 field) from exact gradients at the
-    quadrature points (see ``_fd_gradients``)."""
-    nodal = np.asarray(nodal, dtype=float)
-    ne = system.mesh.elements.shape[0]
-    qwts = system.quad_weights.reshape(ne, -1)
-    batch = nodal.shape[:-1]
-    total = np.zeros(batch)
-    for g_exact, grad in zip(exact_grads, system.grad_products):
-        g_fe = grad(nodal.T).T
-        diff = g_exact.reshape(batch + (ne, qwts.shape[1])) - g_fe[..., None]
-        total += np.einsum("...eq,eq->...", diff**2, qwts)
-    return total
+class _FieldErrors:
+    """Squared L2 and H1 errors of k P1 fields, one per column of an (n, k) x.
+
+    The caller fills ``exact`` (n, k) with the exact values at the
+    interior nodes and ``grads[d]`` (n_quad, k) with the exact gradient
+    along axis d at the quadrature points (``_fd_gradients``), column by
+    column.  A call measures x against them: the L2 error against the
+    nodal interpolant, e' M e with e = x - exact, and the H1 seminorm
+    error against the exact gradients by element quadrature.  The object
+    owns every buffer (the exact values, M e, the gradients and G x); a
+    call overwrites the exact values and gradients with the errors, so it
+    allocates nothing of size n*k.  The sums run through ``np.einsum``,
+    not BLAS, so they do not depend on the BLAS thread count.
+    """
+
+    def __init__(self, system: FemSystem, k: int):
+        self._system = system
+        n_quad, dim = system.quad_points.shape
+        n_elements = system.mesh.elements.shape[0]
+        self.exact, self._mass_error = np.empty((2, system.n, k))
+        self.grads = np.empty((dim, n_quad, k))
+        self._grads_by_element = self.grads.reshape(dim, n_elements, -1, k)
+        self._grad = np.empty((n_elements, k))
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The squared L2 and H1 errors of the columns of x, two (k,) arrays."""
+        system, grad_x = self._system, self._grad
+        e = np.subtract(x, self.exact, out=self.exact)
+        self._mass_error.fill(0.0)
+        l2 = np.einsum("nk,nk->k", e, system.mass_product(e, self._mass_error))
+        h1 = np.zeros(x.shape[1])
+        for gap, by_element, grad in zip(self.grads, self._grads_by_element, system.grad_products):
+            grad_x.fill(0.0)
+            np.subtract(by_element, grad(x, grad_x)[:, None, :], out=by_element)
+            h1 += np.einsum("q,qk->k", system.quad_weights, np.square(gap, out=gap))
+        return l2, h1
 
 
 def compute_errors(
@@ -155,40 +168,20 @@ def compute_errors(
     grid: TimeGrid,
 ) -> ErrorReport:
     """Errors of a solution bundle against the problem's exact fields."""
-    # deterministic control / adjoint errors over all levels at once; L2
-    # against the nodal interpolant, H1 against the exact field itself
-    times = grid.times
-    ctrl_sq = _l2_error_sq(system, bundle.control[: grid.N], problem.exact_u, times[: grid.N])
-    adj_sq = _l2_error_sq(system, bundle.adjoint_mean, problem.exact_y, times)
-    adj_h1 = h1_error_sq(
-        system, bundle.adjoint_mean, lambda p: _level_values(problem.exact_y, times, p)
-    )
-
-    # per-path state errors, added level by level as each block's sweep
-    # yields them; blocks merge in path order and share one set of nodal loads
-    l2_sum = np.zeros(grid.N + 1)
-    h1_sum = np.zeros(grid.N + 1)
-    data = SweepData(problem.spec, system, grid)
-    for start in range(0, ensemble.paths, BLOCK):
-        sub = ensemble.subset(start, min(start + BLOCK, ensemble.paths))
-        level_errors = _StateErrors(problem, system, sub.paths)
-        for n, x in iter_forward_paths(problem.spec, system, grid, bundle.control, sub, data):
-            l2, h1 = level_errors(float(times[n]), x, sub.brownian_at(n))
-            l2_sum[n] += l2
-            h1_sum[n] += h1
-    l2_sum /= ensemble.paths
-    h1_sum /= ensemble.paths
-
+    N = grid.N
+    ctrl_sq, _ = _level_errors(system, problem.exact_u, bundle.control[:N], grid.times[:N])
+    adj_sq, adj_h1 = _level_errors(system, problem.exact_y, bundle.adjoint_mean, grid.times)
+    state_sq, state_h1 = _state_errors(problem, system, grid, bundle.control, ensemble)
     return ErrorReport(
         h=system.mesh.h,
         tau=grid.tau,
         paths=ensemble.paths,
         seed=ensemble.seed,
-        strong_l2_state=float(np.sqrt(np.max(l2_sum))),
+        strong_l2_state=float(np.sqrt(np.max(state_sq))),
         strong_l2_adjoint=float(np.sqrt(np.max(adj_sq))),
         strong_l2_control=float(np.sqrt(np.max(ctrl_sq))),
-        h1_state=float(np.sqrt(grid.tau * h1_sum[1:].sum())),
-        h1_adjoint=float(np.sqrt(grid.tau * adj_h1[: grid.N].sum())),
+        h1_state=float(np.sqrt(grid.tau * state_h1[1:].sum())),
+        h1_adjoint=float(np.sqrt(grid.tau * adj_h1[:N].sum())),
         mu_error=abs(bundle.mu - problem.exact_mu),
     )
 
@@ -204,64 +197,52 @@ def _level_values(fn: SpaceTimeFn, times: np.ndarray, points: np.ndarray) -> np.
     return values
 
 
-def _l2_error_sq(system: FemSystem, levels: np.ndarray, exact, times: np.ndarray) -> np.ndarray:
-    """Squared L2 norm of each row of ``levels`` minus the nodal interpolant of
-    exact(t) at its time, from one mass product over all rows."""
-    error = levels - _level_values(exact, times, system.mesh.interior_nodes)
-    error = np.ascontiguousarray(error.T)
-    return np.einsum("nl,nl->l", error, system.mass_product(error))
+def _level_errors(system: FemSystem, exact: SpaceTimeFn, levels: np.ndarray, times: np.ndarray):
+    """Squared L2 and H1 errors of each row of ``levels`` against exact(t) at
+    its time: one ``_FieldErrors`` call with the levels as columns."""
+    errors = _FieldErrors(system, len(times))
+    errors.exact[...] = _level_values(exact, times, system.mesh.interior_nodes).T
+    exact_grads = _fd_gradients(system, lambda p: _level_values(exact, times, p))
+    for buffer, values in zip(errors.grads, exact_grads):
+        buffer[...] = values.T
+    return errors(levels.T)
 
 
-class _StateErrors:
-    """Path-summed squared L2 and H1 state errors of one path block, level by level.
+def _state_errors(problem, system: FemSystem, grid: TimeGrid, control, ensemble):
+    """Path means of the squared L2 and H1 state errors, level by level, (N+1,) each.
 
-    Works in the path sweep's own layout: a call takes the states x
-    (n_interior, paths) at time t, as ``spde.iter_forward_paths`` yields
-    them, and the paths' Brownian values w there.  Path p is measured
-    against x0 + w_p x1, so every exact quantity is one (m, 2) table
-    [x0, x1] times the (2, paths) basis [1; w].  The error
-    e = x - [x0, x1] [1; w] goes into one (n, paths) buffer and M e into
-    another; the gradient gap [G0, G1] [1; w] - G x (the exact gradients
-    by central differences at the quadrature points) goes into one
-    (n_quad, paths) buffer, with G x in an (n_elements, paths) one.  The
-    object owns these buffers, so no level allocates a block-sized array.
+    Each path block runs one sweep and owns one ``_FieldErrors``, fed the
+    C-ordered (n, paths) level that the sweep yields (and overwrites on
+    the next resume), so no level allocates a block-sized array.  Path p
+    is measured against x0 + w_p x1 at its own Brownian value w_p, so
+    every exact quantity is one (m, 2) table [x0, x1] times the (2, paths)
+    basis [1; w].  Blocks merge in path order and share one set of nodal
+    loads.
     """
+    l2_sum, h1_sum = np.zeros((2, grid.N + 1))
+    data, nodes = SweepData(problem.spec, system, grid), system.mesh.interior_nodes
+    for start in range(0, ensemble.paths, BLOCK):
+        sub = ensemble.subset(start, min(start + BLOCK, ensemble.paths))
+        errors, basis = _FieldErrors(system, sub.paths), np.ones((2, sub.paths))
+        for n, x in iter_forward_paths(problem.spec, system, grid, control, sub, data):
+            t = float(grid.times[n])
+            basis[1] = sub.brownian_at(n)
+            tables = [_affine_table(problem.exact_x, t, nodes)]
+            tables += _fd_gradients(system, lambda p: _affine_table(problem.exact_x, t, p))
+            for buffer, table in zip((errors.exact, *errors.grads), tables):
+                np.einsum("mk,kp->mp", table, basis, out=buffer)
+            l2, h1 = errors(x)
+            l2_sum[n] += l2.sum()
+            h1_sum[n] += h1.sum()
+    return l2_sum / ensemble.paths, h1_sum / ensemble.paths
 
-    def __init__(self, problem, system: FemSystem, paths: int):
-        self._exact, self._system = problem.exact_x, system
-        n, n_quad = system.n, system.quad_points.shape[0]
-        n_elements = system.mesh.elements.shape[0]
-        self._basis = np.ones((2, paths))
-        self._error, self._mass_error = np.empty((2, n, paths))
-        self._gap = np.empty((n_quad, paths))
-        self._gap_by_element = self._gap.reshape(n_elements, -1, paths)
-        self._grad = np.empty((n_elements, paths))
 
-    def _affine(self, t: float, points: np.ndarray) -> np.ndarray:
-        """The exact state's [x0, x1] at ``points``, shape (m, 2)."""
-        values = np.empty((points.shape[0], 2))
-        values[:, 0] = self._exact.mean(t, points)
-        values[:, 1] = self._exact.slope(t, points)
-        return values
-
-    def __call__(self, t: float, x: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-        system, basis = self._system, self._basis
-        basis[1] = w
-        e = np.einsum("nk,kp->np", self._affine(t, system.mesh.interior_nodes), basis,
-                      out=self._error)
-        np.subtract(x, e, out=e)
-        me = self._mass_error
-        me.fill(0.0)
-        l2 = float(np.einsum("np,np->", e, system.mass_product(e, me)))
-
-        h1, gap, by_element = 0.0, self._gap, self._gap_by_element
-        exact_grads = _fd_gradients(system, lambda p: self._affine(t, p))
-        for slopes, grad in zip(exact_grads, system.grad_products):
-            np.einsum("qk,kp->qp", slopes, basis, out=gap)
-            self._grad.fill(0.0)
-            np.subtract(by_element, grad(x, self._grad)[:, None, :], out=by_element)
-            h1 += float(system.quad_weights @ np.einsum("qp,qp->q", gap, gap))
-        return l2, h1
+def _affine_table(fn: AffineInW, t: float, points: np.ndarray) -> np.ndarray:
+    """[fn.mean(t, points), fn.slope(t, points)], shape (m, 2)."""
+    values = np.empty((points.shape[0], 2))
+    values[:, 0] = fn.mean(t, points)
+    values[:, 1] = fn.slope(t, points)
+    return values
 
 
 def fit_order(points) -> OrderFit:
@@ -404,9 +385,11 @@ def constraint_table(
     the first in that order.  Every cell's post-projection integral must
     satisfy the constraint up to 1e-8; a violation raises, since it would
     mean the projection is broken rather than inaccurate.  Failures name
-    the cell they happened in.
+    the cell they happened in; an empty ``deltas`` raises before any work.
     """
     _check_estimator(estimator)
+    if len(deltas) == 0:
+        raise ValueError("constraint_table needs at least one delta")
     config = OptimizerConfig(rho=rho, eps0=eps0, max_iter=max_iter)
     by_resolution = [
         _resolution_cells(problem, deltas, res, estimator, paths, seed, config)

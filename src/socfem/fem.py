@@ -27,14 +27,15 @@ overhead rather than arithmetic.  Sparse products therefore call the
 sparsetools kernel that scipy's own ``A @ x`` ends in, with the CSR arrays
 bound once, and skip scipy's generic dispatch; the sums, and so every
 output, are unchanged.  ``csr_product`` checks the operand and ``out`` on
-every call, for the whole-trajectory products, the residual checks, the
-path blocks and the error pass.  ``csr_kernel`` is the bare (n,) row
-kernel, with no check at all: the single-column kernel of ``spde`` checks
-the shape and layout of its output table once when a sweep starts, and
-then each step is one ``FemSystem.mass_kernel`` call and one
-``solve_unchecked``; the load tables of ``spde`` stage each level's
-quadrature values in one buffer of the right length and load them with
-``FemSystem.load_kernel``.
+every call and runs one kernel, ``csr_matvecs``, for every operand width
+(a vector is a block of one column), for the whole-trajectory products,
+the residual checks, the path blocks and the error pass.  ``csr_kernel``
+is the bare (n,) row kernel, with no check at all: the single-column
+kernel of ``spde`` checks the shape and layout of its output table once
+when a sweep starts, and then each step is one ``FemSystem.mass_kernel``
+call and one ``solve_unchecked``; the load tables of ``spde`` stage each
+level's quadrature values in one buffer of the right length and load
+them with ``FemSystem.load_kernel``.
 
 Operators are ``Csr`` records (shape, indptr, indices, data), not scipy
 matrices.  ``Csr.from_triplets`` runs the sparsetools kernels of scipy's
@@ -177,16 +178,16 @@ def csr_kernel(op: Csr) -> Callable[[np.ndarray, np.ndarray], None]:
 def csr_product(op: Csr) -> Callable[..., np.ndarray]:
     """``op @ x`` for float64 x of shape (n,), (n, 1) or (n, k), bit for bit.
 
-    Calls the kernel scipy's own ``op @ x`` routes to (``csr_kernel`` for
-    (n,) and (n, 1), ``csr_matvecs`` on the C-order copy of an (n, k)
-    block) with the CSR arrays bound once, so the sums are the same and
-    only the per-call dispatch is gone.  Every call checks x and ``out``
-    and raises ``ValueError`` on a mismatch.  Given a C-ordered ``out`` of
-    the result's shape, the kernel adds ``op @ x`` to it in place and
-    returns it.
+    Calls ``csr_matvecs`` on the C-order copy of x, with k = 1 for a
+    vector, and the CSR arrays bound once.  It adds each stored entry's
+    product in the order ``csr_matvec`` does, so the sums are those of
+    scipy's own ``op @ x`` for every width, and only the per-call dispatch
+    is gone.  Every call checks x and ``out`` and raises ``ValueError`` on
+    a mismatch.  Given a C-ordered ``out`` of the result's shape, the
+    kernel adds ``op @ x`` to it in place and returns it.
     """
     m, n = op.shape
-    matvec = csr_kernel(op)
+    matvecs = partial(_sparsetools.csr_matvecs, m, n)
 
     def product(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if x.shape[0] != n or x.ndim > 2:
@@ -195,12 +196,8 @@ def csr_product(op: Csr) -> Callable[..., np.ndarray]:
             out = np.zeros((m,) + x.shape[1:])
         elif out.shape != (m,) + x.shape[1:] or not out.flags.c_contiguous:
             raise ValueError(f"out must be a C-ordered array of shape {(m,) + x.shape[1:]}")
-        if x.ndim == 1 or x.shape[1] == 1:
-            matvec(x.ravel(), out.ravel())
-        else:
-            _sparsetools.csr_matvecs(
-                m, n, x.shape[1], op.indptr, op.indices, op.data, x.ravel(), out.ravel()
-            )
+        k = x.shape[1] if x.ndim == 2 else 1
+        matvecs(k, op.indptr, op.indices, op.data, x.ravel(), out.ravel())
         return out
 
     return product
@@ -305,10 +302,10 @@ class SweepTables:
     ``rows`` (N, n) stages one level per row: the scaled loads of a sweep
     on entry, its right-hand sides once the sweep has run.  ``term`` (n,)
     stages one data term of a step.  ``cols`` and ``product`` (n, N) hold
-    the transposed copies that the whole-trajectory mass products and the
-    batched residual check read.  No sweep leaves anything there that a
-    later call reads, so ``FemSystem.sweep_tables`` keeps one set per step
-    count.
+    the transposed copies that the whole-trajectory mass products
+    (``FemSystem.mass_rows``) and the batched residual check read.  No
+    sweep leaves anything there that a later call reads, so
+    ``FemSystem.sweep_tables`` keeps one set per step count.
     """
 
     def __init__(self, steps: int, n: int):
@@ -394,6 +391,17 @@ class FemSystem:
         if steps not in self._tables_cache:
             self._tables_cache[steps] = SweepTables(steps, self.n)
         return self._tables_cache[steps]
+
+    def mass_rows(self, levels: np.ndarray) -> np.ndarray:
+        """M applied to every row of an (N, n) level table, one sparse-dense product.
+
+        Row l equals ``mass @ levels[l]`` bit for bit.  The result is a
+        view of ``sweep_tables(N)``, valid until they are next used.
+        """
+        tables = self.sweep_tables(len(levels))
+        np.copyto(tables.cols, levels.T)
+        tables.product.fill(0.0)
+        return self.mass_product(tables.cols, tables.product).T
 
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs (used by the L2 projection), residual-checked."""

@@ -43,7 +43,6 @@ from .grid import TimeGrid
 from .paths import BrownianEnsemble
 from .spde import (
     ProblemSpec,
-    _mass_rows,
     backward_adjoint_from_loads,
     control_response,
     forward_mean,
@@ -180,7 +179,7 @@ class GradientProjection:
 
     def _mass_inner(self, levels: np.ndarray) -> float:
         """sum over rows l of levels[l] . M levels[l], for an (N, n) table."""
-        return np.einsum("ln,ln->", levels, _mass_rows(self.system, levels))
+        return np.einsum("ln,ln->", levels, self.system.mass_rows(levels))
 
     def cost(self, x_mean: np.ndarray, control: np.ndarray, scratch: np.ndarray) -> float:
         """Discrete tracking cost of the mean fields; the misfit goes to ``scratch`` (N+1, n).

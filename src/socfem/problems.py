@@ -233,8 +233,11 @@ def verify_manufactured(
       - mean adjoint drift: d/dt y = -gamma*Lap(y) - (xbar - xbar_d + mu);
       - optimality: y + alpha*u = 0;
       - delta: high-order quadrature of the exact mean state integral.
-    Report-only; nothing is raised for large residuals.
+    Report-only; nothing is raised for large residuals.  ``samples`` must
+    be positive, since a report of no samples would read as a clean pass.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     spec = problem.spec
     rng = default_rng(seed)
     lo = np.array([d[0] for d in problem.domain])

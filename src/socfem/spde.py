@@ -208,23 +208,11 @@ def _data_terms(data: SweepData, tau: float, brownian, increments) -> Terms:
     return terms
 
 
-def _mass_rows(system: FemSystem, levels: np.ndarray) -> np.ndarray:
-    """M applied to every row of an (N, n) level table, one sparse-dense product.
-
-    Row l equals ``system.mass @ levels[l]`` bit for bit.  The result is a
-    view of ``system.sweep_tables(N)``, valid until they are next used.
-    """
-    tables = system.sweep_tables(len(levels))
-    np.copyto(tables.cols, levels.T)
-    tables.product.fill(0.0)
-    return system.mass_product(tables.cols, tables.product).T
-
-
 def _control_loads(system: FemSystem, grid: TimeGrid, control: np.ndarray) -> np.ndarray:
     """tau*M u^n for n < N, staged in the sweep tables' rows; ``control`` is (N+1, n)."""
     if control.shape != (grid.N + 1, system.n):
         raise ValueError(f"control of shape {control.shape} is not aligned with the time grid")
-    product = _mass_rows(system, control[: grid.N])
+    product = system.mass_rows(control[: grid.N])
     return np.multiply(grid.tau, product, out=system.sweep_tables(grid.N).rows)
 
 
@@ -384,7 +372,7 @@ def backward_adjoint_from_loads(
         if levels.shape != (grid.N + 1, system.n):
             raise ValueError(f"{name} of shape {levels.shape} is not aligned with the time grid")
     rows = system.sweep_tables(grid.N).rows
-    source = np.subtract(_mass_rows(system, x_levels[1:]), target_loads[1:], out=rows)
+    source = np.subtract(system.mass_rows(x_levels[1:]), target_loads[1:], out=rows)
     source += mu * system.ones_load
     source *= grid.tau
     return _row_sweep(system, grid, gamma, 0.0, out, backward=True)

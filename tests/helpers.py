@@ -1,9 +1,11 @@
 """Test helpers: per-path states read from the streamed path sweep
-``socfem.spde.iter_forward_paths``, and socfem operators as scipy matrices."""
+``socfem.spde.iter_forward_paths``, socfem operators as scipy matrices, and
+an independent H1 error reference."""
 
 import numpy as np
 import scipy.sparse as sp
 
+from socfem.analysis import _FD_STEP
 from socfem.spde import iter_forward_paths
 
 
@@ -29,3 +31,27 @@ def scipy_csr(op) -> sp.csr_matrix:
     ``.toarray()``).  Its products run the kernels socfem's own products
     run, so they give the same sums bit for bit."""
     return sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape)
+
+
+def h1_error_sq(system, nodal, exact_eval) -> np.ndarray:
+    """Squared H1 seminorm of (exact - P1 field) by element quadrature, the
+    reference for ``socfem.analysis._FieldErrors``.
+
+    ``nodal`` is a batch (..., n_interior) of coefficient vectors;
+    ``exact_eval`` maps points (m, dim) to values (..., m).  The exact
+    gradients are central differences with the package's step, the P1
+    gradients scipy products of ``system.grad_ops``.
+    """
+    nodal = np.asarray(nodal, dtype=float)
+    ne = system.mesh.elements.shape[0]
+    qp, qwts = system.quad_points, system.quad_weights.reshape(ne, -1)
+    batch = nodal.shape[:-1]
+    total = np.zeros(batch)
+    for step, op in zip(_FD_STEP * np.eye(system.mesh.dim), system.grad_ops):
+        g_exact = (np.asarray(exact_eval(qp + step)) - np.asarray(exact_eval(qp - step))) / (
+            2.0 * _FD_STEP
+        )
+        g_fe = (scipy_csr(op) @ nodal.reshape(-1, system.n).T).T.reshape(batch + (ne,))
+        diff = g_exact.reshape(batch + (ne, qwts.shape[1])) - g_fe[..., None]
+        total += np.einsum("...eq,eq->...", diff**2, qwts)
+    return total

@@ -21,13 +21,21 @@ from socfem import (
     fit_order,
     gp_iterate,
     make_interval_mesh,
+    make_rectangle_mesh,
     sample,
 )
-from socfem.analysis import _StateErrors, h1_error_sq, orders_from_reports, setup
+from socfem.analysis import (
+    _fd_gradients,
+    _FieldErrors,
+    _level_errors,
+    _state_errors,
+    orders_from_reports,
+    setup,
+)
 from socfem.paths import BLOCK
 from socfem.problems import BY_NAME
 
-from helpers import path_states, scipy_csr
+from helpers import h1_error_sq, path_states, scipy_csr
 
 
 class TestFitOrder:
@@ -59,7 +67,16 @@ class TestFitOrder:
             fit_order([(0.1, 0.0), (0.05, 0.1)])
 
 
-class TestH1ErrorQuadrature:
+def _measure(system, x, exact_eval):
+    """``_FieldErrors`` of the columns of x (n, k) against ``exact_eval``,
+    which maps points (m, dim) to values (m, k)."""
+    errors = _FieldErrors(system, x.shape[1])
+    errors.exact[...] = exact_eval(system.mesh.interior_nodes)
+    errors.grads[...] = _fd_gradients(system, exact_eval)
+    return errors(x)
+
+
+class TestFieldErrors:
     def test_member_of_space_is_reproduced(self):
         # the center hat function lies in the P1 space; quadrature points sit
         # strictly inside elements, so the FD gradient never crosses a kink
@@ -67,28 +84,43 @@ class TestH1ErrorQuadrature:
         h = system.mesh.h
 
         def hat(p):
-            return np.maximum(0.0, 1.0 - np.abs(p[..., 0] - 0.5) / h)
+            return np.maximum(0.0, 1.0 - np.abs(p[..., 0] - 0.5) / h)[:, None]
 
-        nodal = np.zeros(system.n)
+        nodal = np.zeros((system.n, 1))
         nodal[system.n // 2] = 1.0
-        err = h1_error_sq(system, nodal, hat)
-        assert float(err) <= 1e-16
+        l2, h1 = _measure(system, nodal, hat)
+        assert l2[0] <= 1e-30
+        assert h1[0] <= 1e-16
 
     def test_matches_refined_quadrature_on_smooth_field(self):
         # spot-check the mass/stiffness norms against the quadrature-based
         # error of a fine reference: for v = sin(pi x), the H1 gap between
         # nodal interpolation and v is (pi h / sqrt(12)) |sin|_{H1}-ish
         system = assemble(make_interval_mesh(0, 1, 16))
-        nodal = np.sin(np.pi * system.mesh.interior_nodes[:, 0])
-        err = np.sqrt(float(h1_error_sq(system, nodal, lambda p: np.sin(np.pi * p[..., 0]))))
+        nodal = np.sin(np.pi * system.mesh.interior_nodes)
+        _, h1 = _measure(system, nodal, lambda p: np.sin(np.pi * p[:, :1]))
         expected = np.pi**2 / np.sqrt(12) * (1 / 16) * np.sqrt(0.5)
-        assert err == pytest.approx(expected, rel=0.05)
+        assert np.sqrt(h1[0]) == pytest.approx(expected, rel=0.05)
 
-    def test_batch_shape(self):
-        system = assemble(make_interval_mesh(0, 1, 4))
-        nodal = np.zeros((5, system.n))
-        err = h1_error_sq(system, nodal, lambda p: np.zeros((5, p.shape[0])))
-        assert err.shape == (5,)
+    @pytest.mark.parametrize(
+        "mesh", [make_interval_mesh(0, 1, 6), make_rectangle_mesh((0, 0), (1, 2), 4, 5)]
+    )
+    def test_one_result_per_column(self, mesh):
+        system = assemble(mesh)
+        x = np.random.default_rng(2).normal(size=(system.n, 5))
+        scales = np.arange(1.0, 6.0)
+
+        def exact(p):
+            return np.sin(np.pi * p[:, :1]) * np.cos(p[:, -1:]) * scales
+
+        l2, h1 = _measure(system, x, exact)
+        assert l2.shape == h1.shape == (5,)
+        for j in range(5):
+            e = x[:, j] - exact(system.mesh.interior_nodes)[:, j]
+            assert l2[j] == pytest.approx(e @ (scipy_csr(system.mass) @ e), rel=1e-12)
+            assert h1[j] == pytest.approx(
+                h1_error_sq(system, x[:, j], lambda p: exact(p)[:, j]), rel=1e-12
+            )
 
 
 @pytest.fixture(scope="module")
@@ -220,16 +252,10 @@ class TestComputeErrors:
         ens = sample(32, grid, seed=9)
         pts = system.mesh.interior_nodes
         control = np.stack([prob.exact_u(t, pts) for t in grid.times])
-        states = path_states(prob.spec, system, grid, control, ens)
-        level_errors = _StateErrors(prob, system, ens.paths)
-        l2_sq, h1_sq = np.zeros(grid.N + 1), np.zeros(grid.N + 1)
-        for n in range(grid.N + 1):
-            t, w = float(grid.times[n]), ens.brownian_at(n)
-            # the sweep's (n, paths) layout, C-ordered as it yields it
-            x = np.ascontiguousarray(states[:, n].T)
-            l2_sq[n], h1_sq[n] = level_errors(t, x, w)
+        l2_sq, h1_sq = _state_errors(prob, system, grid, control, ens)
 
         # every path against its own full field x0 + w x1, evaluated point by point
+        states = path_states(prob.spec, system, grid, control, ens)
         l2_ref, h1_ref = np.zeros(grid.N + 1), np.zeros(grid.N + 1)
         x, mass = prob.exact_x, scipy_csr(system.mass)
         for n in range(grid.N + 1):
@@ -237,10 +263,44 @@ class TestComputeErrors:
             for p, w in enumerate(ens.brownian_at(n)):
                 field = lambda q: x.mean(t, q) + w * x.slope(t, q)
                 e = states[p, n] - field(pts)
-                l2_ref[n] += e @ (mass @ e)
-                h1_ref[n] += h1_error_sq(system, states[p, n], field)
+                l2_ref[n] += e @ (mass @ e) / ens.paths
+                h1_ref[n] += h1_error_sq(system, states[p, n], field) / ens.paths
         for got, want in ((l2_sq, l2_ref), (h1_sq, h1_ref)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "name,res", [("example1", Resolution(20, 20)), ("example2", Resolution(6, 6))]
+    )
+    def test_control_and_adjoint_errors_match_per_level_fields(self, name, res):
+        prob = BY_NAME[name]()
+        system, grid = setup(prob, res)
+        pts, mass = system.mesh.interior_nodes, scipy_csr(system.mass)
+        rng = np.random.default_rng(4)
+        fields, refs = {}, {}
+        for key, exact in (("control", prob.exact_u), ("adjoint", prob.exact_y)):
+            fields[key] = np.stack([exact(t, pts) for t in grid.times])
+            fields[key] += 0.1 * rng.normal(size=fields[key].shape)
+            l2_ref, h1_ref = np.zeros(grid.N + 1), np.zeros(grid.N + 1)
+            for n, t in enumerate(grid.times):
+                e = fields[key][n] - exact(float(t), pts)
+                l2_ref[n] = e @ (mass @ e)
+                h1_ref[n] = h1_error_sq(system, fields[key][n], lambda q: exact(float(t), q))
+            refs[key] = l2_ref, h1_ref
+            # one evaluator call per field, its levels as columns
+            got = _level_errors(system, exact, fields[key], grid.times)
+            for g, want in zip(got, refs[key]):
+                assert g.shape == (grid.N + 1,)
+                assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+
+        # the reported errors: the control's levels 0..N-1, the adjoint's
+        # L2 over every level and its H1 over 0..N-1
+        bundle = SolutionBundle(fields["control"], fields["adjoint"], prob.exact_mu)
+        rep = compute_errors(prob, bundle, sample(4, grid, seed=1), system, grid)
+        ctrl_l2, _ = refs["control"]
+        adj_l2, adj_h1 = refs["adjoint"]
+        assert rep.strong_l2_control == pytest.approx(np.sqrt(ctrl_l2[:-1].max()), rel=1e-12)
+        assert rep.strong_l2_adjoint == pytest.approx(np.sqrt(adj_l2.max()), rel=1e-12)
+        assert rep.h1_adjoint == pytest.approx(np.sqrt(grid.tau * adj_h1[:-1].sum()), rel=1e-12)
 
     def test_seed_stability_within_factor_two(self):
         prob = example1()
@@ -317,6 +377,14 @@ class TestConstraintTable:
     def test_estimator_validation(self):
         with pytest.raises(ValueError, match="estimator"):
             constraint_table(example1(), [0.2], [Resolution(8, 8)], estimator="bogus")
+
+    def test_no_deltas_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("constraint_table started work")
+
+        monkeypatch.setattr("socfem.analysis.setup", no_work)
+        with pytest.raises(ValueError, match="at least one delta"):
+            constraint_table(example1(), [], [Resolution(8, 8)])
 
 
 class TestSharedWorkspace:

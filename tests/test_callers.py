@@ -1,10 +1,15 @@
-"""Every function, method and class in ``src/socfem`` has a user in ``src/socfem``.
+"""Every function, method and class in ``src/socfem`` has a user in
+``src/socfem``, and no module imports another's private names.
 
 A definition counts as used when its name appears as a ``Name`` or an
 ``Attribute`` anywhere in the package.  Imports and ``__all__`` entries
 are not uses (they name a definition without running it), so a public
 export that only tests call is flagged.  Dunder methods run implicitly and
 are exempt.
+
+An underscore name is private to its module: ``from .x import _y`` in a
+sibling is flagged.  ``from . import _blas`` imports a module, not a name
+from one, and stays allowed.
 """
 
 import ast
@@ -48,3 +53,16 @@ def test_every_definition_has_a_user_in_the_package():
 def test_allowed_names_are_still_defined_and_unused():
     defined, used = _definitions_and_uses()
     assert {name for name in ALLOWED if name in defined and name not in used} == set(ALLOWED)
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    imports = sorted(
+        f"{path.name}:{node.lineno} from {'.' * node.level}{node.module} import {alias.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module is not None
+        and (node.level > 0 or node.module.split(".")[0] == "socfem")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert not imports, f"private names imported across src/socfem modules: {imports}"

@@ -136,3 +136,13 @@ class TestVerify:
         payload = json.loads(json.dumps(asdict(rep)))
         assert payload["problem"] == "example1"
         assert payload["samples"] == 50
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected_before_any_work(self, prob1, samples, monkeypatch):
+        # a report of no samples would read as a clean pass with every residual 0.0
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify_manufactured started work")
+
+        monkeypatch.setattr("socfem.problems.default_rng", no_work)
+        with pytest.raises(ValueError, match="samples must be positive"):
+            verify_manufactured(prob1, samples=samples)

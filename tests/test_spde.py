@@ -26,7 +26,6 @@ from socfem.problems import BY_NAME
 from socfem.spde import (
     SweepData,
     _control_loads,
-    _mass_rows,
     _row_sweep,
     backward_adjoint_from_loads,
     control_response,
@@ -363,7 +362,7 @@ class TestKernels:
         system = assemble(mesh)
         levels = np.random.default_rng(3).normal(size=(9, system.n))
         per_step = np.stack([scipy_csr(system.mass) @ row for row in levels])
-        assert np.array_equal(_mass_rows(system, levels), per_step)
+        assert np.array_equal(system.mass_rows(levels), per_step)
         # a one-column block steps exactly like a vector
         solver = system.euler_solver(0.01)
         assert np.array_equal(solver.solve(levels[0][:, None])[:, 0], solver.solve(levels[0]))
