@@ -299,11 +299,14 @@ def convergence_study(
 
     ``delta_mode='discrete'`` (default) runs each resolution with the
     constraint level from ``discrete_constraint_level``; ``'problem'``
-    keeps the problem's continuous value literally.
+    keeps the problem's continuous value literally.  An empty
+    ``resolutions`` raises before any work.
     """
     if delta_mode not in ("discrete", "problem"):
         raise ValueError(f"delta_mode must be 'discrete' or 'problem', got {delta_mode!r}")
     _check_estimator(estimator)
+    if len(resolutions) == 0:
+        raise ValueError("convergence_study needs at least one resolution")
     config = OptimizerConfig(rho=rho, eps0=eps0, max_iter=max_iter)
     return [
         _error_report(problem, res, paths, seed, config, estimator, delta_mode)
@@ -385,11 +388,14 @@ def constraint_table(
     the first in that order.  Every cell's post-projection integral must
     satisfy the constraint up to 1e-8; a violation raises, since it would
     mean the projection is broken rather than inaccurate.  Failures name
-    the cell they happened in; an empty ``deltas`` raises before any work.
+    the cell they happened in; an empty ``deltas`` or ``resolutions``
+    raises before any work.
     """
     _check_estimator(estimator)
     if len(deltas) == 0:
         raise ValueError("constraint_table needs at least one delta")
+    if len(resolutions) == 0:
+        raise ValueError("constraint_table needs at least one resolution")
     config = OptimizerConfig(rho=rho, eps0=eps0, max_iter=max_iter)
     by_resolution = [
         _resolution_cells(problem, deltas, res, estimator, paths, seed, config)

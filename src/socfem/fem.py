@@ -29,7 +29,8 @@ bound once, and skip scipy's generic dispatch; the sums, and so every
 output, are unchanged.  ``csr_product`` checks the operand and ``out`` on
 every call and runs one kernel, ``csr_matvecs``, for every operand width
 (a vector is a block of one column), for the whole-trajectory products,
-the residual checks, the path blocks and the error pass.  ``csr_kernel``
+the path blocks and the error pass.  The residual check, whose shapes are
+known, calls ``csr_matvecs`` itself, on the entries of -op.  ``csr_kernel``
 is the bare (n,) row kernel, with no check at all: the single-column
 kernel of ``spde`` checks the shape and layout of its output table once
 when a sweep starts, and then each step is one ``FemSystem.mass_kernel``
@@ -224,7 +225,8 @@ class _CheckedCholesky:
     def __init__(self, op: Csr, what: str):
         self._what = what
         self._n = op.shape[0]
-        self._product = csr_product(op)
+        # the CSR arrays of -op, for the residual kernel of ``check``
+        self._negated = (op.indptr, op.indices, np.negative(op.data))
         self._factor, info = _PBTRF(op.lower_band(), lower=1)
         if info != 0:
             raise NumericalError(f"{what} factorization failed: pbtrf info={info}, not SPD")
@@ -254,26 +256,27 @@ class _CheckedCholesky:
 
         Takes (n,) or (n, k) pairs, rhs C-ordered.  Column j passes when
         rhs_j is finite and |op x_j - rhs_j| <= 1e-10 |rhs_j|, so one bad
-        column is not diluted by the others.  One residual product covers
-        all columns and overwrites ``rhs`` with the residual, so a C-ordered
-        x costs no (n, k) temporary.  The first failing column is named as
-        ``column j``, or as ``level levels[j]`` when the columns are the
-        levels of a sweep.
+        column is not diluted by the others.  One ``csr_matvecs`` call on
+        the entries of -op covers all columns and overwrites ``rhs`` with
+        rhs - op x, so a C-ordered x costs no (n, k) temporary; negation is
+        exact, so its norms are those of op x - rhs bit for bit.  The first
+        failing column (a bool ``argmin``) is named as ``column j``, or as
+        ``level levels[j]`` when the columns are the levels of a sweep.
         """
-        rhs, x = rhs.reshape(self._n, -1), x.reshape(self._n, -1)
+        n, rhs, x = self._n, rhs.reshape(self._n, -1), x.reshape(self._n, -1)
         scale = _column_norms(rhs)
         finite = np.isfinite(scale)
-        if not finite.all():
-            j = int(np.argmin(finite))
+        j = finite.argmin()
+        if not finite[j]:
             raise NumericalError(
                 f"{self._what} solve residual undefined: |rhs| = {scale[j]} "
                 f"{_column_name(j, levels)}"
             )
-        residual = self._product(x, np.negative(rhs, out=rhs))
-        res = _column_norms(residual)
+        _sparsetools.csr_matvecs(n, n, rhs.shape[1], *self._negated, x.ravel(), rhs.ravel())
+        res = _column_norms(rhs)
         ok = res <= _RESIDUAL_RTOL * scale
-        if not ok.all():
-            j = int(np.argmin(ok))
+        j = ok.argmin()
+        if not ok[j]:
             raise NumericalError(
                 f"{self._what} solve residual {res[j]:.3e} exceeds "
                 f"{_RESIDUAL_RTOL:.1e} * |rhs| = {_RESIDUAL_RTOL * scale[j]:.3e} "

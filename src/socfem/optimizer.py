@@ -21,8 +21,10 @@ The loop allocates no table per iteration.  The sweeps' scratch is the
 ``FemSystem``'s (``FemSystem.sweep_tables``), built by the first set-up
 sweep and shared by every sweep and delta run after it; nothing a run
 returns lives there.  Each ``run`` owns its iterates, (N+1, n) arrays: the
-control and mean state, the next pair (swapped with them each iteration)
-and one scratch table; the returned mean adjoint goes into the
+control and mean state, the next control (swapped with the control each
+iteration) and one scratch table.  The mean state is projected in place:
+the gradient step's adjoint sweep has copied what it reads of the old one
+into the sweep tables.  The returned mean adjoint goes into the
 next-control table, free once the loop ends.
 The sweeps write into these tables, and every update is an ``out=`` ufunc
 with the same operations in the same order as the plain expression, so
@@ -222,8 +224,8 @@ class GradientProjection:
         shape = (grid.N + 1, self.system.n)
         u = np.zeros(shape)
         x = self.state_mean(u, np.empty(shape))
-        # the next iterates and one scratch table, owned by this run
-        u_next, x_next, scratch = (np.empty(shape) for _ in range(3))
+        # the next control and one scratch table, owned by this run
+        u_next, scratch = np.empty(shape), np.empty(shape)
         records: list[IterationRecord] = []
         converged = False
         mu = 0.0
@@ -235,10 +237,11 @@ class GradientProjection:
             u_half += y_tilde
             u_half *= rho
             np.subtract(u, u_half, out=u_half)
-            u_new, x_new, mu = self.project(u_half, delta, u_next, x_next)
+            # the adjoint sweep is done with x, so the projection overwrites it
+            u_new, x, mu = self.project(u_half, delta, u_next, x)
             step_error = self.step_norm(np.subtract(u_new, u, out=scratch))
-            integral = constraint_integral(x_new, self.system, grid)
-            cost = self.cost(x_new, u_new, scratch)
+            integral = constraint_integral(x, self.system, grid)
+            cost = self.cost(x, u_new, scratch)
             if not all(map(math.isfinite, (mu, step_error, integral, cost))):
                 raise NumericalError(
                     f"gradient projection diverged at iteration {i}: mu={mu!r} "
@@ -246,7 +249,6 @@ class GradientProjection:
                 )
             records.append(IterationRecord(i, mu, step_error, integral, cost))
             u, u_next = u_new, u
-            x, x_next = x_new, x
             if step_error <= config.eps0:
                 converged = True
                 break

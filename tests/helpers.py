@@ -1,12 +1,23 @@
-"""Test helpers: per-path states read from the streamed path sweep
+"""Test helpers: the per-path increment reference of ``socfem.sample``,
+per-path states read from the streamed path sweep
 ``socfem.spde.iter_forward_paths``, socfem operators as scipy matrices, and
 an independent H1 error reference."""
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.random import SeedSequence, default_rng
 
 from socfem.analysis import _FD_STEP
 from socfem.spde import iter_forward_paths
+
+
+def reference_increments(P: int, grid, seed: int) -> np.ndarray:
+    """The increments ``socfem.sample`` must draw, shape (P, N): one
+    ``SeedSequence(seed, spawn_key=(p,))`` generator per path, one path at a time."""
+    return np.array([
+        default_rng(SeedSequence(seed, spawn_key=(p,))).normal(0.0, np.sqrt(grid.tau), grid.N)
+        for p in range(P)
+    ])
 
 
 def path_states(spec, system, grid, control, ensemble) -> np.ndarray:

@@ -347,6 +347,14 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="estimator"):
             convergence_study(example1(), [Resolution(8, 8)], estimator="bogus")
 
+    def test_no_resolutions_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("convergence_study started work")
+
+        monkeypatch.setattr("socfem.analysis.setup", no_work)
+        with pytest.raises(ValueError, match="at least one resolution"):
+            convergence_study(example1(), [])
+
     def test_discrete_level_near_continuous(self):
         prob = example1()
         system, grid = setup(prob, Resolution(20, 20))
@@ -385,6 +393,14 @@ class TestConstraintTable:
         monkeypatch.setattr("socfem.analysis.setup", no_work)
         with pytest.raises(ValueError, match="at least one delta"):
             constraint_table(example1(), [], [Resolution(8, 8)])
+
+    def test_no_resolutions_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("constraint_table started work")
+
+        monkeypatch.setattr("socfem.analysis.setup", no_work)
+        with pytest.raises(ValueError, match="at least one resolution"):
+            constraint_table(example1(), [0.2], [])
 
 
 class TestSharedWorkspace:
