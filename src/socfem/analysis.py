@@ -11,13 +11,15 @@ the interpolant superconverges and would hide the true rate.
 The columns are the paths of a block for the states and the time levels
 for the deterministic fields.  Strong state errors evaluate the exact
 field x0 + W x1 at each path's own discrete Brownian values, so the
-measured error is scheme error, not Brownian-path error; x0, x1 and their
-gradients are evaluated once per level and combined per path.  Each path
-block owns one evaluator, fed the (n, paths) level that the sweep yields
-in one array it overwrites on the next resume, so no path history is
-kept and no level allocates a block-sized array.  The control and the
-mean adjoint are one evaluator call each, with the exact field evaluated
-once per level.
+measured error is scheme error, not Brownian-path error: the (2, m)
+tables [x0; x1] of the field and its gradients are built once per level
+and taken to every path by ``spde.at_w``, the product the sweeps'
+forcing goes through.  Each path block owns one evaluator, fed the (n,
+paths) level that the sweep yields in one array it overwrites on the
+next resume, so no path history is kept and no level allocates a
+block-sized array.  The mean adjoint is one evaluator call; the control,
+measured in L2 alone, one ``l2`` call, so its exact gradients are never
+evaluated.
 
 Order fits are least-squares slopes of log(error) against log(scale) and
 report r^2 so flat or noisy fits are detectable.
@@ -36,7 +38,7 @@ from .grid import TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_g
 from .optimizer import GradientProjection, OptimizerConfig, constraint_integral, gp_iterate
 from .paths import BLOCK, BrownianEnsemble, sample
 from .problems import ManufacturedProblem
-from .spde import AffineInW, SweepData, SpaceTimeFn, forward_mean, iter_forward_paths
+from .spde import SweepData, SpaceTimeFn, at_w, forward_mean, iter_forward_paths
 
 
 _FD_STEP = 1e-4  # central-difference step of the exact gradients in H1 errors
@@ -130,7 +132,8 @@ class _FieldErrors:
     along axis d at the quadrature points (``_fd_gradients``), column by
     column.  A call measures x against them: the L2 error against the
     nodal interpolant, e' M e with e = x - exact, and the H1 seminorm
-    error against the exact gradients by element quadrature.  The object
+    error against the exact gradients by element quadrature; ``l2(x)``
+    measures the L2 error alone and never reads the gradients.  The object
     owns every buffer (the exact values, M e, the gradients and G x); a
     call overwrites the exact values and gradients with the errors, so it
     allocates nothing of size n*k.  The sums run through ``np.einsum``,
@@ -146,18 +149,21 @@ class _FieldErrors:
         self._grads_by_element = self.grads.reshape(dim, n_elements, -1, k)
         self._grad = np.empty((n_elements, k))
 
+    def l2(self, x: np.ndarray) -> np.ndarray:
+        """The squared L2 errors of the columns of x, (k,)."""
+        e = np.subtract(x, self.exact, out=self.exact)
+        self._mass_error.fill(0.0)
+        return np.einsum("nk,nk->k", e, self._system.mass_product(e, self._mass_error))
+
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The squared L2 and H1 errors of the columns of x, two (k,) arrays."""
         system, grad_x = self._system, self._grad
-        e = np.subtract(x, self.exact, out=self.exact)
-        self._mass_error.fill(0.0)
-        l2 = np.einsum("nk,nk->k", e, system.mass_product(e, self._mass_error))
         h1 = np.zeros(x.shape[1])
         for gap, by_element, grad in zip(self.grads, self._grads_by_element, system.grad_products):
             grad_x.fill(0.0)
             np.subtract(by_element, grad(x, grad_x)[:, None, :], out=by_element)
             h1 += np.einsum("q,qk->k", system.quad_weights, np.square(gap, out=gap))
-        return l2, h1
+        return self.l2(x), h1
 
 
 def compute_errors(
@@ -169,7 +175,7 @@ def compute_errors(
 ) -> ErrorReport:
     """Errors of a solution bundle against the problem's exact fields."""
     N = grid.N
-    ctrl_sq, _ = _level_errors(system, problem.exact_u, bundle.control[:N], grid.times[:N])
+    ctrl_sq = _level_fields(system, problem.exact_u, grid.times[:N]).l2(bundle.control[:N].T)
     adj_sq, adj_h1 = _level_errors(system, problem.exact_y, bundle.adjoint_mean, grid.times)
     state_sq, state_h1 = _state_errors(problem, system, grid, bundle.control, ensemble)
     return ErrorReport(
@@ -197,11 +203,18 @@ def _level_values(fn: SpaceTimeFn, times: np.ndarray, points: np.ndarray) -> np.
     return values
 
 
+def _level_fields(system: FemSystem, exact: SpaceTimeFn, times: np.ndarray) -> _FieldErrors:
+    """A ``_FieldErrors`` whose columns are the levels at ``times``, filled
+    with exact(t) at the interior nodes, ready for ``l2``."""
+    errors = _FieldErrors(system, len(times))
+    errors.exact[...] = _level_values(exact, times, system.mesh.interior_nodes).T
+    return errors
+
+
 def _level_errors(system: FemSystem, exact: SpaceTimeFn, levels: np.ndarray, times: np.ndarray):
     """Squared L2 and H1 errors of each row of ``levels`` against exact(t) at
     its time: one ``_FieldErrors`` call with the levels as columns."""
-    errors = _FieldErrors(system, len(times))
-    errors.exact[...] = _level_values(exact, times, system.mesh.interior_nodes).T
+    errors = _level_fields(system, exact, times)
     exact_grads = _fd_gradients(system, lambda p: _level_values(exact, times, p))
     for buffer, values in zip(errors.grads, exact_grads):
         buffer[...] = values.T
@@ -215,9 +228,9 @@ def _state_errors(problem, system: FemSystem, grid: TimeGrid, control, ensemble)
     C-ordered (n, paths) level that the sweep yields (and overwrites on
     the next resume), so no level allocates a block-sized array.  Path p
     is measured against x0 + w_p x1 at its own Brownian value w_p, so
-    every exact quantity is one (m, 2) table [x0, x1] times the (2, paths)
-    basis [1; w].  Blocks merge in path order and share one set of nodal
-    loads.
+    every exact quantity is one (2, m) table [x0; x1] (``AffineInW.table``)
+    times the (2, paths) basis [1; w] (``at_w``).  Blocks merge in path
+    order and share one set of nodal loads.
     """
     l2_sum, h1_sum = np.zeros((2, grid.N + 1))
     data, nodes = SweepData(problem.spec, system, grid), system.mesh.interior_nodes
@@ -227,22 +240,14 @@ def _state_errors(problem, system: FemSystem, grid: TimeGrid, control, ensemble)
         for n, x in iter_forward_paths(problem.spec, system, grid, control, sub, data):
             t = float(grid.times[n])
             basis[1] = sub.brownian_at(n)
-            tables = [_affine_table(problem.exact_x, t, nodes)]
-            tables += _fd_gradients(system, lambda p: _affine_table(problem.exact_x, t, p))
+            tables = [problem.exact_x.table(t, nodes)]
+            tables += _fd_gradients(system, lambda p: problem.exact_x.table(t, p))
             for buffer, table in zip((errors.exact, *errors.grads), tables):
-                np.einsum("mk,kp->mp", table, basis, out=buffer)
+                at_w(table, basis, out=buffer)
             l2, h1 = errors(x)
             l2_sum[n] += l2.sum()
             h1_sum[n] += h1.sum()
     return l2_sum / ensemble.paths, h1_sum / ensemble.paths
-
-
-def _affine_table(fn: AffineInW, t: float, points: np.ndarray) -> np.ndarray:
-    """[fn.mean(t, points), fn.slope(t, points)], shape (m, 2)."""
-    values = np.empty((points.shape[0], 2))
-    values[:, 0] = fn.mean(t, points)
-    values[:, 1] = fn.slope(t, points)
-    return values
 
 
 def fit_order(points) -> OrderFit:

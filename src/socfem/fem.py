@@ -47,8 +47,9 @@ two compiled modules, ``linalg._flapack`` (the banded Cholesky
 loaded straight from their files in the installed scipy: the package
 ``__init__`` of ``scipy.sparse`` and ``scipy.linalg`` would cost more than
 half of ``import socfem``.  A scipy without either file fails ``import
-socfem`` with an ``ImportError`` that names the module, the folder and the
-scipy version, so check both on every scipy upgrade.
+socfem`` with an ``ImportError`` that names the module, the folder, the
+installed scipy version and the one these files were verified against
+(1.17.1), so check both on every scipy upgrade.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def _scipy_extension(name: str):
             spec.loader.exec_module(module)
             return module
     raise ImportError(
-        f"scipy.{name}: no compiled module {leaf!r} in {folder} (scipy {scipy.__version__})"
+        f"scipy.{name}: no compiled module {leaf!r} in {folder} (scipy {scipy.__version__} "
+        "installed; socfem was verified against scipy 1.17.1)"
     )
 
 

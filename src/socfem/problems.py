@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.random import default_rng
 
-from .spde import AffineInW, ProblemSpec
+from .spde import AffineInW, ProblemSpec, at_w
 
 PI = math.pi
 
@@ -293,7 +293,7 @@ def verify_manufactured(
 
 def _at_w(datum: AffineInW, w: float):
     """The datum at one Brownian value, as a (t, pts) callable."""
-    return lambda t, pts: datum.mean(t, pts) + w * datum.slope(t, pts)
+    return lambda t, pts: at_w(datum.table(t, pts), np.array([1.0, w]))
 
 
 def _select_reading(exact_x: AffineInW, variants: dict) -> str:

@@ -17,7 +17,7 @@ load(f1(t_n))), then dW_{n+1}^j load(sigma(t_n)); the control response
 adds none.  The source is M xbar - load(xbar_d) + mu*load(1) for the mean
 adjoint and load(1) for Mtilde.  The load tables are built level by
 level through the bare load kernel (``_load_rows``); every row equals
-``load_vector`` bit for bit.
+``load_vector`` bit for bit; the forcing's is one (N, 2, n) table.
 
 Each layout has one kernel, and every solve is residual-checked (see
 ``fem``) before a caller sees its level:
@@ -45,12 +45,16 @@ copies what it keeps.  It copies its control loads out of the sweep
 tables, so a sweep run while it is suspended cannot change them.
 
 Problem data depend on the Brownian value only through ``AffineInW``
-pairs f = f0 + W f1.  Controls, forcing and the noise coefficient are
-evaluated at the left time point; states and tracking targets at the
-right one.  The scheme is linear, so the average of the path states over
-an ensemble is one single-column sweep driven by the ensemble's mean
-Brownian values and increments.  With the exact means, both zero, that
-sweep is driven by f0 alone and gives the exact expectation.
+pairs f = f0 + W f1, evaluated one way: a table [f0; f1]
+(``AffineInW.table``, or a level of a load table) times the basis [1; w]
+(``at_w``), (2,) for one column and (2, k) for k paths.  The forcing of
+every sweep, the mean target loads and the exact state of the strong
+error pass (``analysis``) all go through it.  Controls, forcing and the
+noise coefficient are evaluated at the left time point; states and
+tracking targets at the right one.  The scheme is linear, so the average
+of the path states over an ensemble is one single-column sweep driven by
+the ensemble's mean Brownian values and increments; at the exact means,
+both zero, it gives the exact expectation.
 
 Conditional expectations of the martingale part (the Z process) are
 estimated across simulated paths by least-squares regression on the basis
@@ -79,11 +83,29 @@ Terms = Callable[[int, np.ndarray, np.ndarray], None]  # (step, rhs, scratch): a
 class AffineInW:
     """A datum ``mean(t, pts) + w * slope(t, pts)`` affine in the Brownian value w.
 
-    ``mean`` is the w=0 slice, the expectation since E[W_t] = 0.
+    ``mean`` is the w=0 slice, the expectation since E[W_t] = 0.  The two
+    are combined only as ``table``, which ``at_w`` evaluates at w.
     """
 
     mean: SpaceTimeFn
     slope: SpaceTimeFn
+
+    def table(self, t: float, points: np.ndarray) -> np.ndarray:
+        """[mean(t, points); slope(t, points)], shape (2, m); a scalar fills its row."""
+        values = np.empty((2, points.shape[0]))
+        values[0] = self.mean(t, points)
+        values[1] = self.slope(t, points)
+        return values
+
+
+def at_w(table: np.ndarray, basis: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A (2, m) table [f0; f1] times the basis [1; w]: f0 + w f1.
+
+    ``basis`` is (2,) for one Brownian value, giving (m,), or (2, k) for k
+    of them, giving (m, k), one column each.  Both go through one
+    ``np.einsum``, so a column gets the same bits in either layout.
+    """
+    return np.einsum("wm,w...->m...", table, basis, out=out)
 
 
 @dataclass(frozen=True)
@@ -118,29 +140,31 @@ def _check_alignment(grid: TimeGrid, steps: int, tau: float, what: str):
         raise ValueError(f"{what} is not aligned with the time grid")
 
 
-def _load_rows(system: FemSystem, fn: SpaceTimeFn, times: np.ndarray, out: np.ndarray):
-    """Add load(fn(t, .)) for each t of ``times`` to the rows of ``out``, and return it.
+def _load_rows(system: FemSystem, fn: SpaceTimeFn, times: np.ndarray, *shape: int) -> np.ndarray:
+    """load(fn(t, .)) at each t of ``times``, one level each: (len(times), n)
+    for a scalar datum, (len(times), 2, n) for a table (``AffineInW.table``,
+    ``shape`` (2,)).
 
-    ``out`` must be a C-ordered (len(times), n) float64 array: the kernel
-    writes its rows unchecked, and every caller allocates it.  Each level's
-    quadrature values are staged in one (n_quad,) buffer (a scalar fills
-    it, a wrong shape raises) and added to its row by
-    ``FemSystem.load_kernel``, the kernel ``load_vector`` ends in; so on a
-    zeroed ``out``, row k equals ``load_vector`` at times[k] bit for bit,
-    without scipy's per-call dispatch.
+    Each level's quadrature values are staged in one buffer (a scalar fills
+    it, a wrong shape raises), and each row of them is added to its zeroed
+    row of the result by ``FemSystem.load_kernel``, the kernel
+    ``load_vector`` ends in; so every row equals ``load_vector`` at its
+    time bit for bit, without scipy's per-call dispatch.
     """
-    values = np.empty(system.quad_points.shape[0])
-    for row, t in zip(out, times):
+    n_quad = system.quad_points.shape[0]
+    out, values = np.zeros((len(times), *shape, system.n)), np.empty((*shape, n_quad))
+    for level, t in zip(out, times):
         values[...] = fn(float(t), system.quad_points)
-        system.load_kernel(values, row)
+        for row_values, row in zip(values.reshape(-1, n_quad), level.reshape(-1, system.n)):
+            system.load_kernel(row_values, row)
     return out
 
 
 def _mean_brownian(grid: TimeGrid, ensemble: BrownianEnsemble | None):
-    """The ensemble's mean Brownian values (N+1,) and increments (N,); None, None
-    for the exact means, both zero."""
+    """The ensemble's mean Brownian values (N+1,) and increments (N,); zeros,
+    the exact means, without one."""
     if ensemble is None:
-        return None, None
+        return np.zeros(grid.N + 1), np.zeros(grid.N)
     _check_alignment(grid, ensemble.steps, ensemble.tau, "ensemble")
     return ensemble.brownian.mean(axis=0), ensemble.increments.mean(axis=0)
 
@@ -148,62 +172,45 @@ def _mean_brownian(grid: TimeGrid, ensemble: BrownianEnsemble | None):
 class SweepData:
     """Nodal data of the forward sweep, each piece built on first use and kept.
 
-    ``x0`` is the projected initial state (n,); ``forcing_mean``,
-    ``forcing_slope`` and ``sigma`` hold load(f0), load(f1) and load(sigma)
-    at t_0..t_{N-1}, (N, n) tables.  ``compute_errors`` builds one and
-    shares it across the path blocks of its sweep.
+    ``x0`` is the projected initial state (n,); ``forcing`` holds the load
+    table [load(f0); load(f1)] at t_0..t_{N-1}, (N, 2, n), and ``sigma``
+    load(sigma) there, (N, n).  ``compute_errors`` builds one and shares it
+    across the path blocks of its sweep.
     """
 
     def __init__(self, spec: ProblemSpec, system: FemSystem, grid: TimeGrid):
         self._spec, self._system, self._grid = spec, system, grid
-
-    def _levels(self, fn: SpaceTimeFn) -> np.ndarray:
-        N = self._grid.N
-        return _load_rows(self._system, fn, self._grid.times[:N], np.zeros((N, self._system.n)))
 
     @cached_property
     def x0(self) -> np.ndarray:
         return l2_project(self._system, self._spec.x0)
 
     @cached_property
-    def forcing_mean(self) -> np.ndarray:
-        return self._levels(self._spec.forcing.mean)
-
-    @cached_property
-    def forcing_slope(self) -> np.ndarray:
-        return self._levels(self._spec.forcing.slope)
+    def forcing(self) -> np.ndarray:
+        return _load_rows(self._system, self._spec.forcing.table, self._grid.times[:-1], 2)
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        return self._levels(self._spec.sigma)
+        return _load_rows(self._system, self._spec.sigma, self._grid.times[:-1])
 
 
-def _data_terms(data: SweepData, tau: float, brownian, increments) -> Terms:
+def _data_terms(data: SweepData, tau: float, brownian: np.ndarray, increments: np.ndarray) -> Terms:
     """``terms(n, rhs, scratch)`` adds the data terms of forward step n to rhs:
     tau*(load(f0) + W_n load(f1)), then dW_{n+1} load(sigma), all at t_n.
 
-    Each term is staged in ``scratch``, an array of rhs's shape, by
-    ``out=`` ufuncs.  For one column, W and dW are the 1-D ``brownian`` and
-    ``increments`` and rhs is an (n,) row; both are None for zero means,
-    and then only tau*load(f0) is added.  For a block, column j reads row j
-    of the 2-D ``brownian`` and ``increments`` and rhs is (n, k).
+    ``brownian`` (..., N+1) and ``increments`` (..., N) are 1-D for one
+    column, whose rhs is (n,), or hold one row per path of a block, whose
+    rhs is (n, k).  The forcing is the level's load table times the basis
+    [1; W_n] (``at_w``), the noise the outer product of load(sigma) with
+    dW; each is staged in ``scratch``, an array of rhs's shape.
     """
-    f0 = data.forcing_mean
-    if brownian is None:
-        def mean_terms(n: int, rhs: np.ndarray, scratch: np.ndarray) -> None:
-            rhs += np.multiply(tau, f0[n], out=scratch)
-
-        return mean_terms
-    f1, sigma = data.forcing_slope, data.sigma
-    if brownian.ndim == 2:
-        f0, f1, sigma = f0[:, :, None], f1[:, :, None], sigma[:, :, None]
+    forcing, sigma = data.forcing, data.sigma
+    basis = np.ones((2,) + brownian.shape[:-1])
 
     def terms(n: int, rhs: np.ndarray, scratch: np.ndarray) -> None:
-        forcing = np.multiply(f1[n], brownian[..., n], out=scratch)
-        forcing += f0[n]
-        forcing *= tau
-        rhs += forcing
-        rhs += np.multiply(sigma[n], increments[..., n], out=scratch)
+        basis[1] = brownian[..., n]
+        rhs += np.multiply(tau, at_w(forcing[n], basis, out=scratch), out=scratch)
+        rhs += np.multiply.outer(sigma[n], increments[..., n], out=scratch)
 
     return terms
 
@@ -273,7 +280,7 @@ def iter_forward_paths(
 
     Level 0 is the projected initial state.  Step n adds to M x^n, in this
     order, tau*M u^n, the forcing loads of every path and the noise
-    columns, each staged by ``out=`` ufuncs in preallocated buffers, then
+    columns, each staged in preallocated buffers (``_data_terms``), then
     solves with (M + tau*gamma*A) on an F-ordered copy, in place.  Each
     level is residual-checked before it is yielded.  Every level is
     yielded in the same C-ordered (n, paths) array, which the next resume
@@ -312,9 +319,10 @@ def forward_mean(
 ) -> np.ndarray:
     """Mean state trajectory, one single-column sweep.
 
-    Without an ensemble, the exact expectation (driven by f0 alone); with one,
-    the path average of ``iter_forward_paths`` over it, which by linearity is
-    the sweep driven by the ensemble's mean Brownian values and increments.
+    Without an ensemble, the exact expectation (the sweep at W = dW = 0);
+    with one, the path average of ``iter_forward_paths`` over it, which by
+    linearity is the sweep driven by the ensemble's mean Brownian values
+    and increments.
     """
     data = SweepData(spec, system, grid)
     terms = _data_terms(data, grid.tau, *_mean_brownian(grid, ensemble))
@@ -343,13 +351,14 @@ def mean_target_loads(
     ensemble: BrownianEnsemble | None = None,
 ) -> np.ndarray:
     """Load vectors of the mean tracking target at levels 1..N (row 0 zero):
-    load(xd0), plus Wbar_n load(xd1) for the mean Brownian values of an ensemble."""
+    the target's load table times [1; Wbar_n], for the mean Brownian values
+    of an ensemble, or zero without one."""
     w_bar, _ = _mean_brownian(grid, ensemble)
-    loads = np.zeros((grid.N + 1, system.n))
-    _load_rows(system, spec.target.mean, grid.times[1:], loads[1:])
-    if w_bar is not None:
-        slope = _load_rows(system, spec.target.slope, grid.times[1:], np.zeros((grid.N, system.n)))
-        loads[1:] += np.multiply(w_bar[1:, None], slope, out=slope)
+    table = _load_rows(system, spec.target.table, grid.times[1:], 2)
+    loads, basis = np.zeros((grid.N + 1, system.n)), np.ones(2)
+    for row, level, w in zip(loads[1:], table, w_bar[1:]):
+        basis[1] = w
+        at_w(level, basis, out=row)
     return loads
 
 

@@ -219,8 +219,9 @@ class TestComputeErrors:
         assert peak(100) <= 1.1 * peak(25)
 
     def test_path_blocks_share_the_nodal_loads(self, monkeypatch):
-        # f0, f1 and sigma are loaded once for the whole ensemble, not once
-        # per block: one table of all levels each; x0 is projected once
+        # the forcing's [f0; f1] table and sigma are loaded once for the whole
+        # ensemble, not once per block: one table of all levels each; x0 is
+        # projected once
         prob = example1()
         system, grid = setup(prob, Resolution(8, 10))
         ens = sample(2 * BLOCK, grid, seed=3)
@@ -241,7 +242,29 @@ class TestComputeErrors:
         counted(socfem.fem, "load_vector")
         counted(socfem.spde, "_load_rows")
         compute_errors(prob, SolutionBundle(control, adjoint, prob.exact_mu), ens, system, grid)
-        assert sorted(calls) == ["_load_rows"] * 3 + ["load_vector"]
+        assert sorted(calls) == ["_load_rows"] * 2 + ["load_vector"]
+
+    @pytest.mark.parametrize(
+        "name,res", [("example1", Resolution(12, 10)), ("example2", Resolution(4, 6))]
+    )
+    def test_control_is_evaluated_once_per_level(self, name, res):
+        # the control is measured in L2 alone: exact_u at the nodes of each
+        # of its N levels, and nowhere for gradients
+        prob = BY_NAME[name]()
+        system, grid = setup(prob, res)
+        pts = system.mesh.interior_nodes
+        control = np.stack([prob.exact_u(t, pts) for t in grid.times])
+        adjoint = np.stack([prob.exact_y(t, pts) for t in grid.times])
+        calls = []
+
+        def exact_u(t, p):
+            calls.append(t)
+            return prob.exact_u(t, p)
+
+        counted = replace(prob, exact_u=exact_u)
+        bundle = SolutionBundle(control, adjoint, prob.exact_mu)
+        compute_errors(counted, bundle, sample(3, grid, seed=2), system, grid)
+        assert len(calls) == grid.N
 
     @pytest.mark.parametrize(
         "name,res", [("example1", Resolution(40, 40)), ("example2", Resolution(8, 8))]

@@ -399,6 +399,13 @@ def test_operators_bit_identical_to_scipy(name, monkeypatch):
     assert np.array_equal(load_from_values(system, values[0]), values[0] @ load.T)
 
 
+def test_missing_scipy_module_names_the_verified_release():
+    with pytest.raises(ImportError) as failure:
+        _scipy_extension("sparse._no_such_module")
+    assert f"scipy {scipy.__version__} installed" in str(failure.value)
+    assert "verified against scipy 1.17.1" in str(failure.value)
+
+
 def test_missing_scipy_module_fails_loudly():
     with pytest.raises(ImportError) as failure:
         _scipy_extension("sparse._no_such_module")

@@ -96,6 +96,19 @@ class TestForward:
         for p in range(4):
             assert np.array_equal(paths[p], mean)
 
+    @pytest.mark.parametrize("name,cells", [("example1", 8), ("example2", 4)])
+    def test_one_path_equals_its_mean_sweep(self, name, cells):
+        # the mean of one path is that path, at nonzero W: the block and the
+        # single-column layouts evaluate the data terms to the same bits
+        prob = BY_NAME[name]()
+        system, grid = setup(prob, Resolution(cells, 8))
+        ens = sample(1, grid, seed=5)
+        assert np.abs(ens.brownian[0, 1:]).min() > 0.0
+        u = np.random.default_rng(2).normal(size=(grid.N + 1, system.n))
+        paths = path_states(prob.spec, system, grid, u, ens)
+        mean = forward_mean(prob.spec, system, grid, u, ensemble=ens)
+        assert paths[0].tobytes() == mean.tobytes()
+
     def test_superposition_per_path(self):
         mesh = make_interval_mesh(0, 1, 6)
         system = assemble(mesh)
@@ -571,10 +584,12 @@ class TestLoadTables:
         def rows(fn, times):
             return np.stack([load_vector(system, lambda p: fn(float(t), p)) for t in times])
 
-        data = SweepData(spec, system, grid)
-        for table, fn in ((data.forcing_mean, spec.forcing.mean),
-                          (data.forcing_slope, spec.forcing.slope), (data.sigma, spec.sigma)):
-            assert table.tobytes() == rows(fn, grid.times[:-1]).tobytes()
+        data, times = SweepData(spec, system, grid), grid.times[:-1]
+        # level n of the forcing table is [load(f0(t_n)); load(f1(t_n))]
+        forcing = np.stack([rows(spec.forcing.mean, times), rows(spec.forcing.slope, times)], axis=1)
+        assert data.forcing.shape == forcing.shape == (grid.N, 2, system.n)
+        assert data.forcing.tobytes() == forcing.tobytes()
+        assert data.sigma.tobytes() == rows(spec.sigma, times).tobytes()
         w_bar = ens.brownian.mean(axis=0)
         for ensemble in (None, ens):
             expected = np.zeros((grid.N + 1, system.n))
