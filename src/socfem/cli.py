@@ -22,6 +22,10 @@ which problem reads which flag: --beta and --exact-mu go to both problems,
 problem flag that the chosen problem does not read is a configuration error.
 ``COMMAND_OPTIONS`` says which command reads which option; a flag or config
 key that the command does not read is rejected like an unknown one.
+--paths and --seed (``SAMPLING``) are read by convergence, whose error pass
+samples paths, by Monte Carlo runs and by verify (--seed); a mean-field
+solve or constraint-table draws no paths, so either one given to it is a
+configuration error.
 
 Exit codes: 0 success; 2 configuration error (an unknown flag or config
 key, a malformed or out-of-range value, a missing config file, or values
@@ -124,8 +128,8 @@ OPTIONS = {
     "rule": dict(choices=tuple(TAU_RULES), help="default tau=h in 1D, tau=h/sqrt2 in 2D"),
     "tau": dict(type=positive_fractions, help="explicit tau list, one per --h"),
     "delta": dict(type=fraction_floats, help="constraint level list"),
-    "paths": dict(type=positive_int, default=2000, help="Monte Carlo paths"),
-    "seed": dict(type=nonnegative_int, default=7),
+    "paths": dict(type=positive_int, help="Monte Carlo paths; default 2000"),
+    "seed": dict(type=nonnegative_int, help="ensemble seed; default 7"),
     "rho": dict(type=positive_float, help="step size; default 0.9/(alpha + e^T)"),
     "eps0": dict(type=positive_float, default=1e-6, help="stopping tolerance"),
     "max-iter": dict(type=positive_int, default=500),
@@ -151,6 +155,20 @@ COMMAND_OPTIONS = {
     "constraint-table": _SHARED + _RUNS + ("delta",),
     "verify": _SHARED + ("samples",),
 }
+
+# the sampling options and their defaults; a mean-field solve or
+# constraint-table draws no paths, so it reads neither
+SAMPLING = {"paths": 2000, "seed": 7}
+
+
+def _fill_sampling(args: argparse.Namespace) -> None:
+    """Default --paths and --seed where the run reads them; reject them given where not."""
+    mean_field = args.command in ("solve", "constraint-table") and args.estimator == "mean-field"
+    for key, default in SAMPLING.items():
+        if getattr(args, key, default) is None:  # verify has no --paths
+            setattr(args, key, default)
+        elif mean_field:
+            raise ConfigError(f"a mean-field {args.command} draws no paths and does not read --{key}")
 
 
 def format_sci(x: float) -> str:
@@ -455,6 +473,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: 0 after --help, 2 for a bad flag or value
         return int(exc.code or 0) and 2
     try:
+        _fill_sampling(args)
         return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -7,6 +7,11 @@ numbering of the mesh.  Mass and stiffness entries come from exact element
 integration of P1 products; load vectors use a fixed degree-2-exact
 quadrature (3-point Gauss per segment in 1D, edge midpoints per triangle in
 2D), which keeps quadrature error below the h^2 discretization error.
+``assemble`` is one path for both dimensions: only the element formulas
+(``_elements_1d``, ``_elements_2d``: volumes, local stiffness, basis
+gradients and the load rule) depend on it, and the local mass, the
+scatter onto the interior numbering, the gradient maps and the load
+matrix are written once.
 
 A ``FemSystem``'s operators are immutable; factors and sweep scratch are
 cached on first use: the banded Cholesky factor of (M + tau*gamma*A) per
@@ -416,131 +421,87 @@ class FemSystem:
 
 
 def assemble(mesh: Mesh) -> FemSystem:
-    """Assemble mass/stiffness operators and the load-quadrature map."""
-    n_int = mesh.n_interior
-    if n_int < 1:
-        raise ValueError("mesh has no interior nodes; refine before assembling")
+    """Assemble mass/stiffness operators, gradient maps and the load-quadrature map.
 
-    if mesh.dim == 1:
-        mass, stiff = _assemble_1d(mesh)
-        qpts, qwts, lmat = _load_rule_1d(mesh)
-    else:
-        mass, stiff = _assemble_2d(mesh)
-        qpts, qwts, lmat = _load_rule_2d(mesh)
-    grad_ops = _gradient_ops(mesh)
-    return FemSystem(mesh, mass, stiff, qpts, qwts, lmat, grad_ops)
-
-
-def _gradient_ops(mesh: Mesh) -> tuple:
-    """Interior nodal values -> constant P1 gradient per element."""
-    elems = mesh.elements
-    ne = elems.shape[0]
-    if mesh.dim == 1:
-        h = element_volumes(mesh)
-        grads = np.stack([-1.0 / h, 1.0 / h], axis=1)[:, :, None]  # (ne, 2, 1)
-    else:
-        pts = mesh.nodes[elems]
-        area = element_volumes(mesh)
-        e = np.stack(
-            [pts[:, 2] - pts[:, 1], pts[:, 0] - pts[:, 2], pts[:, 1] - pts[:, 0]], axis=1
-        )
-        # grad(lambda_i) = rot90(e_i) / (2*area)
-        grads = np.stack([-e[..., 1], e[..., 0]], axis=-1) / (2.0 * area)[:, None, None]
-
-    rows = np.broadcast_to(np.arange(ne)[:, None], elems.shape).ravel()
-    cidx = mesh.interior_index[elems.ravel()]
-    keep = cidx >= 0
-    ops = []
-    for d in range(mesh.dim):
-        vals = grads[..., d].ravel()
-        ops.append(Csr.from_triplets((ne, mesh.n_interior), rows[keep], cidx[keep], vals[keep]))
-    return tuple(ops)
-
-
-def _scatter(mesh: Mesh, rows, cols, vals) -> Csr:
-    """Drop boundary couplings and map to the dense interior numbering."""
-    ridx = mesh.interior_index[rows]
-    cidx = mesh.interior_index[cols]
-    keep = (ridx >= 0) & (cidx >= 0)
+    ``_elements_1d`` or ``_elements_2d`` gives each element's data; all
+    else is shared.  Entries of element e with k vertices scatter onto the
+    interior numbering: the local mass (1 + delta_ij) / (k (k + 1)) times
+    the volume, the local stiffness, one gradient row per dimension, and
+    the load entries, where quadrature point q of element e is column
+    e * nq + q and basis i weighs it by ``basis[i, q]``.
+    """
     n = mesh.n_interior
-    return Csr.from_triplets((n, n), ridx[keep], cidx[keep], vals[keep])
+    if n < 1:
+        raise ValueError("mesh has no interior nodes; refine before assembling")
+    elements = _elements_1d if mesh.dim == 1 else _elements_2d
+    volume, loc_stiff, grads, (points, weights, basis) = elements(mesh)
+    ne, k = mesh.elements.shape
+    nq = weights.shape[1]
+    local = mesh.interior_index[mesh.elements]  # (ne, k), -1 on the boundary
+
+    rows, cols = np.repeat(local, k, axis=1).ravel(), np.tile(local, (1, k)).ravel()
+    loc_mass = (np.ones((k, k)) + np.eye(k)) / (k * (k + 1))
+    mass = _scatter((n, n), rows, cols, (volume[:, None, None] * loc_mass).ravel())
+    stiffness = _scatter((n, n), rows, cols, loc_stiff.ravel())
+
+    owner = np.repeat(np.arange(ne), k)
+    grad_ops = tuple(
+        _scatter((ne, n), owner, local.ravel(), grads[..., d].ravel()) for d in range(mesh.dim)
+    )
+
+    load_rows = np.broadcast_to(local[:, :, None], (ne, k, nq)).ravel()
+    load_cols = np.broadcast_to(np.arange(ne * nq).reshape(ne, 1, nq), (ne, k, nq)).ravel()
+    load_vals = (weights[:, None, :] * basis[None, :, :]).ravel()
+    load = _scatter((n, ne * nq), load_rows, load_cols, load_vals)
+
+    qpts = np.ascontiguousarray(points.reshape(ne * nq, mesh.dim))
+    qwts = np.ascontiguousarray(weights.ravel())
+    qpts.flags.writeable = qwts.flags.writeable = False
+    return FemSystem(mesh, mass, stiffness, qpts, qwts, load, grad_ops)
 
 
-def _assemble_1d(mesh: Mesh):
-    elems = mesh.elements
+def _scatter(shape: tuple[int, int], rows, cols, vals) -> Csr:
+    """The summed triplets, without the entries whose row or column is -1
+    (a boundary node under ``Mesh.interior_index``)."""
+    keep = (rows >= 0) & (cols >= 0)
+    return Csr.from_triplets(shape, rows[keep], cols[keep], vals[keep])
+
+
+def _elements_1d(mesh: Mesh):
+    """Segment data: lengths h (ne,), local stiffness (ne, 2, 2), basis
+    gradients (ne, 2, 1), and the 3-point Gauss load rule: points
+    (ne, 3, 1), weights (ne, 3) and basis values at the points (2, 3)."""
     h = element_volumes(mesh)
-    loc_mass = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    loc_stiff = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    mvals = (h[:, None, None] * loc_mass).ravel()
-    avals = (loc_stiff / h[:, None, None]).ravel()
-    rows = np.repeat(elems, 2, axis=1).ravel()
-    cols = np.tile(elems, (1, 2)).ravel()
-    return _scatter(mesh, rows, cols, mvals), _scatter(mesh, rows, cols, avals)
+    loc_stiff = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h[:, None, None]
+    grads = np.stack([-1.0 / h, 1.0 / h], axis=1)[:, :, None]
+    a = mesh.nodes[mesh.elements[:, 0], 0]
+    points = a[:, None] + 0.5 * h[:, None] * (1.0 + _GAUSS3_X[None, :])
+    weights = 0.5 * h[:, None] * _GAUSS3_W[None, :]
+    lam = 0.5 * (1.0 + _GAUSS3_X)  # local coordinate of each quad point
+    basis = np.stack([1.0 - lam, lam], axis=0)
+    return h, loc_stiff, grads, (points[:, :, None], weights, basis)
 
 
-def _assemble_2d(mesh: Mesh):
-    elems = mesh.elements
-    pts = mesh.nodes[elems]  # (ne, 3, 2)
+def _elements_2d(mesh: Mesh):
+    """Triangle data: areas (ne,), local stiffness (ne, 3, 3), basis
+    gradients (ne, 3, 2), and the edge-midpoint load rule: points
+    (ne, 3, 2), weights (ne, 3) and basis values at the points (3, 3)."""
+    pts = mesh.nodes[mesh.elements]  # (ne, 3, 2)
     area = element_volumes(mesh)
     # edge vector opposite local vertex i
     e = np.stack(
         [pts[:, 2] - pts[:, 1], pts[:, 0] - pts[:, 2], pts[:, 1] - pts[:, 0]], axis=1
     )
     loc_stiff = np.einsum("eid,ejd->eij", e, e) / (4.0 * area)[:, None, None]
-    loc_mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    mvals = (area[:, None, None] * loc_mass).ravel()
-    avals = loc_stiff.ravel()
-    rows = np.repeat(elems, 3, axis=1).ravel()
-    cols = np.tile(elems, (1, 3)).ravel()
-    return _scatter(mesh, rows, cols, mvals), _scatter(mesh, rows, cols, avals)
-
-
-def _load_rule_1d(mesh: Mesh):
-    elems = mesh.elements
-    a = mesh.nodes[elems[:, 0], 0]
-    h = element_volumes(mesh)
-    # quad point q of element e sits at global column e*3 + q
-    x = a[:, None] + 0.5 * h[:, None] * (1.0 + _GAUSS3_X[None, :])
-    w = 0.5 * h[:, None] * _GAUSS3_W[None, :]
-    lam = 0.5 * (1.0 + _GAUSS3_X)  # local coordinate of each quad point
-    basis = np.stack([1.0 - lam, lam], axis=0)  # (2 local nodes, 3 points)
-
-    ne = elems.shape[0]
-    qcols = (np.arange(ne)[:, None, None] * 3 + np.arange(3)[None, None, :])
-    rows = np.broadcast_to(elems[:, :, None], (ne, 2, 3)).ravel()
-    cols = np.broadcast_to(qcols, (ne, 2, 3)).ravel()
-    vals = (w[:, None, :] * basis[None, :, :]).ravel()
-    return _finish_load(mesh, x.reshape(-1, 1), w.ravel(), rows, cols, vals, ne * 3)
-
-
-def _load_rule_2d(mesh: Mesh):
-    elems = mesh.elements
-    pts = mesh.nodes[elems]
-    area = element_volumes(mesh)
+    # grad(lambda_i) = rot90(e_i) / (2*area)
+    grads = np.stack([-e[..., 1], e[..., 0]], axis=-1) / (2.0 * area)[:, None, None]
     mids = 0.5 * np.stack(
         [pts[:, 0] + pts[:, 1], pts[:, 1] + pts[:, 2], pts[:, 2] + pts[:, 0]], axis=1
-    )  # (ne, 3, 2)
+    )
+    weights = (area / 3.0)[:, None] * np.ones((1, 3))
     # P1 values at edge midpoints: vertex i is 1/2 on its two adjacent edges
     basis = 0.5 * np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
-
-    ne = elems.shape[0]
-    w = (area / 3.0)[:, None] * np.ones((1, 3))
-    qcols = (np.arange(ne)[:, None, None] * 3 + np.arange(3)[None, None, :])
-    rows = np.broadcast_to(elems[:, :, None], (ne, 3, 3)).ravel()
-    cols = np.broadcast_to(qcols, (ne, 3, 3)).ravel()
-    vals = (w[:, None, :] * basis[None, :, :]).ravel()
-    return _finish_load(mesh, mids.reshape(-1, 2), w.ravel(), rows, cols, vals, ne * 3)
-
-
-def _finish_load(mesh, qpts, qwts, rows, cols, vals, n_quad):
-    ridx = mesh.interior_index[rows]
-    keep = ridx >= 0
-    lmat = Csr.from_triplets((mesh.n_interior, n_quad), ridx[keep], cols[keep], vals[keep])
-    qpts = np.ascontiguousarray(qpts)
-    qpts.flags.writeable = False
-    qwts = np.ascontiguousarray(qwts)
-    qwts.flags.writeable = False
-    return qpts, qwts, lmat
+    return area, loc_stiff, grads, (mids, weights, basis)
 
 
 def load_vector(system: FemSystem, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

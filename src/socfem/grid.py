@@ -19,8 +19,9 @@ import numpy as np
 _BOUNDARY_RTOL = 1e-12
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _frozen(a, dtype=None) -> np.ndarray:
+    """A read-only C-ordered copy of ``a``."""
+    a = np.array(a, dtype=dtype, order="C")
     a.flags.writeable = False
     return a
 
@@ -54,14 +55,19 @@ class Mesh:
         True for nodes on the domain boundary.
     h : float
         Maximum element diameter.
-    interior_index : ndarray of int, shape (n_nodes,)
-        Dense renumbering of interior nodes (0..n_interior-1); -1 on the
-        boundary.
+    interior_index : ndarray of int64, shape (n_nodes,)
+        Dense renumbering of interior nodes (0..n_interior-1) in node
+        order; -1 on the boundary.
     interior_nodes : ndarray, shape (n_interior, dim)
-        Coordinates of interior nodes in dense (renumbered) order, computed
-        once at construction.
+        Coordinates of interior nodes in dense (renumbered) order.
     n_interior : int
         Number of interior nodes.
+
+    Only the first five are given; the last three are derived from
+    ``boundary_mask`` at construction.  ``nodes`` (float64), ``elements``
+    (int64) and ``boundary_mask`` (bool) are stored as read-only C-ordered
+    copies, so a mesh owns its arrays and any node layout or grading can be
+    built straight from them.
     """
 
     dim: int
@@ -69,14 +75,19 @@ class Mesh:
     elements: np.ndarray
     boundary_mask: np.ndarray
     h: float
-    interior_index: np.ndarray
+    interior_index: np.ndarray = field(init=False, repr=False, compare=False)
     interior_nodes: np.ndarray = field(init=False, repr=False, compare=False)
     n_interior: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        interior = _frozen(self.nodes[~self.boundary_mask])
-        object.__setattr__(self, "interior_nodes", interior)
-        object.__setattr__(self, "n_interior", interior.shape[0])
+        for name, dtype in (("nodes", float), ("elements", np.int64), ("boundary_mask", bool)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        interior = np.flatnonzero(~self.boundary_mask)
+        index = np.full(self.n_nodes, -1, dtype=np.int64)
+        index[interior] = np.arange(interior.size)
+        object.__setattr__(self, "interior_index", _frozen(index))
+        object.__setattr__(self, "interior_nodes", _frozen(self.nodes[interior]))
+        object.__setattr__(self, "n_interior", interior.size)
 
     @property
     def n_nodes(self) -> int:
@@ -115,14 +126,7 @@ def make_interval_mesh(a: float, b: float, cells: int) -> Mesh:
     elements = np.column_stack([np.arange(cells), np.arange(1, cells + 1)])
     tol = _BOUNDARY_RTOL * (b - a)
     boundary = (np.abs(x - a) <= tol) | (np.abs(x - b) <= tol)
-    return Mesh(
-        dim=1,
-        nodes=_frozen(nodes),
-        elements=_frozen(elements.astype(np.int64)),
-        boundary_mask=_frozen(boundary),
-        h=(b - a) / cells,
-        interior_index=_frozen(_dense_interior(boundary)),
-    )
+    return Mesh(dim=1, nodes=nodes, elements=elements, boundary_mask=boundary, h=(b - a) / cells)
 
 
 def make_rectangle_mesh(
@@ -171,20 +175,8 @@ def make_rectangle_mesh(
     dx = (bx - ax) / cells_x
     dy = (by - ay) / cells_y
     return Mesh(
-        dim=2,
-        nodes=_frozen(nodes),
-        elements=_frozen(elements.astype(np.int64)),
-        boundary_mask=_frozen(boundary),
-        h=float(np.hypot(dx, dy)),
-        interior_index=_frozen(_dense_interior(boundary)),
+        dim=2, nodes=nodes, elements=elements, boundary_mask=boundary, h=float(np.hypot(dx, dy))
     )
-
-
-def _dense_interior(boundary_mask: np.ndarray) -> np.ndarray:
-    idx = np.full(boundary_mask.shape[0], -1, dtype=np.int64)
-    interior = np.flatnonzero(~boundary_mask)
-    idx[interior] = np.arange(interior.size)
-    return idx
 
 
 def element_volumes(mesh: Mesh) -> np.ndarray:

@@ -27,7 +27,7 @@ zeros included.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -47,21 +47,33 @@ _SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
 
 @dataclass(frozen=True)
 class BrownianEnsemble:
-    """P independent paths of N Gaussian increments with variance tau."""
+    """P independent paths of N Gaussian increments with variance tau.
 
-    paths: int
-    steps: int
+    ``paths`` and ``steps`` are derived from the shape of ``increments``; a
+    given ``brownian`` that is not (paths, steps + 1) raises ``ValueError``.
+    """
+
     tau: float
     seed: int
     increments: np.ndarray  # (paths, steps), increment n covers (t_n, t_{n+1}]
     brownian: np.ndarray | None = None  # (paths, steps + 1) prefix sums
+    paths: int = field(init=False)
+    steps: int = field(init=False)
 
     def __post_init__(self):
+        paths, steps = self.increments.shape
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "steps", steps)
         if self.brownian is None:
-            w = np.zeros((self.paths, self.steps + 1))
+            w = np.zeros((paths, steps + 1))
             np.cumsum(self.increments, axis=1, out=w[:, 1:])
             w.flags.writeable = False
             object.__setattr__(self, "brownian", w)
+        elif self.brownian.shape != (paths, steps + 1):
+            raise ValueError(
+                f"brownian shape {self.brownian.shape} does not match {steps} increments "
+                f"of {paths} paths: need {(paths, steps + 1)}"
+            )
 
     def brownian_at(self, level: int) -> np.ndarray:
         """W_{t_n} for every path, n = 0..N."""
@@ -74,8 +86,6 @@ class BrownianEnsemble:
         other rows, so nothing is re-summed.
         """
         return BrownianEnsemble(
-            paths=stop - start,
-            steps=self.steps,
             tau=self.tau,
             seed=self.seed,
             increments=self.increments[start:stop],
@@ -101,7 +111,7 @@ def sample(P: int, grid: TimeGrid, seed: int) -> BrownianEnsemble:
     inc *= np.sqrt(grid.tau)
     inc += 0.0
     inc.flags.writeable = False
-    return BrownianEnsemble(paths=P, steps=grid.N, tau=grid.tau, seed=seed, increments=inc)
+    return BrownianEnsemble(tau=grid.tau, seed=seed, increments=inc)
 
 
 class _PathState(ISeedSequence):

@@ -326,19 +326,11 @@ def _mean_state_integral(problem: ManufacturedProblem, order: int = 48) -> float
     t_nodes = 0.5 * spec.T * (tn + 1.0)
     t_weights = 0.5 * spec.T * tw
 
-    axes = []
-    weights = []
-    for lo, hi in problem.domain:
-        xn, xw = leggauss(order)
-        axes.append(0.5 * (hi - lo) * (xn + 1.0) + lo)
-        weights.append(0.5 * (hi - lo) * xw)
-    if problem.dim == 1:
-        pts = axes[0].reshape(-1, 1)
-        wts = weights[0]
-    else:
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        wts = np.outer(weights[0], weights[1]).ravel()
+    # the tensor rule over the domain's axes, first axis slowest
+    axes = [0.5 * (hi - lo) * (tn + 1.0) + lo for lo, hi in problem.domain]
+    weights = [0.5 * (hi - lo) * tw for lo, hi in problem.domain]
+    pts = np.column_stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")])
+    wts = np.prod(np.meshgrid(*weights, indexing="ij"), axis=0).ravel()
 
     total = 0.0
     for t, wt in zip(t_nodes, t_weights):

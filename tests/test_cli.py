@@ -45,7 +45,7 @@ class TestSolveCommand:
         out2 = tmp_path / "b"
         argv = [
             "solve", "--problem", "example1", "--h", "1/8", "--rule", "tau=h",
-            "--eps0", "1e-5", "--seed", "7", "--output-dir",
+            "--eps0", "1e-5", "--output-dir",
         ]
         assert main(argv + [str(out1)]) == 0
         assert main(argv + [str(out2)]) == 0
@@ -426,6 +426,11 @@ UNREAD_INPUTS = [
     ("solve", [], "delta_mode", "problem"),
     ("constraint-table", ["--delta", "0.2"], "samples", "3"),
     ("constraint-table", ["--delta", "0.2"], "delta_mode", "problem"),
+    # a mean-field run draws no paths
+    ("solve", [], "paths", "5"),
+    ("solve", [], "seed", "3"),
+    ("constraint-table", ["--delta", "0.2"], "paths", "5"),
+    ("constraint-table", ["--delta", "0.2"], "seed", "3"),
     # a valid --delta-mode value after its prefix, not read as --delta-mode
     ("convergence", ["--h", "1/8,1/10"], "delta", "problem"),
 ]

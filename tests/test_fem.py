@@ -7,6 +7,7 @@ import scipy
 import scipy.sparse as sp
 
 from socfem import (
+    Mesh,
     NumericalError,
     assemble,
     l2_project,
@@ -24,6 +25,7 @@ from socfem.fem import (
     csr_product,
     load_from_values,
 )
+from socfem.grid import element_volumes
 
 from helpers import scipy_csr
 
@@ -83,6 +85,102 @@ class TestAssembly:
         v = mesh.interior_nodes[:, 0]  # nodal values of f(x) = x
         r = scipy_csr(system.stiffness) @ v
         assert np.abs(r[1:-1]).max() <= 1e-12  # boundary-only residual
+
+
+def _graded_interval() -> tuple:
+    """Mesh arguments of [0, 1] cut at (i/9)^2: cells grow 17-fold left to right."""
+    x = np.linspace(0.0, 1.0, 10) ** 2
+    elements = np.column_stack([np.arange(9), np.arange(1, 10)])
+    boundary = np.zeros(10, dtype=bool)
+    boundary[[0, -1]] = True
+    return 1, x[:, None], elements, boundary, float(np.diff(x).max())
+
+
+def _moved_square() -> tuple:
+    """Mesh arguments of the 6 x 5 unit-square triangulation with every
+    interior node moved by up to a fifth of the pitch per axis."""
+    template = make_rectangle_mesh((0, 0), (1, 1), 6, 5)
+    nodes = np.array(template.nodes)
+    moved = ~template.boundary_mask
+    shift = np.random.default_rng(3).uniform(-0.2, 0.2, (np.count_nonzero(moved), 2))
+    nodes[moved] += shift * [1 / 6, 1 / 5]
+    elements = np.array(template.elements)
+    pts = nodes[elements]
+    h = np.linalg.norm(pts - np.roll(pts, 1, axis=1), axis=2).max()
+    return 2, nodes, elements, np.array(template.boundary_mask), float(h)
+
+
+@pytest.mark.parametrize("arguments", [_graded_interval, _moved_square])
+class TestNonUniformMesh:
+    """Assembly on meshes built straight from ``Mesh``, with unequal elements."""
+
+    @staticmethod
+    def _build(arguments):
+        dim, nodes, elements, boundary, h = arguments()
+        mesh = Mesh(dim, nodes, elements, boundary, h)
+        assert np.all(element_volumes(mesh) > 0)
+        return mesh, assemble(mesh)
+
+    @staticmethod
+    def _inside_rows(mesh):
+        """Interior rows whose basis support avoids the boundary: (n_interior,) bool."""
+        near = np.zeros(mesh.n_nodes, dtype=bool)  # nodes sharing an element with the boundary
+        near[mesh.elements[mesh.boundary_mask[mesh.elements].any(axis=1)]] = True
+        inside = ~near[~mesh.boundary_mask]
+        assert np.count_nonzero(inside) >= 2
+        return inside
+
+    @staticmethod
+    def _linear(mesh):
+        """Nodal values of 0.3 + x . slope and the slope, (dim,)."""
+        slope = np.array([1.7, -0.6])[: mesh.dim]
+        return 0.3 + mesh.nodes @ slope, slope
+
+    def test_arrays_frozen_and_numbering_derived(self, arguments):
+        dim, nodes, elements, boundary, h = arguments()
+        mesh = Mesh(dim, nodes, elements, boundary, h)
+        for given, stored in [(nodes, mesh.nodes), (elements, mesh.elements),
+                              (boundary, mesh.boundary_mask)]:
+            assert np.array_equal(given, stored) and not stored.flags.writeable
+            assert given.flags.writeable  # the mesh froze a copy, not the caller's array
+        interior = np.flatnonzero(~boundary)
+        assert mesh.n_interior == interior.size
+        assert np.array_equal(mesh.interior_index[interior], np.arange(interior.size))
+        assert np.all(mesh.interior_index[boundary] == -1)
+        assert np.array_equal(mesh.interior_nodes, nodes[interior])
+        assert not mesh.interior_index.flags.writeable
+        assert not mesh.interior_nodes.flags.writeable
+
+    def test_mass_and_unit_load_integrate_each_basis_function(self, arguments):
+        mesh, system = self._build(arguments)
+        k = mesh.dim + 1
+        # integral of phi_i: the volumes of the elements around node i over (dim + 1)
+        support = np.bincount(
+            mesh.elements.ravel(), np.repeat(element_volumes(mesh), k), mesh.n_nodes
+        )[~mesh.boundary_mask] / k
+        assert load_vector(system, lambda p: 1.0) == pytest.approx(support, rel=1e-14)
+        assert system.ones_load == pytest.approx(support, rel=1e-14)
+        # the mass row of i sums M_ij over interior j only: all of phi_i's
+        # partners where its support avoids the boundary
+        inside = self._inside_rows(mesh)
+        assert system.mass.row_sums()[inside] == pytest.approx(support[inside], rel=1e-14)
+
+    def test_stiffness_annihilates_linear_field_inside(self, arguments):
+        mesh, system = self._build(arguments)
+        values, _ = self._linear(mesh)
+        inside = self._inside_rows(mesh)
+        residual = scipy_csr(system.stiffness) @ values[~mesh.boundary_mask]
+        assert np.abs(residual[inside]).max() <= 1e-12
+
+    def test_gradients_of_linear_field_inside(self, arguments):
+        mesh, system = self._build(arguments)
+        values, slope = self._linear(mesh)
+        inside = ~mesh.boundary_mask[mesh.elements].any(axis=1)
+        assert np.count_nonzero(inside) >= 2
+        for d, product in enumerate(system.grad_products):
+            grad = product(values[~mesh.boundary_mask])
+            assert grad[inside] == pytest.approx(np.full(np.count_nonzero(inside), slope[d]),
+                                                 rel=1e-12)
 
 
 class TestL2Projection:

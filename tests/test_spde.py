@@ -62,9 +62,7 @@ def make_spec(x0=zero_space, sigma=None, forcing=ZERO_DATA, target=ZERO_DATA, ga
 
 
 def zero_ensemble(P, grid):
-    return BrownianEnsemble(
-        paths=P, steps=grid.N, tau=grid.tau, seed=0, increments=np.zeros((P, grid.N))
-    )
+    return BrownianEnsemble(tau=grid.tau, seed=0, increments=np.zeros((P, grid.N)))
 
 
 @pytest.fixture
@@ -160,10 +158,7 @@ class TestForward:
         ens = sample(16, grid, seed=1)
         u = np.zeros((grid.N + 1, system.n))
         fwd = path_states(prob.spec, system, grid, u, ens)
-        mirror = BrownianEnsemble(
-            paths=ens.paths, steps=ens.steps, tau=ens.tau, seed=ens.seed,
-            increments=-ens.increments,
-        )
+        mirror = BrownianEnsemble(tau=ens.tau, seed=ens.seed, increments=-ens.increments)
         bwd = path_states(prob.spec, system, grid, u, mirror)
         mean = forward_mean(prob.spec, system, grid, u)
         averaged = 0.5 * (fwd + bwd)
@@ -194,6 +189,26 @@ class TestForward:
             forward_mean(
                 make_spec(), sys_half, grid, np.zeros((grid.N + 1, 1)), zero_ensemble(2, other)
             )
+
+    def test_ensemble_shape_comes_from_its_increments(self, sys_half):
+        # 6 increments per path against a 4-step grid: rejected, not truncated
+        grid = make_time_grid(1.0, 4)
+        increments = np.arange(12.0).reshape(2, 6) / 10
+        brownian = np.zeros((2, 7))
+        np.cumsum(increments, axis=1, out=brownian[:, 1:])
+        ens = BrownianEnsemble(tau=grid.tau, seed=0, increments=increments, brownian=brownian)
+        assert (ens.paths, ens.steps) == (2, 6)
+        with pytest.raises(ValueError, match="not aligned"):
+            forward_mean(make_spec(), sys_half, grid, np.zeros((grid.N + 1, 1)), ens)
+        with pytest.raises(ValueError, match="not aligned"):
+            mean_target_loads(make_spec(), sys_half, grid, ens)
+        with pytest.raises(ValueError, match=r"brownian shape \(2, 5\)"):
+            BrownianEnsemble(
+                tau=grid.tau, seed=0, increments=increments, brownian=brownian[:, :5]
+            )
+        with pytest.raises(ValueError, match=r"brownian shape \(1, 7\)"):
+            BrownianEnsemble(tau=grid.tau, seed=0, increments=increments, brownian=brownian[:1])
+        assert ens.subset(1, 2).paths == 1
 
 
 class TestBackwardAdjoint:
@@ -638,7 +653,7 @@ class TestLsmcZ:
         system, grid, _ = setup_small
         increments = np.zeros((4, grid.N))
         increments[:, 0] = [1.0, 1.0, np.nextafter(1.0, 2.0), 1.0]  # W_{t_1} one ulp apart
-        ens = BrownianEnsemble(paths=4, steps=grid.N, tau=grid.tau, seed=0, increments=increments)
+        ens = BrownianEnsemble(tau=grid.tau, seed=0, increments=increments)
         assert np.ptp(ens.brownian_at(1)) > 0.0  # not the constant-only fallback
         payoff = np.ones((ens.paths, system.n))
         with pytest.raises(NumericalError, match="rank-deficient regression basis"):
