@@ -34,7 +34,6 @@ from .optimizer import (
     OptimizerConfig,
     constraint_integral,
     contraction_certificate,
-    gp_iterate,
     select_multiplier,
 )
 from .problems import ManufacturedProblem, example1, example2, verify_manufactured
@@ -83,7 +82,6 @@ __all__ = [
     "example2",
     "fit_order",
     "forward_mean",
-    "gp_iterate",
     "l2_project",
     "load_vector",
     "lsmc_z_estimate",

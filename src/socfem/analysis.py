@@ -35,7 +35,7 @@ import numpy as np
 from .errors import InvalidStateError, NumericalError
 from .fem import FemSystem, assemble
 from .grid import TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_grid
-from .optimizer import GradientProjection, OptimizerConfig, constraint_integral, gp_iterate
+from .optimizer import GradientProjection, OptimizerConfig, constraint_integral
 from .paths import BLOCK, BrownianEnsemble, sample
 from .problems import ManufacturedProblem
 from .spde import SweepData, SpaceTimeFn, at_w, forward_mean, iter_forward_paths
@@ -292,11 +292,9 @@ def discrete_constraint_level(
 def convergence_study(
     problem: ManufacturedProblem,
     resolutions: list[Resolution],
+    config: OptimizerConfig = OptimizerConfig(),
     paths: int = 2000,
     seed: int = 7,
-    rho: float | None = None,
-    eps0: float = 1e-6,
-    max_iter: int = 500,
     estimator: str = "mean-field",
     delta_mode: str = "discrete",
 ) -> list[ErrorReport]:
@@ -304,15 +302,15 @@ def convergence_study(
 
     ``delta_mode='discrete'`` (default) runs each resolution with the
     constraint level from ``discrete_constraint_level``; ``'problem'``
-    keeps the problem's continuous value literally.  An empty
-    ``resolutions`` raises before any work.
+    keeps the problem's continuous value, ``problem.delta``, literally.
+    Every run uses ``config``.  An empty ``resolutions`` raises before any
+    work.
     """
     if delta_mode not in ("discrete", "problem"):
         raise ValueError(f"delta_mode must be 'discrete' or 'problem', got {delta_mode!r}")
     _check_estimator(estimator)
     if len(resolutions) == 0:
         raise ValueError("convergence_study needs at least one resolution")
-    config = OptimizerConfig(rho=rho, eps0=eps0, max_iter=max_iter)
     return [
         _error_report(problem, res, paths, seed, config, estimator, delta_mode)
         for res in resolutions
@@ -329,12 +327,12 @@ def _error_report(problem, res, paths, seed, config, estimator, delta_mode) -> E
     """One convergence cell; its system and factorizations die on return."""
     system, grid = setup(problem, res)
     ensemble = sample(paths, grid, seed)
-    spec = problem.spec
     if delta_mode == "discrete":
-        spec = replace(spec, delta=discrete_constraint_level(problem, system, grid))
-    result = gp_iterate(
-        spec, system, grid, config, ensemble=ensemble if estimator == "monte-carlo" else None
-    )
+        delta = discrete_constraint_level(problem, system, grid)
+    else:
+        delta = problem.delta
+    loop_ensemble = ensemble if estimator == "monte-carlo" else None
+    result = GradientProjection(problem.spec, system, grid, config, loop_ensemble).run(delta)
     bundle = SolutionBundle(control=result.control, adjoint_mean=result.adjoint_mean, mu=result.mu)
     report = compute_errors(problem, bundle, ensemble, system, grid)
     return replace(report, converged=result.converged, step_error=result.records[-1].step_error)
@@ -377,31 +375,28 @@ def constraint_table(
     problem: ManufacturedProblem,
     deltas: list[float],
     resolutions: list[Resolution],
+    config: OptimizerConfig = OptimizerConfig(),
     estimator: str = "mean-field",
     paths: int = 2000,
     seed: int = 7,
-    rho: float | None = None,
-    eps0: float = 1e-6,
-    max_iter: int = 500,
 ) -> list[TableCell]:
     """Converged constraint integrals over a (delta, resolution) table.
 
     Each resolution builds one workspace (system, time grid, ensemble and
-    ``GradientProjection``), and every delta runs on it, since none of it
-    depends on delta.  Cells are returned deltas outer, resolutions inner,
-    but computed resolutions outer, so the first failing cell reported is
-    the first in that order.  Every cell's post-projection integral must
-    satisfy the constraint up to 1e-8; a violation raises, since it would
-    mean the projection is broken rather than inaccurate.  Failures name
-    the cell they happened in; an empty ``deltas`` or ``resolutions``
-    raises before any work.
+    a ``GradientProjection`` with ``config``), and every delta runs on it,
+    since none of it depends on delta.  Cells are returned deltas outer,
+    resolutions inner, but computed resolutions outer, so the first
+    failing cell reported is the first in that order.  Every cell's
+    post-projection integral must satisfy the constraint up to 1e-8; a
+    violation raises, since it would mean the projection is broken rather
+    than inaccurate.  Failures name the cell they happened in; an empty
+    ``deltas`` or ``resolutions`` raises before any work.
     """
     _check_estimator(estimator)
     if len(deltas) == 0:
         raise ValueError("constraint_table needs at least one delta")
     if len(resolutions) == 0:
         raise ValueError("constraint_table needs at least one resolution")
-    config = OptimizerConfig(rho=rho, eps0=eps0, max_iter=max_iter)
     by_resolution = [
         _resolution_cells(problem, deltas, res, estimator, paths, seed, config)
         for res in resolutions
@@ -429,17 +424,17 @@ def _resolution_cells(problem, deltas, res, estimator, paths, seed, config) -> l
     with _cell_context(deltas[0], res):
         system, grid = setup(problem, res)
         ensemble = sample(paths, grid, seed) if estimator == "monte-carlo" else None
-        loop = GradientProjection(problem.spec, system, grid, rho=config.rho, ensemble=ensemble)
+        loop = GradientProjection(problem.spec, system, grid, config, ensemble)
     cells = []
     for delta in deltas:
         with _cell_context(delta, res):
-            cells.append(_table_cell(loop, float(delta), config))
+            cells.append(_table_cell(loop, float(delta)))
     return cells
 
 
-def _table_cell(loop: GradientProjection, delta: float, config: OptimizerConfig) -> TableCell:
+def _table_cell(loop: GradientProjection, delta: float) -> TableCell:
     """One table cell on a shared workspace; its GP result dies on return."""
-    result = loop.run(config, delta)
+    result = loop.run(delta)
     integral = result.records[-1].constraint_integral
     if not integral <= delta + 1e-8:
         raise InvalidStateError(

@@ -11,7 +11,8 @@ Mesh sizes are given as exact fractions ("1/40") naming the grid pitch per
 axis, so tabulated values never pick up decimal drift; the element
 diameter is the pitch in 1D and sqrt(2) * pitch in 2D.  The time step
 follows the --rule (tau=h, tau=h/sqrt2, tau=h^2, tau=h^2/2, tau=h^4)
-applied to the element diameter, or an explicit --tau list.
+applied to the element diameter, or an explicit --tau list; the two
+exclude each other, so a run given both is a configuration error.
 
 Every option is one row of ``OPTIONS``, and the flags are built from it.
 Each ``key = value`` line of a ``--config`` file becomes a ``--key=value``
@@ -42,7 +43,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,7 +55,7 @@ from .analysis import (
     setup,
 )
 from .errors import InvalidStateError, NumericalError
-from .optimizer import OptimizerConfig, contraction_certificate, gp_iterate
+from .optimizer import GradientProjection, OptimizerConfig, contraction_certificate
 from .paths import sample
 from .problems import BY_NAME, verify_manufactured
 
@@ -200,6 +201,8 @@ def resolutions_for(args: argparse.Namespace, problem) -> list[Resolution]:
     T = Fraction(problem.spec.T).limit_denominator(10**6)
 
     if args.tau is not None:
+        if args.rule is not None:
+            raise ConfigError("--tau and --rule exclude each other; give one of them")
         if len(args.tau) != len(args.h):
             raise ConfigError("--tau list must match --h list length")
         taus = args.tau
@@ -246,8 +249,8 @@ def _write_lines(path: Path, lines) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _check_rho(args: argparse.Namespace, problem) -> None:
-    """Warn when a given --rho has no contraction certificate."""
+def _optimizer_config(args: argparse.Namespace, problem) -> OptimizerConfig:
+    """The loop settings of a run; warns when a given --rho has no contraction certificate."""
     spec = problem.spec
     if args.rho is not None and contraction_certificate(spec.alpha, spec.T, args.rho) is None:
         print(
@@ -255,6 +258,13 @@ def _check_rho(args: argparse.Namespace, problem) -> None:
             f"(alpha={spec.alpha!r}, T={spec.T!r})",
             file=sys.stderr,
         )
+    return OptimizerConfig(rho=args.rho, eps0=args.eps0, max_iter=args.max_iter)
+
+
+def _warn_unconverged(cell: str = "", step_error: float | None = None) -> None:
+    """Report a run that hit max_iter before reaching eps0; a table or study names its cell."""
+    where, tail = (f"cell {cell}: ", f", step_error={step_error!r}") if cell else ("", "")
+    print(f"warning: {where}optimizer hit max_iter before reaching eps0{tail}", file=sys.stderr)
 
 
 def run_solve(args: argparse.Namespace) -> int:
@@ -262,15 +272,13 @@ def run_solve(args: argparse.Namespace) -> int:
         if len(getattr(args, key) or ()) > 1:
             raise ConfigError(f"solve takes a single --{key} value")
     problem = build_problem(args)
-    if args.delta is not None:
-        problem = replace(problem, spec=replace(problem.spec, delta=args.delta[0]))
     (res,) = resolutions_for(args, problem)
-    _check_rho(args, problem)
+    config = _optimizer_config(args, problem)
 
     system, grid = setup(problem, res)
     ensemble = sample(args.paths, grid, args.seed) if args.estimator == "monte-carlo" else None
-    config = OptimizerConfig(rho=args.rho, eps0=args.eps0, max_iter=args.max_iter)
-    result = gp_iterate(problem.spec, system, grid, config, ensemble=ensemble)
+    delta = problem.delta if args.delta is None else args.delta[0]
+    result = GradientProjection(problem.spec, system, grid, config, ensemble).run(delta)
 
     lines = [ITERATIONS_HEADER]
     for r in result.records:
@@ -301,7 +309,7 @@ def run_solve(args: argparse.Namespace) -> int:
         f"integral={last.constraint_integral!r}"
     )
     if not result.converged:
-        print("warning: optimizer hit max_iter before reaching eps0", file=sys.stderr)
+        _warn_unconverged()
     return 0
 
 
@@ -311,15 +319,12 @@ def run_convergence(args: argparse.Namespace) -> int:
     scale = "tau" if args.rule in (None, "tau=h", "tau=h/sqrt2") else "h"
     if len({res.steps if scale == "tau" else res.cells for res in resolutions}) < 2:
         raise ConfigError(f"convergence needs at least two distinct {scale} values to fit orders")
-    _check_rho(args, problem)
     reports = convergence_study(
         problem,
         resolutions,
+        _optimizer_config(args, problem),
         paths=args.paths,
         seed=args.seed,
-        rho=args.rho,
-        eps0=args.eps0,
-        max_iter=args.max_iter,
         estimator=args.estimator,
         delta_mode=args.delta_mode,
     )
@@ -346,9 +351,7 @@ def run_convergence(args: argparse.Namespace) -> int:
         print(f"{name}: slope={fit.slope:.4f} r2={fit.r_squared:.4f}")
     unconverged = [(r, res) for r, res in zip(reports, resolutions) if not r.converged]
     for r, res in unconverged:
-        print(f"warning: cell cells={res.cells} steps={res.steps}: "
-              f"optimizer hit max_iter before reaching eps0, step_error={r.step_error!r}",
-              file=sys.stderr)
+        _warn_unconverged(f"cells={res.cells} steps={res.steps}", r.step_error)
     if unconverged:
         print(f"warning: the order fits use {len(unconverged)} unconverged cell(s)",
               file=sys.stderr)
@@ -366,18 +369,15 @@ def run_constraint_table(args: argparse.Namespace) -> int:
             f"constraint-table --delta repeats {', '.join(map(repr, repeated))}; "
             "each level is one table row"
         )
-    _check_rho(args, problem)
 
     cells = constraint_table(
         problem,
         args.delta,
         resolutions,
+        _optimizer_config(args, problem),
         estimator=args.estimator,
         paths=args.paths,
         seed=args.seed,
-        rho=args.rho,
-        eps0=args.eps0,
-        max_iter=args.max_iter,
     )
 
     long_lines = [TABLE_LONG_HEADER]
@@ -401,9 +401,8 @@ def run_constraint_table(args: argparse.Namespace) -> int:
         print(row)
     for c, res in zip(cells, resolutions * len(args.delta)):
         if not c.converged:
-            print(f"warning: cell delta={c.delta!r} cells={res.cells} steps={res.steps}: "
-                  f"optimizer hit max_iter before reaching eps0, step_error={c.step_error!r}",
-                  file=sys.stderr)
+            cell = f"delta={c.delta!r} cells={res.cells} steps={res.steps}"
+            _warn_unconverged(cell, c.step_error)
     return 0
 
 

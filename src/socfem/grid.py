@@ -67,7 +67,10 @@ class Mesh:
     ``boundary_mask`` at construction.  ``nodes`` (float64), ``elements``
     (int64) and ``boundary_mask`` (bool) are stored as read-only C-ordered
     copies, so a mesh owns its arrays and any node layout or grading can be
-    built straight from them.
+    built straight from them.  Construction raises ``ValueError`` unless
+    the shapes agree as listed, every element index names a node, and
+    every element has positive volume (``element_volumes``), so elements
+    are listed left to right in 1D and counterclockwise in 2D.
     """
 
     dim: int
@@ -82,6 +85,17 @@ class Mesh:
     def __post_init__(self):
         for name, dtype in (("nodes", float), ("elements", np.int64), ("boundary_mask", bool)):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        nodes, elements, mask = self.nodes.shape, self.elements.shape, self.boundary_mask.shape
+        if self.dim not in (1, 2) or nodes[1:] != (self.dim,):
+            raise ValueError(f"need dim 1 or 2 and nodes (n_nodes, dim), got {self.dim}, {nodes}")
+        if elements[1:] != (self.dim + 1,):
+            raise ValueError(f"elements must be (n_elements, dim + 1), got {elements}")
+        if not np.all((self.elements >= 0) & (self.elements < self.n_nodes)):
+            raise ValueError(f"element indices must lie in [0, {self.n_nodes})")
+        if mask != (self.n_nodes,):
+            raise ValueError(f"boundary_mask must be ({self.n_nodes},), got {mask}")
+        if not np.all(element_volumes(self) > 0.0):
+            raise ValueError("every element needs positive volume (none reversed or degenerate)")
         interior = np.flatnonzero(~self.boundary_mask)
         index = np.full(self.n_nodes, -1, dtype=np.int64)
         index[interior] = np.arange(interior.size)

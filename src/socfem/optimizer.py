@@ -17,6 +17,12 @@ average is itself one mean sweep driven by the ensemble's mean Brownian
 values and increments; the mean-field estimator is the case where both
 means are zero.
 
+A ``GradientProjection`` workspace is built for one problem, grid and
+ensemble with one ``OptimizerConfig`` (the step size rho, the tolerance
+eps0 and the iteration cap); ``run(delta)`` runs the loop at one
+constraint level, which is the only setting a run takes.  So one workspace
+serves every delta, and each setting has one home.
+
 The loop allocates no table per iteration.  The sweeps' scratch is the
 ``FemSystem``'s (``FemSystem.sweep_tables``), built by the first set-up
 sweep and shared by every sweep and delta run after it; nothing a run
@@ -53,7 +59,7 @@ from .spde import (
     qtilde_solve,
 )
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     """Loop parameters; ``rho=None`` selects 0.9/(alpha + e^T)."""
 
@@ -135,16 +141,17 @@ def contraction_certificate(alpha: float, T: float, rho: float) -> float | None:
 
 
 class GradientProjection:
-    """Shared workspace for one problem, grid and ensemble.
+    """Shared workspace for one problem, grid, loop configuration and ensemble.
 
     The control-independent pieces (auxiliary fields, data response, target
     loads) are computed once; ``run`` then iterates, and ``project`` exposes
-    the projection alone for property tests and reuse.  None of them depends
-    on the constraint level: delta is an argument of ``project`` and
-    ``run``, not workspace state, and the workspace never reads
-    ``spec.delta``, so one workspace serves every delta.  With an
-    ``ensemble``, expectations are its path averages (Monte Carlo); without
-    one, they are exact (mean-field).
+    the projection alone for property tests and reuse.  Both take rho from
+    the workspace's ``config`` (its default 0.9/(alpha + e^T) when
+    ``config.rho`` is None), and ``run`` takes eps0 and max_iter from it.
+    None of them depends on the constraint level: delta is an argument of
+    ``project`` and ``run``, not workspace state, so one workspace serves
+    every delta.  With an ``ensemble``, expectations are its path averages
+    (Monte Carlo); without one, they are exact (mean-field).
     """
 
     def __init__(
@@ -152,12 +159,14 @@ class GradientProjection:
         spec: ProblemSpec,
         system: FemSystem,
         grid: TimeGrid,
-        rho: float | None = None,
+        config: OptimizerConfig = OptimizerConfig(),
         ensemble: BrownianEnsemble | None = None,
     ):
         self.spec = spec
         self.system = system
         self.grid = grid
+        self.config = config
+        rho = config.rho
         self.rho = 0.9 / (spec.alpha + math.exp(spec.T)) if rho is None else float(rho)
 
         self.mtilde = mtilde_solve(system, grid, spec.gamma)
@@ -219,8 +228,14 @@ class GradientProjection:
         np.multiply(step, self.mtilde, out=shift)
         return np.subtract(control, shift, out=shift), x, mu
 
-    def run(self, config: OptimizerConfig, delta: float) -> GpResult:
-        rho, alpha, grid = self.rho, self.spec.alpha, self.grid
+    def run(self, delta: float) -> GpResult:
+        """The loop at constraint level delta, from the zero control.
+
+        Non-convergence within ``max_iter`` is reported through the
+        result's ``converged`` flag, not raised; a non-finite iterate (a
+        divergent step size) raises ``NumericalError``.
+        """
+        rho, alpha, grid, config = self.rho, self.spec.alpha, self.grid, self.config
         shape = (grid.N + 1, self.system.n)
         u = np.zeros(shape)
         x = self.state_mean(u, np.empty(shape))
@@ -262,19 +277,3 @@ class GradientProjection:
             adjoint_mean=self.adjoint(x, mu, out=u_next),
         )
 
-
-def gp_iterate(
-    spec: ProblemSpec,
-    system: FemSystem,
-    grid: TimeGrid,
-    config: OptimizerConfig,
-    ensemble: BrownianEnsemble | None = None,
-) -> GpResult:
-    """Run the gradient projection loop; see ``GradientProjection``.
-
-    Non-convergence within ``max_iter`` is reported through the result's
-    ``converged`` flag, not raised; a non-finite iterate (a divergent step
-    size) raises ``NumericalError``.
-    """
-    loop = GradientProjection(spec, system, grid, rho=config.rho, ensemble=ensemble)
-    return loop.run(config, spec.delta)

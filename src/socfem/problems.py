@@ -31,7 +31,12 @@ PI = math.pi
 
 @dataclass(frozen=True)
 class ManufacturedProblem:
-    """A ProblemSpec together with its exact solution fields."""
+    """A ProblemSpec together with its exact solution fields.
+
+    ``delta`` is the exact constraint level, the space-time integral of
+    the exact mean state; a run passes it (or the discrete level of
+    ``analysis.discrete_constraint_level``) to ``GradientProjection.run``.
+    """
 
     name: str
     spec: ProblemSpec
@@ -39,6 +44,7 @@ class ManufacturedProblem:
     exact_x: AffineInW
     exact_y: callable  # (t, pts) -> values, equal to -alpha * exact_u
     exact_mu: float
+    delta: float
     domain: tuple[tuple[float, float], ...]
     xd_reading: str | None = None
     xd_variants: dict = field(default_factory=dict)
@@ -99,7 +105,6 @@ def example1(beta: float = 0.1, mu: float = 1.0, xd_reading: str = "auto") -> Ma
 
     spec = ProblemSpec(
         alpha=alpha,
-        delta=1.0 / PI,
         T=T,
         x0=x0,
         sigma=sigma,
@@ -114,6 +119,7 @@ def example1(beta: float = 0.1, mu: float = 1.0, xd_reading: str = "auto") -> Ma
         exact_x=exact_x,
         exact_y=exact_y,
         exact_mu=mu,
+        delta=1.0 / PI,
         domain=((0.0, 1.0),),
         xd_reading=xd_reading,
         xd_variants=variants,
@@ -176,7 +182,6 @@ def example2(
 
     spec = ProblemSpec(
         alpha=alpha,
-        delta=(17.0 * lam + 28.0) / (3.0 * PI**2),
         T=T,
         x0=x0,
         sigma=sigma,
@@ -191,6 +196,7 @@ def example2(
         exact_x=exact_x,
         exact_y=exact_y,
         exact_mu=mu,
+        delta=(17.0 * lam + 28.0) / (3.0 * PI**2),
         domain=((0.0, 1.0), (0.0, 1.0)),
     )
 
@@ -276,7 +282,7 @@ def verify_manufactured(
         reading: _target_w_mismatch(problem.exact_x, tgt, ts, xs)
         for reading, tgt in (problem.xd_variants or {problem.xd_reading or "default": spec.target}).items()
     }
-    delta_err = abs(_mean_state_integral(problem) - spec.delta)
+    delta_err = abs(_mean_state_integral(problem) - problem.delta)
 
     return VerificationReport(
         problem=problem.name,

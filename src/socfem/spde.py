@@ -114,11 +114,12 @@ class ProblemSpec:
 
     Space-dependent callables receive points of shape (m, dim) and return
     values of shape (m,).  The forcing and the tracking target depend on
-    the Brownian value, affinely (see ``AffineInW``).
+    the Brownian value, affinely (see ``AffineInW``).  The constraint level
+    is not problem data: it is the argument of ``GradientProjection.run``,
+    so one problem serves every level.
     """
 
     alpha: float
-    delta: float
     T: float
     x0: SpaceFn
     sigma: SpaceTimeFn
@@ -331,7 +332,7 @@ def forward_mean(
 
 
 def control_response(
-    system: FemSystem, grid: TimeGrid, control: np.ndarray, gamma: float = 1.0,
+    system: FemSystem, grid: TimeGrid, control: np.ndarray, gamma: float,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """State response to the control alone (zero data, zero noise).
@@ -387,7 +388,7 @@ def backward_adjoint_from_loads(
     return _row_sweep(system, grid, gamma, 0.0, out, backward=True)
 
 
-def mtilde_solve(system: FemSystem, grid: TimeGrid, gamma: float = 1.0) -> np.ndarray:
+def mtilde_solve(system: FemSystem, grid: TimeGrid, gamma: float) -> np.ndarray:
     """Backward auxiliary field with unit source and zero terminal value.
 
     Adding mu times this field to the constraint-free adjoint gives the
@@ -398,7 +399,7 @@ def mtilde_solve(system: FemSystem, grid: TimeGrid, gamma: float = 1.0) -> np.nd
 
 
 def qtilde_solve(
-    system: FemSystem, grid: TimeGrid, mtilde: np.ndarray, gamma: float = 1.0
+    system: FemSystem, grid: TimeGrid, mtilde: np.ndarray, gamma: float
 ) -> np.ndarray:
     """Forward state response to the auxiliary field used as a control."""
     return control_response(system, grid, mtilde, gamma)

@@ -24,7 +24,6 @@ from socfem import (
     example2,
     fit_order,
     forward_mean,
-    gp_iterate,
     lsmc_z_estimate,
     make_interval_mesh,
     make_rectangle_mesh,
@@ -72,7 +71,7 @@ def _heat_error(cells: int, steps: int) -> float:
     grid = make_time_grid(1.0, steps)
     zero = AffineInW(lambda t, p: np.zeros(p.shape[0]), lambda t, p: np.zeros(p.shape[0]))
     spec = ProblemSpec(
-        alpha=1.0, delta=0.0, T=1.0,
+        alpha=1.0, T=1.0,
         x0=lambda p: np.sin(np.pi * p[..., 0]),
         sigma=lambda t, p: np.zeros(p.shape[0]),
         forcing=zero, target=zero,
@@ -180,8 +179,8 @@ def test_criterion_6_projection_properties():
     for _ in range(100):
         v = rng.normal(size=(grid.N + 1, system.n))
         p = rng.normal(size=(grid.N + 1, system.n))
-        pv, _, _ = loop.project(v, prob.spec.delta)
-        pp, _, _ = loop.project(p, prob.spec.delta)
+        pv, _, _ = loop.project(v, prob.delta)
+        pp, _, _ = loop.project(p, prob.delta)
         slack = loop.step_norm(pv - pp) - loop.step_norm(v - p)
         worst_slack = max(worst_slack, slack)
         if slack > 1e-9:
@@ -190,13 +189,12 @@ def test_criterion_6_projection_properties():
 
     prob2 = example2()
     system2, grid2 = setup(prob2, Resolution(12, 12))
+    loop1 = GradientProjection(prob.spec, system, grid, OptimizerConfig(eps0=1e-7))
+    loop2 = GradientProjection(prob2.spec, system2, grid2, OptimizerConfig(eps0=1e-5))
     runs = [
-        (gp_iterate(prob.spec, system, grid, OptimizerConfig(eps0=1e-7)), prob.spec.delta),
-        (
-            gp_iterate(replace(prob.spec, delta=0.1), system, grid, OptimizerConfig(eps0=1e-7)),
-            0.1,
-        ),
-        (gp_iterate(prob2.spec, system2, grid2, OptimizerConfig(eps0=1e-5)), prob2.spec.delta),
+        (loop1.run(prob.delta), prob.delta),
+        (loop1.run(0.1), 0.1),
+        (loop2.run(prob2.delta), prob2.delta),
     ]
     checked = 0
     for res, delta in runs:
@@ -226,7 +224,8 @@ def test_criterion_7_contraction():
 
     prob = example1()
     system, grid = setup(prob, Resolution(40, 40))
-    loop = GradientProjection(prob.spec, system, grid, rho=0.2)
+    config = OptimizerConfig(rho=0.2, eps0=1e-12, max_iter=300)
+    loop = GradientProjection(prob.spec, system, grid, config)
     # the iterates, recorded as the loop projects them: u^0 = 0, then u^1, u^2, ...
     iterates = [np.zeros((grid.N + 1, system.n))]
     project = loop.project
@@ -237,7 +236,7 @@ def test_criterion_7_contraction():
         return u_proj, x, mu
 
     loop.project = recording_project
-    result = loop.run(OptimizerConfig(rho=0.2, eps0=1e-12, max_iter=300), prob.spec.delta)
+    result = loop.run(prob.delta)
     ustar = result.control
     dists = [loop.step_norm(u - ustar) for u in iterates]
     worst = 0.0
@@ -269,8 +268,8 @@ def test_criterion_8_duality_identity():
     for mesh, steps in cases:
         system = assemble(mesh)
         grid = make_time_grid(1.0, steps)
-        m = mtilde_solve(system, grid)
-        q = qtilde_solve(system, grid, m)
+        m = mtilde_solve(system, grid, 1.0)
+        q = qtilde_solve(system, grid, m, 1.0)
         mass = scipy_csr(system.mass)
         lhs = grid.tau * sum(m[n] @ (mass @ m[n]) for n in range(grid.N))
         rhs = grid.tau * (q[1:] @ system.ones_load).sum()
@@ -290,7 +289,7 @@ def test_criterion_9_lsmc_oracle():
     tau = grid.tau
     t_mid, t_next = float(grid.times[level]), float(grid.times[level + 1])
 
-    result = gp_iterate(spec, system, grid, OptimizerConfig(eps0=1e-8))
+    result = GradientProjection(spec, system, grid, OptimizerConfig(eps0=1e-8)).run(prob.delta)
     states = path_states_at(spec, system, grid, result.control, ens, level + 1)
     qp = system.quad_points
     w_next = ens.brownian_at(level + 1)

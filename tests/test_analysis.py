@@ -19,7 +19,6 @@ from socfem import (
     discrete_constraint_level,
     example1,
     fit_order,
-    gp_iterate,
     make_interval_mesh,
     make_rectangle_mesh,
     sample,
@@ -328,9 +327,8 @@ class TestComputeErrors:
     def test_seed_stability_within_factor_two(self):
         prob = example1()
         system, grid = setup(prob, Resolution(20, 20))
-        from socfem import OptimizerConfig, gp_iterate
-
-        res = gp_iterate(prob.spec, system, grid, OptimizerConfig(eps0=1e-6))
+        loop = GradientProjection(prob.spec, system, grid, OptimizerConfig(eps0=1e-6))
+        res = loop.run(prob.delta)
         bundle = SolutionBundle(res.control, res.adjoint_mean, res.mu)
         errs = []
         for seed in (7, 1234):
@@ -378,11 +376,26 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="at least one resolution"):
             convergence_study(example1(), [])
 
+    def test_each_delta_mode_runs_at_its_level(self, monkeypatch):
+        levels = []
+        run = GradientProjection.run
+
+        def recording_run(self, delta):
+            levels.append(delta)
+            return run(self, delta)
+
+        monkeypatch.setattr(GradientProjection, "run", recording_run)
+        prob, res = example1(), Resolution(8, 8)
+        convergence_study(prob, [res], paths=20, delta_mode="problem")
+        convergence_study(prob, [res], paths=20, delta_mode="discrete")
+        assert levels == [prob.delta, discrete_constraint_level(prob, *setup(prob, res))]
+        assert levels[0] != levels[1]
+
     def test_discrete_level_near_continuous(self):
         prob = example1()
         system, grid = setup(prob, Resolution(20, 20))
         level = discrete_constraint_level(prob, system, grid)
-        assert abs(level - prob.spec.delta) <= grid.tau
+        assert abs(level - prob.delta) <= grid.tau
 
 
 class TestConstraintTable:
@@ -447,9 +460,7 @@ class TestSharedWorkspace:
             for res in self.RESOLUTIONS:
                 system, grid = setup(prob, res)
                 ensemble = sample(64, grid, 3) if estimator == "monte-carlo" else None
-                alone = gp_iterate(
-                    replace(prob.spec, delta=delta), system, grid, OptimizerConfig(), ensemble
-                )
+                alone = GradientProjection(prob.spec, system, grid, ensemble=ensemble).run(delta)
                 cell = next(cells)
                 assert cell.mu == alone.mu
                 assert cell.integral == alone.records[-1].constraint_integral
@@ -478,5 +489,6 @@ class TestSharedWorkspace:
 
     def test_failure_names_the_cell(self):
         with pytest.raises(NumericalError) as info:
-            constraint_table(example1(), [0.2, -0.1], [Resolution(10, 10)], rho=5.0)
+            config = OptimizerConfig(rho=5.0)
+            constraint_table(example1(), [0.2, -0.1], [Resolution(10, 10)], config)
         assert str(info.value).startswith("cell delta=0.2 cells=10 steps=10: ")

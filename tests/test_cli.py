@@ -436,12 +436,57 @@ UNREAD_INPUTS = [
 ]
 
 
+# Each run command given --tau, to be given --rule too: (command, flags).
+TAU_AND_RULE = [
+    ("solve", ["--h", "1/10", "--tau", "1/100"]),
+    ("convergence", ["--h", "1/8,1/10", "--tau", "1/64,1/100", "--paths", "20"]),
+    ("constraint-table", ["--h", "1/8,1/10", "--tau", "1/64,1/100", "--delta", "0.2"]),
+]
+
+
+def _check_config_file_equals_flags(tmp_path, capsys, problem, step_key, step_value):
+    """A solve from a config file of every option equals the same solve from flags.
+
+    The time steps come from one of --tau and --rule, which exclude each other.
+    """
+    values = {
+        "problem": problem, "h": "1/4", step_key: step_value, "delta": "0.3",
+        "paths": "40", "seed": "3", "rho": "0.2", "eps0": "1e-5", "max_iter": "60",
+        "estimator": "monte-carlo", "beta": "0.3", "exact_mu": "0.9",
+    }
+    per_problem = {
+        "example1": {"xd_reading": "plain_w"},
+        "example2": {"gamma": "0.3", "lam": "0.1"},
+    }
+    every_key = {name.replace("-", "_") for name in COMMAND_OPTIONS["solve"]}
+    steps = {"tau", "rule"}
+    assert set(values) | steps | {"output_dir"} | set().union(*per_problem.values()) == every_key
+    values.update(per_problem[problem])
+
+    cfg = tmp_path / "run.cfg"
+    lines = [f"{k} = {v}" for k, v in values.items()]
+    cfg.write_text("\n".join(lines + [f"output_dir = {tmp_path / 'cfg'}"]) + "\n")
+    assert main(["solve", "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr()
+    argv = ["solve", "--output-dir", str(tmp_path / "flags")]
+    for k, v in values.items():
+        argv += ["--" + k.replace("_", "-"), v]
+    assert main(argv) == 0
+    assert capsys.readouterr() == from_config
+    written = sorted(p.name for p in (tmp_path / "cfg").iterdir())
+    assert written == ["final_fields.csv", "iterations.csv"]
+    assert written == sorted(p.name for p in (tmp_path / "flags").iterdir())
+    for name in written:
+        assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
+
 @pytest.fixture
 def no_solver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a solver ran before the configuration was rejected")
 
-    for name in ("gp_iterate", "convergence_study", "constraint_table", "verify_manufactured"):
+    names = ("GradientProjection", "convergence_study", "constraint_table", "verify_manufactured")
+    for name in names:
         monkeypatch.setattr(f"socfem.cli.{name}", refuse)
 
 
@@ -513,34 +558,30 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("problem", ["example1", "example2"])
     def test_config_file_equals_flags(self, tmp_path, capsys, problem):
-        values = {
-            "problem": problem, "h": "1/4", "rule": "tau=h^2", "tau": "1/8", "delta": "0.3",
-            "paths": "40", "seed": "3", "rho": "0.2", "eps0": "1e-5", "max_iter": "60",
-            "estimator": "monte-carlo", "beta": "0.3", "exact_mu": "0.9",
-        }
-        per_problem = {
-            "example1": {"xd_reading": "plain_w"},
-            "example2": {"gamma": "0.3", "lam": "0.1"},
-        }
-        every_key = {name.replace("-", "_") for name in COMMAND_OPTIONS["solve"]}
-        assert set(values) | {"output_dir"} | set().union(*per_problem.values()) == every_key
-        values.update(per_problem[problem])
+        _check_config_file_equals_flags(tmp_path, capsys, problem, "tau", "1/8")
 
-        cfg = tmp_path / "run.cfg"
-        lines = [f"{k} = {v}" for k, v in values.items()]
-        cfg.write_text("\n".join(lines + [f"output_dir = {tmp_path / 'cfg'}"]) + "\n")
-        assert main(["solve", "--config", str(cfg)]) == 0
-        from_config = capsys.readouterr()
-        argv = ["solve", "--output-dir", str(tmp_path / "flags")]
-        for k, v in values.items():
-            argv += ["--" + k.replace("_", "-"), v]
-        assert main(argv) == 0
-        assert capsys.readouterr() == from_config
-        written = sorted(p.name for p in (tmp_path / "cfg").iterdir())
-        assert written == ["final_fields.csv", "iterations.csv"]
-        assert written == sorted(p.name for p in (tmp_path / "flags").iterdir())
-        for name in written:
-            assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+    @pytest.mark.parametrize("problem", ["example1", "example2"])
+    def test_config_file_with_rule_equals_flags(self, tmp_path, capsys, problem):
+        _check_config_file_equals_flags(tmp_path, capsys, problem, "rule", "tau=h^2")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,flags", TAU_AND_RULE, ids=[c for c, _ in TAU_AND_RULE])
+    def test_tau_with_rule_exits_2_before_solving(
+        self, tmp_path, capsys, no_solver, source, command, flags
+    ):
+        out = tmp_path / "out"
+        argv = [command, *flags, "--output-dir", str(out)]
+        if source == "flag":
+            argv += ["--rule", "tau=h^2"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("rule = tau=h^2\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and "--tau" in err and "--rule" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socfem import make_interval_mesh, make_rectangle_mesh, make_time_grid
-from socfem.grid import element_volumes
+from socfem.grid import Mesh, element_volumes
 
 
 class TestTimeGrid:
@@ -160,3 +160,52 @@ def test_interior_nodes_computed_once_and_frozen(mesh):
     assert mesh.n_interior == nodes.shape[0]
     with pytest.raises(ValueError):
         nodes[0, 0] = 3.0
+
+
+# A valid 5-segment interval and a valid two-triangle unit square, given raw
+SEGMENTS = dict(
+    dim=1,
+    nodes=np.linspace(0.0, 1.0, 6).reshape(-1, 1),
+    elements=np.column_stack([np.arange(5), np.arange(1, 6)]),
+    boundary_mask=np.array([True, False, False, False, False, True]),
+    h=0.2,
+)
+SQUARE = dict(
+    dim=2,
+    nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    elements=np.array([[0, 1, 3], [0, 3, 2]]),
+    boundary_mask=np.ones(4, dtype=bool),
+    h=np.sqrt(2.0),
+)
+
+# (valid mesh, the arguments that break it, the part of the message that names the fault)
+BAD_MESHES = {
+    "mask-of-5-on-6-nodes": (SEGMENTS, dict(boundary_mask=SEGMENTS["boundary_mask"][:5]), "(6,)"),
+    "mask-2d": (SEGMENTS, dict(boundary_mask=SEGMENTS["boundary_mask"].reshape(2, 3)), "(6,)"),
+    "reversed-segments": (SEGMENTS, dict(elements=SEGMENTS["elements"][:, ::-1]), "positive"),
+    "repeated-node": (SEGMENTS, dict(elements=np.array([[0, 1], [1, 1], [1, 2]])), "positive"),
+    "flat-nodes": (SEGMENTS, dict(nodes=np.linspace(0.0, 1.0, 6)), "nodes"),
+    "dim-3": (SEGMENTS, dict(dim=3, nodes=np.zeros((6, 3))), "dim 1 or 2"),
+    "1d-nodes-for-dim-2": (SEGMENTS, dict(dim=2), "nodes"),
+    "triangles-in-1d": (SEGMENTS, dict(elements=np.array([[0, 1, 2]])), "elements"),
+    "index-past-the-nodes": (SEGMENTS, dict(elements=np.array([[4, 5], [5, 6]])), "[0, 6)"),
+    "negative-index": (SEGMENTS, dict(elements=np.array([[-1, 0]])), "[0, 6)"),
+    "clockwise-triangle": (SQUARE, dict(elements=np.array([[0, 3, 1], [0, 3, 2]])), "positive"),
+    "degenerate-triangle": (SQUARE, dict(elements=np.array([[0, 1, 1]])), "positive"),
+}
+
+
+class TestMeshChecks:
+    """A mesh rejects arrays that disagree, instead of assembling a wrong system."""
+
+    @pytest.mark.parametrize("valid", [SEGMENTS, SQUARE], ids=["segments", "square"])
+    def test_valid_arrays_build(self, valid):
+        mesh = Mesh(**valid)
+        assert mesh.n_nodes == valid["nodes"].shape[0]
+        assert np.all(element_volumes(mesh) > 0.0)
+
+    @pytest.mark.parametrize("valid,change,named", BAD_MESHES.values(), ids=BAD_MESHES.keys())
+    def test_rejects(self, valid, change, named):
+        with pytest.raises(ValueError) as info:
+            Mesh(**{**valid, **change})
+        assert named in str(info.value)

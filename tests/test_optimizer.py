@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +11,6 @@ from socfem import (
     constraint_integral,
     contraction_certificate,
     example1,
-    gp_iterate,
     make_interval_mesh,
     make_time_grid,
     sample,
@@ -48,7 +49,7 @@ class TestConstraintIntegral:
         vals = np.stack([prob.exact_x.mean(t, pts) for t in grid.times])
         integral = constraint_integral(vals, system, grid)
         # right-endpoint rule + interpolation leave an O(h + tau) gap
-        assert abs(integral - prob.spec.delta) <= grid.tau + system.mesh.h**2
+        assert abs(integral - prob.delta) <= grid.tau + system.mesh.h**2
 
 
 class TestSelectMultiplier:
@@ -86,17 +87,17 @@ class TestProjection:
         loop = GradientProjection(prob.spec, system, grid)
         rng = np.random.default_rng(1)
         control = rng.normal(size=(grid.N + 1, system.n))
-        u_proj, x_proj, mu = loop.project(control, prob.spec.delta)
+        u_proj, x_proj, mu = loop.project(control, prob.delta)
         if mu > 0.0:
             integral = constraint_integral(x_proj, system, grid)
-            assert abs(integral - prob.spec.delta) <= 1e-8
-        assert constraint_integral(x_proj, system, grid) <= prob.spec.delta + 1e-8
+            assert abs(integral - prob.delta) <= 1e-8
+        assert constraint_integral(x_proj, system, grid) <= prob.delta + 1e-8
 
     def test_feasible_control_untouched(self, coarse):
         prob, system, grid = coarse
         loop = GradientProjection(prob.spec, system, grid)
         control = np.full((grid.N + 1, system.n), -5.0)
-        u_proj, _, mu = loop.project(control, prob.spec.delta)
+        u_proj, _, mu = loop.project(control, prob.delta)
         assert mu == 0.0
         assert np.array_equal(u_proj, control)
 
@@ -107,8 +108,8 @@ class TestProjection:
         for _ in range(20):
             v = rng.normal(size=(grid.N + 1, system.n))
             p = rng.normal(size=(grid.N + 1, system.n))
-            pv, _, _ = loop.project(v, prob.spec.delta)
-            pp, _, _ = loop.project(p, prob.spec.delta)
+            pv, _, _ = loop.project(v, prob.delta)
+            pp, _, _ = loop.project(p, prob.delta)
             lhs = loop.step_norm(pv - pp)
             rhs = loop.step_norm(v - p)
             assert lhs <= rhs + 1e-9
@@ -124,12 +125,12 @@ class TestWorkspaceAliasing:
     def test_second_delta_leaves_first_result_intact(self, coarse, max_iter):
         prob, system, grid = coarse
         config = OptimizerConfig(max_iter=max_iter)
-        loop = GradientProjection(prob.spec, system, grid)
-        first = loop.run(config, 0.2)
+        loop = GradientProjection(prob.spec, system, grid, config)
+        first = loop.run(0.2)
         kept = {name: getattr(first, name).copy() for name in self.FIELDS}
-        second = loop.run(OptimizerConfig(), -0.1)
+        second = loop.run(-0.1)
         assert first.mu > 0.0 and second.mu > 0.0
-        fresh = GradientProjection(prob.spec, system, grid).run(config, 0.2)
+        fresh = GradientProjection(prob.spec, system, grid, config).run(0.2)
         tables = system.sweep_tables(grid.N)
         for name in self.FIELDS:
             values = getattr(first, name)
@@ -209,20 +210,18 @@ class TestMonteCarloWorkspace:
 class TestGpIterate:
     def test_converges_and_stays_feasible(self, coarse):
         prob, system, grid = coarse
-        res = gp_iterate(prob.spec, system, grid, OptimizerConfig(eps0=1e-6))
+        config = OptimizerConfig(eps0=1e-6)
+        res = GradientProjection(prob.spec, system, grid, config).run(prob.delta)
         assert res.converged
         assert res.mu >= 0.0
         for rec in res.records:
-            assert rec.constraint_integral <= prob.spec.delta + 1e-8
+            assert rec.constraint_integral <= prob.delta + 1e-8
             assert rec.step_error >= 0.0
             assert rec.mu >= 0.0
 
     def test_slack_constraint_keeps_mu_zero(self, coarse):
         prob, system, grid = coarse
-        from dataclasses import replace
-
-        spec = replace(prob.spec, delta=10.0)
-        res = gp_iterate(spec, system, grid, OptimizerConfig(eps0=1e-8))
+        res = GradientProjection(prob.spec, system, grid, OptimizerConfig(eps0=1e-8)).run(10.0)
         assert res.converged
         assert all(rec.mu == 0.0 for rec in res.records)
         integral = res.records[-1].constraint_integral
@@ -230,13 +229,27 @@ class TestGpIterate:
 
     def test_monotone_cost_with_certified_rho(self, coarse):
         prob, system, grid = coarse
-        res = gp_iterate(prob.spec, system, grid, OptimizerConfig(rho=0.2, eps0=1e-9))
+        config = OptimizerConfig(rho=0.2, eps0=1e-9)
+        res = GradientProjection(prob.spec, system, grid, config).run(prob.delta)
         costs = [rec.cost for rec in res.records]
         assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
 
+    def test_config_rho_reaches_the_loop(self):
+        # example1 at 10 x 10 from the zero control: the loop takes 148
+        # iterations at rho = 0.05 and 34 at the default 0.9/(alpha + e^T)
+        prob = example1()
+        system, grid = setup(prob, Resolution(10, 10))
+        slow = GradientProjection(prob.spec, system, grid, OptimizerConfig(rho=0.05))
+        default = GradientProjection(prob.spec, system, grid)
+        assert slow.rho == 0.05
+        assert default.rho == 0.9 / (prob.spec.alpha + math.exp(prob.spec.T))
+        assert slow.run(0.2).iterations == 148
+        assert default.run(0.2).iterations == 34
+
     def test_max_iter_reports_nonconverged(self, coarse):
         prob, system, grid = coarse
-        res = gp_iterate(prob.spec, system, grid, OptimizerConfig(eps0=1e-14, max_iter=3))
+        config = OptimizerConfig(eps0=1e-14, max_iter=3)
+        res = GradientProjection(prob.spec, system, grid, config).run(prob.delta)
         assert not res.converged
         assert res.iterations == 3
 
@@ -244,7 +257,8 @@ class TestGpIterate:
         # at convergence alpha*u + ytilde + mu*mtilde = 0, so the full
         # adjoint equals -alpha*u
         prob, system, grid = coarse
-        res = gp_iterate(prob.spec, system, grid, OptimizerConfig(eps0=1e-11, max_iter=400))
+        config = OptimizerConfig(eps0=1e-11, max_iter=400)
+        res = GradientProjection(prob.spec, system, grid, config).run(prob.delta)
         gap = res.adjoint_mean[: grid.N] + prob.spec.alpha * res.control[: grid.N]
         assert np.abs(gap).max() <= 1e-9
 
@@ -252,8 +266,9 @@ class TestGpIterate:
         prob = example1(beta=0.0)  # zero noise: every path equals the mean
         system, grid = setup(prob, Resolution(12, 12))
         ens = sample(8, grid, seed=4)
-        mf = gp_iterate(prob.spec, system, grid, OptimizerConfig(eps0=1e-8))
-        mc = gp_iterate(prob.spec, system, grid, OptimizerConfig(eps0=1e-8), ensemble=ens)
+        config = OptimizerConfig(eps0=1e-8)
+        mf = GradientProjection(prob.spec, system, grid, config).run(prob.delta)
+        mc = GradientProjection(prob.spec, system, grid, config, ens).run(prob.delta)
         assert mc.iterations == mf.iterations
         assert np.abs(mc.control - mf.control).max() <= 1e-10
         assert mc.mu == pytest.approx(mf.mu, rel=1e-8)

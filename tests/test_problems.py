@@ -22,7 +22,7 @@ def sample_points(dim, n=40, seed=0):
 
 class TestExample1:
     def test_delta(self, prob1):
-        assert prob1.spec.delta == pytest.approx(1 / np.pi, rel=1e-15)
+        assert prob1.delta == pytest.approx(1 / np.pi, rel=1e-15)
 
     def test_adjoint_is_minus_alpha_control(self, prob1):
         pts = sample_points(1)
@@ -66,8 +66,8 @@ class TestExample1:
 class TestExample2:
     def test_delta(self, prob2):
         expected = (17 * 0.2 + 28) / (3 * np.pi**2)
-        assert prob2.spec.delta == pytest.approx(expected, rel=1e-15)
-        assert prob2.spec.delta == pytest.approx(1.0605, abs=1e-4)
+        assert prob2.delta == pytest.approx(expected, rel=1e-15)
+        assert prob2.delta == pytest.approx(1.0605, abs=1e-4)
 
     def test_initial_state(self, prob2):
         pts = sample_points(2)

@@ -51,7 +51,6 @@ def make_spec(x0=zero_space, sigma=None, forcing=ZERO_DATA, target=ZERO_DATA, ga
     sigma = sigma or zero_space_time
     return ProblemSpec(
         alpha=1.0,
-        delta=0.0,
         T=1.0,
         x0=x0,
         sigma=sigma,
@@ -264,25 +263,25 @@ class TestBackwardAdjoint:
 class TestAuxiliarySystems:
     def test_mtilde_oracle(self, sys_half):
         grid = make_time_grid(1.0, 2)
-        m = mtilde_solve(sys_half, grid)
+        m = mtilde_solve(sys_half, grid, 1.0)
         assert m[grid.N] == pytest.approx([0.0], abs=0)
         assert m[grid.N - 1] == pytest.approx([3 / 28], abs=1e-14)
 
     def test_mtilde_nonnegative(self):
         system = assemble(make_interval_mesh(0, 1, 8))
         grid = make_time_grid(1.0, 8)
-        m = mtilde_solve(system, grid)
+        m = mtilde_solve(system, grid, 1.0)
         assert m.min() >= -1e-14
 
     def test_qtilde_zero_source(self, sys_half):
         grid = make_time_grid(1.0, 3)
-        q = qtilde_solve(sys_half, grid, np.zeros((grid.N + 1, 1)))
+        q = qtilde_solve(sys_half, grid, np.zeros((grid.N + 1, 1)), 1.0)
         assert np.abs(q).max() == 0.0
 
     def test_qtilde_oracle(self, sys_half):
         grid = make_time_grid(0.5, 1)
-        m = mtilde_solve(sys_half, grid)
-        q = qtilde_solve(sys_half, grid, m)
+        m = mtilde_solve(sys_half, grid, 1.0)
+        q = qtilde_solve(sys_half, grid, m, 1.0)
         assert q[0] == pytest.approx([0.0], abs=0)
         assert q[1] == pytest.approx([3 / 392], abs=1e-14)
 
@@ -290,8 +289,8 @@ class TestAuxiliarySystems:
         for cells, steps in [(8, 2), (8, 5), (16, 16)]:
             system = assemble(make_interval_mesh(0, 1, cells))
             grid = make_time_grid(1.0, steps)
-            m = mtilde_solve(system, grid)
-            q = qtilde_solve(system, grid, m)
+            m = mtilde_solve(system, grid, 1.0)
+            q = qtilde_solve(system, grid, m, 1.0)
             integral = grid.tau * (q[1:] @ system.ones_load).sum()
             assert integral > 0.0
 
@@ -435,14 +434,14 @@ class TestDeferredCheck:
         u = np.random.default_rng(1).normal(size=(grid.N + 1, system.n))
         _corrupt_call(monkeypatch, 6)  # forward call 6 solves level 7
         with pytest.raises(NumericalError, match="at level 7$"):
-            control_response(system, grid, u)
+            control_response(system, grid, u, 1.0)
 
     def test_bad_backward_level_is_named(self, monkeypatch):
         system = KERNEL_SYSTEM
         grid = CHECK_GRID
         _corrupt_call(monkeypatch, grid.N - 1 - 7)  # backward calls run N-1 down to 0
         with pytest.raises(NumericalError, match="at level 7$"):
-            mtilde_solve(system, grid)
+            mtilde_solve(system, grid, 1.0)
 
     def test_bad_path_level_raises_before_it_is_yielded(self, monkeypatch):
         system, grid = KERNEL_SYSTEM, CHECK_GRID
@@ -462,7 +461,7 @@ class TestDeferredCheck:
         u = np.ones((grid.N + 1, system.n))
         u[5, 3] = np.inf
         with pytest.raises(NumericalError, match="undefined"):
-            control_response(system, grid, u)
+            control_response(system, grid, u, 1.0)
 
     @pytest.mark.parametrize("system", CHECK_SYSTEMS)
     def test_sweeps_equal_a_loop_of_checked_solves(self, system):
@@ -564,18 +563,18 @@ class TestDeferredCheck:
         level_shape = {"control rows": (N, n), "control cols": (N + 1, n + 1)}
         levels = np.ones(level_shape.get(misfit, (N + 1, n)))
         with pytest.raises(ValueError):
-            control_response(system, grid, levels, out=out)
+            control_response(system, grid, levels, 1.0, out=out)
         with pytest.raises(ValueError):
             backward_adjoint_from_loads(system, grid, 1.0, levels, levels, 0.5, out=out)
         assert calls == []
-        control_response(system, grid, np.ones((N + 1, n)), out=np.empty((N + 1, n)))
+        control_response(system, grid, np.ones((N + 1, n)), 1.0, out=np.empty((N + 1, n)))
         assert len(calls) == N  # the counter sees the solves of a run that fits
 
     @pytest.mark.parametrize("misfit", ["x_levels", "target_loads"])
     def test_misaligned_adjoint_levels_leave_the_tables_alone(self, misfit):
         system, grid = assemble(make_interval_mesh(0, 1, 8)), CHECK_GRID
         N, n = grid.N, system.n
-        control_response(system, grid, np.ones((N + 1, n)))
+        control_response(system, grid, np.ones((N + 1, n)), 1.0)
         keys = sorted(system._tables_cache)
         fit, short = np.ones((N + 1, n)), np.ones((N, n))
         levels = (short, fit) if misfit == "x_levels" else (fit, short)
@@ -671,7 +670,7 @@ class TestProblemSpecValidation:
     @pytest.mark.parametrize("field,value", [("alpha", 0.0), ("T", -1.0), ("gamma", 0.0)])
     def test_positivity(self, field, value):
         kwargs = dict(
-            alpha=1.0, delta=0.0, T=1.0, x0=zero_space,
+            alpha=1.0, T=1.0, x0=zero_space,
             sigma=lambda t, p: np.zeros(p.shape[0]),
             forcing=ZERO_DATA,
             target=ZERO_DATA,
