@@ -29,12 +29,20 @@ solve or constraint-table draws no paths, so either one given to it is a
 configuration error.
 
 Exit codes: 0 success; 2 configuration error (an unknown flag or config
-key, a malformed or out-of-range value, a missing config file, or values
-the command cannot run), reported before anything is solved or written;
-3 numerical failure.  A fixed seed makes every output byte-identical across
-reruns.  Table cells run one after another, resolutions outer, and are
-reported deltas outer.  Each output file is written to a sibling temp file
-and renamed into place, so it is either complete or absent.
+key, a malformed or out-of-range value, a missing config file, values the
+command cannot run, or an --output-dir that is or lies under a file, or
+holds a directory named like one of the command's files), reported before
+anything is solved or written; 3 numerical failure; 4 output error (a file
+could not be written or renamed into place).  A fixed seed makes every
+output byte-identical across reruns.  Table cells run one after another,
+resolutions outer, and are reported deltas outer.
+
+Each command only computes its outputs; ``_emit`` writes them.  Every file
+goes to a hidden sibling temp file, and only once all are written are they
+renamed into place, so a run leaves all of its files or none.  Stdout and
+the unconverged-run ``warning:`` lines are printed only after the files are
+in place; a --rho with no contraction certificate is warned of before the
+solve.
 """
 
 from __future__ import annotations
@@ -228,25 +236,39 @@ def resolutions_for(args: argparse.Namespace, problem) -> list[Resolution]:
     return out
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a sibling temp file and rename it onto ``path``.
+def _check_output_dir(out_dir: Path, names) -> None:
+    """Reject an --output-dir the run's files cannot land in; creates nothing."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--output-dir {out_dir}: {existing} is not a directory")
+    taken = [name for name in names if (out_dir / name).is_dir()]
+    if taken:
+        raise ConfigError(f"--output-dir {out_dir} holds a directory named {', '.join(taken)}")
 
-    The output is then either complete or absent: a failed write or rename
-    removes the temp file and re-raises.  A run that fails before writing
-    leaves not even the directory.
+
+def _emit(out_dir: Path, files: dict[str, str], stdout: str, warnings) -> None:
+    """Put every file of a run in place, or none; then print stdout and the warnings.
+
+    Each file is written to a hidden sibling temp file, then all are renamed
+    onto their targets.  A failure removes this run's temp files and the
+    targets already renamed, and re-raises.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    temps = {out_dir / f".{name}.{os.getpid()}.tmp": out_dir / name for name in files}
+    placed = []
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        for tmp, text in zip(temps, files.values()):
+            tmp.write_text(text)
+        for tmp, target in temps.items():
+            os.replace(tmp, target)
+            placed.append(target)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for path in (*temps, *placed):
+            path.unlink(missing_ok=True)
         raise
-
-
-def _write_lines(path: Path, lines) -> None:
-    _write_atomic(path, "\n".join(lines) + "\n")
+    print(stdout, end="")
+    for line in warnings:
+        print(f"warning: {line}", file=sys.stderr)
 
 
 def _optimizer_config(args: argparse.Namespace, problem) -> OptimizerConfig:
@@ -261,17 +283,20 @@ def _optimizer_config(args: argparse.Namespace, problem) -> OptimizerConfig:
     return OptimizerConfig(rho=args.rho, eps0=args.eps0, max_iter=args.max_iter)
 
 
-def _warn_unconverged(cell: str = "", step_error: float | None = None) -> None:
-    """Report a run that hit max_iter before reaching eps0; a table or study names its cell."""
+def _unconverged(cell: str = "", step_error: float | None = None) -> str:
+    """The warning for a run that stopped at max_iter; a table or study names its cell."""
     where, tail = (f"cell {cell}: ", f", step_error={step_error!r}") if cell else ("", "")
-    print(f"warning: {where}optimizer hit max_iter before reaching eps0{tail}", file=sys.stderr)
+    return f"{where}optimizer hit max_iter before reaching eps0{tail}"
 
 
-def run_solve(args: argparse.Namespace) -> int:
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def run_solve(args: argparse.Namespace, problem):
     for key in ("h", "tau", "delta"):
         if len(getattr(args, key) or ()) > 1:
             raise ConfigError(f"solve takes a single --{key} value")
-    problem = build_problem(args)
     (res,) = resolutions_for(args, problem)
     config = _optimizer_config(args, problem)
 
@@ -280,53 +305,44 @@ def run_solve(args: argparse.Namespace) -> int:
     delta = problem.delta if args.delta is None else args.delta[0]
     result = GradientProjection(problem.spec, system, grid, config, ensemble).run(delta)
 
-    lines = [ITERATIONS_HEADER]
+    iterations = [ITERATIONS_HEADER]
     for r in result.records:
-        lines.append(
+        iterations.append(
             f"{r.iteration},{r.mu!r},{r.step_error!r},{r.constraint_integral!r},{r.cost!r}"
         )
-    _write_lines(args.output_dir / "iterations.csv", lines)
 
     coords = system.mesh.interior_nodes
     coord_cols = ",".join(f"x{d}" for d in range(problem.dim))
-    lines = [f"t,{coord_cols},control,state_mean,adjoint_mean"]
+    fields = [f"t,{coord_cols},control,state_mean,adjoint_mean"]
     for n in range(grid.N + 1):
         t = float(grid.times[n])
         for j in range(system.n):
             xy = ",".join(repr(float(c)) for c in coords[j])
-            lines.append(
+            fields.append(
                 f"{t!r},{xy},{float(result.control[n, j])!r},"
                 f"{float(result.state_mean[n, j])!r},"
                 f"{float(result.adjoint_mean[n, j])!r}"
             )
-    _write_lines(args.output_dir / "final_fields.csv", lines)
 
     last = result.records[-1]
-    print(
+    stdout = (
         f"solve: {args.problem} cells={res.cells} steps={res.steps} "
         f"estimator={args.estimator} iterations={result.iterations} "
         f"converged={result.converged} mu={result.mu!r} "
-        f"integral={last.constraint_integral!r}"
+        f"integral={last.constraint_integral!r}\n"
     )
-    if not result.converged:
-        _warn_unconverged()
-    return 0
+    warnings = [] if result.converged else [_unconverged()]
+    return (_lines(iterations), _lines(fields)), stdout, warnings
 
 
-def run_convergence(args: argparse.Namespace) -> int:
-    problem = build_problem(args)
+def run_convergence(args: argparse.Namespace, problem):
     resolutions = resolutions_for(args, problem)
     scale = "tau" if args.rule in (None, "tau=h", "tau=h/sqrt2") else "h"
     if len({res.steps if scale == "tau" else res.cells for res in resolutions}) < 2:
         raise ConfigError(f"convergence needs at least two distinct {scale} values to fit orders")
     reports = convergence_study(
-        problem,
-        resolutions,
-        _optimizer_config(args, problem),
-        paths=args.paths,
-        seed=args.seed,
-        estimator=args.estimator,
-        delta_mode=args.delta_mode,
+        problem, resolutions, _optimizer_config(args, problem), paths=args.paths,
+        seed=args.seed, estimator=args.estimator, delta_mode=args.delta_mode,
     )
 
     lines = [ERRORS_HEADER]
@@ -336,7 +352,6 @@ def run_convergence(args: argparse.Namespace) -> int:
             f"{r.strong_l2_adjoint!r},{r.strong_l2_control!r},{r.h1_state!r},"
             f"{r.h1_adjoint!r},{r.mu_error!r}"
         )
-    _write_lines(args.output_dir / "errors.csv", lines)
 
     fits = orders_from_reports(reports, scale=scale)
     payload = {
@@ -346,20 +361,18 @@ def run_convergence(args: argparse.Namespace) -> int:
             for name, fit in fits.items()
         },
     }
-    _write_atomic(args.output_dir / "orders.json", json.dumps(payload, indent=2) + "\n")
-    for name, fit in fits.items():
-        print(f"{name}: slope={fit.slope:.4f} r2={fit.r_squared:.4f}")
-    unconverged = [(r, res) for r, res in zip(reports, resolutions) if not r.converged]
-    for r, res in unconverged:
-        _warn_unconverged(f"cells={res.cells} steps={res.steps}", r.step_error)
-    if unconverged:
-        print(f"warning: the order fits use {len(unconverged)} unconverged cell(s)",
-              file=sys.stderr)
-    return 0
+    stdout = _lines(f"{name}: slope={f.slope:.4f} r2={f.r_squared:.4f}" for name, f in fits.items())
+    warnings = [
+        _unconverged(f"cells={res.cells} steps={res.steps}", r.step_error)
+        for r, res in zip(reports, resolutions)
+        if not r.converged
+    ]
+    if warnings:
+        warnings.append(f"the order fits use {len(warnings)} unconverged cell(s)")
+    return (_lines(lines), json.dumps(payload, indent=2) + "\n"), stdout, warnings
 
 
-def run_constraint_table(args: argparse.Namespace) -> int:
-    problem = build_problem(args)
+def run_constraint_table(args: argparse.Namespace, problem):
     resolutions = resolutions_for(args, problem)
     if args.delta is None:
         raise ConfigError("constraint-table needs --delta values")
@@ -371,13 +384,8 @@ def run_constraint_table(args: argparse.Namespace) -> int:
         )
 
     cells = constraint_table(
-        problem,
-        args.delta,
-        resolutions,
-        _optimizer_config(args, problem),
-        estimator=args.estimator,
-        paths=args.paths,
-        seed=args.seed,
+        problem, args.delta, resolutions, _optimizer_config(args, problem),
+        estimator=args.estimator, paths=args.paths, seed=args.seed,
     )
 
     long_lines = [TABLE_LONG_HEADER]
@@ -386,7 +394,6 @@ def run_constraint_table(args: argparse.Namespace) -> int:
             f"{c.delta!r},{c.h!r},{c.tau!r},{c.integral!r},{format_sci(c.integral)},"
             f"{c.mu!r},{c.iterations},{int(c.converged)}"
         )
-    _write_lines(args.output_dir / "table_long.csv", long_lines)
 
     headers = ["delta"] + [f"h={p}" for p in args.h]
     wide = [",".join(headers)]
@@ -395,31 +402,29 @@ def run_constraint_table(args: argparse.Namespace) -> int:
         per_delta[c.delta].append(format_sci(c.integral))
     for d in args.delta:
         wide.append(",".join([repr(d)] + per_delta[d]))
-    _write_lines(args.output_dir / "table.csv", wide)
 
-    for row in wide:
-        print(row)
-    for c, res in zip(cells, resolutions * len(args.delta)):
-        if not c.converged:
-            cell = f"delta={c.delta!r} cells={res.cells} steps={res.steps}"
-            _warn_unconverged(cell, c.step_error)
-    return 0
+    warnings = [
+        _unconverged(f"delta={c.delta!r} cells={res.cells} steps={res.steps}", c.step_error)
+        for c, res in zip(cells, resolutions * len(args.delta))
+        if not c.converged
+    ]
+    return (_lines(long_lines), _lines(wide)), _lines(wide), warnings
 
 
-def run_verify(args: argparse.Namespace) -> int:
-    problem = build_problem(args)
+def run_verify(args: argparse.Namespace, problem):
     report = verify_manufactured(problem, samples=args.samples, seed=args.seed)
-    text = json.dumps(asdict(report), indent=2)
-    print(text)
-    _write_atomic(args.output_dir / "verify.json", text + "\n")
-    return 0
+    text = json.dumps(asdict(report), indent=2) + "\n"
+    return (text,), text, []
 
 
+# command -> (runner, the files it writes).  A runner takes the parsed flags
+# and the built problem, and returns the texts of these files in this order,
+# its stdout text and its warning lines; it writes and prints nothing itself.
 COMMANDS = {
-    "solve": run_solve,
-    "convergence": run_convergence,
-    "constraint-table": run_constraint_table,
-    "verify": run_verify,
+    "solve": (run_solve, ("iterations.csv", "final_fields.csv")),
+    "convergence": (run_convergence, ("errors.csv", "orders.json")),
+    "constraint-table": (run_constraint_table, ("table_long.csv", "table.csv")),
+    "verify": (run_verify, ("verify.json",)),
 }
 
 
@@ -473,13 +478,22 @@ def main(argv=None) -> int:
         return int(exc.code or 0) and 2
     try:
         _fill_sampling(args)
-        return COMMANDS[args.command](args)
+        run, names = COMMANDS[args.command]
+        problem = build_problem(args)
+        _check_output_dir(args.output_dir, names)
+        texts, stdout, warnings = run(args, problem)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, InvalidStateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    try:
+        _emit(args.output_dir, dict(zip(names, texts)), stdout, warnings)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 4
+    return 0
 
 
 if __name__ == "__main__":

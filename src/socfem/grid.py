@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _BOUNDARY_RTOL = 1e-12
+# a given h must match the largest element diameter this closely, relative
+_H_RTOL = 1e-12
 
 
 def _frozen(a, dtype=None) -> np.ndarray:
@@ -68,9 +70,12 @@ class Mesh:
     (int64) and ``boundary_mask`` (bool) are stored as read-only C-ordered
     copies, so a mesh owns its arrays and any node layout or grading can be
     built straight from them.  Construction raises ``ValueError`` unless
-    the shapes agree as listed, every element index names a node, and
-    every element has positive volume (``element_volumes``), so elements
-    are listed left to right in 1D and counterclockwise in 2D.
+    the shapes agree as listed, ``elements`` has an integer dtype, every
+    element index names a node, every element has positive volume
+    (``element_volumes``), so elements are listed left to right in 1D and
+    counterclockwise in 2D, and ``h`` is the largest element diameter to
+    within 1e-12 relative.  ``h`` is checked, not derived, so the value a
+    builder computes is the one reported.
     """
 
     dim: int
@@ -83,6 +88,9 @@ class Mesh:
     n_interior: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        given = np.asarray(self.elements)
+        if given.dtype.kind not in "iu":  # a float index would be truncated without a word
+            raise ValueError(f"elements must be integer node indices, got dtype {given.dtype}")
         for name, dtype in (("nodes", float), ("elements", np.int64), ("boundary_mask", bool)):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
         nodes, elements, mask = self.nodes.shape, self.elements.shape, self.boundary_mask.shape
@@ -96,6 +104,10 @@ class Mesh:
             raise ValueError(f"boundary_mask must be ({self.n_nodes},), got {mask}")
         if not np.all(element_volumes(self) > 0.0):
             raise ValueError("every element needs positive volume (none reversed or degenerate)")
+        pts = self.nodes[self.elements]
+        diameter = np.linalg.norm(pts - np.roll(pts, 1, axis=1), axis=2).max()
+        if not abs(self.h - diameter) <= _H_RTOL * diameter:
+            raise ValueError(f"h={self.h!r} is not the largest element diameter {diameter!r}")
         interior = np.flatnonzero(~self.boundary_mask)
         index = np.full(self.n_nodes, -1, dtype=np.int64)
         index[interior] = np.arange(interior.size)

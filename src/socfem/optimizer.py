@@ -41,6 +41,7 @@ memory with the workspace, with each other or with another run's results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,12 +69,12 @@ class OptimizerConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.rho is not None and not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if not self.eps0 > 0.0:
-            raise ValueError(f"eps0 must be positive, got {self.eps0}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.rho is not None and not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not 0.0 < self.eps0 < math.inf:
+            raise ValueError(f"eps0 must be positive and finite, got {self.eps0}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)

@@ -248,26 +248,87 @@ class TestVerifyCommand:
         assert payload["adjoint_mean_residual"] <= 1e-8
 
 
+# Each command with flags it can run: (command, flags, the files it writes, in order)
+RUNS = [
+    ("solve", ["--h", "1/8"], ("iterations.csv", "final_fields.csv")),
+    ("convergence", ["--h", "1/8,1/10", "--paths", "20"], ("errors.csv", "orders.json")),
+    ("constraint-table", ["--h", "1/8", "--delta", "0.2"], ("table_long.csv", "table.csv")),
+    ("verify", [], ("verify.json",)),
+]
+
+
 class TestAtomicOutputs:
+    """A run leaves all of its files or none, and a failed write is exit 4."""
+
     @pytest.mark.parametrize("step", ["write", "replace"])
-    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, step):
-        real_write_text = Path.write_text
+    @pytest.mark.parametrize("command,flags,names", [RUNS[3], RUNS[0]], ids=["verify", "solve"])
+    def test_failed_write_leaves_no_file(
+        self, tmp_path, monkeypatch, capsys, step, command, flags, names
+    ):
+        # fail the last file's write or rename, after any earlier file's
+        calls = []
+        real_write_text, real_replace = Path.write_text, os.replace
 
         def half_write(self, text, *args, **kwargs):
+            calls.append(self)
+            if len(calls) < len(names):
+                return real_write_text(self, text, *args, **kwargs)
             real_write_text(self, text[: len(text) // 2], *args, **kwargs)
             raise OSError("disk full")
 
         def failed_replace(src, dst):
+            calls.append(dst)
+            if len(calls) < len(names):
+                return real_replace(src, dst)
             raise OSError("rename failed")
 
         if step == "write":
             monkeypatch.setattr(Path, "write_text", half_write)
         else:
             monkeypatch.setattr(os, "replace", failed_replace)
-        with pytest.raises(OSError):
-            main(["verify", "--problem", "example1", "--samples", "20",
-                  "--output-dir", str(tmp_path)])
+        assert main([command, *flags, "--output-dir", str(tmp_path)]) == 4
+        assert len(calls) == len(names)
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing is printed for a run whose files failed
+        assert [line for line in captured.err.splitlines() if "output error:" in line] == [
+            f"output error: {'disk full' if step == 'write' else 'rename failed'}"
+        ]
+        assert "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputDirCheck:
+    """An --output-dir the files cannot land in exits 2 before any solve, creating nothing."""
+
+    @staticmethod
+    def _rejected(capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: --output-dir" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("under", [False, True], ids=["is-file", "under-file"])
+    @pytest.mark.parametrize(
+        "command,flags", [(c, f) for c, f, _ in RUNS], ids=[c for c, _, _ in RUNS]
+    )
+    def test_file_in_the_way(self, tmp_path, capsys, no_solver, under, command, flags):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker / "out" if under else blocker
+        self._rejected(capsys, [command, *flags, "--output-dir", str(out)])
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "command,flags,name",
+        [(c, f, name) for c, f, names in RUNS for name in names],
+        ids=[f"{c}-{name}" for c, _, names in RUNS for name in names],
+    )
+    def test_directory_named_like_a_file(self, tmp_path, capsys, no_solver, command, flags, name):
+        (tmp_path / name).mkdir()
+        self._rejected(capsys, [command, *flags, "--output-dir", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == [tmp_path / name]
+        assert list((tmp_path / name).iterdir()) == []
 
 
 REFERENCE = Path(__file__).parent / "reference"

@@ -192,6 +192,11 @@ BAD_MESHES = {
     "negative-index": (SEGMENTS, dict(elements=np.array([[-1, 0]])), "[0, 6)"),
     "clockwise-triangle": (SQUARE, dict(elements=np.array([[0, 3, 1], [0, 3, 2]])), "positive"),
     "degenerate-triangle": (SQUARE, dict(elements=np.array([[0, 1, 1]])), "positive"),
+    "float-elements": (
+        SEGMENTS, dict(elements=SEGMENTS["elements"] + np.array([0.0, 0.9])), "integer"
+    ),
+    "h-not-the-diameter": (SEGMENTS, dict(h=5.0), "diameter"),
+    "h-of-a-finer-mesh": (SQUARE, dict(h=np.sqrt(2.0) / 2), "diameter"),
 }
 
 

@@ -276,7 +276,12 @@ class TestGpIterate:
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
-        "kwargs", [dict(rho=0.0), dict(eps0=0.0), dict(max_iter=0)]
+        "kwargs",
+        [
+            dict(rho=0.0), dict(eps0=0.0), dict(max_iter=0),
+            # each of these would construct and then fail or stop early in run
+            dict(max_iter=2.5), dict(eps0=float("inf")), dict(rho=float("inf")),
+        ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
