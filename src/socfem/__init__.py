@@ -41,7 +41,6 @@ from .analysis import (
     ErrorReport,
     OrderFit,
     Resolution,
-    SolutionBundle,
     TableCell,
     compute_errors,
     constraint_table,
@@ -67,7 +66,6 @@ __all__ = [
     "OrderFit",
     "ProblemSpec",
     "Resolution",
-    "SolutionBundle",
     "TableCell",
     "TimeGrid",
     "ZEstimate",

@@ -28,21 +28,21 @@ report r^2 so flat or noisy fits are detectable.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidStateError, NumericalError
 from .fem import FemSystem, assemble
 from .grid import TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_grid
-from .optimizer import GradientProjection, OptimizerConfig, constraint_integral
+from .optimizer import GpResult, GradientProjection, OptimizerConfig, constraint_integral
 from .paths import BLOCK, BrownianEnsemble, sample
 from .problems import ManufacturedProblem
 from .spde import SweepData, SpaceTimeFn, at_w, forward_mean, iter_forward_paths
 
 
 _FD_STEP = 1e-4  # central-difference step of the exact gradients in H1 errors
-_ESTIMATORS = ("mean-field", "monte-carlo")
+ESTIMATORS = ("mean-field", "monte-carlo")
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,7 @@ class ErrorReport:
     strong_* fields are sqrt(max over time of the mean squared L2 error);
     h1_* fields are sqrt(tau * sum over steps of the mean squared H1
     seminorm error).  ``converged`` and ``step_error`` (of the last
-    iteration) describe the gradient-projection run behind the bundle:
-    ``convergence_study`` fills them in, and ``compute_errors`` alone
-    leaves them None.
+    iteration) describe the gradient-projection run that was measured.
     """
 
     h: float
@@ -75,27 +73,14 @@ class ErrorReport:
     h1_state: float
     h1_adjoint: float
     mu_error: float
-    converged: bool | None = None
-    step_error: float | None = None
+    converged: bool
+    step_error: float
 
 
 @dataclass(frozen=True)
 class OrderFit:
     slope: float
     r_squared: float
-
-
-@dataclass
-class SolutionBundle:
-    """Converged fields passed to ``compute_errors``, each an (N+1, n) array.
-
-    The per-path states are re-simulated from ``control`` in blocks while
-    errors accumulate.
-    """
-
-    control: np.ndarray
-    adjoint_mean: np.ndarray
-    mu: float
 
 
 def mesh_for(problem: ManufacturedProblem, cells: int):
@@ -168,16 +153,21 @@ class _FieldErrors:
 
 def compute_errors(
     problem: ManufacturedProblem,
-    bundle: SolutionBundle,
+    result: GpResult,
     ensemble: BrownianEnsemble,
     system: FemSystem,
     grid: TimeGrid,
 ) -> ErrorReport:
-    """Errors of a solution bundle against the problem's exact fields."""
+    """Errors of a gradient-projection result against the problem's exact fields.
+
+    The per-path states are re-simulated from the result's control in
+    blocks while errors accumulate; ``converged`` and ``step_error`` are
+    the result's own.
+    """
     N = grid.N
-    ctrl_sq = _level_fields(system, problem.exact_u, grid.times[:N]).l2(bundle.control[:N].T)
-    adj_sq, adj_h1 = _level_errors(system, problem.exact_y, bundle.adjoint_mean, grid.times)
-    state_sq, state_h1 = _state_errors(problem, system, grid, bundle.control, ensemble)
+    ctrl_sq = _level_fields(system, problem.exact_u, grid.times[:N]).l2(result.control[:N].T)
+    adj_sq, adj_h1 = _level_errors(system, problem.exact_y, result.adjoint_mean, grid.times)
+    state_sq, state_h1 = _state_errors(problem, system, grid, result.control, ensemble)
     return ErrorReport(
         h=system.mesh.h,
         tau=grid.tau,
@@ -188,7 +178,9 @@ def compute_errors(
         strong_l2_control=float(np.sqrt(np.max(ctrl_sq))),
         h1_state=float(np.sqrt(grid.tau * state_h1[1:].sum())),
         h1_adjoint=float(np.sqrt(grid.tau * adj_h1[:N].sum())),
-        mu_error=abs(bundle.mu - problem.exact_mu),
+        mu_error=abs(result.mu - problem.exact_mu),
+        converged=result.converged,
+        step_error=result.records[-1].step_error,
     )
 
 
@@ -319,23 +311,34 @@ def convergence_study(
 
 def _check_estimator(estimator: str) -> None:
     """Reject an estimator name that would otherwise run as mean-field."""
-    if estimator not in _ESTIMATORS:
-        raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+
+
+@contextmanager
+def _cell_context(label: str):
+    """Prefix a numerical failure with the label of the cell it happened in."""
+    try:
+        yield
+    except (NumericalError, InvalidStateError) as exc:
+        raise type(exc)(f"cell {label}: {exc}") from exc
 
 
 def _error_report(problem, res, paths, seed, config, estimator, delta_mode) -> ErrorReport:
-    """One convergence cell; its system and factorizations die on return."""
-    system, grid = setup(problem, res)
-    ensemble = sample(paths, grid, seed)
-    if delta_mode == "discrete":
-        delta = discrete_constraint_level(problem, system, grid)
-    else:
-        delta = problem.delta
-    loop_ensemble = ensemble if estimator == "monte-carlo" else None
-    result = GradientProjection(problem.spec, system, grid, config, loop_ensemble).run(delta)
-    bundle = SolutionBundle(control=result.control, adjoint_mean=result.adjoint_mean, mu=result.mu)
-    report = compute_errors(problem, bundle, ensemble, system, grid)
-    return replace(report, converged=result.converged, step_error=result.records[-1].step_error)
+    """One convergence cell; its system and factorizations die on return.
+
+    A failure names the cell it happened in.
+    """
+    with _cell_context(f"cells={res.cells} steps={res.steps}"):
+        system, grid = setup(problem, res)
+        ensemble = sample(paths, grid, seed)
+        if delta_mode == "discrete":
+            delta = discrete_constraint_level(problem, system, grid)
+        else:
+            delta = problem.delta
+        loop_ensemble = ensemble if estimator == "monte-carlo" else None
+        result = GradientProjection(problem.spec, system, grid, config, loop_ensemble).run(delta)
+        return compute_errors(problem, result, ensemble, system, grid)
 
 
 ORDER_QUANTITIES = (
@@ -404,30 +407,20 @@ def constraint_table(
     return [cells[i] for i in range(len(deltas)) for cells in by_resolution]
 
 
-@contextmanager
-def _cell_context(delta, res: Resolution):
-    """Prefix a numerical failure with the table cell it happened in."""
-    try:
-        yield
-    except (NumericalError, InvalidStateError) as exc:
-        raise type(exc)(
-            f"cell delta={delta} cells={res.cells} steps={res.steps}: {exc}"
-        ) from exc
-
-
 def _resolution_cells(problem, deltas, res, estimator, paths, seed, config) -> list[TableCell]:
     """All deltas at one resolution; the shared workspace dies on return.
 
     A failure while building the workspace is reported against the first
     delta, the first cell that needs it.
     """
-    with _cell_context(deltas[0], res):
+    where = f"cells={res.cells} steps={res.steps}"
+    with _cell_context(f"delta={deltas[0]} {where}"):
         system, grid = setup(problem, res)
         ensemble = sample(paths, grid, seed) if estimator == "monte-carlo" else None
         loop = GradientProjection(problem.spec, system, grid, config, ensemble)
     cells = []
     for delta in deltas:
-        with _cell_context(delta, res):
+        with _cell_context(f"delta={delta} {where}"):
             cells.append(_table_cell(loop, float(delta)))
     return cells
 

@@ -32,17 +32,18 @@ Exit codes: 0 success; 2 configuration error (an unknown flag or config
 key, a malformed or out-of-range value, a missing config file, values the
 command cannot run, or an --output-dir that is or lies under a file, or
 holds a directory named like one of the command's files), reported before
-anything is solved or written; 3 numerical failure; 4 output error (a file
-could not be written or renamed into place).  A fixed seed makes every
-output byte-identical across reruns.  Table cells run one after another,
-resolutions outer, and are reported deltas outer.
+anything is solved or written; 3 numerical failure, named by its cell in a
+study or table; 4 output error (a file could not be written or renamed
+into place).  A fixed seed makes every output byte-identical across reruns.
+Table cells run one after another, resolutions outer, and are reported
+deltas outer.
 
 Each command only computes its outputs; ``_emit`` writes them.  Every file
 goes to a hidden sibling temp file, and only once all are written are they
-renamed into place, so a run leaves all of its files or none.  Stdout and
-the unconverged-run ``warning:`` lines are printed only after the files are
-in place; a --rho with no contraction certificate is warned of before the
-solve.
+renamed into place, so a run leaves all of its files or none, and a failed
+one none of the directories it created.  Stdout and the unconverged-run
+``warning:`` lines are printed only after the files are in place; a --rho
+with no contraction certificate is warned of before the solve.
 """
 
 from __future__ import annotations
@@ -51,11 +52,13 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 from .analysis import (
+    ESTIMATORS,
     Resolution,
     constraint_table,
     convergence_study,
@@ -142,7 +145,7 @@ OPTIONS = {
     "rho": dict(type=positive_float, help="step size; default 0.9/(alpha + e^T)"),
     "eps0": dict(type=positive_float, default=1e-6, help="stopping tolerance"),
     "max-iter": dict(type=positive_int, default=500),
-    "estimator": dict(default="mean-field", choices=("mean-field", "monte-carlo")),
+    "estimator": dict(default="mean-field", choices=ESTIMATORS),
     "output-dir": dict(type=Path, default="."),
     "samples": dict(type=positive_int, default=1000, help="verify sample count"),
     "beta": dict(type=finite_float, help="noise amplitude (both problems)"),
@@ -250,13 +253,15 @@ def _emit(out_dir: Path, files: dict[str, str], stdout: str, warnings) -> None:
     """Put every file of a run in place, or none; then print stdout and the warnings.
 
     Each file is written to a hidden sibling temp file, then all are renamed
-    onto their targets.  A failure removes this run's temp files and the
-    targets already renamed, and re-raises.
+    onto their targets.  A failure removes this run's temp files, the
+    targets already renamed and the directories this run created, deepest
+    first, and re-raises.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     temps = {out_dir / f".{name}.{os.getpid()}.tmp": out_dir / name for name in files}
     placed = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for tmp, text in zip(temps, files.values()):
             tmp.write_text(text)
         for tmp, target in temps.items():
@@ -265,6 +270,9 @@ def _emit(out_dir: Path, files: dict[str, str], stdout: str, warnings) -> None:
     except BaseException:
         for path in (*temps, *placed):
             path.unlink(missing_ok=True)
+        for directory in made:
+            with suppress(OSError):  # never made, or another process wrote into it
+                directory.rmdir()
         raise
     print(stdout, end="")
     for line in warnings:

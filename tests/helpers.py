@@ -1,13 +1,14 @@
 """Test helpers: the per-path increment reference of ``socfem.sample``,
 per-path states read from the streamed path sweep
-``socfem.spde.iter_forward_paths``, socfem operators as scipy matrices, and
-an independent H1 error reference."""
+``socfem.spde.iter_forward_paths``, a ``GpResult`` of given fields, socfem
+operators as scipy matrices, and an independent H1 error reference."""
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.random import SeedSequence, default_rng
 
 from socfem.analysis import _FD_STEP
+from socfem.optimizer import GpResult, IterationRecord
 from socfem.spde import iter_forward_paths
 
 
@@ -34,6 +35,21 @@ def path_states_at(spec, system, grid, control, ensemble, level: int) -> np.ndar
         if n == level:
             return x.T.copy()
     raise ValueError(f"level {level} is past the last level {grid.N}")
+
+
+def gp_result(control, adjoint_mean, mu) -> GpResult:
+    """A converged ``GpResult`` of the given fields, as ``compute_errors``
+    reads it: one iteration record with ``mu`` and a zero step error, and a
+    NaN mean state, which ``compute_errors`` never reads."""
+    record = IterationRecord(1, mu, step_error=0.0, constraint_integral=np.nan, cost=np.nan)
+    return GpResult(
+        control=control,
+        mu=mu,
+        records=[record],
+        converged=True,
+        state_mean=np.full_like(control, np.nan),
+        adjoint_mean=adjoint_mean,
+    )
 
 
 def scipy_csr(op) -> sp.csr_matrix:

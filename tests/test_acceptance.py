@@ -14,9 +14,7 @@ from socfem import (
     OptimizerConfig,
     ProblemSpec,
     Resolution,
-    SolutionBundle,
     assemble,
-    compute_errors,
     constraint_table,
     contraction_certificate,
     convergence_study,

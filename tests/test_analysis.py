@@ -11,7 +11,6 @@ from socfem import (
     NumericalError,
     OptimizerConfig,
     Resolution,
-    SolutionBundle,
     assemble,
     compute_errors,
     constraint_table,
@@ -34,7 +33,7 @@ from socfem.analysis import (
 from socfem.paths import BLOCK
 from socfem.problems import BY_NAME
 
-from helpers import h1_error_sq, path_states, scipy_csr
+from helpers import gp_result, h1_error_sq, path_states, scipy_csr
 
 
 class TestFitOrder:
@@ -145,8 +144,7 @@ class TestComputeErrors:
 
         # the streamed path sweep is fed the exact per-path states
         monkeypatch.setattr("socfem.analysis.iter_forward_paths", exact_paths)
-        bundle = SolutionBundle(control=control, adjoint_mean=adjoint, mu=prob.exact_mu)
-        rep = compute_errors(prob, bundle, ens, system, grid)
+        rep = compute_errors(prob, gp_result(control, adjoint, prob.exact_mu), ens, system, grid)
         assert rep.strong_l2_state <= 1e-12
         assert rep.strong_l2_adjoint <= 1e-12
         assert rep.strong_l2_control <= 1e-12
@@ -162,12 +160,10 @@ class TestComputeErrors:
         d_y = rng.normal(size=adjoint.shape)
 
         def report(scale):
-            bundle = SolutionBundle(
-                control=control + scale * d_u,
-                adjoint_mean=adjoint + scale * d_y,
-                mu=prob.exact_mu + scale * 0.25,
+            result = gp_result(
+                control + scale * d_u, adjoint + scale * d_y, prob.exact_mu + scale * 0.25
             )
-            return compute_errors(prob, bundle, ens, system, grid)
+            return compute_errors(prob, result, ens, system, grid)
 
         r1, r2 = report(1.0), report(2.0)
         assert r2.strong_l2_control == pytest.approx(2 * r1.strong_l2_control, rel=1e-12)
@@ -188,9 +184,7 @@ class TestComputeErrors:
             e = states[:, n, :] - exact_x(pts)
             l2_sq[n] = np.einsum("pn,pn->", e, (scipy_csr(system.mass) @ e.T).T) / ens.paths
             h1_sq[n] = h1_error_sq(system, states[:, n, :], exact_x).sum() / ens.paths
-        rep = compute_errors(
-            prob, SolutionBundle(control, adjoint, prob.exact_mu), ens, system, grid
-        )
+        rep = compute_errors(prob, gp_result(control, adjoint, prob.exact_mu), ens, system, grid)
         assert rep.strong_l2_state == pytest.approx(np.sqrt(l2_sq.max()), rel=1e-12)
         assert rep.h1_state == pytest.approx(np.sqrt(grid.tau * h1_sq[1:].sum()), rel=1e-12)
 
@@ -207,10 +201,10 @@ class TestComputeErrors:
             pts = system.mesh.interior_nodes
             control = np.stack([prob.exact_u(t, pts) for t in grid.times])
             adjoint = np.stack([prob.exact_y(t, pts) for t in grid.times])
-            bundle = SolutionBundle(control, adjoint, prob.exact_mu)
+            result = gp_result(control, adjoint, prob.exact_mu)
             tracemalloc.start()
             try:
-                compute_errors(prob, bundle, ens, system, grid)
+                compute_errors(prob, result, ens, system, grid)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -240,7 +234,7 @@ class TestComputeErrors:
 
         counted(socfem.fem, "load_vector")
         counted(socfem.spde, "_load_rows")
-        compute_errors(prob, SolutionBundle(control, adjoint, prob.exact_mu), ens, system, grid)
+        compute_errors(prob, gp_result(control, adjoint, prob.exact_mu), ens, system, grid)
         assert sorted(calls) == ["_load_rows"] * 2 + ["load_vector"]
 
     @pytest.mark.parametrize(
@@ -261,8 +255,8 @@ class TestComputeErrors:
             return prob.exact_u(t, p)
 
         counted = replace(prob, exact_u=exact_u)
-        bundle = SolutionBundle(control, adjoint, prob.exact_mu)
-        compute_errors(counted, bundle, sample(3, grid, seed=2), system, grid)
+        result = gp_result(control, adjoint, prob.exact_mu)
+        compute_errors(counted, result, sample(3, grid, seed=2), system, grid)
         assert len(calls) == grid.N
 
     @pytest.mark.parametrize(
@@ -316,8 +310,8 @@ class TestComputeErrors:
 
         # the reported errors: the control's levels 0..N-1, the adjoint's
         # L2 over every level and its H1 over 0..N-1
-        bundle = SolutionBundle(fields["control"], fields["adjoint"], prob.exact_mu)
-        rep = compute_errors(prob, bundle, sample(4, grid, seed=1), system, grid)
+        result = gp_result(fields["control"], fields["adjoint"], prob.exact_mu)
+        rep = compute_errors(prob, result, sample(4, grid, seed=1), system, grid)
         ctrl_l2, _ = refs["control"]
         adj_l2, adj_h1 = refs["adjoint"]
         assert rep.strong_l2_control == pytest.approx(np.sqrt(ctrl_l2[:-1].max()), rel=1e-12)
@@ -329,12 +323,23 @@ class TestComputeErrors:
         system, grid = setup(prob, Resolution(20, 20))
         loop = GradientProjection(prob.spec, system, grid, OptimizerConfig(eps0=1e-6))
         res = loop.run(prob.delta)
-        bundle = SolutionBundle(res.control, res.adjoint_mean, res.mu)
         errs = []
         for seed in (7, 1234):
-            rep = compute_errors(prob, bundle, sample(500, grid, seed), system, grid)
+            rep = compute_errors(prob, res, sample(500, grid, seed), system, grid)
             errs.append(rep.strong_l2_state)
         assert max(errs) / min(errs) <= 2.0
+
+    @pytest.mark.parametrize("max_iter", [2, 500], ids=["unconverged", "converged"])
+    def test_reports_the_measured_run(self, max_iter):
+        # converged and the last step error are the measured result's own
+        prob = example1()
+        system, grid = setup(prob, Resolution(8, 8))
+        config = OptimizerConfig(eps0=1e-6, max_iter=max_iter)
+        result = GradientProjection(prob.spec, system, grid, config).run(prob.delta)
+        assert result.converged == (max_iter == 500)
+        rep = compute_errors(prob, result, sample(4, grid, seed=1), system, grid)
+        assert rep.converged is result.converged
+        assert rep.step_error == result.records[-1].step_error
 
 
 class TestConvergenceStudy:
@@ -492,3 +497,10 @@ class TestSharedWorkspace:
             config = OptimizerConfig(rho=5.0)
             constraint_table(example1(), [0.2, -0.1], [Resolution(10, 10)], config)
         assert str(info.value).startswith("cell delta=0.2 cells=10 steps=10: ")
+
+    def test_convergence_failure_names_the_cell(self):
+        # a convergence cell is named as a table cell is, without a delta
+        resolutions = [Resolution(8, 8), Resolution(10, 10)]
+        with pytest.raises(NumericalError) as info:
+            convergence_study(example1(), resolutions, OptimizerConfig(rho=5.0), paths=20)
+        assert str(info.value).startswith("cell cells=8 steps=8: gradient projection diverged")

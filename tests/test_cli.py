@@ -260,12 +260,14 @@ RUNS = [
 class TestAtomicOutputs:
     """A run leaves all of its files or none, and a failed write is exit 4."""
 
+    @pytest.mark.parametrize("out", ["", "new/sub"], ids=["existing-dir", "new-dirs"])
     @pytest.mark.parametrize("step", ["write", "replace"])
     @pytest.mark.parametrize("command,flags,names", [RUNS[3], RUNS[0]], ids=["verify", "solve"])
     def test_failed_write_leaves_no_file(
-        self, tmp_path, monkeypatch, capsys, step, command, flags, names
+        self, tmp_path, monkeypatch, capsys, out, step, command, flags, names
     ):
-        # fail the last file's write or rename, after any earlier file's
+        # fail the last file's write or rename, after any earlier file's; the
+        # directories the run created go too
         calls = []
         real_write_text, real_replace = Path.write_text, os.replace
 
@@ -286,7 +288,7 @@ class TestAtomicOutputs:
             monkeypatch.setattr(Path, "write_text", half_write)
         else:
             monkeypatch.setattr(os, "replace", failed_replace)
-        assert main([command, *flags, "--output-dir", str(tmp_path)]) == 4
+        assert main([command, *flags, "--output-dir", str(tmp_path / out)]) == 4
         assert len(calls) == len(names)
         captured = capsys.readouterr()
         assert captured.out == ""  # nothing is printed for a run whose files failed
