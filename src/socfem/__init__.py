@@ -14,7 +14,7 @@ from . import _blas
 
 _blas.pin_threads()
 
-from .errors import InvalidStateError, NumericalError
+from .errors import NumericalError
 from .grid import Mesh, TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_grid
 from .fem import FemSystem, assemble, l2_project, load_vector
 from .paths import BrownianEnsemble, sample
@@ -57,7 +57,6 @@ __all__ = [
     "FemSystem",
     "GpResult",
     "GradientProjection",
-    "InvalidStateError",
     "IterationRecord",
     "ManufacturedProblem",
     "Mesh",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, NumericalError
+from .errors import NumericalError
 from .fem import FemSystem, assemble
 from .grid import TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_grid
 from .optimizer import GpResult, GradientProjection, OptimizerConfig, constraint_integral
@@ -320,7 +320,7 @@ def _cell_context(label: str):
     """Prefix a numerical failure with the label of the cell it happened in."""
     try:
         yield
-    except (NumericalError, InvalidStateError) as exc:
+    except NumericalError as exc:
         raise type(exc)(f"cell {label}: {exc}") from exc
 
 
@@ -430,7 +430,7 @@ def _table_cell(loop: GradientProjection, delta: float) -> TableCell:
     result = loop.run(delta)
     integral = result.records[-1].constraint_integral
     if not integral <= delta + 1e-8:
-        raise InvalidStateError(
+        raise NumericalError(
             f"projection failed feasibility: integral {integral!r} > delta {delta!r} + 1e-8"
         )
     return TableCell(

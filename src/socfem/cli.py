@@ -65,7 +65,7 @@ from .analysis import (
     orders_from_reports,
     setup,
 )
-from .errors import InvalidStateError, NumericalError
+from .errors import NumericalError
 from .optimizer import GradientProjection, OptimizerConfig, contraction_certificate
 from .paths import sample
 from .problems import BY_NAME, verify_manufactured
@@ -493,7 +493,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, InvalidStateError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     try:

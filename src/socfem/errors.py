@@ -1,18 +1,16 @@
-"""Exception types shared across the solver stack.
+"""The exception type shared across the solver stack.
 
-Argument validation raises the built-in ``ValueError``; the classes here
-cover failures that can only be detected while the numerics are running.
+Argument validation raises the built-in ``ValueError``; ``NumericalError``
+covers every failure that can only be detected while the numerics are
+running.
 """
 
 
 class NumericalError(RuntimeError):
-    """A linear solve or iterative method failed to reach its tolerance."""
+    """The numerics failed at run time.
 
-
-class InvalidStateError(RuntimeError):
-    """An algorithmic precondition was violated at runtime.
-
-    Raised e.g. when the multiplier selection is attempted with a
-    non-positive auxiliary-state integral, which the extremum principle
-    rules out on any usable grid.
+    Raised when a linear solve misses its residual tolerance, when the
+    multiplier selection meets a non-positive auxiliary-state integral
+    (which the extremum principle rules out on any usable grid), and when
+    a converged projection misses the constraint it pins.
     """

@@ -2,9 +2,9 @@
 
 Space domains are intervals in 1D and axis-aligned rectangles in 2D.  Each
 rectangle cell is split into two triangles along the same diagonal
-(lower-left to upper-right), which keeps the family shape regular.  Nodes
-are classified as boundary by coordinate comparison; on these structured
-meshes the comparison is exact up to rounding.
+(lower-left to upper-right), which keeps the family shape regular.  A
+mesh finds its boundary nodes from its elements alone, as the nodes of the
+facets that belong to one element only, so no coordinate is compared.
 
 Grids and meshes are immutable after construction (arrays are marked
 read-only) and safe to share across threads.
@@ -13,12 +13,14 @@ read-only) and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-_BOUNDARY_RTOL = 1e-12
 # a given h must match the largest element diameter this closely, relative
 _H_RTOL = 1e-12
+# the local node pairs of an element's facets: its two end nodes in 1D, its edges in 2D
+_FACETS = {1: ((0, 0), (1, 1)), 2: ((0, 1), (1, 2), (2, 0))}
 
 
 def _frozen(a, dtype=None) -> np.ndarray:
@@ -47,16 +49,17 @@ class Mesh:
 
     Attributes
     ----------
-    dim : int
-        Space dimension, 1 or 2.
     nodes : ndarray, shape (n_nodes, dim)
         Node coordinates.
     elements : ndarray, shape (n_elements, dim + 1)
         Node indices per element (segments in 1D, triangles in 2D).
-    boundary_mask : ndarray of bool, shape (n_nodes,)
-        True for nodes on the domain boundary.
     h : float
         Maximum element diameter.
+    dim : int
+        Space dimension, 1 or 2: the column count of ``nodes``.
+    boundary_mask : ndarray of bool, shape (n_nodes,)
+        True for nodes on the domain boundary: the nodes of the facets
+        (end nodes in 1D, edges in 2D) that belong to one element only.
     interior_index : ndarray of int64, shape (n_nodes,)
         Dense renumbering of interior nodes (0..n_interior-1) in node
         order; -1 on the boundary.
@@ -65,24 +68,24 @@ class Mesh:
     n_interior : int
         Number of interior nodes.
 
-    Only the first five are given; the last three are derived from
-    ``boundary_mask`` at construction.  ``nodes`` (float64), ``elements``
-    (int64) and ``boundary_mask`` (bool) are stored as read-only C-ordered
-    copies, so a mesh owns its arrays and any node layout or grading can be
-    built straight from them.  Construction raises ``ValueError`` unless
-    the shapes agree as listed, ``elements`` has an integer dtype, every
-    element index names a node, every element has positive volume
-    (``element_volumes``), so elements are listed left to right in 1D and
-    counterclockwise in 2D, and ``h`` is the largest element diameter to
-    within 1e-12 relative.  ``h`` is checked, not derived, so the value a
-    builder computes is the one reported.
+    Only the first three are given; the rest are derived at construction,
+    so the Dirichlet boundary is the one the elements make, on any
+    conforming mesh.  ``nodes`` (float64) and ``elements`` (int64) are
+    stored as read-only C-ordered copies, so a mesh owns its arrays and any
+    node layout or grading can be built straight from them.  Construction
+    raises ``ValueError`` unless the shapes agree as listed, ``elements``
+    has an integer dtype, every element index names a node, every element
+    has positive volume (``element_volumes``), so elements are listed left
+    to right in 1D and counterclockwise in 2D, and ``h`` is the largest
+    element diameter to within 1e-12 relative.  ``h`` is checked, not
+    derived, so the value a builder computes is the one reported.
     """
 
-    dim: int
     nodes: np.ndarray
     elements: np.ndarray
-    boundary_mask: np.ndarray
     h: float
+    dim: int = field(init=False)
+    boundary_mask: np.ndarray = field(init=False, repr=False, compare=False)
     interior_index: np.ndarray = field(init=False, repr=False, compare=False)
     interior_nodes: np.ndarray = field(init=False, repr=False, compare=False)
     n_interior: int = field(init=False, repr=False, compare=False)
@@ -91,26 +94,38 @@ class Mesh:
         given = np.asarray(self.elements)
         if given.dtype.kind not in "iu":  # a float index would be truncated without a word
             raise ValueError(f"elements must be integer node indices, got dtype {given.dtype}")
-        for name, dtype in (("nodes", float), ("elements", np.int64), ("boundary_mask", bool)):
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
-        nodes, elements, mask = self.nodes.shape, self.elements.shape, self.boundary_mask.shape
-        if self.dim not in (1, 2) or nodes[1:] != (self.dim,):
-            raise ValueError(f"need dim 1 or 2 and nodes (n_nodes, dim), got {self.dim}, {nodes}")
+        object.__setattr__(self, "nodes", _frozen(self.nodes, float))
+        object.__setattr__(self, "elements", _frozen(self.elements, np.int64))
+        nodes, elements = self.nodes.shape, self.elements.shape
+        if nodes[1:] not in ((1,), (2,)):
+            raise ValueError(f"need nodes (n_nodes, dim) with dim 1 or 2, got {nodes}")
+        object.__setattr__(self, "dim", nodes[1])
         if elements[1:] != (self.dim + 1,):
             raise ValueError(f"elements must be (n_elements, dim + 1), got {elements}")
         if not np.all((self.elements >= 0) & (self.elements < self.n_nodes)):
             raise ValueError(f"element indices must lie in [0, {self.n_nodes})")
-        if mask != (self.n_nodes,):
-            raise ValueError(f"boundary_mask must be ({self.n_nodes},), got {mask}")
         if not np.all(element_volumes(self) > 0.0):
             raise ValueError("every element needs positive volume (none reversed or degenerate)")
-        pts = self.nodes[self.elements]
-        diameter = np.linalg.norm(pts - np.roll(pts, 1, axis=1), axis=2).max()
+        n, e = self.n_nodes, self.elements
+        # (n_elements,) columns per edge and facet: no (n_elements, dim + 1, dim) gather
+        diameter = np.sqrt(max(
+            sum((x[e[:, i]] - x[e[:, j]]) ** 2 for x in self.nodes.T).max()
+            for i, j in combinations(range(self.dim + 1), 2)
+        ))
         if not abs(self.h - diameter) <= _H_RTOL * diameter:
             raise ValueError(f"h={self.h!r} is not the largest element diameter {diameter!r}")
-        interior = np.flatnonzero(~self.boundary_mask)
-        index = np.full(self.n_nodes, -1, dtype=np.int64)
+        keys = np.concatenate([
+            np.minimum(e[:, i], e[:, j]) * n + np.maximum(e[:, i], e[:, j])
+            for i, j in _FACETS[self.dim]
+        ])
+        facets, count = np.unique(keys, return_counts=True)
+        low, high = np.divmod(facets[count == 1], n)
+        boundary = np.zeros(n, dtype=bool)
+        boundary[low] = boundary[high] = True
+        interior = np.flatnonzero(~boundary)
+        index = np.full(n, -1, dtype=np.int64)
         index[interior] = np.arange(interior.size)
+        object.__setattr__(self, "boundary_mask", _frozen(boundary))
         object.__setattr__(self, "interior_index", _frozen(index))
         object.__setattr__(self, "interior_nodes", _frozen(self.nodes[interior]))
         object.__setattr__(self, "n_interior", interior.size)
@@ -143,16 +158,11 @@ def make_interval_mesh(a: float, b: float, cells: int) -> Mesh:
     Endpoints are boundary nodes; a single-cell mesh is legal but has no
     interior nodes, so solvers reject it downstream.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
     if cells < 1:
         raise ValueError(f"cell count must be >= 1, got {cells}")
-    x = np.linspace(a, b, cells + 1)
-    nodes = x.reshape(-1, 1)
+    nodes = np.linspace(a, b, cells + 1).reshape(-1, 1)
     elements = np.column_stack([np.arange(cells), np.arange(1, cells + 1)])
-    tol = _BOUNDARY_RTOL * (b - a)
-    boundary = (np.abs(x - a) <= tol) | (np.abs(x - b) <= tol)
-    return Mesh(dim=1, nodes=nodes, elements=elements, boundary_mask=boundary, h=(b - a) / cells)
+    return Mesh(nodes, elements, (b - a) / cells)
 
 
 def make_rectangle_mesh(
@@ -168,10 +178,6 @@ def make_rectangle_mesh(
     """
     ax, ay = float(corner_min[0]), float(corner_min[1])
     bx, by = float(corner_max[0]), float(corner_max[1])
-    if not (ax < bx and ay < by):
-        raise ValueError(
-            f"need corner_min < corner_max componentwise, got {corner_min}, {corner_max}"
-        )
     if cells_x < 1 or cells_y < 1:
         raise ValueError(f"cell counts must be >= 1, got {cells_x}, {cells_y}")
 
@@ -190,19 +196,9 @@ def make_rectangle_mesh(
     upper = np.column_stack([n00, n11, n01])
     elements = np.vstack([lower, upper])
 
-    tolx = _BOUNDARY_RTOL * (bx - ax)
-    toly = _BOUNDARY_RTOL * (by - ay)
-    boundary = (
-        (np.abs(nodes[:, 0] - ax) <= tolx)
-        | (np.abs(nodes[:, 0] - bx) <= tolx)
-        | (np.abs(nodes[:, 1] - ay) <= toly)
-        | (np.abs(nodes[:, 1] - by) <= toly)
-    )
     dx = (bx - ax) / cells_x
     dy = (by - ay) / cells_y
-    return Mesh(
-        dim=2, nodes=nodes, elements=elements, boundary_mask=boundary, h=float(np.hypot(dx, dy))
-    )
+    return Mesh(nodes, elements, float(np.hypot(dx, dy)))
 
 
 def element_volumes(mesh: Mesh) -> np.ndarray:

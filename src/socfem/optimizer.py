@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, NumericalError
+from .errors import NumericalError
 from .fem import FemSystem
 from .grid import TimeGrid
 from .paths import BrownianEnsemble
@@ -115,7 +115,7 @@ def select_multiplier(
     """
     denom = rho * qtilde_integral
     if not denom > 0.0:
-        raise InvalidStateError(
+        raise NumericalError(
             f"rho * qtilde_integral = {denom} must be positive for the projection"
         )
     return max(integral_half - delta, 0.0) / denom

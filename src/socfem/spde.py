@@ -64,7 +64,6 @@ estimated across simulated paths by least-squares regression on the basis
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -171,7 +170,7 @@ def _mean_brownian(grid: TimeGrid, ensemble: BrownianEnsemble | None):
 
 
 class SweepData:
-    """Nodal data of the forward sweep, each piece built on first use and kept.
+    """Nodal data of the forward sweep, built once at construction.
 
     ``x0`` is the projected initial state (n,); ``forcing`` holds the load
     table [load(f0); load(f1)] at t_0..t_{N-1}, (N, 2, n), and ``sigma``
@@ -180,19 +179,10 @@ class SweepData:
     """
 
     def __init__(self, spec: ProblemSpec, system: FemSystem, grid: TimeGrid):
-        self._spec, self._system, self._grid = spec, system, grid
-
-    @cached_property
-    def x0(self) -> np.ndarray:
-        return l2_project(self._system, self._spec.x0)
-
-    @cached_property
-    def forcing(self) -> np.ndarray:
-        return _load_rows(self._system, self._spec.forcing.table, self._grid.times[:-1], 2)
-
-    @cached_property
-    def sigma(self) -> np.ndarray:
-        return _load_rows(self._system, self._spec.sigma, self._grid.times[:-1])
+        times = grid.times[:-1]
+        self.x0 = l2_project(system, spec.x0)
+        self.forcing = _load_rows(system, spec.forcing.table, times, 2)
+        self.sigma = _load_rows(system, spec.sigma, times)
 
 
 def _data_terms(data: SweepData, tau: float, brownian: np.ndarray, increments: np.ndarray) -> Terms:

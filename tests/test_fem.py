@@ -88,17 +88,19 @@ class TestAssembly:
 
 
 def _graded_interval() -> tuple:
-    """Mesh arguments of [0, 1] cut at (i/9)^2: cells grow 17-fold left to right."""
+    """Mesh arguments of [0, 1] cut at (i/9)^2: cells grow 17-fold left to
+    right, and the boundary the mesh must find, its two end nodes."""
     x = np.linspace(0.0, 1.0, 10) ** 2
     elements = np.column_stack([np.arange(9), np.arange(1, 10)])
     boundary = np.zeros(10, dtype=bool)
     boundary[[0, -1]] = True
-    return 1, x[:, None], elements, boundary, float(np.diff(x).max())
+    return x[:, None], elements, float(np.diff(x).max()), boundary
 
 
 def _moved_square() -> tuple:
     """Mesh arguments of the 6 x 5 unit-square triangulation with every
-    interior node moved by up to a fifth of the pitch per axis."""
+    interior node moved by up to a fifth of the pitch per axis, and the
+    boundary the mesh must find, the unmoved template's."""
     template = make_rectangle_mesh((0, 0), (1, 1), 6, 5)
     nodes = np.array(template.nodes)
     moved = ~template.boundary_mask
@@ -107,7 +109,7 @@ def _moved_square() -> tuple:
     elements = np.array(template.elements)
     pts = nodes[elements]
     h = np.linalg.norm(pts - np.roll(pts, 1, axis=1), axis=2).max()
-    return 2, nodes, elements, np.array(template.boundary_mask), float(h)
+    return nodes, elements, float(h), np.array(template.boundary_mask)
 
 
 @pytest.mark.parametrize("arguments", [_graded_interval, _moved_square])
@@ -116,8 +118,8 @@ class TestNonUniformMesh:
 
     @staticmethod
     def _build(arguments):
-        dim, nodes, elements, boundary, h = arguments()
-        mesh = Mesh(dim, nodes, elements, boundary, h)
+        nodes, elements, h, _ = arguments()
+        mesh = Mesh(nodes, elements, h)
         assert np.all(element_volumes(mesh) > 0)
         return mesh, assemble(mesh)
 
@@ -137,12 +139,14 @@ class TestNonUniformMesh:
         return 0.3 + mesh.nodes @ slope, slope
 
     def test_arrays_frozen_and_numbering_derived(self, arguments):
-        dim, nodes, elements, boundary, h = arguments()
-        mesh = Mesh(dim, nodes, elements, boundary, h)
-        for given, stored in [(nodes, mesh.nodes), (elements, mesh.elements),
-                              (boundary, mesh.boundary_mask)]:
+        nodes, elements, h, boundary = arguments()
+        mesh = Mesh(nodes, elements, h)
+        for given, stored in [(nodes, mesh.nodes), (elements, mesh.elements)]:
             assert np.array_equal(given, stored) and not stored.flags.writeable
             assert given.flags.writeable  # the mesh froze a copy, not the caller's array
+        assert mesh.dim == nodes.shape[1]
+        assert np.array_equal(mesh.boundary_mask, boundary)
+        assert not mesh.boundary_mask.flags.writeable
         interior = np.flatnonzero(~boundary)
         assert mesh.n_interior == interior.size
         assert np.array_equal(mesh.interior_index[interior], np.arange(interior.size))

@@ -162,31 +162,74 @@ def test_interior_nodes_computed_once_and_frozen(mesh):
         nodes[0, 0] = 3.0
 
 
+def _boundary_oracle(nodes: np.ndarray) -> np.ndarray:
+    """Nodes on the edge of the bounding box of ``nodes``, by coordinate comparison."""
+    lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+    tol = 1e-12 * (hi - lo)
+    return ((np.abs(nodes - lo) <= tol) | (np.abs(nodes - hi) <= tol)).any(axis=1)
+
+
+BUILDER_MESHES = (
+    [(make_interval_mesh, (0.0, 1.0, cells), 1.0 / cells) for cells in range(1, 130)]
+    + [(make_rectangle_mesh, ((0, 0), (1, 1), c, c), np.hypot(1 / c, 1 / c)) for c in range(1, 75)]
+    + [(make_rectangle_mesh, ((0, 0), (1, 1), cx, cy), np.hypot(1 / cx, 1 / cy))
+       for cx, cy in [(3, 2), (6, 5)]]
+)
+
+
+def test_builder_boundary_matches_the_coordinate_oracle():
+    """The boundary a mesh finds from its elements is the edge of the
+    interval or rectangle, and the interior numbering and h follow; a copy
+    built straight from the arrays finds the same."""
+    for build, arguments, h in BUILDER_MESHES:
+        built = build(*arguments)
+        mesh = Mesh(built.nodes, built.elements, built.h)
+        assert np.array_equal(mesh.boundary_mask, built.boundary_mask)
+        oracle = _boundary_oracle(mesh.nodes)
+        assert np.array_equal(mesh.boundary_mask, oracle), arguments
+        assert not mesh.boundary_mask.flags.writeable
+        assert np.array_equal(mesh.interior_nodes, mesh.nodes[~oracle])
+        assert mesh.h == h
+
+
+def test_l_shape_puts_the_reentrant_node_on_the_boundary():
+    """The 2 x 2 square without its upper-right cell and the corner node only
+    that cell used: every node, (0.5, 0.5) too, lies on the boundary."""
+    square = make_rectangle_mesh((0, 0), (1, 1), 2, 2)
+    corner = 8  # (1, 1)
+    elements = square.elements[~(square.elements == corner).any(axis=1)]
+    nodes = np.delete(square.nodes, corner, axis=0)
+    mesh = Mesh(nodes, elements, square.h)
+    assert elements.shape == (6, 3)
+    assert mesh.boundary_mask.all() and mesh.n_interior == 0
+    assert np.array_equal(mesh.nodes[4], [0.5, 0.5])
+
+
+def test_two_disjoint_intervals_have_four_end_nodes():
+    nodes = np.array([[0.0], [0.5], [1.0], [2.0], [2.5], [3.0]])
+    mesh = Mesh(nodes, np.array([[0, 1], [1, 2], [3, 4], [4, 5]]), 0.5)
+    assert np.array_equal(mesh.boundary_mask, [True, False, True, True, False, True])
+    assert np.array_equal(mesh.interior_nodes, [[0.5], [2.5]])
+
+
 # A valid 5-segment interval and a valid two-triangle unit square, given raw
 SEGMENTS = dict(
-    dim=1,
     nodes=np.linspace(0.0, 1.0, 6).reshape(-1, 1),
     elements=np.column_stack([np.arange(5), np.arange(1, 6)]),
-    boundary_mask=np.array([True, False, False, False, False, True]),
     h=0.2,
 )
 SQUARE = dict(
-    dim=2,
     nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
     elements=np.array([[0, 1, 3], [0, 3, 2]]),
-    boundary_mask=np.ones(4, dtype=bool),
     h=np.sqrt(2.0),
 )
 
 # (valid mesh, the arguments that break it, the part of the message that names the fault)
 BAD_MESHES = {
-    "mask-of-5-on-6-nodes": (SEGMENTS, dict(boundary_mask=SEGMENTS["boundary_mask"][:5]), "(6,)"),
-    "mask-2d": (SEGMENTS, dict(boundary_mask=SEGMENTS["boundary_mask"].reshape(2, 3)), "(6,)"),
     "reversed-segments": (SEGMENTS, dict(elements=SEGMENTS["elements"][:, ::-1]), "positive"),
     "repeated-node": (SEGMENTS, dict(elements=np.array([[0, 1], [1, 1], [1, 2]])), "positive"),
     "flat-nodes": (SEGMENTS, dict(nodes=np.linspace(0.0, 1.0, 6)), "nodes"),
-    "dim-3": (SEGMENTS, dict(dim=3, nodes=np.zeros((6, 3))), "dim 1 or 2"),
-    "1d-nodes-for-dim-2": (SEGMENTS, dict(dim=2), "nodes"),
+    "dim-3": (SEGMENTS, dict(nodes=np.zeros((6, 3))), "dim 1 or 2"),
     "triangles-in-1d": (SEGMENTS, dict(elements=np.array([[0, 1, 2]])), "elements"),
     "index-past-the-nodes": (SEGMENTS, dict(elements=np.array([[4, 5], [5, 6]])), "[0, 6)"),
     "negative-index": (SEGMENTS, dict(elements=np.array([[-1, 0]])), "[0, 6)"),
@@ -197,16 +240,25 @@ BAD_MESHES = {
     ),
     "h-not-the-diameter": (SEGMENTS, dict(h=5.0), "diameter"),
     "h-of-a-finer-mesh": (SQUARE, dict(h=np.sqrt(2.0) / 2), "diameter"),
+    # each triangle listed from another vertex: the diagonal is no longer its first edge
+    "h-of-the-unit-edges": (SQUARE, dict(elements=np.array([[1, 3, 0], [3, 2, 0]]), h=1.0),
+                            "diameter"),
 }
 
 
 class TestMeshChecks:
     """A mesh rejects arrays that disagree, instead of assembling a wrong system."""
 
-    @pytest.mark.parametrize("valid", [SEGMENTS, SQUARE], ids=["segments", "square"])
-    def test_valid_arrays_build(self, valid):
+    @pytest.mark.parametrize(
+        "valid,boundary",
+        [(SEGMENTS, [True, False, False, False, False, True]), (SQUARE, [True] * 4)],
+        ids=["segments", "square"],
+    )
+    def test_valid_arrays_build(self, valid, boundary):
         mesh = Mesh(**valid)
         assert mesh.n_nodes == valid["nodes"].shape[0]
+        assert mesh.dim == valid["nodes"].shape[1]
+        assert np.array_equal(mesh.boundary_mask, boundary)
         assert np.all(element_volumes(mesh) > 0.0)
 
     @pytest.mark.parametrize("valid,change,named", BAD_MESHES.values(), ids=BAD_MESHES.keys())

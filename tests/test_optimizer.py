@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from socfem import (
-    InvalidStateError,
+    NumericalError,
     OptimizerConfig,
     assemble,
     constraint_integral,
@@ -60,9 +60,9 @@ class TestSelectMultiplier:
         assert select_multiplier(0.25, 0.2, 0.5, 1.0) == pytest.approx(0.1, rel=1e-15)
 
     def test_nonpositive_denominator(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(NumericalError):
             select_multiplier(0.25, 0.2, 0.5, 0.0)
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(NumericalError):
             select_multiplier(0.25, 0.2, -1.0, 1.0)
 
 
