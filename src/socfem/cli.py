@@ -30,11 +30,12 @@ configuration error.
 
 Exit codes: 0 success; 2 configuration error (an unknown flag or config
 key, a malformed or out-of-range value, a missing config file, values the
-command cannot run, or an --output-dir that is or lies under a file, or
-holds a directory named like one of the command's files), reported before
-anything is solved or written; 3 numerical failure, named by its cell in a
-study or table; 4 output error (a file could not be written or renamed
-into place).  A fixed seed makes every output byte-identical across reruns.
+command cannot run such as an --h of one cell per axis (no interior node),
+or an --output-dir that is or lies under a file, or holds a directory
+named like one of the command's files), reported before anything is
+solved or written; 3 numerical failure, named by its cell in a study or
+table; 4 output error (a file could not be written or renamed into
+place).  A fixed seed makes every output byte-identical across reruns.
 Table cells run one after another, resolutions outer, and are reported
 deltas outer.
 
@@ -53,8 +54,9 @@ import json
 import os
 import sys
 from contextlib import suppress
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 from .analysis import (
@@ -67,7 +69,7 @@ from .analysis import (
 )
 from .errors import NumericalError
 from .optimizer import GradientProjection, OptimizerConfig, contraction_certificate
-from .paths import sample
+from .paths import MAX_PATHS, sample
 from .problems import BY_NAME, verify_manufactured
 
 ITERATIONS_HEADER = "iter,mu,step_error,constraint_integral,cost_J"
@@ -97,7 +99,10 @@ def _checked(name: str, parse, ok):
     """An argparse type that parses, then requires ``ok``; argparse exits 2 if not."""
 
     def convert(text: str):
-        value = parse(text)
+        try:
+            value = parse(text)
+        except OverflowError as exc:  # e.g. float(Fraction("1e400"))
+            raise ValueError(text) from exc
         if not ok(value):
             raise ValueError(text)
         return value
@@ -108,6 +113,7 @@ def _checked(name: str, parse, ok):
 
 _INF = float("inf")
 positive_int = _checked("positive integer", int, lambda v: v > 0)
+path_count = _checked("integer in 1..2**32", int, lambda v: 1 <= v <= MAX_PATHS)
 nonnegative_int = _checked("non-negative integer", int, lambda v: v >= 0)
 positive_float = _checked("positive finite float", float, lambda v: 0.0 < v < _INF)
 finite_float = _checked("finite float", float, lambda v: abs(v) < _INF)
@@ -140,7 +146,7 @@ OPTIONS = {
     "rule": dict(choices=tuple(TAU_RULES), help="default tau=h in 1D, tau=h/sqrt2 in 2D"),
     "tau": dict(type=positive_fractions, help="explicit tau list, one per --h"),
     "delta": dict(type=fraction_floats, help="constraint level list"),
-    "paths": dict(type=positive_int, help="Monte Carlo paths; default 2000"),
+    "paths": dict(type=path_count, help="Monte Carlo paths; default 2000"),
     "seed": dict(type=nonnegative_int, help="ensemble seed; default 7"),
     "rho": dict(type=positive_float, help="step size; default 0.9/(alpha + e^T)"),
     "eps0": dict(type=positive_float, default=1e-6, help="stopping tolerance"),
@@ -229,6 +235,8 @@ def resolutions_for(args: argparse.Namespace, problem) -> list[Resolution]:
         cells = Fraction(extent) / pitch
         if cells.denominator != 1:
             raise ConfigError(f"pitch {pitch} does not divide the domain extent {extent}")
+        if cells < 2:
+            raise ConfigError(f"--h {pitch} gives one cell per axis, which has no interior node")
         steps = T / tau
         if steps.denominator != 1:
             raise ConfigError(f"tau {tau} does not divide the horizon T={problem.spec.T}")
@@ -301,6 +309,15 @@ def _lines(lines) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row: its cells joined by commas with ``str``.
+
+    Cells are Python ints, floats and strings, so every float is written in
+    its shortest round-trip form.
+    """
+    return _lines([header, *(",".join(map(str, row)) for row in rows)])
+
+
 def run_solve(args: argparse.Namespace, problem):
     for key in ("h", "tau", "delta"):
         if len(getattr(args, key) or ()) > 1:
@@ -313,24 +330,14 @@ def run_solve(args: argparse.Namespace, problem):
     delta = problem.delta if args.delta is None else args.delta[0]
     result = GradientProjection(problem.spec, system, grid, config, ensemble).run(delta)
 
-    iterations = [ITERATIONS_HEADER]
-    for r in result.records:
-        iterations.append(
-            f"{r.iteration},{r.mu!r},{r.step_error!r},{r.constraint_integral!r},{r.cost!r}"
-        )
-
-    coords = system.mesh.interior_nodes
-    coord_cols = ",".join(f"x{d}" for d in range(problem.dim))
-    fields = [f"t,{coord_cols},control,state_mean,adjoint_mean"]
-    for n in range(grid.N + 1):
-        t = float(grid.times[n])
-        for j in range(system.n):
-            xy = ",".join(repr(float(c)) for c in coords[j])
-            fields.append(
-                f"{t!r},{xy},{float(result.control[n, j])!r},"
-                f"{float(result.state_mean[n, j])!r},"
-                f"{float(result.adjoint_mean[n, j])!r}"
-            )
+    iterations = _csv(ITERATIONS_HEADER, map(astuple, result.records))
+    coords = system.mesh.interior_nodes.tolist()
+    arrays = grid.times, result.control, result.state_mean, result.adjoint_mean
+    levels = zip(*(a.tolist() for a in arrays))  # one (t, control, state, adjoint) per time level
+    fields = _csv(
+        "t," + "".join(f"x{d}," for d in range(problem.dim)) + "control,state_mean,adjoint_mean",
+        ((t, *xy, u[j], x[j], y[j]) for t, u, x, y in levels for j, xy in enumerate(coords)),
+    )
 
     last = result.records[-1]
     stdout = (
@@ -340,7 +347,7 @@ def run_solve(args: argparse.Namespace, problem):
         f"integral={last.constraint_integral!r}\n"
     )
     warnings = [] if result.converged else [_unconverged()]
-    return (_lines(iterations), _lines(fields)), stdout, warnings
+    return (iterations, fields), stdout, warnings
 
 
 def run_convergence(args: argparse.Namespace, problem):
@@ -353,14 +360,7 @@ def run_convergence(args: argparse.Namespace, problem):
         seed=args.seed, estimator=args.estimator, delta_mode=args.delta_mode,
     )
 
-    lines = [ERRORS_HEADER]
-    for r in reports:
-        lines.append(
-            f"{r.h!r},{r.tau!r},{r.paths},{r.seed},{r.strong_l2_state!r},"
-            f"{r.strong_l2_adjoint!r},{r.strong_l2_control!r},{r.h1_state!r},"
-            f"{r.h1_adjoint!r},{r.mu_error!r}"
-        )
-
+    errors = _csv(ERRORS_HEADER, map(attrgetter(*ERRORS_HEADER.split(",")), reports))
     fits = orders_from_reports(reports, scale=scale)
     payload = {
         "scale": scale,
@@ -377,7 +377,7 @@ def run_convergence(args: argparse.Namespace, problem):
     ]
     if warnings:
         warnings.append(f"the order fits use {len(warnings)} unconverged cell(s)")
-    return (_lines(lines), json.dumps(payload, indent=2) + "\n"), stdout, warnings
+    return (errors, json.dumps(payload, indent=2) + "\n"), stdout, warnings
 
 
 def run_constraint_table(args: argparse.Namespace, problem):
@@ -396,27 +396,23 @@ def run_constraint_table(args: argparse.Namespace, problem):
         estimator=args.estimator, paths=args.paths, seed=args.seed,
     )
 
-    long_lines = [TABLE_LONG_HEADER]
-    for c in cells:
-        long_lines.append(
-            f"{c.delta!r},{c.h!r},{c.tau!r},{c.integral!r},{format_sci(c.integral)},"
-            f"{c.mu!r},{c.iterations},{int(c.converged)}"
-        )
-
-    headers = ["delta"] + [f"h={p}" for p in args.h]
-    wide = [",".join(headers)]
-    per_delta = {d: [] for d in args.delta}
-    for c in cells:
-        per_delta[c.delta].append(format_sci(c.integral))
-    for d in args.delta:
-        wide.append(",".join([repr(d)] + per_delta[d]))
+    sci = [format_sci(c.integral) for c in cells]
+    long_table = _csv(TABLE_LONG_HEADER, (
+        (c.delta, c.h, c.tau, c.integral, s, c.mu, c.iterations, int(c.converged))
+        for c, s in zip(cells, sci)
+    ))
+    k = len(resolutions)  # the cells come deltas outer: one row of k per delta
+    wide = _csv(
+        ",".join(["delta"] + [f"h={p}" for p in args.h]),
+        ([d, *sci[i * k : (i + 1) * k]] for i, d in enumerate(args.delta)),
+    )
 
     warnings = [
         _unconverged(f"delta={c.delta!r} cells={res.cells} steps={res.steps}", c.step_error)
         for c, res in zip(cells, resolutions * len(args.delta))
         if not c.converged
     ]
-    return (_lines(long_lines), _lines(wide)), _lines(wide), warnings
+    return (long_table, wide), wide, warnings
 
 
 def run_verify(args: argparse.Namespace, problem):

@@ -36,6 +36,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .grid import TimeGrid
 
 BLOCK = 512
+MAX_PATHS = 2**32  # the most paths one ensemble draws: every path index is one word
 
 # numpy.random.SeedSequence: pool size, hash and mix constants
 _SS_POOL = 4
@@ -98,9 +99,9 @@ def sample(P: int, grid: TimeGrid, seed: int) -> BrownianEnsemble:
 
     The increments of path p come from ``SeedSequence(seed, spawn_key=(p,))``
     regardless of P, so enlarging the ensemble extends it without changing
-    existing paths.  P is at most 2**32, so every path index is one word.
+    existing paths.  P is at most ``MAX_PATHS``.
     """
-    if not 1 <= P <= 2**32:
+    if not 1 <= P <= MAX_PATHS:
         raise ValueError(f"path count must be in 1..2**32, got {P}")
     seed = operator.index(seed)
     if seed < 0:

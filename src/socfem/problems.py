@@ -304,25 +304,20 @@ def _at_w(datum: AffineInW, w: float):
 
 def _select_reading(exact_x: AffineInW, variants: dict) -> str:
     """Pick the 1D target reading with the smallest pathwise fluctuation gap."""
-    ts = np.linspace(0.05, 0.95, 7)
-    xs = np.linspace(0.1, 0.9, 5).reshape(-1, 1)
+    ts = np.repeat(np.linspace(0.05, 0.95, 7), 5)  # the 7 x 5 (t, x) grid, t outer
+    xs = np.tile(np.linspace(0.1, 0.9, 5), 7).reshape(-1, 1)
     scores = {
-        reading: _target_w_mismatch(exact_x, tgt, ts, xs, grid=True)
+        reading: _target_w_mismatch(exact_x, tgt, ts, xs)
         for reading, tgt in variants.items()
     }
     return min(scores, key=scores.get)
 
 
-def _target_w_mismatch(
-    exact_x: AffineInW, target: AffineInW, ts, xs, grid: bool = False
-) -> float:
-    """Max |w-slope of (X - X_d)| over samples: the source fluctuation that a
-    deterministic adjoint cannot absorb."""
-    pairs = [(t, x) for t in ts for x in xs] if grid else zip(ts, xs)
-    return max(
-        (float(abs(exact_x.slope(t, x[None]) - target.slope(t, x[None]))[0]) for t, x in pairs),
-        default=0.0,
-    )
+def _target_w_mismatch(exact_x: AffineInW, target: AffineInW, ts, xs) -> float:
+    """Max |w-slope of (X - X_d)| over the (t, x) pairs of ``zip(ts, xs)``: the
+    source fluctuation that a deterministic adjoint cannot absorb."""
+    gaps = (exact_x.slope(t, x[None]) - target.slope(t, x[None]) for t, x in zip(ts, xs))
+    return max((float(abs(gap)[0]) for gap in gaps), default=0.0)
 
 
 def _mean_state_integral(problem: ManufacturedProblem, order: int = 48) -> float:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from fractions import Fraction
@@ -14,6 +15,7 @@ from socfem.cli import (
     parse_fraction,
     parse_fraction_list,
 )
+from socfem.paths import MAX_PATHS
 
 
 class TestParsing:
@@ -340,33 +342,51 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
 
+# the CSV columns written as integers; every other number is a float
+INT_COLUMNS = {"iter", "paths", "seed", "iterations", "converged"}
+
+
 class TestCsvValues:
-    def test_every_value_cell_parses_as_a_number(self, tmp_path):
+    def test_every_cell_is_written_in_its_text_form(self, tmp_path):
+        """Floats in shortest round-trip form, ints as ints, and the
+        scientific cells as ``format_sci`` of the long table's integral."""
         runs = [
             ["solve", "--problem", "example1", "--h", "1/8", "--rule", "tau=h", "--eps0", "1e-5"],
+            ["solve", "--problem", "example1", "--h", "1/8", "--estimator", "monte-carlo",
+             "--paths", "20", "--seed", "3", "--eps0", "1e-5"],
             ["solve", "--problem", "example2", "--h", "1/4", "--eps0", "1e-4"],
             ["convergence", "--problem", "example1", "--h", "1/8,1/10", "--rule", "tau=h",
              "--paths", "30"],
             ["constraint-table", "--problem", "example1", "--h", "1/8,1/10", "--rule", "tau=h",
              "--delta", "10,0.2"],
         ]
-        written = []
+        tables = {}
         for i, argv in enumerate(runs):
             out = tmp_path / str(i)
             assert main(argv + ["--output-dir", str(out)]) == 0
-            written += sorted(out.glob("*.csv"))
-        assert {p.name for p in written} == {
+            for path in sorted(out.glob("*.csv")):
+                with path.open(newline="") as f:
+                    tables[f"{i}/{path.name}"] = list(csv.DictReader(f))
+        assert {key.split("/")[1] for key in tables} == {
             "iterations.csv", "final_fields.csv", "errors.csv", "table.csv", "table_long.csv"
         }
         bad = []
-        for path in written:
-            for row in path.read_text().splitlines()[1:]:
-                for cell in row.split(","):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        bad.append((path.name, cell))
+        for key, rows in tables.items():
+            wide_table = key.endswith("/table.csv")
+            for row in rows:
+                for column, cell in row.items():
+                    if column == "integral_sci" or (wide_table and column != "delta"):
+                        continue  # scientific cells, checked against the long table below
+                    want = str(int(cell)) if column in INT_COLUMNS else repr(float(cell))
+                    if cell != want:
+                        bad.append((key, column, cell))
         assert bad == []
+
+        long, wide = tables["4/table_long.csv"], tables["4/table.csv"]
+        sci = [format_sci(float(row["integral"])) for row in long]
+        assert [row["integral_sci"] for row in long] == sci
+        assert [cell for row in wide for column, cell in row.items() if column != "delta"] == sci
+        assert [row["delta"] for row in wide] == [row["delta"] for row in long[::2]]  # two --h
 
 
 class TestReferenceOutputs:
@@ -500,6 +520,15 @@ UNREAD_INPUTS = [
 
 
 # Each run command given --tau, to be given --rule too: (command, flags).
+# values that parse but that the library cannot run, each with the text of its error line
+UNRUNNABLE = [
+    ("solve", ["--h", "1"], "--h 1 gives one cell"),
+    ("convergence", ["--h", "1,1/2", "--paths", "20"], "--h 1 gives one cell"),
+    ("constraint-table", ["--h", "1,1/2", "--delta", "0.2"], "--h 1 gives one cell"),
+    ("solve", ["--delta", "1e400"], "argument --delta"),
+    ("solve", ["--estimator", "monte-carlo", "--paths", "5000000000"], "argument --paths"),
+]
+
 TAU_AND_RULE = [
     ("solve", ["--h", "1/10", "--tau", "1/100"]),
     ("convergence", ["--h", "1/8,1/10", "--tau", "1/64,1/100", "--paths", "20"]),
@@ -645,6 +674,28 @@ class TestConfigHandling:
         assert "configuration error:" in err and "--tau" in err and "--rule" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flags,named", UNRUNNABLE, ids=[" ".join([c, *f]) for c, f, _ in UNRUNNABLE]
+    )
+    def test_unrunnable_value_exits_2_before_solving(
+        self, tmp_path, capsys, no_solver, command, flags, named
+    ):
+        out = tmp_path / "out"
+        assert main([command, *flags, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            next(line for line in err.splitlines() if named in line)
+        ]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_paths_bound_is_the_sampler_bound(self):
+        path_count = OPTIONS["paths"]["type"]
+        assert path_count(str(MAX_PATHS)) == MAX_PATHS
+        for text in ("0", str(MAX_PATHS + 1)):
+            with pytest.raises(ValueError):
+                path_count(text)
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
