@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import suppress
@@ -58,6 +59,8 @@ from dataclasses import asdict, astuple
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 from .analysis import (
     ESTIMATORS,
@@ -328,9 +331,21 @@ def run_solve(args: argparse.Namespace, problem):
     system, grid = setup(problem, res)
     ensemble = sample(args.paths, grid, args.seed) if args.estimator == "monte-carlo" else None
     delta = problem.delta if args.delta is None else args.delta[0]
-    result = GradientProjection(problem.spec, system, grid, config, ensemble).run(delta)
+    loop = GradientProjection(problem.spec, system, grid, config, ensemble)
+    rows, scratch = [], np.empty_like(loop.base)
 
-    iterations = _csv(ITERATIONS_HEADER, map(astuple, result.records))
+    def observe(record, control, state_mean):
+        # cost_J of the live iterate: only this file reads it, so the loop does not
+        cost = loop.cost(state_mean, control, scratch)
+        if not math.isfinite(cost):
+            raise NumericalError(
+                f"gradient projection diverged at iteration {record.iteration}: cost={cost!r}"
+            )
+        rows.append((*astuple(record), cost))
+
+    result = loop.run(delta, observe)
+
+    iterations = _csv(ITERATIONS_HEADER, rows)
     coords = system.mesh.interior_nodes.tolist()
     arrays = grid.times, result.control, result.state_mean, result.adjoint_mean
     levels = zip(*(a.tolist() for a in arrays))  # one (t, control, state, adjoint) per time level

@@ -23,6 +23,17 @@ eps0 and the iteration cap); ``run(delta)`` runs the loop at one
 constraint level, which is the only setting a run takes.  So one workspace
 serves every delta, and each setting has one home.
 
+An iteration does only the work its result needs: one backward adjoint
+sweep, one forward state sweep, the multiplier mu, the step error (the
+stopping rule) and the constraint integral.  A run starts from the zero
+control, whose state is the data response ``base`` plus +0.0, so it costs
+no sweep, and ends with one adjoint sweep for the returned mean adjoint;
+k iterations cost 2k + 1 sweeps.  What only some callers read, such as the
+tracking cost (``cost``) that ``solve`` writes per iteration, goes through
+the optional observer, ``run(delta, observe)``, which is called with each
+record and the live control and mean state; the projected target that
+``cost`` measures against is solved on its first call.
+
 The loop allocates no table per iteration.  The sweeps' scratch is the
 ``FemSystem``'s (``FemSystem.sweep_tables``), built by the first set-up
 sweep and shared by every sweep and delta run after it; nothing a run
@@ -43,6 +54,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -83,7 +96,6 @@ class IterationRecord:
     mu: float
     step_error: float
     constraint_integral: float
-    cost: float
 
 
 @dataclass
@@ -176,8 +188,16 @@ class GradientProjection:
 
         self.base = forward_mean(spec, system, grid, np.zeros((grid.N + 1, system.n)), ensemble)
         self.target_loads = mean_target_loads(spec, system, grid, ensemble)
-        self.target_proj = np.zeros_like(self.target_loads)
-        self.target_proj[1:] = system.mass_solve(self.target_loads[1:].T).T
+
+    @cached_property
+    def target_proj(self) -> np.ndarray:
+        """The L2 projection of the mean target at levels 1..N (row 0 zero).
+
+        Only ``cost`` reads it, so it is solved on the first ``cost`` call.
+        """
+        proj = np.zeros_like(self.target_loads)
+        proj[1:] = self.system.mass_solve(self.target_loads[1:].T).T
+        return proj
 
     def state_mean(self, control: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``base + control_response(control)``, written into ``out`` when given."""
@@ -229,8 +249,14 @@ class GradientProjection:
         np.multiply(step, self.mtilde, out=shift)
         return np.subtract(control, shift, out=shift), x, mu
 
-    def run(self, delta: float) -> GpResult:
+    def run(self, delta: float, observe: Callable[..., None] | None = None) -> GpResult:
         """The loop at constraint level delta, from the zero control.
+
+        ``observe(record, control, state_mean)``, when given, is called
+        once per iteration, after its record is appended, with the new
+        control and its mean state.  They are the loop's live tables, valid
+        only during the call: an observer reads them or copies them, and
+        never writes to them.
 
         Non-convergence within ``max_iter`` is reported through the
         result's ``converged`` flag, not raised; a non-finite iterate (a
@@ -239,7 +265,9 @@ class GradientProjection:
         rho, alpha, grid, config = self.rho, self.spec.alpha, self.grid, self.config
         shape = (grid.N + 1, self.system.n)
         u = np.zeros(shape)
-        x = self.state_mean(u, np.empty(shape))
+        # the zero control's response is +0.0 at every entry, so its mean
+        # state is base + 0.0, without a sweep
+        x = np.add(self.base, 0.0, out=np.empty(shape))
         # the next control and one scratch table, owned by this run
         u_next, scratch = np.empty(shape), np.empty(shape)
         records: list[IterationRecord] = []
@@ -257,13 +285,14 @@ class GradientProjection:
             u_new, x, mu = self.project(u_half, delta, u_next, x)
             step_error = self.step_norm(np.subtract(u_new, u, out=scratch))
             integral = constraint_integral(x, self.system, grid)
-            cost = self.cost(x, u_new, scratch)
-            if not all(map(math.isfinite, (mu, step_error, integral, cost))):
+            if not all(map(math.isfinite, (mu, step_error, integral))):
                 raise NumericalError(
                     f"gradient projection diverged at iteration {i}: mu={mu!r} "
-                    f"step_error={step_error!r} integral={integral!r} cost={cost!r}"
+                    f"step_error={step_error!r} integral={integral!r}"
                 )
-            records.append(IterationRecord(i, mu, step_error, integral, cost))
+            records.append(IterationRecord(i, mu, step_error, integral))
+            if observe is not None:
+                observe(records[-1], u_new, x)
             u, u_next = u_new, u
             if step_error <= config.eps0:
                 converged = True

@@ -54,7 +54,11 @@ noise coefficient are evaluated at the left time point; states and
 tracking targets at the right one.  The scheme is linear, so the average
 of the path states over an ensemble is one single-column sweep driven by
 the ensemble's mean Brownian values and increments; at the exact means,
-both zero, it gives the exact expectation.
+both zero, it gives the exact expectation.  There every slope term is
+multiplied by zero, so the exact mean sweep and the exact mean target
+loads (``forward_mean`` and ``mean_target_loads`` without an ensemble)
+load the means alone, through the same kernel: the terms they skip add
+only zeros, and neither slope nor sigma is evaluated.
 
 Conditional expectations of the martingale part (the Z process) are
 estimated across simulated paths by least-squares regression on the basis
@@ -160,11 +164,8 @@ def _load_rows(system: FemSystem, fn: SpaceTimeFn, times: np.ndarray, *shape: in
     return out
 
 
-def _mean_brownian(grid: TimeGrid, ensemble: BrownianEnsemble | None):
-    """The ensemble's mean Brownian values (N+1,) and increments (N,); zeros,
-    the exact means, without one."""
-    if ensemble is None:
-        return np.zeros(grid.N + 1), np.zeros(grid.N)
+def _mean_brownian(grid: TimeGrid, ensemble: BrownianEnsemble):
+    """The ensemble's mean Brownian values (N+1,) and increments (N,)."""
     _check_alignment(grid, ensemble.steps, ensemble.tau, "ensemble")
     return ensemble.brownian.mean(axis=0), ensemble.increments.mean(axis=0)
 
@@ -310,15 +311,23 @@ def forward_mean(
 ) -> np.ndarray:
     """Mean state trajectory, one single-column sweep.
 
-    Without an ensemble, the exact expectation (the sweep at W = dW = 0);
-    with one, the path average of ``iter_forward_paths`` over it, which by
-    linearity is the sweep driven by the ensemble's mean Brownian values
-    and increments.
+    With an ensemble, the path average of ``iter_forward_paths`` over it,
+    which by linearity is the sweep driven by the ensemble's mean Brownian
+    values and increments.  Without one, the exact expectation: the sweep
+    at W = dW = 0, whose data terms are tau*load(f0) alone, so neither the
+    forcing's slope nor sigma is evaluated.
     """
-    data = SweepData(spec, system, grid)
-    terms = _data_terms(data, grid.tau, *_mean_brownian(grid, ensemble))
+    if ensemble is None:
+        x0 = l2_project(system, spec.x0)
+        forcing = _load_rows(system, spec.forcing.mean, grid.times[:-1])
+
+        def terms(n: int, rhs: np.ndarray, scratch: np.ndarray) -> None:
+            rhs += np.multiply(grid.tau, forcing[n], out=scratch)
+    else:
+        data = SweepData(spec, system, grid)
+        x0, terms = data.x0, _data_terms(data, grid.tau, *_mean_brownian(grid, ensemble))
     _control_loads(system, grid, control)
-    return _row_sweep(system, grid, spec.gamma, data.x0, terms=terms)
+    return _row_sweep(system, grid, spec.gamma, x0, terms=terms)
 
 
 def control_response(
@@ -343,10 +352,14 @@ def mean_target_loads(
 ) -> np.ndarray:
     """Load vectors of the mean tracking target at levels 1..N (row 0 zero):
     the target's load table times [1; Wbar_n], for the mean Brownian values
-    of an ensemble, or zero without one."""
+    of an ensemble.  Without one, Wbar = 0 leaves load(target mean), and the
+    target's slope is not evaluated."""
+    loads = np.zeros((grid.N + 1, system.n))
+    if ensemble is None:
+        loads[1:] = _load_rows(system, spec.target.mean, grid.times[1:])
+        return loads
     w_bar, _ = _mean_brownian(grid, ensemble)
-    table = _load_rows(system, spec.target.table, grid.times[1:], 2)
-    loads, basis = np.zeros((grid.N + 1, system.n)), np.ones(2)
+    table, basis = _load_rows(system, spec.target.table, grid.times[1:], 2), np.ones(2)
     for row, level, w in zip(loads[1:], table, w_bar[1:]):
         basis[1] = w
         at_w(level, basis, out=row)

@@ -41,7 +41,7 @@ def gp_result(control, adjoint_mean, mu) -> GpResult:
     """A converged ``GpResult`` of the given fields, as ``compute_errors``
     reads it: one iteration record with ``mu`` and a zero step error, and a
     NaN mean state, which ``compute_errors`` never reads."""
-    record = IterationRecord(1, mu, step_error=0.0, constraint_integral=np.nan, cost=np.nan)
+    record = IterationRecord(1, mu, step_error=0.0, constraint_integral=np.nan)
     return GpResult(
         control=control,
         mu=mu,

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from socfem.cli import (
     parse_fraction,
     parse_fraction_list,
 )
+from socfem.optimizer import GradientProjection
 from socfem.paths import MAX_PATHS
 
 
@@ -75,6 +77,18 @@ class TestSolveCommand:
         assert main(base) == 0
         assert "certificate" not in capsys.readouterr().err
         assert main(base + ["--rho", "0"]) == 2
+
+    def test_non_finite_cost_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # only solve computes cost_J; one that overflows fails the run like a
+        # divergent iterate would, and no file is written
+        monkeypatch.setattr(GradientProjection, "cost", lambda self, x, u, scratch: math.inf)
+        argv = [
+            "solve", "--problem", "example1", "--h", "1/8", "--rule", "tau=h",
+            "--output-dir", str(tmp_path / "run"),
+        ]
+        assert main(argv) == 3
+        assert "diverged at iteration 0: cost=inf" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_max_iter_warns_and_still_writes(self, tmp_path, capsys):
         argv = [

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +18,11 @@ from socfem import (
     sample,
     select_multiplier,
 )
+from socfem import spde
 from socfem.analysis import Resolution, setup
+from socfem.fem import FemSystem
 from socfem.optimizer import GradientProjection
+from socfem.spde import AffineInW
 from socfem.problems import BY_NAME
 
 from helpers import path_states, scipy_csr
@@ -229,10 +234,26 @@ class TestGpIterate:
 
     def test_monotone_cost_with_certified_rho(self, coarse):
         prob, system, grid = coarse
-        config = OptimizerConfig(rho=0.2, eps0=1e-9)
-        res = GradientProjection(prob.spec, system, grid, config).run(prob.delta)
-        costs = [rec.cost for rec in res.records]
+        loop = GradientProjection(prob.spec, system, grid, OptimizerConfig(rho=0.2, eps0=1e-9))
+        scratch, costs = np.empty_like(loop.base), []
+        res = loop.run(prob.delta, lambda rec, u, x: costs.append(loop.cost(x, u, scratch)))
+        assert len(costs) == res.iterations > 1
         assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 500])
+    def test_observer_sees_each_record_and_its_live_iterate(self, coarse, max_iter):
+        prob, system, grid = coarse
+        loop = GradientProjection(prob.spec, system, grid, OptimizerConfig(max_iter=max_iter))
+        seen = []
+        res = loop.run(prob.delta, lambda rec, u, x: seen.append((rec, u.copy(), x.copy())))
+        assert [rec for rec, _, _ in seen] == res.records
+        _, u, x = seen[-1]
+        assert np.array_equal(u, res.control) and np.array_equal(x, res.state_mean)
+        # the observer changes nothing the run returns
+        plain = loop.run(prob.delta)
+        assert plain.records == res.records
+        for name in ("control", "state_mean", "adjoint_mean"):
+            assert getattr(plain, name).tobytes() == getattr(res, name).tobytes()
 
     def test_config_rho_reaches_the_loop(self):
         # example1 at 10 x 10 from the zero control: the loop takes 148
@@ -272,6 +293,87 @@ class TestGpIterate:
         assert mc.iterations == mf.iterations
         assert np.abs(mc.control - mf.control).max() <= 1e-10
         assert mc.mu == pytest.approx(mf.mu, rel=1e-8)
+
+
+class TestWorkBudget:
+    """The loop does only the work its results need."""
+
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_sweeps_per_workspace_and_run(self, coarse, monkeypatch, max_iter):
+        # a workspace sweeps Mtilde, Qtilde and the data response; a run of
+        # k iterations sweeps k adjoints, k states and one final adjoint
+        prob, system, grid = coarse
+        calls, real = [], spde._row_sweep
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spde, "_row_sweep", counted)
+        config = OptimizerConfig(eps0=1e-14, max_iter=max_iter)
+        loop = GradientProjection(prob.spec, system, grid, config)
+        assert len(calls) == 3
+        res = loop.run(prob.delta)
+        assert res.iterations == max_iter
+        assert len(calls) == 3 + 2 * max_iter + 1
+
+    def test_target_projection_waits_for_cost(self, coarse, monkeypatch):
+        prob, system, grid = coarse
+        shapes, real = [], FemSystem.mass_solve
+
+        def counted(self, rhs):
+            shapes.append(rhs.shape)
+            return real(self, rhs)
+
+        monkeypatch.setattr(FemSystem, "mass_solve", counted)
+        loop = GradientProjection(prob.spec, system, grid)
+        res = loop.run(prob.delta)
+        assert shapes == [(system.n,)]  # the projected initial state alone
+        loop.cost(res.state_mean, res.control, np.empty_like(res.control))
+        loop.cost(res.state_mean, res.control, np.empty_like(res.control))
+        assert shapes == [(system.n,), (system.n, grid.N)]
+
+    @pytest.mark.parametrize("name,paths", [("example1", 0), ("example1", 4), ("example2", 0)])
+    def test_run_starts_from_the_zero_controls_state(self, name, paths):
+        # the zero control's response is +0.0 everywhere, so run skips its
+        # sweep and starts from base + 0.0: the same bits, signed zeros too
+        prob = BY_NAME[name]()
+        system, grid = setup(prob, Resolution(6, 6))
+        ensemble = sample(paths, grid, seed=2) if paths else None
+        loop = GradientProjection(prob.spec, system, grid, ensemble=ensemble)
+        zero = np.zeros((grid.N + 1, system.n))
+        assert loop.state_mean(zero).tobytes() == np.add(loop.base, 0.0).tobytes()
+
+    @pytest.mark.parametrize(
+        "name,res", [("example1", Resolution(8, 8)), ("example2", Resolution(4, 4))]
+    )
+    def test_mean_field_workspace_reads_only_the_means(self, name, res):
+        prob = BY_NAME[name]()
+        system, grid = setup(prob, res)
+        calls = Counter()
+
+        def counted(key, fn):
+            def wrapper(t, pts):
+                calls[key] += 1
+                return fn(t, pts)
+            return wrapper
+
+        given = prob.spec
+        spec = replace(
+            given,
+            sigma=counted("sigma", given.sigma),
+            forcing=AffineInW(counted("forcing.mean", given.forcing.mean),
+                              counted("forcing.slope", given.forcing.slope)),
+            target=AffineInW(counted("target.mean", given.target.mean),
+                             counted("target.slope", given.target.slope)),
+        )
+        GradientProjection(spec, system, grid)
+        assert calls == {"forcing.mean": grid.N, "target.mean": grid.N}
+        calls.clear()
+        GradientProjection(spec, system, grid, ensemble=sample(4, grid, seed=1))
+        assert calls == {key: grid.N for key in (
+            "sigma", "forcing.mean", "forcing.slope", "target.mean", "target.slope"
+        )}
 
 
 class TestConfigValidation:

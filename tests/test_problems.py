@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from dataclasses import asdict, replace
 
-from socfem import AffineInW, example1, example2, verify_manufactured
+from socfem import AffineInW, example1, example2, problems, verify_manufactured
+from socfem.analysis import Resolution, setup
+from socfem.optimizer import GradientProjection
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +148,43 @@ class TestVerify:
         monkeypatch.setattr("socfem.problems.default_rng", no_work)
         with pytest.raises(ValueError, match="samples must be positive"):
             verify_manufactured(prob1, samples=samples)
+
+
+@pytest.mark.parametrize("build", [example1, example2])
+def test_spatial_factor_runs_once_per_point_set(monkeypatch, build):
+    """Each problem evaluates its spatial factor once per read-only point set
+    (the quadrature points, the interior nodes), and its data keep their bits."""
+    seen, per_set = [], problems._per_point_set
+
+    def counted(fn):
+        return per_set(lambda pts: seen.append(pts) or fn(pts))
+
+    monkeypatch.setattr(problems, "_per_point_set", counted)
+    prob = build()
+    system, grid = setup(prob, Resolution(6, 6))
+    qp, nodes = system.quad_points, system.mesh.interior_nodes
+    seen.clear()
+    GradientProjection(prob.spec, system, grid)
+    assert len(seen) == 1 and seen[0] is qp
+    for t in grid.times:
+        prob.exact_u(t, nodes)
+        prob.exact_x.mean(t, nodes)
+    assert len(seen) == 2 and seen[1] is nodes
+
+    # one set is kept: the quadrature points replace the nodes once, and
+    # writable points run on every call, to the same bits
+    seen.clear()
+    writable = qp.copy()
+    for t in (0.0, 0.37):
+        for fn in (prob.spec.forcing.mean, prob.spec.target.mean, prob.spec.sigma):
+            assert fn(t, qp).tobytes() == fn(t, writable).tobytes()
+    assert [pts is qp for pts in seen] == [True] + [False] * 6
+
+
+def test_kept_values_are_read_only():
+    points = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
+    points.flags.writeable = False
+    g = problems._per_point_set(lambda pts: np.sin(pts[..., 0]))
+    values = g(points)
+    assert g(points) is values and not values.flags.writeable
+    assert g(points.copy()).flags.writeable
