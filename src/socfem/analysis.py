@@ -36,13 +36,16 @@ from .errors import NumericalError
 from .fem import FemSystem, assemble
 from .grid import TimeGrid, make_interval_mesh, make_rectangle_mesh, make_time_grid
 from .optimizer import GpResult, GradientProjection, OptimizerConfig, constraint_integral
-from .paths import BLOCK, BrownianEnsemble, sample
+from .paths import BLOCK, DEFAULT_PATHS, DEFAULT_SEED, BrownianEnsemble, sample
 from .problems import ManufacturedProblem
 from .spde import SweepData, SpaceTimeFn, at_w, forward_mean, iter_forward_paths
 
 
 _FD_STEP = 1e-4  # central-difference step of the exact gradients in H1 errors
+# the choices of ``estimator`` and of ``convergence_study``'s ``delta_mode``;
+# the first of each is its default
 ESTIMATORS = ("mean-field", "monte-carlo")
+DELTA_MODES = ("discrete", "problem")
 
 
 @dataclass(frozen=True)
@@ -285,10 +288,10 @@ def convergence_study(
     problem: ManufacturedProblem,
     resolutions: list[Resolution],
     config: OptimizerConfig = OptimizerConfig(),
-    paths: int = 2000,
-    seed: int = 7,
-    estimator: str = "mean-field",
-    delta_mode: str = "discrete",
+    paths: int = DEFAULT_PATHS,
+    seed: int = DEFAULT_SEED,
+    estimator: str = ESTIMATORS[0],
+    delta_mode: str = DELTA_MODES[0],
 ) -> list[ErrorReport]:
     """Optimize at each resolution and measure errors against the exact run.
 
@@ -298,8 +301,8 @@ def convergence_study(
     Every run uses ``config``.  An empty ``resolutions`` raises before any
     work.
     """
-    if delta_mode not in ("discrete", "problem"):
-        raise ValueError(f"delta_mode must be 'discrete' or 'problem', got {delta_mode!r}")
+    if delta_mode not in DELTA_MODES:
+        raise ValueError(f"delta_mode must be one of {DELTA_MODES}, got {delta_mode!r}")
     _check_estimator(estimator)
     if len(resolutions) == 0:
         raise ValueError("convergence_study needs at least one resolution")
@@ -379,9 +382,9 @@ def constraint_table(
     deltas: list[float],
     resolutions: list[Resolution],
     config: OptimizerConfig = OptimizerConfig(),
-    estimator: str = "mean-field",
-    paths: int = 2000,
-    seed: int = 7,
+    estimator: str = ESTIMATORS[0],
+    paths: int = DEFAULT_PATHS,
+    seed: int = DEFAULT_SEED,
 ) -> list[TableCell]:
     """Converged constraint integrals over a (delta, resolution) table.
 

@@ -23,21 +23,23 @@ which problem reads which flag: --beta and --exact-mu go to both problems,
 problem flag that the chosen problem does not read is a configuration error.
 ``COMMAND_OPTIONS`` says which command reads which option; a flag or config
 key that the command does not read is rejected like an unknown one.
+Every default the library also has (--paths, --seed, --eps0, --max-iter,
+--estimator, --samples, --delta-mode) is read from the library.
 --paths and --seed (``SAMPLING``) are read by convergence, whose error pass
 samples paths, by Monte Carlo runs and by verify (--seed); a mean-field
 solve or constraint-table draws no paths, so either one given to it is a
 configuration error.
 
 Exit codes: 0 success; 2 configuration error (an unknown flag or config
-key, a malformed or out-of-range value, a missing config file, values the
-command cannot run such as an --h of one cell per axis (no interior node),
-or an --output-dir that is or lies under a file, or holds a directory
-named like one of the command's files), reported before anything is
-solved or written; 3 numerical failure, named by its cell in a study or
-table; 4 output error (a file could not be written or renamed into
-place).  A fixed seed makes every output byte-identical across reruns.
-Table cells run one after another, resolutions outer, and are reported
-deltas outer.
+key, a malformed or out-of-range value, a missing config file or one that
+is not UTF-8, values the command cannot run such as an --h of one cell
+per axis (no interior node), or an --output-dir that is or lies under a
+file, or holds a directory named like one of the command's files),
+reported before anything is solved or written; 3 numerical failure,
+named by its cell in a study or table; 4 output error (a file could not
+be written or renamed into place).  A fixed seed makes every output
+byte-identical across reruns.  Table cells run one after another,
+resolutions outer, and are reported deltas outer.
 
 Each command only computes its outputs; ``_emit`` writes them.  Every file
 goes to a hidden sibling temp file, and only once all are written are they
@@ -63,6 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    DELTA_MODES,
     ESTIMATORS,
     Resolution,
     constraint_table,
@@ -72,8 +75,8 @@ from .analysis import (
 )
 from .errors import NumericalError
 from .optimizer import GradientProjection, OptimizerConfig, contraction_certificate
-from .paths import MAX_PATHS, sample
-from .problems import BY_NAME, verify_manufactured
+from .paths import DEFAULT_PATHS, DEFAULT_SEED, MAX_PATHS, sample
+from .problems import BY_NAME, DEFAULT_SAMPLES, verify_manufactured
 
 ITERATIONS_HEADER = "iter,mu,step_error,constraint_integral,cost_J"
 ERRORS_HEADER = (
@@ -149,21 +152,21 @@ OPTIONS = {
     "rule": dict(choices=tuple(TAU_RULES), help="default tau=h in 1D, tau=h/sqrt2 in 2D"),
     "tau": dict(type=positive_fractions, help="explicit tau list, one per --h"),
     "delta": dict(type=fraction_floats, help="constraint level list"),
-    "paths": dict(type=path_count, help="Monte Carlo paths; default 2000"),
-    "seed": dict(type=nonnegative_int, help="ensemble seed; default 7"),
+    "paths": dict(type=path_count, help=f"Monte Carlo paths; default {DEFAULT_PATHS}"),
+    "seed": dict(type=nonnegative_int, help=f"ensemble seed; default {DEFAULT_SEED}"),
     "rho": dict(type=positive_float, help="step size; default 0.9/(alpha + e^T)"),
-    "eps0": dict(type=positive_float, default=1e-6, help="stopping tolerance"),
-    "max-iter": dict(type=positive_int, default=500),
-    "estimator": dict(default="mean-field", choices=ESTIMATORS),
+    "eps0": dict(type=positive_float, default=OptimizerConfig.eps0, help="stopping tolerance"),
+    "max-iter": dict(type=positive_int, default=OptimizerConfig.max_iter),
+    "estimator": dict(default=ESTIMATORS[0], choices=ESTIMATORS),
     "output-dir": dict(type=Path, default="."),
-    "samples": dict(type=positive_int, default=1000, help="verify sample count"),
+    "samples": dict(type=positive_int, default=DEFAULT_SAMPLES, help="verify sample count"),
     "beta": dict(type=finite_float, help="noise amplitude (both problems)"),
     "exact-mu": dict(type=finite_float, help="exact multiplier (both problems)"),
     "gamma": dict(type=positive_float, help="diffusion (example2)"),
     "lam": dict(type=finite_float, help="state growth rate (example2)"),
     "xd-reading": dict(choices=("auto", "beta_w", "plain_w"), help="W coefficient in the target (example1)"),
     "delta-mode": dict(
-        default="discrete", choices=("discrete", "problem"), help="constraint level of convergence"
+        default=DELTA_MODES[0], choices=DELTA_MODES, help="constraint level of convergence"
     ),
 }
 
@@ -179,7 +182,7 @@ COMMAND_OPTIONS = {
 
 # the sampling options and their defaults; a mean-field solve or
 # constraint-table draws no paths, so it reads neither
-SAMPLING = {"paths": 2000, "seed": 7}
+SAMPLING = {"paths": DEFAULT_PATHS, "seed": DEFAULT_SEED}
 
 
 def _fill_sampling(args: argparse.Namespace) -> None:
@@ -464,9 +467,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_flags(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
     """One ``--key=value`` flag per ``key = value`` line of a config file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        parser.error(f"cannot read config file {path!r}: {exc.strerror}")
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error has no strerror
+        parser.error(f"cannot read config file {path!r}: {getattr(exc, 'strerror', exc)}")
     flags = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

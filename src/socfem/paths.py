@@ -37,6 +37,8 @@ from .grid import TimeGrid
 
 BLOCK = 512
 MAX_PATHS = 2**32  # the most paths one ensemble draws: every path index is one word
+DEFAULT_PATHS = 2000  # the ensemble size of a study, a table or a run that samples
+DEFAULT_SEED = 7  # the master seed of every seeded run, the verifier's too
 
 # numpy.random.SeedSequence: pool size, hash and mix constants
 _SS_POOL = 4

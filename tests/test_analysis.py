@@ -31,7 +31,7 @@ from socfem.analysis import (
     setup,
 )
 from socfem.paths import BLOCK
-from socfem.problems import BY_NAME
+from socfem.problems import BY_NAME, ManufacturedProblem
 
 from helpers import gp_result, h1_error_sq, path_states, scipy_csr
 
@@ -240,7 +240,7 @@ class TestComputeErrors:
     @pytest.mark.parametrize(
         "name,res", [("example1", Resolution(12, 10)), ("example2", Resolution(4, 6))]
     )
-    def test_control_is_evaluated_once_per_level(self, name, res):
+    def test_control_is_evaluated_once_per_level(self, name, res, monkeypatch):
         # the control is measured in L2 alone: exact_u at the nodes of each
         # of its N levels, and nowhere for gradients
         prob = BY_NAME[name]()
@@ -254,6 +254,9 @@ class TestComputeErrors:
             calls.append(t)
             return prob.exact_u(t, p)
 
+        # the exact adjoint is -alpha * exact_u; it must not feed the counter
+        uncounted = prob.exact_y
+        monkeypatch.setattr(ManufacturedProblem, "exact_y", lambda self, t, p: uncounted(t, p))
         counted = replace(prob, exact_u=exact_u)
         result = gp_result(control, adjoint, prob.exact_mu)
         compute_errors(counted, result, sample(3, grid, seed=2), system, grid)

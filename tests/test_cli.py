@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -7,17 +8,21 @@ from pathlib import Path
 
 import pytest
 
+from socfem.analysis import DELTA_MODES, ESTIMATORS, constraint_table, convergence_study
 from socfem.cli import (
     COMMAND_OPTIONS,
     OPTIONS,
     ConfigError,
+    _build_parser,
+    _fill_sampling,
     format_sci,
     main,
     parse_fraction,
     parse_fraction_list,
 )
-from socfem.optimizer import GradientProjection
+from socfem.optimizer import GradientProjection, OptimizerConfig
 from socfem.paths import MAX_PATHS
+from socfem.problems import verify_manufactured
 
 
 class TestParsing:
@@ -662,6 +667,19 @@ class TestConfigHandling:
         assert str(missing) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_undecodable_config_file(self, tmp_path, capsys, no_solver):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"socfem: error: cannot read config file {str(cfg)!r}: 'utf-8' codec can't "
+            "decode byte 0xff in position 0: invalid start byte"
+        ]
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("problem", ["example1", "example2"])
     def test_config_file_equals_flags(self, tmp_path, capsys, problem):
         _check_config_file_equals_flags(tmp_path, capsys, problem, "tau", "1/8")
@@ -703,6 +721,30 @@ class TestConfigHandling:
         ]
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_defaults_are_the_library_defaults(self):
+        """Every run default the parser fills in is the library's own, read
+        from the signature of the function the command calls."""
+
+        def defaults(fn):
+            return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
+
+        parser, config = _build_parser(), OptimizerConfig()
+        for command, fn in (("convergence", convergence_study), ("constraint-table", constraint_table)):
+            args = parser.parse_args([command])
+            _fill_sampling(args)
+            library = defaults(fn)
+            for key in ("paths", "seed", "estimator"):
+                assert getattr(args, key) == library[key], (command, key)
+            assert (args.eps0, args.max_iter) == (config.eps0, config.max_iter)
+        args = parser.parse_args(["convergence"])
+        assert args.delta_mode == defaults(convergence_study)["delta_mode"]
+        args = parser.parse_args(["verify"])
+        _fill_sampling(args)
+        library = defaults(verify_manufactured)
+        assert (args.samples, args.seed) == (library["samples"], library["seed"])
+        assert OPTIONS["estimator"]["choices"] == ESTIMATORS
+        assert OPTIONS["delta-mode"]["choices"] == DELTA_MODES
 
     def test_paths_bound_is_the_sampler_bound(self):
         path_count = OPTIONS["paths"]["type"]

@@ -29,9 +29,8 @@ class TestExample1:
     def test_adjoint_is_minus_alpha_control(self, prob1):
         pts = sample_points(1)
         for t in (0.0, 0.3, 0.77, 1.0):
-            assert prob1.exact_y(t, pts) == pytest.approx(
-                -prob1.spec.alpha * prob1.exact_u(t, pts), abs=1e-15
-            )
+            expected = -prob1.spec.alpha * prob1.exact_u(t, pts)
+            assert prob1.exact_y(t, pts).tobytes() == expected.tobytes()
 
     def test_initial_state_zero(self, prob1):
         pts = sample_points(1)
@@ -80,14 +79,13 @@ class TestExample2:
     def test_lambda_zero_reduction(self):
         prob = example2(lam=0.0)
         pts = sample_points(2)
-        assert prob.exact_x.mean(0.0, pts) == pytest.approx(prob.spec.x0(pts), abs=1e-15)
+        assert prob.exact_x.mean(0.0, pts).tobytes() == prob.spec.x0(pts).tobytes()
 
     def test_adjoint_is_minus_alpha_control(self, prob2):
         pts = sample_points(2)
         for t in (0.0, 0.4, 1.0):
-            assert prob2.exact_y(t, pts) == pytest.approx(
-                -prob2.spec.alpha * prob2.exact_u(t, pts), abs=1e-15
-            )
+            expected = -prob2.spec.alpha * prob2.exact_u(t, pts)
+            assert prob2.exact_y(t, pts).tobytes() == expected.tobytes()
 
     def test_affine_in_w(self, prob2):
         pts = sample_points(2)
@@ -97,6 +95,18 @@ class TestExample2:
             minus = x.mean(t, pts) - x.slope(t, pts)
             mid = x.mean(t, pts)
             assert np.abs(plus + minus - 2 * mid).max() <= 1e-12
+
+
+@pytest.mark.parametrize("build", [example1, example2])
+def test_initial_state_and_noise_are_the_exact_state(build):
+    """x0 is X at t = 0 and sigma the w-slope of X, bit for bit, at random
+    points, at the quadrature points and at the interior nodes."""
+    prob = build()
+    system, _ = setup(prob, Resolution(6, 6))
+    for pts in (sample_points(prob.dim), system.quad_points, system.mesh.interior_nodes):
+        assert prob.spec.x0(pts).tobytes() == prob.exact_x.mean(0.0, pts).tobytes()
+        for t in (0.0, 0.3, 0.77, 1.0):
+            assert prob.spec.sigma(t, pts).tobytes() == prob.exact_x.slope(t, pts).tobytes()
 
 
 class TestVerify:
@@ -130,6 +140,15 @@ class TestVerify:
         broken = replace(prob1, spec=replace(prob1.spec, target=broken_target))
         rep = verify_manufactured(broken, samples=100, seed=3)
         assert rep.adjoint_mean_residual == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("build", [example1, example2])
+    def test_injected_noise_fault_detected(self, build):
+        prob = build()
+        sigma = prob.spec.sigma
+        broken = replace(prob, spec=replace(prob.spec, sigma=lambda t, p: sigma(t, p) + 0.25))
+        rep = verify_manufactured(broken, samples=100, seed=3)
+        assert rep.noise_mismatch == pytest.approx(0.25, abs=1e-12)
+        assert verify_manufactured(prob, samples=100, seed=3).noise_mismatch == 0.0
 
     def test_report_serializes(self, prob1):
         import json
