@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -101,40 +102,42 @@ def setup(problem: ManufacturedProblem, res: Resolution):
     return system, grid
 
 
-def _fd_gradients(system: FemSystem, exact_eval) -> list:
-    """Central-difference gradient of ``exact_eval`` at the quadrature points,
-    one array per axis, shaped as exact_eval's values there."""
-    qp = system.quad_points
-    return [
-        (np.asarray(exact_eval(qp + s), dtype=float) - np.asarray(exact_eval(qp - s), dtype=float))
-        / (2.0 * _FD_STEP)
-        for s in _FD_STEP * np.eye(system.mesh.dim)
-    ]
+def _fd_gradient(system: FemSystem, exact_eval, axis: int) -> np.ndarray:
+    """Central-difference derivative of ``exact_eval`` along ``axis`` at the
+    quadrature points, shaped as exact_eval's values there."""
+    qp, step = system.quad_points, _FD_STEP * np.eye(system.mesh.dim)[axis]
+    return (
+        np.asarray(exact_eval(qp + step), dtype=float)
+        - np.asarray(exact_eval(qp - step), dtype=float)
+    ) / (2.0 * _FD_STEP)
 
 
 class _FieldErrors:
     """Squared L2 and H1 errors of k P1 fields, one per column of an (n, k) x.
 
     The caller fills ``exact`` (n, k) with the exact values at the
-    interior nodes and ``grads[d]`` (n_quad, k) with the exact gradient
-    along axis d at the quadrature points (``_fd_gradients``), column by
-    column.  A call measures x against them: the L2 error against the
-    nodal interpolant, e' M e with e = x - exact, and the H1 seminorm
-    error against the exact gradients by element quadrature; ``l2(x)``
-    measures the L2 error alone and never reads the gradients.  The object
-    owns every buffer (the exact values, M e, the gradients and G x); a
-    call overwrites the exact values and gradients with the errors, so it
-    allocates nothing of size n*k.  The sums run through ``np.einsum``,
-    not BLAS, so they do not depend on the BLAS thread count.
+    interior nodes, column by column.  A call ``errors(x, gradient)``
+    measures x against them: the L2 error against the nodal interpolant,
+    e' M e with e = x - exact, and the H1 seminorm error against the
+    exact gradients by element quadrature, one axis at a time:
+    ``gradient(d, out)`` writes the exact gradient along axis d at the
+    quadrature points into out (n_quad, k) (from ``_fd_gradient``), and the
+    call consumes it before it asks for the next axis, so one buffer
+    serves every axis.  ``l2(x)`` measures the L2 error alone and never
+    asks for a gradient.  The object owns every buffer (the exact values,
+    M e, the gradient and G x); a call overwrites the exact values and the
+    gradient with the errors, so it allocates nothing of size n*k.  The
+    sums run through ``np.einsum``, not BLAS, so they do not depend on the
+    BLAS thread count.
     """
 
     def __init__(self, system: FemSystem, k: int):
         self._system = system
-        n_quad, dim = system.quad_points.shape
+        n_quad = system.quad_points.shape[0]
         n_elements = system.mesh.elements.shape[0]
         self.exact, self._mass_error = np.empty((2, system.n, k))
-        self.grads = np.empty((dim, n_quad, k))
-        self._grads_by_element = self.grads.reshape(dim, n_elements, -1, k)
+        self._gap = np.empty((n_quad, k))
+        self._gap_by_element = self._gap.reshape(n_elements, -1, k)
         self._grad = np.empty((n_elements, k))
 
     def l2(self, x: np.ndarray) -> np.ndarray:
@@ -143,11 +146,14 @@ class _FieldErrors:
         self._mass_error.fill(0.0)
         return np.einsum("nk,nk->k", e, self._system.mass_product(e, self._mass_error))
 
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(
+        self, x: np.ndarray, gradient: Callable[[int, np.ndarray], None]
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The squared L2 and H1 errors of the columns of x, two (k,) arrays."""
-        system, grad_x = self._system, self._grad
+        system, grad_x, gap, by_element = self._system, self._grad, self._gap, self._gap_by_element
         h1 = np.zeros(x.shape[1])
-        for gap, by_element, grad in zip(self.grads, self._grads_by_element, system.grad_products):
+        for axis, grad in enumerate(system.grad_products):
+            gradient(axis, gap)
             grad_x.fill(0.0)
             np.subtract(by_element, grad(x, grad_x)[:, None, :], out=by_element)
             h1 += np.einsum("q,qk->k", system.quad_weights, np.square(gap, out=gap))
@@ -209,11 +215,10 @@ def _level_fields(system: FemSystem, exact: SpaceTimeFn, times: np.ndarray) -> _
 def _level_errors(system: FemSystem, exact: SpaceTimeFn, levels: np.ndarray, times: np.ndarray):
     """Squared L2 and H1 errors of each row of ``levels`` against exact(t) at
     its time: one ``_FieldErrors`` call with the levels as columns."""
-    errors = _level_fields(system, exact, times)
-    exact_grads = _fd_gradients(system, lambda p: _level_values(exact, times, p))
-    for buffer, values in zip(errors.grads, exact_grads):
-        buffer[...] = values.T
-    return errors(levels.T)
+    def gradient(axis: int, out: np.ndarray) -> None:
+        out[...] = _fd_gradient(system, lambda p: _level_values(exact, times, p), axis).T
+
+    return _level_fields(system, exact, times)(levels.T, gradient)
 
 
 def _state_errors(problem, system: FemSystem, grid: TimeGrid, control, ensemble):
@@ -232,14 +237,15 @@ def _state_errors(problem, system: FemSystem, grid: TimeGrid, control, ensemble)
     for start in range(0, ensemble.paths, BLOCK):
         sub = ensemble.subset(start, min(start + BLOCK, ensemble.paths))
         errors, basis = _FieldErrors(system, sub.paths), np.ones((2, sub.paths))
+
+        def gradient(axis: int, out: np.ndarray) -> None:
+            at_w(_fd_gradient(system, lambda p: problem.exact_x.table(t, p), axis), basis, out=out)
+
         for n, x in iter_forward_paths(problem.spec, system, grid, control, sub, data):
             t = float(grid.times[n])
             basis[1] = sub.brownian_at(n)
-            tables = [problem.exact_x.table(t, nodes)]
-            tables += _fd_gradients(system, lambda p: problem.exact_x.table(t, p))
-            for buffer, table in zip((errors.exact, *errors.grads), tables):
-                at_w(table, basis, out=buffer)
-            l2, h1 = errors(x)
+            at_w(problem.exact_x.table(t, nodes), basis, out=errors.exact)
+            l2, h1 = errors(x, gradient)
             l2_sum[n] += l2.sum()
             h1_sum[n] += h1.sum()
     return l2_sum / ensemble.paths, h1_sum / ensemble.paths

@@ -13,9 +13,14 @@ gradients and the load rule) depend on it, and the local mass, the
 scatter onto the interior numbering, the gradient maps and the load
 matrix are written once.
 
-A ``FemSystem``'s operators are immutable; factors and sweep scratch are
-cached on first use: the banded Cholesky factor of (M + tau*gamma*A) per
-(tau, gamma), the mass factor, and one ``SweepTables`` per step count.
+A ``FemSystem``'s operators are immutable; the banded Cholesky factor of
+(M + tau*gamma*A) per (tau, gamma) and one ``SweepTables`` per step count
+are cached on first use.  The mass factor is not: ``mass_solve`` factors
+M on every call, since only set-up solves with it (the L2 projections).
+A ``SweepTables`` holds one (N, n) table, ``rows``, and a transposed
+scratch pair of at most ``_SCRATCH_BYTES`` (1 MiB), through which the
+whole-trajectory mass products and the residual check walk the levels
+in chunks; every 1D sweep is one chunk.
 
 Every solve is residual-checked per column, with one rule: column j passes
 when its right-hand side is finite and |op x_j - rhs_j| <= 1e-10 |rhs_j|.
@@ -24,8 +29,9 @@ The sweeps of ``spde`` solve through ``solve_unchecked``, in place on
 their own buffers, and call the same ``check`` themselves.  The path
 block (``iter_forward_paths``) checks each level before it yields it.
 The single-column kernel (``_row_sweep``) passes all its levels to one
-``check``, before the sweep returns; in 1D that one pass costs less than
-a per-step check's dispatch.
+``SweepTables.check``, before the sweep returns, which checks them one
+chunk at a time; in 1D that one pass costs less than a per-step check's
+dispatch.
 
 The systems are small (n = 14..39 in 1D), so a time step costs Python
 overhead rather than arithmetic.  Sparse products therefore call the
@@ -64,7 +70,7 @@ import importlib.util
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy
@@ -99,6 +105,9 @@ _sparsetools = _scipy_extension("sparse._sparsetools")
 _flapack = _scipy_extension("linalg._flapack")
 _PBTRF, _PBTRS = _flapack.dpbtrf, _flapack.dpbtrs
 _RESIDUAL_RTOL = 1e-10
+# the transposed scratch pair of ``SweepTables``: about 18 levels of a
+# 3,481-node 2D system per chunk, and every 1D sweep in one
+_SCRATCH_BYTES = 1 << 20
 
 # 3-point Gauss-Legendre on [-1, 1]
 _GAUSS3_X = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
@@ -163,10 +172,11 @@ class Csr:
 
     def lower_band(self) -> np.ndarray:
         """The lower triangle in LAPACK's lower band storage: entry (i, j) at
-        [i - j, j], with one row per offset up to the widest stored i - j."""
+        [i - j, j], with one row per offset up to the widest stored i - j,
+        Fortran-ordered as LAPACK reads it."""
         offset = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)) - self.indices
         lower = offset >= 0
-        band = np.zeros((int(np.max(offset[lower], initial=0)) + 1, self.shape[0]))
+        band = np.zeros((int(np.max(offset[lower], initial=0)) + 1, self.shape[0]), order="F")
         band[offset[lower], self.indices[lower]] = self.data[lower]
         return band
 
@@ -220,7 +230,9 @@ class _CheckedCholesky:
     """Banded Cholesky (lower band) of an SPD operator with a per-column residual check.
 
     The bandwidth is the largest ``row - col`` of a stored entry: 1 in 1D
-    and ``cells`` in 2D under the mesh's interior numbering.  A failed
+    and ``cells`` in 2D under the mesh's interior numbering.  ``pbtrf``
+    factors the band in place, so a solver holds one band-sized array and
+    builds no second one.  A failed
     factorization (the operator is not SPD) raises ``NumericalError`` naming
     ``what``.  ``solve`` checks each solution before it returns it;
     ``solve_unchecked`` solves in place, overwriting its right-hand side,
@@ -234,7 +246,7 @@ class _CheckedCholesky:
         self._n = op.shape[0]
         # the CSR arrays of -op, for the residual kernel of ``check``
         self._negated = (op.indptr, op.indices, np.negative(op.data))
-        self._factor, info = _PBTRF(op.lower_band(), lower=1)
+        self._factor, info = _PBTRF(op.lower_band(), lower=1, overwrite_ab=1)
         if info != 0:
             raise NumericalError(f"{what} factorization failed: pbtrf info={info}, not SPD")
 
@@ -307,30 +319,54 @@ class EulerSolver(_CheckedCholesky):
 
 
 class SweepTables:
-    """Scratch tables of the single-column sweeps over N steps of an n-node system.
+    """Scratch of the single-column sweeps over N steps of an n-node system.
 
     ``rows`` (N, n) stages one level per row: the scaled loads of a sweep
     on entry, its right-hand sides once the sweep has run.  ``term`` (n,)
-    stages one data term of a step.  ``cols`` and ``product`` (n, N) hold
-    the transposed copies that the whole-trajectory mass products
-    (``FemSystem.mass_rows``) and the batched residual check read.  No
-    sweep leaves anything there that a later call reads, so
+    stages one data term of a step.  The whole-trajectory mass products
+    (``FemSystem.mass_rows``) and the batched residual check read the
+    levels as columns: ``chunks`` walks them ``width`` levels at a time
+    through ``transposed``, a pair of (n, width) blocks of at most
+    ``_SCRATCH_BYTES``, so every 1D sweep (n <= 39, N <= 625) is one
+    chunk.  No sweep leaves anything there that a later call reads, so
     ``FemSystem.sweep_tables`` keeps one set per step count.
     """
 
     def __init__(self, steps: int, n: int):
         self.rows = np.empty((steps, n))
         self.term = np.empty(n)
-        self.cols, self.product = np.empty((2, n, steps))
+        self.width = width = min(steps, max(1, _SCRATCH_BYTES // (2 * 8 * n)))
+        self.transposed = np.empty((2, n * width))
+        # each chunk's levels and its pair of C-ordered (n, k) blocks
+        self._chunks = [
+            (chunk, self.transposed[:, : n * (chunk.stop - chunk.start)].reshape(2, n, -1))
+            for chunk in (slice(start, min(start + width, steps)) for start in range(0, steps, width))
+        ]
+
+    def chunks(self, *tables: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+        """Each chunk of at most ``width`` levels of the (N, n) ``tables``, in order.
+
+        Yields the chunk's slice and the pair of C-ordered (n, k) blocks of
+        ``transposed``, with the chunk's rows of ``tables[i]`` copied into
+        block i as columns; the blocks are overwritten by the next chunk.
+        """
+        for chunk, blocks in self._chunks:
+            for block, table in zip(blocks, tables):
+                np.copyto(block, table[chunk].T)
+            yield chunk, blocks
 
     def check(
         self, solver: EulerSolver, rhs_rows: np.ndarray, solution_rows: np.ndarray, levels: range
     ) -> None:
         """Residual-check N solves whose right-hand sides and solutions are rows,
-        in one batched pass that names the first failing level of ``levels``."""
-        np.copyto(self.cols, rhs_rows.T)
-        np.copyto(self.product, solution_rows.T)
-        solver.check(self.cols, self.product, levels)
+        one batched pass per chunk, naming the first failing level of ``levels``.
+
+        Chunks are checked in sweep order, so the first chunk with a fault
+        decides: within it a non-finite right-hand side is reported before
+        a residual breach, as in one pass over all levels.
+        """
+        for chunk, (rhs, solution) in self.chunks(rhs_rows, solution_rows):
+            solver.check(rhs, solution, levels[chunk])
 
 
 class FemSystem:
@@ -381,7 +417,6 @@ class FemSystem:
         self.grad_products = tuple(csr_product(op) for op in grad_ops)
         self._euler_cache: dict[tuple[float, float], EulerSolver] = {}
         self._tables_cache: dict[int, SweepTables] = {}
-        self._mass_chol = None
         self.ones_load = load_matrix.row_sums()
 
     @property
@@ -402,22 +437,26 @@ class FemSystem:
             self._tables_cache[steps] = SweepTables(steps, self.n)
         return self._tables_cache[steps]
 
-    def mass_rows(self, levels: np.ndarray) -> np.ndarray:
-        """M applied to every row of an (N, n) level table, one sparse-dense product.
+    def mass_rows(self, levels: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Add M applied to every row of an (N, n) level table into ``out`` (N, n).
 
-        Row l equals ``mass @ levels[l]`` bit for bit.  The result is a
-        view of ``sweep_tables(N)``, valid until they are next used.
+        Row l of ``out`` gains ``mass @ levels[l]``, bit for bit, one
+        sparse-dense product per chunk of ``sweep_tables(N)``; ``out`` may
+        have any layout and is returned.
         """
-        tables = self.sweep_tables(len(levels))
-        np.copyto(tables.cols, levels.T)
-        tables.product.fill(0.0)
-        return self.mass_product(tables.cols, tables.product).T
+        for chunk, (cols, product) in self.sweep_tables(len(levels)).chunks(levels):
+            product.fill(0.0)
+            rows = out[chunk]
+            rows += self.mass_product(cols, product).T
+        return out
 
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve M x = rhs (used by the L2 projection), residual-checked."""
-        if self._mass_chol is None:
-            self._mass_chol = _CheckedCholesky(self.mass, "mass")
-        return self._mass_chol.solve(rhs)
+        """Solve M x = rhs (used by the L2 projection), residual-checked.
+
+        M is factored on every call and the factor is not kept: a run
+        solves with M only while it is set up.
+        """
+        return _CheckedCholesky(self.mass, "mass").solve(rhs)
 
 
 def assemble(mesh: Mesh) -> FemSystem:

@@ -27,22 +27,34 @@ An iteration does only the work its result needs: one backward adjoint
 sweep, one forward state sweep, the multiplier mu, the step error (the
 stopping rule) and the constraint integral.  A run starts from the zero
 control, whose state is the data response ``base`` plus +0.0, so it costs
-no sweep, and ends with one adjoint sweep for the returned mean adjoint;
-k iterations cost 2k + 1 sweeps.  What only some callers read, such as the
-tracking cost (``cost``) that ``solve`` writes per iteration, goes through
-the optional observer, ``run(delta, observe)``, which is called with each
-record and the live control and mean state; the projected target that
-``cost`` measures against is solved on its first call.
+no sweep; k iterations cost 2k sweeps.  The returned mean adjoint costs
+one more, run when ``GpResult.adjoint_mean`` is first read, so a
+constraint table, which never reads it, never pays for it; until then the
+result holds the sweep's inputs (the final state, the multiplier and the
+target loads), not the workspace.  What only some callers read, such as
+the tracking cost (``cost``) that ``solve`` writes per iteration, goes
+through the optional observer, ``run(delta, observe)``, which is called
+with each record and the live control and mean state; the projected
+target that ``cost`` measures against is solved on its first call.
 
-The loop allocates no table per iteration.  The sweeps' scratch is the
-``FemSystem``'s (``FemSystem.sweep_tables``), built by the first set-up
-sweep and shared by every sweep and delta run after it; nothing a run
-returns lives there.  Each ``run`` owns its iterates, (N+1, n) arrays: the
-control and mean state, the next control (swapped with the control each
-iteration) and one scratch table.  The mean state is projected in place:
-the gradient step's adjoint sweep has copied what it reads of the old one
-into the sweep tables.  The returned mean adjoint goes into the
-next-control table, free once the loop ends.
+The loop keeps only the (N+1, n) tables it reads, and allocates none per
+iteration.  The workspace holds four: Mtilde, Qtilde, the data response
+``base`` and the target loads.  Each ``run`` owns three: the control
+``u``, the mean state ``x`` and the next control ``u_next``.  An
+iteration's adjoint sweep writes into ``u_next``; once it has staged its
+source, x is dead, so rho*(alpha*u + y) is formed in ``x``, and the half step
+over the adjoint in ``u_next``.  The projection solves the new mean state
+into ``x`` and shifts the half step in place into the next control; the
+step difference goes into the old control, which is then swapped with
+``u_next``.  The sweeps' scratch is the ``FemSystem``'s
+(``FemSystem.sweep_tables``): one (N, n) staging table, ``rows``, and a
+bounded transposed pair (``fem.SweepTables``), built by the first set-up
+sweep and shared by every sweep and delta run after it.  Once an
+iteration's sweeps are done ``rows`` also stages the projection's two
+shifts and the mass products of the step norm.  With the implicit-Euler
+factor, that is the whole live set of a run: 4 + 3 + 1 tables, the
+factor and at most 1 MiB of chunk scratch; no mass factor is kept
+(``FemSystem.mass_solve``).  Nothing a run returns lives in the scratch.
 The sweeps write into these tables, and every update is an ``out=`` ufunc
 with the same operations in the same order as the plain expression, so
 the bits are those of the expression.  Results therefore never share
@@ -54,7 +66,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -100,16 +112,30 @@ class IterationRecord:
 
 @dataclass
 class GpResult:
+    """The loop's final iterate.
+
+    ``adjoint`` is the mean adjoint at ``state_mean`` and ``mu``, or, as
+    ``run`` returns it, the sweep that solves for it: ``adjoint_mean``
+    runs that sweep on its first read and keeps the array in its place,
+    so a caller that never reads the adjoint never pays for it.
+    """
+
     control: np.ndarray
     mu: float
     records: list[IterationRecord]
     converged: bool
     state_mean: np.ndarray
-    adjoint_mean: np.ndarray
+    adjoint: np.ndarray | Callable[[], np.ndarray]
 
     @property
     def iterations(self) -> int:
         return len(self.records)
+
+    @property
+    def adjoint_mean(self) -> np.ndarray:
+        if callable(self.adjoint):
+            self.adjoint = self.adjoint()
+        return self.adjoint
 
 
 def constraint_integral(x_mean: np.ndarray, system: FemSystem, grid: TimeGrid) -> float:
@@ -210,8 +236,15 @@ class GradientProjection:
         )
 
     def _mass_inner(self, levels: np.ndarray) -> float:
-        """sum over rows l of levels[l] . M levels[l], for an (N, n) table."""
-        return np.einsum("ln,ln->", levels, self.system.mass_rows(levels))
+        """sum over rows l of levels[l] . M levels[l], for an (N, n) table.
+
+        M levels is staged in the sweep rows, free once an iteration's
+        sweeps are done, laid out (n, N) as levels by columns: the einsum
+        sums in the order of that layout.
+        """
+        product = self.system.sweep_tables(len(levels)).rows.reshape(self.system.n, -1).T
+        product.fill(0.0)
+        return np.einsum("ln,ln->", levels, self.system.mass_rows(levels, product))
 
     def cost(self, x_mean: np.ndarray, control: np.ndarray, scratch: np.ndarray) -> float:
         """Discrete tracking cost of the mean fields; the misfit goes to ``scratch`` (N+1, n).
@@ -237,17 +270,23 @@ class GradientProjection:
         Solves the mean state, selects the multiplier and subtracts
         rho*mu times the auxiliary backward field.  Returns the projected
         control, its mean state and the multiplier, written into ``u_out``
-        and ``x_out`` (N+1, n) when given and into new arrays otherwise.
+        (which may be ``control`` itself) and ``x_out`` (N+1, n) when given
+        and into new arrays otherwise.
         """
+        N = self.grid.N
         x = self.state_mean(control, x_out)
         integral = constraint_integral(x, self.system, self.grid)
         mu = select_multiplier(integral, delta, self.rho, self.qtilde_integral)
         step = self.rho * mu
-        # u_out holds step*qtilde until x is projected, then step*mtilde
-        shift = np.multiply(step, self.qtilde, out=u_out)
-        np.subtract(x, shift, out=x)
-        np.multiply(step, self.mtilde, out=shift)
-        return np.subtract(control, shift, out=shift), x, mu
+        # the shifts are staged in the sweep rows: Qtilde's level 0 and
+        # Mtilde's level N are +0.0, so the rows they leave alone keep the
+        # bits that subtracting step*(+0.0) gives
+        shift = self.system.sweep_tables(N).rows
+        np.subtract(x[1:], np.multiply(step, self.qtilde[1:], out=shift), out=x[1:])
+        u = np.empty_like(self.base) if u_out is None else u_out
+        u[N] = control[N]
+        np.subtract(control[:N], np.multiply(step, self.mtilde[:N], out=shift), out=u[:N])
+        return u, x, mu
 
     def run(self, delta: float, observe: Callable[..., None] | None = None) -> GpResult:
         """The loop at constraint level delta, from the zero control.
@@ -268,22 +307,24 @@ class GradientProjection:
         # the zero control's response is +0.0 at every entry, so its mean
         # state is base + 0.0, without a sweep
         x = np.add(self.base, 0.0, out=np.empty(shape))
-        # the next control and one scratch table, owned by this run
-        u_next, scratch = np.empty(shape), np.empty(shape)
+        # the adjoint, then the half step, then the next control
+        u_next = np.empty(shape)
         records: list[IterationRecord] = []
         converged = False
         mu = 0.0
 
         for i in range(config.max_iter):
             y_tilde = self.adjoint(x, mu=0.0, out=u_next)
-            # u_half = u - rho*(alpha*u + y_tilde), one operation at a time
-            u_half = np.multiply(alpha, u, out=scratch)
-            u_half += y_tilde
-            u_half *= rho
-            np.subtract(u, u_half, out=u_half)
-            # the adjoint sweep is done with x, so the projection overwrites it
-            u_new, x, mu = self.project(u_half, delta, u_next, x)
-            step_error = self.step_norm(np.subtract(u_new, u, out=scratch))
+            # u_half = u - rho*(alpha*u + y_tilde), one operation at a time;
+            # the adjoint has staged its source, so x is free until the
+            # projection solves the new state into it
+            gradient = np.multiply(alpha, u, out=x)
+            gradient += y_tilde
+            gradient *= rho
+            u_half = np.subtract(u, gradient, out=y_tilde)
+            u_new, x, mu = self.project(u_half, delta, u_half, x)
+            # the old control is read for the last time here
+            step_error = self.step_norm(np.subtract(u_new, u, out=u))
             integral = constraint_integral(x, self.system, grid)
             if not all(map(math.isfinite, (mu, step_error, integral))):
                 raise NumericalError(
@@ -298,12 +339,18 @@ class GradientProjection:
                 converged = True
                 break
 
+        # the final adjoint is swept when it is first read; the result holds
+        # the sweep's inputs until then, not the workspace
+        adjoint = partial(
+            backward_adjoint_from_loads, self.system, grid, self.spec.gamma,
+            x, self.target_loads, mu,
+        )
         return GpResult(
             control=u,
             mu=mu,
             records=records,
             converged=converged,
             state_mean=x,
-            adjoint_mean=self.adjoint(x, mu, out=u_next),
+            adjoint=adjoint,
         )
 

@@ -33,13 +33,19 @@ Each layout has one kernel, and every solve is residual-checked (see
   level through the unchecked ``FemSystem.mass_kernel``, adds its staged
   row of ``SweepTables.rows`` and its data terms, stages the right-hand
   side over that row and solves in place by ``pbtrs``.  After the last
-  step one batched check covers every level, in sweep order.
+  step one batched check covers every level, chunk by chunk in sweep
+  order (``SweepTables.check``).
 
 The system owns the scratch: each single-column sweep stages its rows in
 the ``fem.SweepTables`` that ``FemSystem.sweep_tables(N)`` caches, and no
-sweep takes tables as an argument.  A caller that sweeps many times at one
-size (the gradient-projection loop) passes its own ``out``, so the loop
-allocates no table per sweep.  The path sweep, a generator, owns its
+sweep takes tables as an argument.  Its one (N, n) table, ``rows``, is
+the only table a sweep touches besides its ``out``: the control loads
+tau*M u and the adjoint's source are added into it by
+``FemSystem.mass_rows``, chunk by chunk through the bounded transposed
+scratch, and no sweep allocates a table of its own but the ``out`` it is
+not given.  A caller that sweeps many times at one size (the
+gradient-projection loop) passes its own ``out``, so the loop allocates
+no table per sweep.  The path sweep, a generator, owns its
 block workspace, and the arrays it yields are reused, so a consumer
 copies what it keeps.  It copies its control loads out of the sweep
 tables, so a sweep run while it is suspended cannot change them.
@@ -211,8 +217,9 @@ def _control_loads(system: FemSystem, grid: TimeGrid, control: np.ndarray) -> np
     """tau*M u^n for n < N, staged in the sweep tables' rows; ``control`` is (N+1, n)."""
     if control.shape != (grid.N + 1, system.n):
         raise ValueError(f"control of shape {control.shape} is not aligned with the time grid")
-    product = system.mass_rows(control[: grid.N])
-    return np.multiply(grid.tau, product, out=system.sweep_tables(grid.N).rows)
+    rows = system.sweep_tables(grid.N).rows
+    rows.fill(0.0)
+    return np.multiply(grid.tau, system.mass_rows(control[: grid.N], rows), out=rows)
 
 
 def _row_sweep(
@@ -384,8 +391,10 @@ def backward_adjoint_from_loads(
     for name, levels in (("x_levels", x_levels), ("target_loads", target_loads)):
         if levels.shape != (grid.N + 1, system.n):
             raise ValueError(f"{name} of shape {levels.shape} is not aligned with the time grid")
-    rows = system.sweep_tables(grid.N).rows
-    source = np.subtract(system.mass_rows(x_levels[1:]), target_loads[1:], out=rows)
+    source = system.sweep_tables(grid.N).rows
+    source.fill(0.0)
+    system.mass_rows(x_levels[1:], source)
+    source -= target_loads[1:]
     source += mu * system.ones_load
     source *= grid.tau
     return _row_sweep(system, grid, gamma, 0.0, out, backward=True)

@@ -48,7 +48,7 @@ def gp_result(control, adjoint_mean, mu) -> GpResult:
         records=[record],
         converged=True,
         state_mean=np.full_like(control, np.nan),
-        adjoint_mean=adjoint_mean,
+        adjoint=adjoint_mean,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -143,7 +144,7 @@ class TestWorkspaceAliasing:
             assert np.array_equal(values, getattr(fresh, name))
             mates = [getattr(first, f) for f in self.FIELDS if f != name]
             for other in [getattr(second, f) for f in self.FIELDS] + mates + [
-                tables.rows, tables.cols, tables.product
+                tables.rows, tables.term, tables.transposed
             ]:
                 assert not np.shares_memory(values, other)
 
@@ -301,7 +302,8 @@ class TestWorkBudget:
     @pytest.mark.parametrize("max_iter", [1, 3])
     def test_sweeps_per_workspace_and_run(self, coarse, monkeypatch, max_iter):
         # a workspace sweeps Mtilde, Qtilde and the data response; a run of
-        # k iterations sweeps k adjoints, k states and one final adjoint
+        # k iterations sweeps k adjoints and k states, and the final adjoint
+        # once, when the result's adjoint_mean is first read
         prob, system, grid = coarse
         calls, real = [], spde._row_sweep
 
@@ -315,7 +317,29 @@ class TestWorkBudget:
         assert len(calls) == 3
         res = loop.run(prob.delta)
         assert res.iterations == max_iter
+        assert len(calls) == 3 + 2 * max_iter
+        adjoint = res.adjoint_mean
         assert len(calls) == 3 + 2 * max_iter + 1
+        assert res.adjoint_mean is adjoint
+        assert len(calls) == 3 + 2 * max_iter + 1
+
+    def test_run_allocates_three_tables(self):
+        # a run owns the control, the mean state and the next control; the
+        # rest it allocates is O(n + N) vectors and numpy's iterator buffers
+        # (at most 8,192 elements per operand), within SLACK bytes
+        SLACK = 128 * 1024
+        prob = BY_NAME["example2"]()
+        system, grid = setup(prob, Resolution(30, 30))
+        loop = GradientProjection(prob.spec, system, grid, OptimizerConfig(max_iter=3))
+        table = (grid.N + 1) * system.n * 8
+        assert table > SLACK
+        tracemalloc.start()
+        try:
+            loop.run(prob.delta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 3 * table <= peak <= 3 * table + SLACK
 
     def test_target_projection_waits_for_cost(self, coarse, monkeypatch):
         prob, system, grid = coarse

@@ -386,10 +386,18 @@ class TestKernels:
         "mesh", [make_interval_mesh(0, 1, 40), make_rectangle_mesh((0, 0), (1, 1), 60, 60)]
     )
     def test_whole_trajectory_mass_product_matches_per_step(self, mesh):
+        # 40 levels: one chunk in 1D, three of the bounded scratch in 2D
         system = assemble(mesh)
-        levels = np.random.default_rng(3).normal(size=(9, system.n))
+        rng = np.random.default_rng(3)
+        levels, start = rng.normal(size=(2, 40, system.n))
         per_step = np.stack([scipy_csr(system.mass) @ row for row in levels])
-        assert np.array_equal(system.mass_rows(levels), per_step)
+        assert system.sweep_tables(40).width == (40 if mesh.dim == 1 else 18)
+        out = np.zeros_like(levels)
+        assert system.mass_rows(levels, out) is out
+        assert np.array_equal(out, per_step)
+        # the products are added into the caller's table, in any layout
+        out = np.asfortranarray(start)
+        assert np.array_equal(system.mass_rows(levels, out), start + per_step)
         # a one-column block steps exactly like a vector
         solver = system.euler_solver(0.01)
         assert np.array_equal(solver.solve(levels[0][:, None])[:, 0], solver.solve(levels[0]))
@@ -418,6 +426,7 @@ DATA_SPEC = make_spec(
     forcing=AffineInW(lambda t, p: np.cos(t + p.sum(axis=1)), lambda t, p: t * p[:, -1]),
     gamma=0.7,
 )
+CHUNKED_SYSTEM = assemble(make_rectangle_mesh((0, 0), (1, 1), 40, 40))
 CHECK_SYSTEMS = [
     pytest.param(assemble(make_interval_mesh(0, 1, 40)), id="interval40"),
     pytest.param(assemble(make_rectangle_mesh((0, 0), (1, 1), 8, 8)), id="rectangle8x8"),
@@ -453,6 +462,29 @@ class TestDeferredCheck:
             for n, _ in iter_forward_paths(DATA_SPEC, system, grid, control, ens):
                 yielded.append(n)
         assert yielded == [0, 1, 2, 3, 4]
+
+    def test_faults_in_a_later_chunk_are_named_by_their_level(self, monkeypatch):
+        # 1,521 nodes: the 60 levels are checked in two chunks, 1..43 and
+        # 44..60 forward, 59..17 and 16..0 backward
+        system, grid = CHUNKED_SYSTEM, make_time_grid(1.0, 60)
+        assert system.sweep_tables(grid.N).width == 43
+        u = np.ones((grid.N + 1, system.n))
+        with monkeypatch.context() as patch:
+            _corrupt_call(patch, 49)
+            with pytest.raises(NumericalError, match="residual .* at level 50$"):
+                control_response(system, grid, u, 1.0)
+        with monkeypatch.context() as patch:
+            _corrupt_call(patch, grid.N - 1 - 7)
+            with pytest.raises(NumericalError, match="residual .* at level 7$"):
+                mtilde_solve(system, grid, 1.0)
+        u[55, 3] = np.inf
+        with pytest.raises(NumericalError, match="undefined: .* at level 56$"):
+            control_response(system, grid, u, 1.0)
+        # the first chunk with a fault decides: a residual breach at level
+        # 10 is reported before the non-finite levels 56..60
+        _corrupt_call(monkeypatch, 9)
+        with pytest.raises(NumericalError, match="residual .* at level 10$"):
+            control_response(system, grid, u, 1.0)
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_control_is_numerical_error(self):
