@@ -70,7 +70,7 @@ import importlib.util
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -325,35 +325,25 @@ class SweepTables:
     on entry, its right-hand sides once the sweep has run.  ``term`` (n,)
     stages one data term of a step.  The whole-trajectory mass products
     (``FemSystem.mass_rows``) and the batched residual check read the
-    levels as columns: ``chunks`` walks them ``width`` levels at a time
-    through ``transposed``, a pair of (n, width) blocks of at most
-    ``_SCRATCH_BYTES``, so every 1D sweep (n <= 39, N <= 625) is one
-    chunk.  No sweep leaves anything there that a later call reads, so
+    levels as columns, ``width`` levels at a time: ``chunks`` lists each
+    chunk's slice of the levels with its pair of C-ordered (n, k) blocks
+    of ``transposed`` (at most ``_SCRATCH_BYTES``), into which a reader
+    copies the chunk's rows as columns.  Every 1D sweep (n <= 39,
+    N <= 625) is one chunk.  No sweep leaves anything there that a later
+    call reads, so
     ``FemSystem.sweep_tables`` keeps one set per step count.
     """
 
     def __init__(self, steps: int, n: int):
         self.rows = np.empty((steps, n))
         self.term = np.empty(n)
-        self.width = width = min(steps, max(1, _SCRATCH_BYTES // (2 * 8 * n)))
+        width = min(steps, max(1, _SCRATCH_BYTES // (2 * 8 * n)))
         self.transposed = np.empty((2, n * width))
         # each chunk's levels and its pair of C-ordered (n, k) blocks
-        self._chunks = [
+        self.chunks = [
             (chunk, self.transposed[:, : n * (chunk.stop - chunk.start)].reshape(2, n, -1))
             for chunk in (slice(start, min(start + width, steps)) for start in range(0, steps, width))
         ]
-
-    def chunks(self, *tables: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-        """Each chunk of at most ``width`` levels of the (N, n) ``tables``, in order.
-
-        Yields the chunk's slice and the pair of C-ordered (n, k) blocks of
-        ``transposed``, with the chunk's rows of ``tables[i]`` copied into
-        block i as columns; the blocks are overwritten by the next chunk.
-        """
-        for chunk, blocks in self._chunks:
-            for block, table in zip(blocks, tables):
-                np.copyto(block, table[chunk].T)
-            yield chunk, blocks
 
     def check(
         self, solver: EulerSolver, rhs_rows: np.ndarray, solution_rows: np.ndarray, levels: range
@@ -365,7 +355,9 @@ class SweepTables:
         decides: within it a non-finite right-hand side is reported before
         a residual breach, as in one pass over all levels.
         """
-        for chunk, (rhs, solution) in self.chunks(rhs_rows, solution_rows):
+        for chunk, (rhs, solution) in self.chunks:
+            np.copyto(rhs, rhs_rows[chunk].T)
+            np.copyto(solution, solution_rows[chunk].T)
             solver.check(rhs, solution, levels[chunk])
 
 
@@ -438,16 +430,16 @@ class FemSystem:
         return self._tables_cache[steps]
 
     def mass_rows(self, levels: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Add M applied to every row of an (N, n) level table into ``out`` (N, n).
+        """M applied to every row of an (N, n) level table, written into ``out`` (N, n).
 
-        Row l of ``out`` gains ``mass @ levels[l]``, bit for bit, one
+        Row l of ``out`` becomes ``mass @ levels[l]``, bit for bit, one
         sparse-dense product per chunk of ``sweep_tables(N)``; ``out`` may
         have any layout and is returned.
         """
-        for chunk, (cols, product) in self.sweep_tables(len(levels)).chunks(levels):
+        for chunk, (cols, product) in self.sweep_tables(len(levels)).chunks:
+            np.copyto(cols, levels[chunk].T)
             product.fill(0.0)
-            rows = out[chunk]
-            rows += self.mass_product(cols, product).T
+            np.copyto(out[chunk], self.mass_product(cols, product).T)
         return out
 
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:

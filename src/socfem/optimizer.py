@@ -243,7 +243,6 @@ class GradientProjection:
         sums in the order of that layout.
         """
         product = self.system.sweep_tables(len(levels)).rows.reshape(self.system.n, -1).T
-        product.fill(0.0)
         return np.einsum("ln,ln->", levels, self.system.mass_rows(levels, product))
 
     def cost(self, x_mean: np.ndarray, control: np.ndarray, scratch: np.ndarray) -> float:

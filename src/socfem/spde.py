@@ -40,7 +40,7 @@ The system owns the scratch: each single-column sweep stages its rows in
 the ``fem.SweepTables`` that ``FemSystem.sweep_tables(N)`` caches, and no
 sweep takes tables as an argument.  Its one (N, n) table, ``rows``, is
 the only table a sweep touches besides its ``out``: the control loads
-tau*M u and the adjoint's source are added into it by
+tau*M u and the adjoint's source are written into it by
 ``FemSystem.mass_rows``, chunk by chunk through the bounded transposed
 scratch, and no sweep allocates a table of its own but the ``out`` it is
 not given.  A caller that sweeps many times at one size (the
@@ -218,7 +218,6 @@ def _control_loads(system: FemSystem, grid: TimeGrid, control: np.ndarray) -> np
     if control.shape != (grid.N + 1, system.n):
         raise ValueError(f"control of shape {control.shape} is not aligned with the time grid")
     rows = system.sweep_tables(grid.N).rows
-    rows.fill(0.0)
     return np.multiply(grid.tau, system.mass_rows(control[: grid.N], rows), out=rows)
 
 
@@ -391,9 +390,7 @@ def backward_adjoint_from_loads(
     for name, levels in (("x_levels", x_levels), ("target_loads", target_loads)):
         if levels.shape != (grid.N + 1, system.n):
             raise ValueError(f"{name} of shape {levels.shape} is not aligned with the time grid")
-    source = system.sweep_tables(grid.N).rows
-    source.fill(0.0)
-    system.mass_rows(x_levels[1:], source)
+    source = system.mass_rows(x_levels[1:], system.sweep_tables(grid.N).rows)
     source -= target_loads[1:]
     source += mu * system.ones_load
     source *= grid.tau

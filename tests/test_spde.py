@@ -391,13 +391,14 @@ class TestKernels:
         rng = np.random.default_rng(3)
         levels, start = rng.normal(size=(2, 40, system.n))
         per_step = np.stack([scipy_csr(system.mass) @ row for row in levels])
-        assert system.sweep_tables(40).width == (40 if mesh.dim == 1 else 18)
-        out = np.zeros_like(levels)
+        starts = [chunk.start for chunk, _ in system.sweep_tables(40).chunks]
+        assert starts == ([0] if mesh.dim == 1 else [0, 18, 36])
+        out = np.empty_like(levels)
         assert system.mass_rows(levels, out) is out
         assert np.array_equal(out, per_step)
-        # the products are added into the caller's table, in any layout
+        # the products overwrite the caller's table, in any layout
         out = np.asfortranarray(start)
-        assert np.array_equal(system.mass_rows(levels, out), start + per_step)
+        assert np.array_equal(system.mass_rows(levels, out), per_step)
         # a one-column block steps exactly like a vector
         solver = system.euler_solver(0.01)
         assert np.array_equal(solver.solve(levels[0][:, None])[:, 0], solver.solve(levels[0]))
@@ -467,7 +468,8 @@ class TestDeferredCheck:
         # 1,521 nodes: the 60 levels are checked in two chunks, 1..43 and
         # 44..60 forward, 59..17 and 16..0 backward
         system, grid = CHUNKED_SYSTEM, make_time_grid(1.0, 60)
-        assert system.sweep_tables(grid.N).width == 43
+        chunks = [chunk for chunk, _ in system.sweep_tables(grid.N).chunks]
+        assert chunks == [slice(0, 43), slice(43, 60)]
         u = np.ones((grid.N + 1, system.n))
         with monkeypatch.context() as patch:
             _corrupt_call(patch, 49)
