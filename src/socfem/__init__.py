@@ -7,7 +7,7 @@ README for the CLI and the experiment harness.
 
 Importing socfem sets the OpenBLAS pools bundled with numpy and scipy to
 one thread, process-wide, unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
-is set (see ``socfem._blas``).
+is set; ``socfem._blas`` says how, and what the pin was measured to save.
 """
 
 from . import _blas

@@ -1,11 +1,20 @@
 """Load the OpenBLAS copies bundled with numpy and scipy with one thread.
 
 socfem's dense work is small: implicit-Euler steps over a few hundred
-right-hand-side columns and per-path reductions.  OpenBLAS helper threads
-do not speed these up; they spin on the cores the solves need (on two
-cores, the ``rates_mc_1d`` benchmark spent about 19 s of CPU in 12 s of
-wall time with two threads, against about 5 s of both with one).  numpy
-and scipy each ship their own OpenBLAS, so both are pinned.
+right-hand-side columns and per-path reductions, too small to gain from
+BLAS threads, whose idle helpers spin on the cores the solves need.  numpy
+and scipy each ship their own OpenBLAS, so both are pinned.  The pin saves
+CPU time and import time, not wall time.  Measured with
+``perfbench/child.py`` on each benchmark workload's seed-7 command on a
+2-core machine, medians of 3 alternating pairs, pinned against
+``OPENBLAS_NUM_THREADS=2`` (OpenBLAS's own choice there):
+
+    workload      wall, pinned / 2 threads   CPU, pinned / 2 threads
+    rates_mc_1d   0.333 / 0.347 s            0.333 / 0.387 s
+    table_2d      1.414 / 1.440 s            1.414 / 1.467 s
+    table_mc_1d   0.031 / 0.039 s            0.031 / 0.066 s
+
+and ``import socfem.cli`` took 0.054-0.059 s pinned against 0.072-0.105 s.
 
 OpenBLAS starts its helper threads when the library loads, and a helper
 keeps spinning for a while after ``set_num_threads(1)``.  So unless the

@@ -13,11 +13,10 @@ for the deterministic fields.  Strong state errors evaluate the exact
 field x0 + W x1 at each path's own discrete Brownian values, so the
 measured error is scheme error, not Brownian-path error: the (2, m)
 tables [x0; x1] of the field and its gradients are built once per level
-and taken to every path by ``spde.at_w``, the product the sweeps'
-forcing goes through.  Each path block owns one evaluator, fed the (n,
-paths) level that the sweep yields in one array it overwrites on the
-next resume, so no path history is kept and no level allocates a
-block-sized array.  The mean adjoint is one evaluator call; the control,
+and taken to every path by ``spde.at_w``.  Each path block owns one
+evaluator, fed each (n, paths) level that ``spde.iter_forward_paths``
+yields, so no path history is kept and no level allocates a block-sized
+array.  The mean adjoint is one evaluator call; the control,
 measured in L2 alone, one ``l2`` call, so its exact gradients are never
 evaluated.
 
@@ -61,9 +60,15 @@ class Resolution:
 class ErrorReport:
     """Discretization errors of one resolved run.
 
-    strong_* fields are sqrt(max over time of the mean squared L2 error);
-    h1_* fields are sqrt(tau * sum over steps of the mean squared H1
-    seminorm error).  ``converged`` and ``step_error`` (of the last
+    ``strong_l2_state`` is the root of the maximum over levels 0..N of the
+    path mean of the squared L2 state error.  ``strong_l2_adjoint`` and
+    ``strong_l2_control`` are the same maximum for deterministic fields,
+    the mean adjoint (levels 0..N) and the control (levels 0..N-1), so no
+    path mean enters them; the pathwise adjoint error is not measured.
+    The ``h1_*`` fields are tau-sums over steps, the roots of tau times the
+    sum of the squared H1 seminorm errors: of the path-mean state at levels
+    1..N and of the mean adjoint at levels 0..N-1.  ``mu_error`` is
+    |mu - exact mu|.  ``converged`` and ``step_error`` (of the last
     iteration) describe the gradient-projection run that was measured.
     """
 

@@ -7,39 +7,29 @@ convergence       error sweep over resolutions -> errors.csv, orders.json
 constraint-table  converged constraint integrals -> table.csv, table_long.csv
 verify            manufactured-solution residual report -> stdout JSON
 
-Mesh sizes are given as exact fractions ("1/40") naming the grid pitch per
-axis, so tabulated values never pick up decimal drift; the element
-diameter is the pitch in 1D and sqrt(2) * pitch in 2D.  The time step
-follows the --rule (tau=h, tau=h/sqrt2, tau=h^2, tau=h^2/2, tau=h^4)
-applied to the element diameter, or an explicit --tau list; the two
-exclude each other, so a run given both is a configuration error.
+The user contract (exit codes, which command reads which option, value
+ranges and output schemas) is the README's; this docstring describes how
+the module implements it.
+
+Mesh sizes are parsed as exact fractions (``parse_fraction``), so
+tabulated values never pick up decimal drift; ``TAU_RULES`` maps each
+--rule to the time step it takes from the element diameter.
 
 Every option is one row of ``OPTIONS``, and the flags are built from it.
 Each ``key = value`` line of a ``--config`` file becomes a ``--key=value``
 flag placed before the command-line flags, so a config value passes exactly
 the checks its flag does and an explicit flag wins.  ``PROBLEM_FLAGS`` says
-which problem reads which flag: --beta and --exact-mu go to both problems,
---xd-reading to example1 only, --gamma and --lam to example2 only.  A
-problem flag that the chosen problem does not read is a configuration error.
-``COMMAND_OPTIONS`` says which command reads which option; a flag or config
-key that the command does not read is rejected like an unknown one.
-Every default the library also has (--paths, --seed, --eps0, --max-iter,
---estimator, --samples, --delta-mode) is read from the library.
---paths and --seed (``SAMPLING``) are read by convergence, whose error pass
-samples paths, by Monte Carlo runs and by verify (--seed); a mean-field
-solve or constraint-table draws no paths, so either one given to it is a
-configuration error.
+which problem reads which flag and ``COMMAND_OPTIONS`` which command reads
+which option; a flag or config key that the problem or the command does
+not read is rejected like an unknown one.  ``SAMPLING`` holds the two
+options that only runs drawing paths read.  Every default the library also
+has (--paths, --seed, --eps0, --max-iter, --estimator, --samples,
+--delta-mode) is read from the library.
 
-Exit codes: 0 success; 2 configuration error (an unknown flag or config
-key, a malformed or out-of-range value, a missing config file or one that
-is not UTF-8, values the command cannot run such as an --h of one cell
-per axis (no interior node), or an --output-dir that is or lies under a
-file, or holds a directory named like one of the command's files),
-reported before anything is solved or written; 3 numerical failure,
-named by its cell in a study or table; 4 output error (a file could not
-be written or renamed into place).  A fixed seed makes every output
-byte-identical across reruns.  Table cells run one after another,
-resolutions outer, and are reported deltas outer.
+``main`` maps each failure to its exit code: argparse errors and
+``ConfigError`` to 2, ``NumericalError`` to 3 and an ``OSError`` while
+writing to 4.  Table cells run one after another, resolutions outer, and
+are reported deltas outer.
 
 Each command only computes its outputs; ``_emit`` writes them.  Every file
 goes to a hidden sibling temp file, and only once all are written are they

@@ -19,19 +19,16 @@ are cached on first use.  The mass factor is not: ``mass_solve`` factors
 M on every call, since only set-up solves with it (the L2 projections).
 A ``SweepTables`` holds one (N, n) table, ``rows``, and a transposed
 scratch pair of at most ``_SCRATCH_BYTES`` (1 MiB), through which the
-whole-trajectory mass products and the residual check walk the levels
-in chunks; every 1D sweep is one chunk.
+whole-trajectory mass products (``FemSystem.mass_rows``,
+``FemSystem.mass_inner``) and the batched residual check
+(``SweepTables.check``) walk the levels in chunks; every 1D sweep is one
+chunk.
 
 Every solve is residual-checked per column, with one rule: column j passes
 when its right-hand side is finite and |op x_j - rhs_j| <= 1e-10 |rhs_j|.
 ``solve`` checks before it returns, which is how mass solves are checked.
-The sweeps of ``spde`` solve through ``solve_unchecked``, in place on
-their own buffers, and call the same ``check`` themselves.  The path
-block (``iter_forward_paths``) checks each level before it yields it.
-The single-column kernel (``_row_sweep``) passes all its levels to one
-``SweepTables.check``, before the sweep returns, which checks them one
-chunk at a time; in 1D that one pass costs less than a per-step check's
-dispatch.
+``solve_unchecked`` solves in place and leaves the same ``check`` to its
+caller, which may pass it the columns of many solves at once.
 
 The systems are small (n = 14..39 in 1D), so a time step costs Python
 overhead rather than arithmetic.  Sparse products therefore call the
@@ -39,15 +36,10 @@ sparsetools kernel that scipy's own ``A @ x`` ends in, with the CSR arrays
 bound once, and skip scipy's generic dispatch; the sums, and so every
 output, are unchanged.  ``csr_product`` checks the operand and ``out`` on
 every call and runs one kernel, ``csr_matvecs``, for every operand width
-(a vector is a block of one column), for the whole-trajectory products,
-the path blocks and the error pass.  The residual check, whose shapes are
+(a vector is a block of one column).  The residual check, whose shapes are
 known, calls ``csr_matvecs`` itself, on the entries of -op.  ``csr_kernel``
-is the bare (n,) row kernel, with no check at all: the single-column
-kernel of ``spde`` checks the shape and layout of its output table once
-when a sweep starts, and then each step is one ``FemSystem.mass_kernel``
-call and one ``solve_unchecked``; the load tables of ``spde`` stage each
-level's quadrature values in one buffer of the right length and load
-them with ``FemSystem.load_kernel``.
+is the bare (n,) row kernel, with no check at all, for a caller that
+checks its shapes once (``FemSystem.mass_kernel``, ``load_kernel``).
 
 Operators are ``Csr`` records (shape, indptr, indices, data), not scipy
 matrices.  ``Csr.from_triplets`` runs the sparsetools kernels of scipy's
@@ -187,8 +179,7 @@ def csr_kernel(op: Csr) -> Callable[[np.ndarray, np.ndarray], None]:
     ``csr_matvec`` with the CSR arrays of ``op`` bound, the kernel that
     scipy's own ``op @ x`` ends in, so a zeroed ``out`` receives the same
     sums bit for bit.  Nothing is checked: a short x is read past its end,
-    so the caller checks shapes and layout first (``spde`` does it once per
-    sweep).
+    so the caller checks shapes and layout first.
     """
     return partial(_sparsetools.csr_matvec, *op.shape, op.indptr, op.indices, op.data)
 
@@ -236,9 +227,8 @@ class _CheckedCholesky:
     factorization (the operator is not SPD) raises ``NumericalError`` naming
     ``what``.  ``solve`` checks each solution before it returns it;
     ``solve_unchecked`` solves in place, overwriting its right-hand side,
-    and leaves the check to its caller, which passes the right-hand sides
-    and solutions of many solves to one ``check`` (see
-    ``spde._row_sweep``).
+    and leaves the check to its caller, which may pass the right-hand
+    sides and solutions of many solves to one ``check``.
     """
 
     def __init__(self, op: Csr, what: str):
@@ -321,22 +311,19 @@ class EulerSolver(_CheckedCholesky):
 class SweepTables:
     """Scratch of the single-column sweeps over N steps of an n-node system.
 
-    ``rows`` (N, n) stages one level per row: the scaled loads of a sweep
-    on entry, its right-hand sides once the sweep has run.  ``term`` (n,)
-    stages one data term of a step.  The whole-trajectory mass products
-    (``FemSystem.mass_rows``) and the batched residual check read the
-    levels as columns, ``width`` levels at a time: ``chunks`` lists each
-    chunk's slice of the levels with its pair of C-ordered (n, k) blocks
-    of ``transposed`` (at most ``_SCRATCH_BYTES``), into which a reader
-    copies the chunk's rows as columns.  Every 1D sweep (n <= 39,
-    N <= 625) is one chunk.  No sweep leaves anything there that a later
-    call reads, so
-    ``FemSystem.sweep_tables`` keeps one set per step count.
+    ``rows`` (N, n) is one level per row, for a caller to stage a sweep's
+    levels in.  The whole-trajectory mass products (``FemSystem.mass_rows``,
+    ``FemSystem.mass_inner``) and the batched residual check (``check``)
+    read the levels as columns, ``width`` levels at a time: ``chunks``
+    lists each chunk's slice of the levels with its pair of C-ordered
+    (n, k) blocks of ``transposed`` (at most ``_SCRATCH_BYTES``), into
+    which a reader copies the chunk's rows as columns.  Every 1D sweep
+    (n <= 39, N <= 625) is one chunk.  Nothing is kept there from one call
+    to the next, so ``FemSystem.sweep_tables`` keeps one set per step count.
     """
 
     def __init__(self, steps: int, n: int):
         self.rows = np.empty((steps, n))
-        self.term = np.empty(n)
         width = min(steps, max(1, _SCRATCH_BYTES // (2 * 8 * n)))
         self.transposed = np.empty((2, n * width))
         # each chunk's levels and its pair of C-ordered (n, k) blocks
@@ -441,6 +428,16 @@ class FemSystem:
             product.fill(0.0)
             np.copyto(out[chunk], self.mass_product(cols, product).T)
         return out
+
+    def mass_inner(self, levels: np.ndarray) -> float:
+        """The sum over rows l of ``levels[l] . M levels[l]``, for an (N, n) table.
+
+        M levels is staged in ``sweep_tables(N).rows``, overwriting it, laid
+        out (n, N) as levels by columns: the einsum sums in the order of
+        that layout.
+        """
+        product = self.sweep_tables(len(levels)).rows.reshape(self.n, -1).T
+        return np.einsum("ln,ln->", levels, self.mass_rows(levels, product))
 
     def mass_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs (used by the L2 projection), residual-checked.

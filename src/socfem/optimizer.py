@@ -46,19 +46,16 @@ source, x is dead, so rho*(alpha*u + y) is formed in ``x``, and the half step
 over the adjoint in ``u_next``.  The projection solves the new mean state
 into ``x`` and shifts the half step in place into the next control; the
 step difference goes into the old control, which is then swapped with
-``u_next``.  The sweeps' scratch is the ``FemSystem``'s
-(``FemSystem.sweep_tables``): one (N, n) staging table, ``rows``, and a
-bounded transposed pair (``fem.SweepTables``), built by the first set-up
-sweep and shared by every sweep and delta run after it.  Once an
-iteration's sweeps are done ``rows`` also stages the projection's two
-shifts and the mass products of the step norm.  With the implicit-Euler
-factor, that is the whole live set of a run: 4 + 3 + 1 tables, the
-factor and at most 1 MiB of chunk scratch; no mass factor is kept
-(``FemSystem.mass_solve``).  Nothing a run returns lives in the scratch.
-The sweeps write into these tables, and every update is an ``out=`` ufunc
-with the same operations in the same order as the plain expression, so
-the bits are those of the expression.  Results therefore never share
-memory with the workspace, with each other or with another run's results.
+``u_next``.  The eighth table is the system's sweep scratch,
+``FemSystem.sweep_tables(N).rows``, shared by every sweep and delta run;
+once an iteration's sweeps are done it also stages the projection's two
+shifts and the mass products of the step norm (``FemSystem.mass_inner``).
+So a run's live set is 4 + 3 + 1 tables, the implicit-Euler factor and
+the chunk scratch of ``FemSystem.sweep_tables``; no mass factor is kept.
+Nothing a run returns lives in the scratch.  Every update is an ``out=``
+ufunc with the same operations in the same order as the plain expression,
+so the bits are those of the expression, and results never share memory
+with the workspace, with each other or with another run's results.
 """
 
 from __future__ import annotations
@@ -235,16 +232,6 @@ class GradientProjection:
             self.system, self.grid, self.spec.gamma, x_mean, self.target_loads, mu, out=out
         )
 
-    def _mass_inner(self, levels: np.ndarray) -> float:
-        """sum over rows l of levels[l] . M levels[l], for an (N, n) table.
-
-        M levels is staged in the sweep rows, free once an iteration's
-        sweeps are done, laid out (n, N) as levels by columns: the einsum
-        sums in the order of that layout.
-        """
-        product = self.system.sweep_tables(len(levels)).rows.reshape(self.system.n, -1).T
-        return np.einsum("ln,ln->", levels, self.system.mass_rows(levels, product))
-
     def cost(self, x_mean: np.ndarray, control: np.ndarray, scratch: np.ndarray) -> float:
         """Discrete tracking cost of the mean fields; the misfit goes to ``scratch`` (N+1, n).
 
@@ -252,13 +239,13 @@ class GradientProjection:
         for additive noise and is not included.
         """
         misfit = np.subtract(x_mean[1:], self.target_proj[1:], out=scratch[: self.grid.N])
-        track = self._mass_inner(misfit)
-        reg = self._mass_inner(control[: self.grid.N])
+        track = self.system.mass_inner(misfit)
+        reg = self.system.mass_inner(control[: self.grid.N])
         return float(0.5 * self.grid.tau * (track + self.spec.alpha * reg))
 
     def step_norm(self, diff_levels: np.ndarray) -> float:
         """tau-weighted L2(0,T; L2) norm of a control difference."""
-        return float(np.sqrt(self.grid.tau * self._mass_inner(diff_levels[: self.grid.N])))
+        return float(np.sqrt(self.grid.tau * self.system.mass_inner(diff_levels[: self.grid.N])))
 
     def project(
         self, control: np.ndarray, delta: float,

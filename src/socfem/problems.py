@@ -7,12 +7,13 @@ the space-time integral of the exact mean state.  All Brownian dependence
 is affine, so the forcing, the target and the exact state are written as
 ``AffineInW`` pairs (w=0 slice, w-slope); the w=0 slices are the means.
 
-What the exact solution implies is derived from it, not written again:
-the noise is additive, so the noise coefficient sigma is the w-slope of
-the exact state X = x0 + W x1 and the initial state is X at t = 0; the
-exact mean adjoint is -alpha times the control (``exact_y``).  Each
-builder writes only the control, the exact state, the forcing and the
-target.
+What the exact solution implies is derived from it, not written again,
+once for both builders (``_manufactured``): both problems take alpha = 1
+and T = 1; the noise is additive, so the noise coefficient sigma is the
+w-slope of the exact state X = x0 + W x1 and the initial state is X at
+t = 0; the exact mean adjoint is -alpha times the control (``exact_y``).
+Each builder writes only the control, the exact state, the forcing and
+the target, and the problem's own constants.
 
 The 1D problem's tracking target contains one ambiguous term that can be
 read with or without the noise amplitude multiplying the Brownian value.
@@ -35,6 +36,7 @@ from .paths import DEFAULT_SEED
 from .spde import AffineInW, ProblemSpec, at_w
 
 PI = math.pi
+T = 1.0  # the horizon of both built-in problems
 DEFAULT_SAMPLES = 1000  # the (t, x, w) triples ``verify_manufactured`` checks
 
 
@@ -91,6 +93,23 @@ def _per_point_set(fn):
     return per_set
 
 
+def _manufactured(
+    name, domain, exact_u, exact_x: AffineInW, forcing: AffineInW, target: AffineInW,
+    mu: float, delta: float, gamma: float = 1.0, **reading,
+) -> ManufacturedProblem:
+    """A built-in problem from its exact solution and data, alpha = 1 and
+    horizon ``T``: x0 is the exact state at t = 0 and sigma its w-slope.
+
+    ``reading`` holds the target reading fields of ``ManufacturedProblem``
+    (``xd_reading``, ``xd_variants``), which example1 alone has.
+    """
+    spec = ProblemSpec(
+        alpha=1.0, T=T, x0=lambda pts: exact_x.mean(0.0, pts), sigma=exact_x.slope,
+        forcing=forcing, target=target, gamma=gamma,
+    )
+    return ManufacturedProblem(name, spec, exact_u, exact_x, mu, delta, domain, **reading)
+
+
 def example1(beta: float = 0.1, mu: float = 1.0, xd_reading: str = "auto") -> ManufacturedProblem:
     """1D problem on [0, 1] with T = 1, alpha = 1, unit diffusion.
 
@@ -100,7 +119,6 @@ def example1(beta: float = 0.1, mu: float = 1.0, xd_reading: str = "auto") -> Ma
     'auto' selects the reading with the smaller pathwise target-fluctuation
     mismatch (beta_w).
     """
-    T = 1.0
 
     @_per_point_set
     def g(pts):
@@ -131,25 +149,9 @@ def example1(beta: float = 0.1, mu: float = 1.0, xd_reading: str = "auto") -> Ma
         raise ValueError(f"xd_reading must be 'auto', 'beta_w' or 'plain_w', got {xd_reading!r}")
     target = variants[xd_reading]
 
-    spec = ProblemSpec(
-        alpha=1.0,
-        T=T,
-        x0=lambda pts: exact_x.mean(0.0, pts),
-        sigma=exact_x.slope,
-        forcing=forcing,
-        target=target,
-        gamma=1.0,
-    )
-    return ManufacturedProblem(
-        name="example1",
-        spec=spec,
-        exact_u=exact_u,
-        exact_x=exact_x,
-        exact_mu=mu,
-        delta=1.0 / PI,
-        domain=((0.0, 1.0),),
-        xd_reading=xd_reading,
-        xd_variants=variants,
+    return _manufactured(
+        "example1", ((0.0, 1.0),), exact_u, exact_x, forcing, target, mu, 1.0 / PI,
+        xd_reading=xd_reading, xd_variants=variants,
     )
 
 
@@ -161,7 +163,6 @@ def example2(
     State (1 + lam t + beta W_t) sin(pi x1) sin(pi x2) (1+t)^2; constraint
     level (17 lam + 28) / (3 pi^2).
     """
-    T = 1.0
 
     @_per_point_set
     def g(pts):
@@ -198,23 +199,9 @@ def example2(
         slope=lambda t, pts: (1.0 + t) ** 2 * g(pts) * (beta * c(t)),
     )
 
-    spec = ProblemSpec(
-        alpha=1.0,
-        T=T,
-        x0=lambda pts: exact_x.mean(0.0, pts),
-        sigma=exact_x.slope,
-        forcing=forcing,
-        target=target,
-        gamma=gamma,
-    )
-    return ManufacturedProblem(
-        name="example2",
-        spec=spec,
-        exact_u=exact_u,
-        exact_x=exact_x,
-        exact_mu=mu,
-        delta=(17.0 * lam + 28.0) / (3.0 * PI**2),
-        domain=((0.0, 1.0), (0.0, 1.0)),
+    return _manufactured(
+        "example2", ((0.0, 1.0), (0.0, 1.0)), exact_u, exact_x, forcing, target, mu,
+        (17.0 * lam + 28.0) / (3.0 * PI**2), gamma=gamma,
     )
 
 

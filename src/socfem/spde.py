@@ -16,48 +16,40 @@ trajectory.  The data terms of column j are tau*(load(f0(t_n)) + W_n^j
 load(f1(t_n))), then dW_{n+1}^j load(sigma(t_n)); the control response
 adds none.  The source is M xbar - load(xbar_d) + mu*load(1) for the mean
 adjoint and load(1) for Mtilde.  The load tables are built level by
-level through the bare load kernel (``_load_rows``); every row equals
+level through ``FemSystem.load_kernel`` (``_load_rows``); every row equals
 ``load_vector`` bit for bit; the forcing's is one (N, 2, n) table.
 
-Each layout has one kernel, and every solve is residual-checked (see
-``fem``) before a caller sees its level:
+Each layout has one kernel, and every solve is residual-checked
+(``EulerSolver.check``) before a caller sees its level:
 
 * the path block: ``iter_forward_paths`` steps a C-ordered (n, paths)
   block in buffers it allocates once, solves an F-ordered copy in place
-  by ``pbtrs`` and checks each level before it yields it, in the same
-  array every time, so no path history is kept;
+  and checks each level before it yields it, in the same array every
+  time, so no path history is kept and a consumer copies what it keeps.
+  It copies its control loads, so a sweep run while it is suspended
+  cannot change them;
 * the single column: ``_row_sweep`` runs the mean state, the control
   response and Qtilde forward, and the mean adjoint and Mtilde backward,
   on the rows of an (N+1, n) ``out`` (read in reverse going backward).  A
   step adds M times the neighbouring level into the zeroed row of the new
-  level through the unchecked ``FemSystem.mass_kernel``, adds its staged
-  row of ``SweepTables.rows`` and its data terms, stages the right-hand
-  side over that row and solves in place by ``pbtrs``.  After the last
-  step one batched check covers every level, chunk by chunk in sweep
-  order (``SweepTables.check``).
+  level (``FemSystem.mass_kernel``), adds its staged row and its data
+  terms, stages the right-hand side over that row and solves in place.
+  After the last step one ``SweepTables.check`` covers every level.
 
-The system owns the scratch: each single-column sweep stages its rows in
-the ``fem.SweepTables`` that ``FemSystem.sweep_tables(N)`` caches, and no
-sweep takes tables as an argument.  Its one (N, n) table, ``rows``, is
-the only table a sweep touches besides its ``out``: the control loads
-tau*M u and the adjoint's source are written into it by
-``FemSystem.mass_rows``, chunk by chunk through the bounded transposed
-scratch, and no sweep allocates a table of its own but the ``out`` it is
-not given.  A caller that sweeps many times at one size (the
-gradient-projection loop) passes its own ``out``, so the loop allocates
-no table per sweep.  The path sweep, a generator, owns its
-block workspace, and the arrays it yields are reused, so a consumer
-copies what it keeps.  It copies its control loads out of the sweep
-tables, so a sweep run while it is suspended cannot change them.
+A single-column sweep stages its rows in ``FemSystem.sweep_tables(N).rows``:
+its caller writes the scaled loads there (``_control_loads``, the
+adjoint's source), and the sweep overwrites them with its right-hand
+sides.  No sweep takes tables as an argument or allocates one but the
+``out`` it is not given, and each data-term closure (``Terms``) owns its
+scratch.
 
 Problem data depend on the Brownian value only through ``AffineInW``
 pairs f = f0 + W f1, evaluated one way: a table [f0; f1]
 (``AffineInW.table``, or a level of a load table) times the basis [1; w]
 (``at_w``), (2,) for one column and (2, k) for k paths.  The forcing of
-every sweep, the mean target loads and the exact state of the strong
-error pass (``analysis``) all go through it.  Controls, forcing and the
-noise coefficient are evaluated at the left time point; states and
-tracking targets at the right one.  The scheme is linear, so the average
+every sweep and the mean target loads go through it.  Controls, forcing
+and the noise coefficient are evaluated at the left time point; states
+and tracking targets at the right one.  The scheme is linear, so the average
 of the path states over an ensemble is one single-column sweep driven by
 the ensemble's mean Brownian values and increments; at the exact means,
 both zero, it gives the exact expectation.  There every slope term is
@@ -85,7 +77,7 @@ from .paths import BrownianEnsemble
 
 SpaceFn = Callable[[np.ndarray], np.ndarray]
 SpaceTimeFn = Callable[[float, np.ndarray], np.ndarray]
-Terms = Callable[[int, np.ndarray, np.ndarray], None]  # (step, rhs, scratch): adds to rhs
+Terms = Callable[[int, np.ndarray], None]  # (step, rhs): adds the step's data terms to rhs
 
 
 @dataclass(frozen=True)
@@ -193,19 +185,20 @@ class SweepData:
 
 
 def _data_terms(data: SweepData, tau: float, brownian: np.ndarray, increments: np.ndarray) -> Terms:
-    """``terms(n, rhs, scratch)`` adds the data terms of forward step n to rhs:
+    """``terms(n, rhs)`` adds the data terms of forward step n to rhs:
     tau*(load(f0) + W_n load(f1)), then dW_{n+1} load(sigma), all at t_n.
 
     ``brownian`` (..., N+1) and ``increments`` (..., N) are 1-D for one
     column, whose rhs is (n,), or hold one row per path of a block, whose
     rhs is (n, k).  The forcing is the level's load table times the basis
     [1; W_n] (``at_w``), the noise the outer product of load(sigma) with
-    dW; each is staged in ``scratch``, an array of rhs's shape.
+    dW; each is staged in the closure's own array of rhs's shape.
     """
     forcing, sigma = data.forcing, data.sigma
     basis = np.ones((2,) + brownian.shape[:-1])
+    scratch = np.empty(sigma.shape[1:] + brownian.shape[:-1])
 
-    def terms(n: int, rhs: np.ndarray, scratch: np.ndarray) -> None:
+    def terms(n: int, rhs: np.ndarray) -> None:
         basis[1] = brownian[..., n]
         rhs += np.multiply(tau, at_w(forcing[n], basis, out=scratch), out=scratch)
         rhs += np.multiply.outer(sigma[n], increments[..., n], out=scratch)
@@ -235,10 +228,10 @@ def _row_sweep(
     ``tables.rows`` in reverse (``tables = system.sweep_tables(N)``).  Step
     n adds M times the previous level into the zeroed row of the new one,
     then row n of ``tables.rows`` (the caller's scaled load of the step)
-    and, if given, ``terms(n, rhs, tables.term)``; it stages the
-    right-hand side over that row and solves in place, unchecked.  After
-    the last step one batched check covers every level, in sweep order,
-    before ``out`` is returned.
+    and, if given, ``terms(n, rhs)``; it stages the right-hand side over
+    that row and solves in place, unchecked.  After the last step one
+    batched check covers every level, in sweep order, before ``out`` is
+    returned.
     """
     N, n = grid.N, system.n
     out = np.empty((N + 1, n)) if out is None else out
@@ -248,7 +241,7 @@ def _row_sweep(
             f"got {out.dtype} {out.shape}"
         )
     solver, tables = system.euler_solver(grid.tau, gamma), system.sweep_tables(N)
-    matvec, solve, scratch = system.mass_kernel, solver.solve_unchecked, tables.term
+    matvec, solve = system.mass_kernel, solver.solve_unchecked
     levels, rows, sweep = range(N + 1), tables.rows, out
     if backward:
         levels, rows, sweep = levels[::-1], rows[::-1], out[::-1]
@@ -259,7 +252,7 @@ def _row_sweep(
         matvec(prev, rhs)
         rhs += staged
         if terms is not None:
-            terms(step, rhs, scratch)
+            terms(step, rhs)
         staged[...] = rhs
         solve(rhs)
     tables.check(solver, rows, sweep[1:], levels[1:])
@@ -292,7 +285,7 @@ def iter_forward_paths(
     terms = _data_terms(data, grid.tau, ensemble.brownian, ensemble.increments)
     loads = _control_loads(system, grid, control)[:, :, None].copy()
     solver = system.euler_solver(grid.tau, spec.gamma)
-    x, rhs, scratch = np.empty((3, system.n, ensemble.paths))
+    x, rhs = np.empty((2, system.n, ensemble.paths))
     solution = np.empty(x.shape, order="F")
     x[...] = data.x0[:, None]
     yield 0, x
@@ -301,7 +294,7 @@ def iter_forward_paths(
         rhs.fill(0.0)
         system.mass_product(x, rhs)
         rhs += loads[n]
-        terms(n, rhs, scratch)
+        terms(n, rhs)
         np.copyto(solution, rhs)
         np.copyto(x, solver.solve_unchecked(solution))
         solver.check(rhs, x)
@@ -326,8 +319,9 @@ def forward_mean(
     if ensemble is None:
         x0 = l2_project(system, spec.x0)
         forcing = _load_rows(system, spec.forcing.mean, grid.times[:-1])
+        scratch = np.empty(system.n)
 
-        def terms(n: int, rhs: np.ndarray, scratch: np.ndarray) -> None:
+        def terms(n: int, rhs: np.ndarray) -> None:
             rhs += np.multiply(grid.tau, forcing[n], out=scratch)
     else:
         data = SweepData(spec, system, grid)

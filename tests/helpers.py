@@ -1,7 +1,8 @@
 """Test helpers: the per-path increment reference of ``socfem.sample``,
 per-path states read from the streamed path sweep
 ``socfem.spde.iter_forward_paths``, a ``GpResult`` of given fields, socfem
-operators as scipy matrices, and an independent H1 error reference."""
+operators as scipy matrices, an independent H1 error reference, and the
+comparator of an output table against its recorded reference."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,3 +83,25 @@ def h1_error_sq(system, nodal, exact_eval) -> np.ndarray:
         diff = g_exact.reshape(batch + (ne, qwts.shape[1])) - g_fe[..., None]
         total += np.einsum("...eq,eq->...", diff**2, qwts)
     return total
+
+
+def assert_matches_reference(got: str, want: str, exact=frozenset(), rtol: float = 1e-12) -> None:
+    """The CSV text ``got`` against its reference ``want``.
+
+    The header and the row count must be equal, and each row must have a
+    cell per column.  A cell of an ``exact`` column must equal its
+    reference; every other cell must lie within ``rtol`` relative of it.
+    """
+    got_rows = [line.split(",") for line in got.splitlines()]
+    want_rows = [line.split(",") for line in want.splitlines()]
+    header = want_rows[0]
+    assert got_rows[0] == header
+    assert len(got_rows) == len(want_rows)
+    for g, w in zip(got_rows[1:], want_rows[1:]):
+        assert len(g) == len(w) == len(header), (g, w)
+        for column, a, b in zip(header, g, w):
+            if column in exact:
+                assert a == b, (column, g, w)
+            else:
+                x, y = float(a), float(b)
+                assert abs(x - y) <= rtol * max(abs(x), abs(y)), (column, g, w)

@@ -24,6 +24,8 @@ from socfem.optimizer import GradientProjection, OptimizerConfig
 from socfem.paths import MAX_PATHS
 from socfem.problems import verify_manufactured
 
+from helpers import assert_matches_reference
+
 
 class TestParsing:
     def test_fraction(self):
@@ -357,10 +359,6 @@ class TestOutputDirCheck:
 REFERENCE = Path(__file__).parent / "reference"
 
 
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
-
-
 # the CSV columns written as integers; every other number is a float
 INT_COLUMNS = {"iter", "paths", "seed", "iterations", "converged"}
 
@@ -413,75 +411,55 @@ class TestReferenceOutputs:
 
     The ill-conditioned columns (a multiplier formed from a near-cancelling
     integral, the difference of nearly equal iterates, a log-log fit over
-    close mesh sizes) show a change in summation order first.
+    close mesh sizes) show a change in summation order first.  Counts and
+    labels must match exactly.
     """
 
-    def test_2d_solve_iterations(self, tmp_path):
-        argv = [
-            "solve", "--problem", "example2", "--h", "1/20", "--rule", "tau=h/sqrt2",
-            "--output-dir", str(tmp_path),
-        ]
-        assert main(argv) == 0
-        got = (tmp_path / "iterations.csv").read_text().splitlines()
-        want = (REFERENCE / "solve_example2_h1-20_iterations.csv").read_text().splitlines()
-        assert got[0] == want[0]
-        assert len(got) == len(want)
-        for g, w in zip(got[1:], want[1:]):
-            (g_iter, *g_vals), (w_iter, *w_vals) = g.split(","), w.split(",")
-            assert g_iter == w_iter
-            assert len(g_vals) == len(w_vals)
-            assert all(_close(float(a), float(b)) for a, b in zip(g_vals, w_vals)), (g, w)
+    @pytest.mark.parametrize("argv, output, reference, exact", [
+        pytest.param(
+            ["solve", "--problem", "example2", "--h", "1/20", "--rule", "tau=h/sqrt2"],
+            "iterations.csv", "solve_example2_h1-20_iterations.csv", {"iter"},
+            id="2d_solve_iterations",
+        ),
+        pytest.param(
+            ["solve", "--problem", "example1", "--h", "1/10", "--rule", "tau=h",
+             "--estimator", "monte-carlo", "--paths", "50", "--seed", "7"],
+            "final_fields.csv", "solve_example1_mc_h1-10_final_fields.csv", {"t", "x0"},
+            id="monte_carlo_solve_final_fields",
+        ),
+        pytest.param(
+            ["constraint-table", "--problem", "example1", "--rule", "tau=h", "--h", "1/40,1/45",
+             "--delta", "0.2,-0.1", "--estimator", "monte-carlo", "--paths", "400",
+             "--seed", "7"],
+            "table_long.csv", "constraint_table_example1_mc_h1-40_1-45_table_long.csv",
+            {"iterations", "converged"},
+            id="monte_carlo_table",
+        ),
+        pytest.param(
+            ["convergence", "--problem", "example1", "--rule", "tau=h", "--h", "1/40,1/45",
+             "--paths", "400", "--seed", "7"],
+            "orders.json", "convergence_example1_h1-40_1-45_orders.json",
+            {"scale", "quantity", "key"},
+            id="convergence_orders",
+        ),
+    ])
+    def test_matches_reference(self, tmp_path, argv, output, reference, exact):
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+        got, want = (tmp_path / output).read_text(), (REFERENCE / reference).read_text()
+        if output.endswith(".json"):
+            got, want = _orders_table(got), _orders_table(want)
+        assert_matches_reference(got, want, exact)
 
-    def test_monte_carlo_solve_final_fields(self, tmp_path):
-        argv = [
-            "solve", "--problem", "example1", "--h", "1/10", "--rule", "tau=h",
-            "--estimator", "monte-carlo", "--paths", "50", "--seed", "7",
-            "--output-dir", str(tmp_path),
-        ]
-        assert main(argv) == 0
-        got = (tmp_path / "final_fields.csv").read_text().splitlines()
-        want = (REFERENCE / "solve_example1_mc_h1-10_final_fields.csv").read_text().splitlines()
-        assert got[0] == want[0]
-        assert len(got) == len(want)
-        exact = {"t", "x0"}
-        for g, w in zip(got[1:], want[1:]):
-            for column, a, b in zip(want[0].split(","), g.split(","), w.split(",")):
-                assert a == b if column in exact else _close(float(a), float(b)), (column, g, w)
 
-    def test_monte_carlo_table(self, tmp_path):
-        argv = [
-            "constraint-table", "--problem", "example1", "--rule", "tau=h", "--h", "1/40,1/45",
-            "--delta", "0.2,-0.1", "--estimator", "monte-carlo", "--paths", "400", "--seed", "7",
-            "--output-dir", str(tmp_path),
-        ]
-        assert main(argv) == 0
-        got = (tmp_path / "table_long.csv").read_text().splitlines()
-        want = (
-            REFERENCE / "constraint_table_example1_mc_h1-40_1-45_table_long.csv"
-        ).read_text().splitlines()
-        assert got[0] == want[0]
-        assert len(got) == len(want)
-        exact = {"iterations", "converged"}
-        for g, w in zip(got[1:], want[1:]):
-            for column, a, b in zip(want[0].split(","), g.split(","), w.split(",")):
-                assert a == b if column in exact else _close(float(a), float(b)), (column, g, w)
-
-    def test_convergence_orders(self, tmp_path):
-        argv = [
-            "convergence", "--problem", "example1", "--rule", "tau=h", "--h", "1/40,1/45",
-            "--paths", "400", "--seed", "7", "--output-dir", str(tmp_path),
-        ]
-        assert main(argv) == 0
-        got = json.loads((tmp_path / "orders.json").read_text())
-        want = json.loads(
-            (REFERENCE / "convergence_example1_h1-40_1-45_orders.json").read_text()
-        )
-        assert got["scale"] == want["scale"]
-        assert got["fits"].keys() == want["fits"].keys()
-        for quantity, fit in want["fits"].items():
-            assert got["fits"][quantity].keys() == fit.keys()
-            for key, value in fit.items():
-                assert _close(got["fits"][quantity][key], value), (quantity, key)
+def _orders_table(text: str) -> str:
+    """orders.json as CSV text: one ``scale,quantity,key,value`` row per fit entry."""
+    orders = json.loads(text)
+    rows = [
+        f"{orders['scale']},{quantity},{key},{value!r}"
+        for quantity, fit in orders["fits"].items()
+        for key, value in fit.items()
+    ]
+    return "\n".join(["scale,quantity,key,value", *rows])
 
 
 # Inputs that must exit 2 before anything is solved or written:

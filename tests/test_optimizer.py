@@ -144,7 +144,7 @@ class TestWorkspaceAliasing:
             assert np.array_equal(values, getattr(fresh, name))
             mates = [getattr(first, f) for f in self.FIELDS if f != name]
             for other in [getattr(second, f) for f in self.FIELDS] + mates + [
-                tables.rows, tables.term, tables.transposed
+                tables.rows, tables.transposed
             ]:
                 assert not np.shares_memory(values, other)
 
