@@ -5,7 +5,7 @@ Commands
 solve             one optimization run -> iterations.csv, final_fields.csv
 convergence       error sweep over resolutions -> errors.csv, orders.json
 constraint-table  converged constraint integrals -> table.csv, table_long.csv
-verify            manufactured-solution residual report -> stdout JSON
+verify            manufactured-solution residual report -> verify.json, and stdout
 
 The user contract (exit codes, which command reads which option, value
 ranges and output schemas) is the README's; this docstring describes how
