@@ -57,6 +57,7 @@ import numpy as np
 from .analysis import (
     DELTA_MODES,
     ESTIMATORS,
+    ORDER_QUANTITIES,
     Resolution,
     constraint_table,
     convergence_study,
@@ -367,6 +368,13 @@ def run_convergence(args: argparse.Namespace, problem):
         problem, resolutions, _optimizer_config(args, problem), paths=args.paths,
         seed=args.seed, estimator=args.estimator, delta_mode=args.delta_mode,
     )
+    for r, res in zip(reports, resolutions):
+        for name in ORDER_QUANTITIES:
+            if not getattr(r, name) > 0.0:
+                raise NumericalError(
+                    f"cell cells={res.cells} steps={res.steps}: {name}={getattr(r, name)} "
+                    "is not positive, so no order can be fitted"
+                )
 
     errors = _csv(ERRORS_HEADER, map(attrgetter(*ERRORS_HEADER.split(",")), reports))
     fits = orders_from_reports(reports, scale=scale)

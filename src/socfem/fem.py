@@ -35,11 +35,14 @@ overhead rather than arithmetic.  Sparse products therefore call the
 sparsetools kernel that scipy's own ``A @ x`` ends in, with the CSR arrays
 bound once, and skip scipy's generic dispatch; the sums, and so every
 output, are unchanged.  ``csr_product`` checks the operand and ``out`` on
-every call and runs one kernel, ``csr_matvecs``, for every operand width
-(a vector is a block of one column).  The residual check, whose shapes are
-known, calls ``csr_matvecs`` itself, on the entries of -op.  ``csr_kernel``
-is the bare (n,) row kernel, with no check at all, for a caller that
-checks its shapes once (``FemSystem.mass_kernel``, ``load_kernel``).
+every call and adds into the caller's ``out`` with one kernel,
+``csr_matvecs``, for every operand width (a vector is a block of one
+column).  The residual check, whose shapes are known, calls
+``csr_matvecs`` itself, on the entries of -op.  ``csr_kernel`` is the bare
+(n,) row kernel, with no check at all, for a caller that checks its shapes
+once (``FemSystem.mass_kernel``, ``load_kernel``).  Every load vector of a
+datum goes through one body, ``load_rows``, one level per time point;
+``load_vector`` is its one-level call.
 
 Operators are ``Csr`` records (shape, indptr, indices, data), not scipy
 matrices.  ``Csr.from_triplets`` runs the sparsetools kernels of scipy's
@@ -184,26 +187,24 @@ def csr_kernel(op: Csr) -> Callable[[np.ndarray, np.ndarray], None]:
     return partial(_sparsetools.csr_matvec, *op.shape, op.indptr, op.indices, op.data)
 
 
-def csr_product(op: Csr) -> Callable[..., np.ndarray]:
-    """``op @ x`` for float64 x of shape (n,), (n, 1) or (n, k), bit for bit.
+def csr_product(op: Csr) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``out += op @ x`` for float64 x of shape (n,), (n, 1) or (n, k), bit for bit.
 
     Calls ``csr_matvecs`` on the C-order copy of x, with k = 1 for a
     vector, and the CSR arrays bound once.  It adds each stored entry's
-    product in the order ``csr_matvec`` does, so the sums are those of
-    scipy's own ``op @ x`` for every width, and only the per-call dispatch
-    is gone.  Every call checks x and ``out`` and raises ``ValueError`` on
-    a mismatch.  Given a C-ordered ``out`` of the result's shape, the
-    kernel adds ``op @ x`` to it in place and returns it.
+    product in the order ``csr_matvec`` does, so a zeroed ``out`` receives
+    the sums of scipy's own ``op @ x`` for every width, and only the
+    per-call dispatch is gone.  Every call checks x and ``out``, which must
+    be C-ordered and of the result's shape, raises ``ValueError`` on a
+    mismatch, and returns ``out``.
     """
     m, n = op.shape
     matvecs = partial(_sparsetools.csr_matvecs, m, n)
 
-    def product(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def product(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         if x.shape[0] != n or x.ndim > 2:
             raise ValueError(f"operand shape {x.shape} does not match operator shape {(m, n)}")
-        if out is None:
-            out = np.zeros((m,) + x.shape[1:])
-        elif out.shape != (m,) + x.shape[1:] or not out.flags.c_contiguous:
+        if out.shape != (m,) + x.shape[1:] or not out.flags.c_contiguous:
             raise ValueError(f"out must be a C-ordered array of shape {(m,) + x.shape[1:]}")
         k = x.shape[1] if x.ndim == 2 else 1
         matvecs(k, op.indptr, op.indices, op.data, x.ravel(), out.ravel())
@@ -369,7 +370,7 @@ class FemSystem:
         Per-dimension maps from interior nodal values to the (constant)
         P1 gradient on each element.
     mass_product : callable
-        ``x -> mass @ x``, bit for bit, through ``csr_product``.
+        ``(x, out) -> out``, adding ``mass @ x`` to ``out``, through ``csr_product``.
     mass_kernel : callable
         ``(x, out) -> None``, adding ``mass @ x`` to ``out`` for (n,) rows,
         unchecked (``csr_kernel``).
@@ -377,7 +378,8 @@ class FemSystem:
         ``(values, out) -> None``, adding ``load_matrix @ values`` to
         ``out`` for (n_quad,) values, unchecked (``csr_kernel``).
     grad_products : tuple of callable
-        ``grad_ops[d] @ x``, through ``csr_product``.
+        ``(x, out) -> out``, adding ``grad_ops[d] @ x`` to ``out``, through
+        ``csr_product``.
     ones_load : ndarray, shape (n_interior,)
         The load vector of g = 1: the row sums of ``load_matrix``.
     """
@@ -532,13 +534,28 @@ def _elements_2d(mesh: Mesh):
     return area, loc_stiff, grads, (mids, weights, basis)
 
 
-def load_vector(system: FemSystem, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """b_i = integral of g * phi_i via the system's quadrature rule."""
-    vals = np.asarray(g(system.quad_points), dtype=float)
-    vals = np.broadcast_to(vals, (system.quad_points.shape[0],))
-    out = np.zeros(system.n)
-    system.load_kernel(vals, out)
+def load_rows(system: FemSystem, fn: Callable, times, *shape: int) -> np.ndarray:
+    """load(fn(t, points)) at each t of ``times``, one level each: (len(times), n)
+    for a scalar datum, (len(times), *shape, n) for a datum whose values
+    form a table of that shape, such as a [mean; slope] pair, ``shape`` (2,).
+
+    Each level's quadrature values are staged in one buffer (a scalar fills
+    it, a wrong shape raises), and each row of them is added to its zeroed
+    row of the result by ``FemSystem.load_kernel``, the kernel scipy's
+    ``load_matrix @ values`` ends in, without its per-call dispatch.
+    """
+    n_quad = system.quad_points.shape[0]
+    out, values = np.zeros((len(times), *shape, system.n)), np.empty((*shape, n_quad))
+    for level, t in zip(out, times):
+        values[...] = fn(float(t), system.quad_points)
+        for row_values, row in zip(values.reshape(-1, n_quad), level.reshape(-1, system.n)):
+            system.load_kernel(row_values, row)
     return out
+
+
+def load_vector(system: FemSystem, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """b_i = integral of g * phi_i via the system's quadrature rule: one level of ``load_rows``."""
+    return load_rows(system, lambda _, points: g(points), (0.0,))[0]
 
 
 def load_from_values(system: FemSystem, values: np.ndarray) -> np.ndarray:
@@ -546,12 +563,13 @@ def load_from_values(system: FemSystem, values: np.ndarray) -> np.ndarray:
 
     ``values`` may carry leading batch axes, e.g. (paths, n_quad); the
     result has the matching shape (..., n_interior).  The batch is loaded
-    as one (n_quad, batch) block, through the kernel scipy's
-    ``values @ load_matrix.T`` ends in.
+    as one (n_quad, batch) block into a zeroed (n, batch) one, through the
+    kernel scipy's ``values @ load_matrix.T`` ends in.
     """
     values = np.asarray(values)
     block = values.reshape(-1, values.shape[-1]).T
-    return csr_product(system.load_matrix)(block).T.reshape(values.shape[:-1] + (system.n,))
+    out = np.zeros((system.n, block.shape[1]))
+    return csr_product(system.load_matrix)(block, out).T.reshape(values.shape[:-1] + (system.n,))
 
 
 def l2_project(system: FemSystem, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -11,13 +11,13 @@ and backward from y^N = 0:
     (M + tau*gamma*A) y^n = M y^{n+1} + tau*source[n+1]
 
 Every field is a plain (N+1, n) array of interior coefficients, row n
-holding level n.  tau*M u^n is read from one table M U^T over the whole
-trajectory.  The data terms of column j are tau*(load(f0(t_n)) + W_n^j
-load(f1(t_n))), then dW_{n+1}^j load(sigma(t_n)); the control response
-adds none.  The source is M xbar - load(xbar_d) + mu*load(1) for the mean
-adjoint and load(1) for Mtilde.  The load tables are built level by
-level through ``FemSystem.load_kernel`` (``_load_rows``); every row equals
-``load_vector`` bit for bit; the forcing's is one (N, 2, n) table.
+holding level n.  tau*M u^n is one table M U^T over the whole trajectory
+(``_control_loads``), written into a table its caller gives.  The data
+terms of column j are tau*(load(f0(t_n)) + W_n^j load(f1(t_n))), then
+dW_{n+1}^j load(sigma(t_n)); the control response adds none.  The source
+is M xbar - load(xbar_d) + mu*load(1) for the mean adjoint and load(1)
+for Mtilde.  Every load table is ``fem.load_rows``, one level per time
+point; the forcing's is one (N, 2, n) table.
 
 Each layout has one kernel, and every solve is residual-checked
 (``EulerSolver.check``) before a caller sees its level:
@@ -26,22 +26,24 @@ Each layout has one kernel, and every solve is residual-checked
   block in buffers it allocates once, solves an F-ordered copy in place
   and checks each level before it yields it, in the same array every
   time, so no path history is kept and a consumer copies what it keeps.
-  It copies its control loads, so a sweep run while it is suspended
-  cannot change them;
+  Its control loads are a table of its own, so a sweep run while it is
+  suspended cannot change them;
 * the single column: ``_row_sweep`` runs the mean state, the control
   response and Qtilde forward, and the mean adjoint and Mtilde backward,
-  on the rows of an (N+1, n) ``out`` (read in reverse going backward).  A
-  step adds M times the neighbouring level into the zeroed row of the new
-  level (``FemSystem.mass_kernel``), adds its staged row and its data
-  terms, stages the right-hand side over that row and solves in place.
-  After the last step one ``SweepTables.check`` covers every level.
+  on the rows of an (N+1, n) ``out`` and of the (N, n) scaled loads
+  ``staged`` (both read in reverse going backward).  A step adds M times
+  the neighbouring level into the zeroed row of the new level
+  (``FemSystem.mass_kernel``), adds its row of ``staged`` and its data
+  terms, writes the right-hand side over that row of ``staged`` and
+  solves in place.  After the last step one ``SweepTables.check`` covers
+  every level.
 
-A single-column sweep stages its rows in ``FemSystem.sweep_tables(N).rows``:
-its caller writes the scaled loads there (``_control_loads``, the
-adjoint's source), and the sweep overwrites them with its right-hand
-sides.  No sweep takes tables as an argument or allocates one but the
-``out`` it is not given, and each data-term closure (``Terms``) owns its
-scratch.
+Each sweep reads only the tables it is given.  The single-column callers
+stage their loads (the control loads, the adjoint's source) in
+``FemSystem.sweep_tables(N).rows`` and pass that table, which the sweep
+leaves holding its right-hand sides; the path sweep never touches it.  No
+sweep allocates a table but the ``out`` it is not given and its own
+control loads, and each data-term closure (``Terms``) owns its scratch.
 
 Problem data depend on the Brownian value only through ``AffineInW``
 pairs f = f0 + W f1, evaluated one way: a table [f0; f1]
@@ -58,9 +60,13 @@ loads (``forward_mean`` and ``mean_target_loads`` without an ensemble)
 load the means alone, through the same kernel: the terms they skip add
 only zeros, and neither slope nor sigma is evaluated.
 
-Conditional expectations of the martingale part (the Z process) are
-estimated across simulated paths by least-squares regression on the basis
-{1, W_{t_n}}, with a variance-reducing centering step.
+``lsmc_z_estimate`` stands alone: no sweep and no GP iteration calls it,
+since for deterministic controls the mean adjoint above is already the
+exact expectation.  It estimates the conditional expectation of the
+martingale part (the Z process) across simulated paths by least-squares
+regression on the basis {1, W_{t_n}}, with a variance-reducing centering
+step, and acceptance criterion 9 checks it against an analytic
+conditional-covariance oracle.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NumericalError
-from .fem import FemSystem, l2_project
+from .fem import FemSystem, l2_project, load_rows
 from .grid import TimeGrid
 from .paths import BrownianEnsemble
 
@@ -129,37 +135,14 @@ class ProblemSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.T > 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        for name in ("alpha", "T", "gamma"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 def _check_alignment(grid: TimeGrid, steps: int, tau: float, what: str):
     if steps != grid.N or abs(tau - grid.tau) > 1e-12 * grid.tau:
         raise ValueError(f"{what} is not aligned with the time grid")
-
-
-def _load_rows(system: FemSystem, fn: SpaceTimeFn, times: np.ndarray, *shape: int) -> np.ndarray:
-    """load(fn(t, .)) at each t of ``times``, one level each: (len(times), n)
-    for a scalar datum, (len(times), 2, n) for a table (``AffineInW.table``,
-    ``shape`` (2,)).
-
-    Each level's quadrature values are staged in one buffer (a scalar fills
-    it, a wrong shape raises), and each row of them is added to its zeroed
-    row of the result by ``FemSystem.load_kernel``, the kernel
-    ``load_vector`` ends in; so every row equals ``load_vector`` at its
-    time bit for bit, without scipy's per-call dispatch.
-    """
-    n_quad = system.quad_points.shape[0]
-    out, values = np.zeros((len(times), *shape, system.n)), np.empty((*shape, n_quad))
-    for level, t in zip(out, times):
-        values[...] = fn(float(t), system.quad_points)
-        for row_values, row in zip(values.reshape(-1, n_quad), level.reshape(-1, system.n)):
-            system.load_kernel(row_values, row)
-    return out
 
 
 def _mean_brownian(grid: TimeGrid, ensemble: BrownianEnsemble):
@@ -180,8 +163,8 @@ class SweepData:
     def __init__(self, spec: ProblemSpec, system: FemSystem, grid: TimeGrid):
         times = grid.times[:-1]
         self.x0 = l2_project(system, spec.x0)
-        self.forcing = _load_rows(system, spec.forcing.table, times, 2)
-        self.sigma = _load_rows(system, spec.sigma, times)
+        self.forcing = load_rows(system, spec.forcing.table, times, 2)
+        self.sigma = load_rows(system, spec.sigma, times)
 
 
 def _data_terms(data: SweepData, tau: float, brownian: np.ndarray, increments: np.ndarray) -> Terms:
@@ -206,30 +189,29 @@ def _data_terms(data: SweepData, tau: float, brownian: np.ndarray, increments: n
     return terms
 
 
-def _control_loads(system: FemSystem, grid: TimeGrid, control: np.ndarray) -> np.ndarray:
-    """tau*M u^n for n < N, staged in the sweep tables' rows; ``control`` is (N+1, n)."""
+def _control_loads(system: FemSystem, grid: TimeGrid, control: np.ndarray, out: np.ndarray):
+    """tau*M u^n for n < N, written into ``out`` (N, n) and returned; ``control`` is (N+1, n)."""
     if control.shape != (grid.N + 1, system.n):
         raise ValueError(f"control of shape {control.shape} is not aligned with the time grid")
-    rows = system.sweep_tables(grid.N).rows
-    return np.multiply(grid.tau, system.mass_rows(control[: grid.N], rows), out=rows)
+    return np.multiply(grid.tau, system.mass_rows(control[: grid.N], out), out=out)
 
 
 def _row_sweep(
-    system: FemSystem, grid: TimeGrid, gamma: float, start: np.ndarray | float,
+    system: FemSystem, grid: TimeGrid, gamma: float, start: np.ndarray | float, staged: np.ndarray,
     out: np.ndarray | None = None, terms: Terms | None = None, backward: bool = False,
 ) -> np.ndarray:
     """The single-column kernel: N implicit-Euler steps on the rows of ``out``.
 
     ``out`` (N+1, n) is allocated when not given; the mass kernel reads its
     rows unchecked, so it must be a C-ordered float64 array of that shape,
-    or ``ValueError`` is raised before the first solve.  Forward, level 0
+    or ``ValueError`` is raised before the first solve.  ``staged`` (N, n)
+    holds the caller's scaled load of each step.  Forward, level 0
     is ``start`` and step n solves for level n+1; backward, level N is
     ``start`` and step n solves for level N-1-n, on the rows of ``out`` and
-    ``tables.rows`` in reverse (``tables = system.sweep_tables(N)``).  Step
-    n adds M times the previous level into the zeroed row of the new one,
-    then row n of ``tables.rows`` (the caller's scaled load of the step)
-    and, if given, ``terms(n, rhs)``; it stages the right-hand side over
-    that row and solves in place, unchecked.  After the last step one
+    ``staged`` in reverse.  Step n adds M times the previous level into the
+    zeroed row of the new one, then row n of ``staged`` and, if given,
+    ``terms(n, rhs)``; it writes the right-hand side over that row of
+    ``staged`` and solves in place, unchecked.  After the last step one
     batched check covers every level, in sweep order, before ``out`` is
     returned.
     """
@@ -240,22 +222,22 @@ def _row_sweep(
             f"out must be a C-ordered float64 array of shape {(N + 1, n)}, "
             f"got {out.dtype} {out.shape}"
         )
-    solver, tables = system.euler_solver(grid.tau, gamma), system.sweep_tables(N)
+    solver = system.euler_solver(grid.tau, gamma)
     matvec, solve = system.mass_kernel, solver.solve_unchecked
-    levels, rows, sweep = range(N + 1), tables.rows, out
+    levels, sweep = range(N + 1), out
     if backward:
-        levels, rows, sweep = levels[::-1], rows[::-1], out[::-1]
+        levels, staged, sweep = levels[::-1], staged[::-1], out[::-1]
     sweep[0] = start
     sweep[1:] = 0.0
-    for step, prev, rhs, staged in zip(range(N), sweep[:-1], sweep[1:], rows):
+    for step, prev, rhs, load in zip(range(N), sweep[:-1], sweep[1:], staged):
         # M x and the staged row stay separate terms: M(x + tau*u) rounds differently
         matvec(prev, rhs)
-        rhs += staged
+        rhs += load
         if terms is not None:
             terms(step, rhs)
-        staged[...] = rhs
+        load[...] = rhs
         solve(rhs)
-    tables.check(solver, rows, sweep[1:], levels[1:])
+    system.sweep_tables(N).check(solver, staged, sweep[1:], levels[1:])
     return out
 
 
@@ -276,14 +258,14 @@ def iter_forward_paths(
     level is residual-checked before it is yielded.  Every level is
     yielded in the same C-ordered (n, paths) array, which the next resume
     overwrites: consumers copy what they keep and must not write to it.
-    The control loads are copied out of the shared sweep tables, so any
-    sweep may run between two levels.  ``data`` is built here unless a
-    caller that sweeps several blocks shares one.
+    The control loads are a table of this sweep's own, so any sweep may
+    run between two levels.  ``data`` is built here unless a caller that
+    sweeps several blocks shares one.
     """
     _check_alignment(grid, ensemble.steps, ensemble.tau, "ensemble")
     data = SweepData(spec, system, grid) if data is None else data
     terms = _data_terms(data, grid.tau, ensemble.brownian, ensemble.increments)
-    loads = _control_loads(system, grid, control)[:, :, None].copy()
+    loads = _control_loads(system, grid, control, np.empty((grid.N, system.n)))[:, :, None]
     solver = system.euler_solver(grid.tau, spec.gamma)
     x, rhs = np.empty((2, system.n, ensemble.paths))
     solution = np.empty(x.shape, order="F")
@@ -318,7 +300,7 @@ def forward_mean(
     """
     if ensemble is None:
         x0 = l2_project(system, spec.x0)
-        forcing = _load_rows(system, spec.forcing.mean, grid.times[:-1])
+        forcing = load_rows(system, spec.forcing.mean, grid.times[:-1])
         scratch = np.empty(system.n)
 
         def terms(n: int, rhs: np.ndarray) -> None:
@@ -326,8 +308,8 @@ def forward_mean(
     else:
         data = SweepData(spec, system, grid)
         x0, terms = data.x0, _data_terms(data, grid.tau, *_mean_brownian(grid, ensemble))
-    _control_loads(system, grid, control)
-    return _row_sweep(system, grid, spec.gamma, x0, terms=terms)
+    staged = _control_loads(system, grid, control, system.sweep_tables(grid.N).rows)
+    return _row_sweep(system, grid, spec.gamma, x0, staged, terms=terms)
 
 
 def control_response(
@@ -340,8 +322,8 @@ def control_response(
     the optimizer exploits to avoid re-simulating path ensembles.  The
     levels are written into ``out`` (N+1, n) when given.
     """
-    _control_loads(system, grid, control)
-    return _row_sweep(system, grid, gamma, 0.0, out)
+    staged = _control_loads(system, grid, control, system.sweep_tables(grid.N).rows)
+    return _row_sweep(system, grid, gamma, 0.0, staged, out)
 
 
 def mean_target_loads(
@@ -356,10 +338,10 @@ def mean_target_loads(
     target's slope is not evaluated."""
     loads = np.zeros((grid.N + 1, system.n))
     if ensemble is None:
-        loads[1:] = _load_rows(system, spec.target.mean, grid.times[1:])
+        loads[1:] = load_rows(system, spec.target.mean, grid.times[1:])
         return loads
     w_bar, _ = _mean_brownian(grid, ensemble)
-    table, basis = _load_rows(system, spec.target.table, grid.times[1:], 2), np.ones(2)
+    table, basis = load_rows(system, spec.target.table, grid.times[1:], 2), np.ones(2)
     for row, level, w in zip(loads[1:], table, w_bar[1:]):
         basis[1] = w
         at_w(level, basis, out=row)
@@ -388,7 +370,7 @@ def backward_adjoint_from_loads(
     source -= target_loads[1:]
     source += mu * system.ones_load
     source *= grid.tau
-    return _row_sweep(system, grid, gamma, 0.0, out, backward=True)
+    return _row_sweep(system, grid, gamma, 0.0, source, out, backward=True)
 
 
 def mtilde_solve(system: FemSystem, grid: TimeGrid, gamma: float) -> np.ndarray:
@@ -397,8 +379,8 @@ def mtilde_solve(system: FemSystem, grid: TimeGrid, gamma: float) -> np.ndarray:
     Adding mu times this field to the constraint-free adjoint gives the
     full adjoint; it is also the direction of the projection step.
     """
-    np.multiply(grid.tau, system.ones_load, out=system.sweep_tables(grid.N).rows)
-    return _row_sweep(system, grid, gamma, 0.0, backward=True)
+    staged = np.multiply(grid.tau, system.ones_load, out=system.sweep_tables(grid.N).rows)
+    return _row_sweep(system, grid, gamma, 0.0, staged, backward=True)
 
 
 def qtilde_solve(

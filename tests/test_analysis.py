@@ -232,9 +232,9 @@ class TestComputeErrors:
             monkeypatch.setattr(module, name, call)
 
         counted(socfem.fem, "load_vector")
-        counted(socfem.spde, "_load_rows")
+        counted(socfem.spde, "load_rows")
         compute_errors(prob, gp_result(control, adjoint, prob.exact_mu), ens, system, grid)
-        assert sorted(calls) == ["_load_rows"] * 2 + ["load_vector"]
+        assert sorted(calls) == ["load_rows"] * 2 + ["load_vector"]
 
     @pytest.mark.parametrize(
         "name,res", [("example1", Resolution(12, 10)), ("example2", Resolution(4, 6))]

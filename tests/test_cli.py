@@ -12,13 +12,16 @@ from socfem.analysis import DELTA_MODES, ESTIMATORS, constraint_table, convergen
 from socfem.cli import (
     COMMAND_OPTIONS,
     OPTIONS,
+    TAU_RULES,
     ConfigError,
     _build_parser,
     _fill_sampling,
+    build_problem,
     format_sci,
     main,
     parse_fraction,
     parse_fraction_list,
+    resolutions_for,
 )
 from socfem.optimizer import GradientProjection, OptimizerConfig
 from socfem.paths import MAX_PATHS
@@ -27,7 +30,36 @@ from socfem.problems import verify_manufactured
 from helpers import assert_matches_reference
 
 
+# (problem, --rule) -> the (cells, steps) that --h 1/4 gives, or None where
+# the rule is for the other dimension
+RULE_RESOLUTIONS = {
+    ("example1", "tau=h"): (4, 4),
+    ("example1", "tau=h/sqrt2"): None,
+    ("example1", "tau=h^2"): (4, 16),
+    ("example1", "tau=h^2/2"): (4, 32),
+    ("example1", "tau=h^4"): (4, 256),
+    ("example2", "tau=h"): None,
+    ("example2", "tau=h/sqrt2"): (4, 4),
+    ("example2", "tau=h^2"): (4, 8),
+    ("example2", "tau=h^2/2"): (4, 16),
+    ("example2", "tau=h^4"): (4, 64),
+}
+
+
 class TestParsing:
+    @pytest.mark.parametrize("problem", ["example1", "example2"])
+    @pytest.mark.parametrize("rule", list(TAU_RULES))
+    def test_every_rule_gives_its_resolution(self, problem, rule):
+        argv = ["solve", "--problem", problem, "--h", "1/4", "--rule", rule]
+        args = _build_parser().parse_args(argv)
+        expected = RULE_RESOLUTIONS[problem, rule]
+        if expected is None:
+            with pytest.raises(ConfigError, match=r"only applies to \dD meshes"):
+                resolutions_for(args, build_problem(args))
+        else:
+            got = resolutions_for(args, build_problem(args))
+            assert [(res.cells, res.steps) for res in got] == [expected]
+
     def test_fraction(self):
         assert parse_fraction("1/40") == Fraction(1, 40)
         assert parse_fraction(" 3/8 ") == Fraction(3, 8)
@@ -135,6 +167,23 @@ class TestConvergenceCommand:
         orders = json.loads((tmp_path / "orders.json").read_text())
         assert orders["scale"] == "tau"
         assert "strong_l2_state" in orders["fits"]
+
+    def test_zero_error_is_numerical_failure(self, tmp_path, capsys):
+        # an inactive constraint whose exact multiplier is 0 leaves mu_error
+        # exactly 0.0, and log(0) admits no order fit
+        out = tmp_path / "out"
+        argv = [
+            "convergence", "--problem", "example1", "--exact-mu", "0", "--delta-mode", "problem",
+            "--h", "1/8,1/10", "--paths", "20", "--output-dir", str(out),
+        ]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: cell cells=8 steps=8: mu_error=0.0 is not positive, "
+            "so no order can be fitted\n"
+        )
+        assert not out.exists()
 
     def test_single_resolution_is_config_error(self, tmp_path, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -347,8 +347,9 @@ def _forward_levels(x0, u):
     """Every level of the row kernel run from each column of x0 (n, k), shape (N+1, n, k)."""
 
     def column(x):
-        _control_loads(KERNEL_SYSTEM, KERNEL_GRID, u)
-        return _row_sweep(KERNEL_SYSTEM, KERNEL_GRID, 1.0, x)
+        loads = np.empty((KERNEL_GRID.N, KERNEL_SYSTEM.n))
+        _control_loads(KERNEL_SYSTEM, KERNEL_GRID, u, loads)
+        return _row_sweep(KERNEL_SYSTEM, KERNEL_GRID, 1.0, x, loads)
 
     return np.stack([column(x) for x in x0.T], axis=-1)
 
@@ -375,10 +376,9 @@ class TestKernels:
         src1 = np.random.default_rng(s1).normal(size=shape)
         src2 = np.random.default_rng(s2).normal(size=shape)
 
-        def sweep(src):
-            rows = KERNEL_SYSTEM.sweep_tables(KERNEL_GRID.N).rows
-            np.multiply(KERNEL_GRID.tau, src[1:], out=rows)  # the kernel reads tau*source
-            return _row_sweep(KERNEL_SYSTEM, KERNEL_GRID, 1.0, 0.0, backward=True)
+        def sweep(src):  # the kernel reads tau*source
+            return _row_sweep(KERNEL_SYSTEM, KERNEL_GRID, 1.0, 0.0, KERNEL_GRID.tau * src[1:],
+                              backward=True)
 
         assert _is_combination(sweep(a * src1 + b * src2), a, sweep(src1), b, sweep(src2))
 
@@ -564,7 +564,7 @@ class TestDeferredCheck:
 
     def test_mean_sweep_while_path_sweep_is_suspended(self):
         # the mean sweeps stage their loads in the system's one set of sweep
-        # tables; the path sweep copied its own, so it steps on unchanged
+        # tables; the path sweep owns its control loads, so it steps on unchanged
         system, grid = KERNEL_SYSTEM, CHECK_GRID
         control, other = np.random.default_rng(6).normal(size=(2, grid.N + 1, system.n))
         ens = sample(3, grid, seed=5)
@@ -577,6 +577,17 @@ class TestDeferredCheck:
         assert len(levels) == len(alone) == grid.N + 1
         for got, want in zip(levels, alone):
             assert np.array_equal(got, want)
+
+    def test_path_sweep_leaves_the_sweep_rows_alone(self):
+        # the path sweep writes its control loads into a table of its own
+        system, grid = assemble(make_interval_mesh(0, 1, 8)), CHECK_GRID
+        control = np.random.default_rng(7).normal(size=(grid.N + 1, system.n))
+        rows = system.sweep_tables(grid.N).rows
+        rows.fill(np.nan)
+        ens = sample(600, grid, seed=2)
+        levels = [n for n, _ in iter_forward_paths(DATA_SPEC, system, grid, control, ens)]
+        assert levels == list(range(grid.N + 1))
+        assert system.sweep_tables(grid.N).rows is rows and np.isnan(rows).all()
 
     @pytest.mark.parametrize(
         "misfit", ["out rows", "out cols", "out order", "control rows", "control cols"]
